@@ -9,17 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video, track_video_with_stats
-from .metrics import csv_header, csv_row, evaluate, write_csv, write_text_atomic
+from .metrics import (
+    csv_header,
+    csv_row,
+    evaluate,
+    evaluate_map,
+    evaluate_mot,
+    write_csv,
+    write_text_atomic,
+)
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -37,8 +43,6 @@ from .synth import (
     ScenarioConfig,
     generate_scenario,
 )
-
-WORKERS_ENV = "POSELINK_WORKERS"
 
 COST_KINDS = {
     "iou": "bbox_iou",
@@ -66,13 +70,6 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
         "version": __version__,
     }
     write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def _float_list(text: str) -> list[float]:
@@ -180,21 +177,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_one(gt, pred, threshold, algo, cost_name, args):
-    ns = argparse.Namespace(**vars(args))
-    ns.cost = cost_name
-    cfg = LinkerConfig(
-        algorithm=algo,
-        criterion=_criterion_from_args(ns),
-        min_similarity=args.min_sim,
-        lookback=args.lookback,
-        random_max_id=args.random_max_id,
-        rng_seed=args.seed,
-    )
+def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
+    """CSV rows of every algo x cost at one detection threshold.
+
+    Filtering and mAP depend only on the threshold (mAP ignores track ids,
+    and tracking changes nothing else), so both run once and each row merges
+    its own MOT report with the shared mAP report.
+    """
     filtered = filter_detections(pred, threshold, args.kp_thresh)
-    tracked, stats = track_video_with_stats(filtered, cfg)
-    report = evaluate(gt, tracked, args.alpha)
-    return csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost)
+    map_report = evaluate_map(gt, filtered, args.alpha)
+    rows = []
+    for algo in algos:
+        for cost_name in costs:
+            ns = argparse.Namespace(**vars(args))
+            ns.cost = cost_name
+            cfg = LinkerConfig(
+                algorithm=algo,
+                criterion=_criterion_from_args(ns),
+                min_similarity=args.min_sim,
+                lookback=args.lookback,
+                random_max_id=args.random_max_id,
+                rng_seed=args.seed,
+            )
+            tracked, stats = track_video_with_stats(filtered, cfg)
+            report = evaluate_mot(gt, tracked, args.alpha).merged_with(map_report)
+            rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -222,10 +230,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     gt = load_sequence(args.gt, ROLE_GROUNDTRUTH)
     pred = load_sequence(args.pred, ROLE_PREDICTION)
-    combos = [(t, a, c) for t in thresholds for a in algos for c in costs]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(_sweep_one, gt, pred, t, a, c, args) for t, a, c in combos]
-        rows = [f.result() for f in futures]
+    rows = [row for t in thresholds for row in _sweep_threshold(gt, pred, t, algos, costs, args)]
     header = csv_header(gt.joint_names, ("det_thresh", "algo", "cost"))
     write_csv(args.out, header, rows)
     _write_manifest(
@@ -235,7 +240,6 @@ def cmd_sweep(args) -> int:
             "thresholds": thresholds, "algos": algos, "costs": costs,
             "kp_thresh": args.kp_thresh, "min_sim": args.min_sim,
             "lookback": args.lookback, "seed": args.seed, "alpha": args.alpha,
-            "workers": args.workers,
         },
         [args.gt, args.pred],
         [args.out],
@@ -365,6 +369,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if len({int(n) for n in args.frames}) < 2:
+        print("bench: a linear fit needs at least two distinct --frames values", file=sys.stderr)
+        return 2
     lcfg = LinkerConfig()
     inputs = []
     for n_frames in args.frames:
@@ -446,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", type=_str_list, default=None)
     p.add_argument("--costs", type=_str_list, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=_default_workers())
     _add_track_flags(p)
     p.set_defaults(func=cmd_sweep)
 

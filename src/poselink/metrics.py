@@ -42,6 +42,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Box, Detection, Keypoint, VideoSequence
+from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
 
@@ -68,6 +69,19 @@ def _correct_joint_count(gt: Detection, pred: Detection, alpha: float) -> int:
     return count
 
 
+def correct_joint_mask(
+    gt_persons: Sequence[Detection], pred_persons: Sequence[Detection], alpha: float = 0.5
+) -> np.ndarray:
+    """(n_gt, n_pred, J) mask of PCKh-correct joints for every gt x pred pair.
+
+    Entry [i, k, j] is pckh_correct on joint j when it is present in both
+    poses; summed over the last axis it is the matrix of correct joint
+    counts. Both sides must be non-empty.
+    """
+    limits = [alpha * head_size(g.head_box) for g in gt_persons]
+    return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)
+
+
 @dataclass(frozen=True)
 class PoseMatchResult:
     """One-to-one pose matching for a single labeled frame."""
@@ -89,10 +103,7 @@ def match_poses_frame(
     n_gt, n_pred = len(gt_persons), len(pred_persons)
     if n_gt == 0 or n_pred == 0:
         return PoseMatchResult((), tuple(range(n_gt)), tuple(range(n_pred)))
-    counts = np.zeros((n_gt, n_pred), dtype=float)
-    for i, g in enumerate(gt_persons):
-        for j, p in enumerate(pred_persons):
-            counts[i, j] = _correct_joint_count(g, p, alpha)
+    counts = correct_joint_mask(gt_persons, pred_persons, alpha).sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
     matched_gt = {i for i, _ in pairs}
@@ -357,33 +368,23 @@ def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> 
             for j, g in enumerate(g_det.pose.joints):
                 if g.present:
                     n_gt[j] += 1
-        order = sorted(range(len(pred_dets)), key=lambda k: (-pred_dets[k].score, k))
-        claimed: dict[int, int] = {}  # pred index -> gt index
-        taken: set[int] = set()
-        for pi in order:
-            best_gt, best_overlap = -1, 0
-            for gi, g_det in enumerate(frame.detections):
-                if gi in taken:
-                    continue
-                overlap = _correct_joint_count(g_det, pred_dets[pi], alpha)
-                if overlap > best_overlap:
-                    best_gt, best_overlap = gi, overlap
-            if best_gt >= 0:
-                claimed[pi] = best_gt
-                taken.add(best_gt)
-        for pi, p_det in enumerate(pred_dets):
-            gi = claimed.get(pi)
-            g_det = frame.detections[gi] if gi is not None else None
-            head = head_size(g_det.head_box) if g_det is not None else None
+        if not pred_dets:
+            continue
+        # hits[k, j]: joint j of prediction k is correct for the pose it claimed
+        hits = np.zeros((len(pred_dets), j_count), dtype=bool)
+        if frame.detections:
+            correct = correct_joint_mask(frame.detections, pred_dets, alpha)
+            overlap = correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
+            order = sorted(range(len(pred_dets)), key=lambda k: (-pred_dets[k].score, k))
+            for pi in order:
+                gi = int(overlap[:, pi].argmax())  # the first largest overlap
+                if overlap[gi, pi] > 0:
+                    hits[pi] = correct[gi, pi]
+                    overlap[gi] = 0
+        for p_det, hit_row in zip(pred_dets, hits.tolist()):
             for j, p in enumerate(p_det.pose.joints):
-                if not p.present:
-                    continue
-                hit = (
-                    g_det is not None
-                    and g_det.pose.joints[j].present
-                    and pckh_correct(g_det.pose.joints[j], p, head, alpha)
-                )
-                scored[j].append((p_det.score, hit))
+                if p.present:
+                    scored[j].append((p_det.score, hit_row[j]))
 
     ap = tuple(
         100.0 * _average_precision(scored[j], int(n_gt[j])) if n_gt[j] > 0 else None

@@ -13,7 +13,7 @@ Sequence files are UTF-8 JSON with this layout:
           "detections": [
             {
               "bbox": [x_min, y_min, x_max, y_max],
-              "score": float,                   # clamped to [0, 1] on load
+              "score": float,                   # finite; clamped to [0, 1] on load
               "keypoints": [[x, y, score, present01], ...],   # length J
               "feature": [float, ...],          # optional
               "track_id": int,                  # optional, required for GT
@@ -189,6 +189,10 @@ ROLE_PREDICTION = "prediction"
 ROLE_GROUNDTRUTH = "groundtruth"
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_box(raw, what: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValueError(f"{what} must be a list of 4 numbers")
@@ -234,14 +238,18 @@ def load_sequence(
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a sequence file holds a JSON object")
     for key in ("video_id", "image_size", "joint_names", "frames"):
         if key not in raw:
             raise ValueError(f"{path}: missing field {key!r}")
     if not isinstance(raw["video_id"], str):
         raise ValueError("video_id must be a string")
     size = raw["image_size"]
-    if not isinstance(size, list) or len(size) != 2:
-        raise ValueError("image_size must be [width, height]")
+    if not isinstance(size, list) or len(size) != 2 or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in size
+    ):
+        raise ValueError("image_size must be [width, height] integers")
     joint_names = raw["joint_names"]
     if not isinstance(joint_names, list) or not all(isinstance(n, str) for n in joint_names):
         raise ValueError("joint_names must be a list of strings")
@@ -252,8 +260,12 @@ def load_sequence(
             raise ValueError(f"joint_map must be a permutation of range({j})")
         joint_names = [joint_names[k] for k in joint_map]
 
+    if not isinstance(raw["frames"], list):
+        raise ValueError("frames must be a list")
     frames = []
     for fi, f in enumerate(raw["frames"]):
+        if not isinstance(f, dict):
+            raise ValueError(f"frame {fi}: must be an object")
         for key in ("frame_index", "labeled", "detections"):
             if key not in f:
                 raise ValueError(f"frame {fi}: missing field {key!r}")
@@ -261,32 +273,46 @@ def load_sequence(
             raise ValueError(f"frame {fi}: frame_index must be an integer")
         if not isinstance(f["labeled"], bool):
             raise ValueError(f"frame {fi}: labeled must be a boolean")
+        if not isinstance(f["detections"], list):
+            raise ValueError(f"frame {fi}: detections must be a list")
         detections = []
         for di, d in enumerate(f["detections"]):
             where = f"frame {fi} detection {di}"
+            if not isinstance(d, dict):
+                raise ValueError(f"{where}: must be an object")
             for key in ("bbox", "score", "keypoints"):
                 if key not in d:
                     raise ValueError(f"{where}: missing field {key!r}")
-            box = _as_box(d["bbox"], f"{where} bbox")
-            score = d["score"]
-            if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise ValueError(f"{where}: score must be a number")
-            score = min(1.0, max(0.0, float(score)))
-            kps = d["keypoints"]
-            if not isinstance(kps, list) or len(kps) != j:
-                raise ValueError(f"{where}: keypoints must have length {j}")
-            joints = [_as_keypoint(kp, f"{where} keypoint") for kp in kps]
-            if joint_map is not None:
-                joints = [joints[k] for k in joint_map]
-            feature = None
-            if d.get("feature") is not None:
-                feature = tuple(float(v) for v in d["feature"])
-                if not all(math.isfinite(v) for v in feature):
-                    raise ValueError(f"{where}: feature has a non-finite entry")
+            try:  # float() of an integer beyond the float range overflows
+                box = _as_box(d["bbox"], f"{where} bbox")
+                score = d["score"]
+                if not _is_number(score):
+                    raise ValueError(f"{where}: score must be a number")
+                score = float(score)
+                if not math.isfinite(score):
+                    raise ValueError(f"{where}: score must be finite")
+                score = min(1.0, max(0.0, score))
+                kps = d["keypoints"]
+                if not isinstance(kps, list) or len(kps) != j:
+                    raise ValueError(f"{where}: keypoints must have length {j}")
+                joints = [_as_keypoint(kp, f"{where} keypoint") for kp in kps]
+                if joint_map is not None:
+                    joints = [joints[k] for k in joint_map]
+                feature = d.get("feature")
+                if feature is not None:
+                    if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
+                        raise ValueError(f"{where}: feature must be a list of numbers")
+                    feature = tuple(float(v) for v in feature)
+                    if not all(math.isfinite(v) for v in feature):
+                        raise ValueError(f"{where}: feature has a non-finite entry")
+                head_box = d.get("head_box")
+                if head_box is not None:
+                    head_box = _as_box(head_box, f"{where} head_box")
+            except OverflowError as exc:
+                raise ValueError(f"{where}: number out of the float range") from exc
             track_id = d.get("track_id")
             if track_id is not None and (not isinstance(track_id, int) or isinstance(track_id, bool)):
                 raise ValueError(f"{where}: track_id must be an integer")
-            head_box = _as_box(d["head_box"], f"{where} head_box") if d.get("head_box") is not None else None
             if role == ROLE_GROUNDTRUTH:
                 if track_id is None:
                     raise ValueError(f"{where}: ground truth requires track_id")

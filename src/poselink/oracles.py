@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from scipy.optimize import linear_sum_assignment
-import numpy as np
 
 from .model import Keypoint, Pose, VideoSequence
 from .metrics import match_poses_frame
-from .similarity import iou
+from .similarity import box_array, pairwise_iou
 
 ORACLE_MODES = ("perfect_association", "perfect_keypoints", "both")
 
@@ -80,10 +79,7 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
         if gt_frame is None or not gt_frame.labeled or not gt_frame.detections or not frame.detections:
             out_frames.append(frame)
             continue
-        overlaps = np.zeros((len(gt_frame.detections), len(frame.detections)))
-        for gi, g in enumerate(gt_frame.detections):
-            for pi, p in enumerate(frame.detections):
-                overlaps[gi, pi] = iou(g.box, p.box)
+        overlaps = pairwise_iou(box_array(gt_frame.detections), box_array(frame.detections))
         rows, cols = linear_sum_assignment(-overlaps)
         replacement = {
             int(pi): gt_frame.detections[int(gi)]

@@ -155,6 +155,94 @@ def _require_features(dets: Sequence[Detection], side: str) -> None:
             )
 
 
+def box_array(dets: Sequence[Detection]) -> np.ndarray:
+    """(N, 4) corners [x_min, y_min, x_max, y_max] of the detections' boxes."""
+    return np.array(
+        [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets], dtype=float
+    ).reshape(-1, 4)
+
+
+def keypoint_array(dets: Sequence[Detection]) -> np.ndarray:
+    """(N, J, 2) joint coordinates of non-empty dets; absent joints are NaN.
+
+    Present joints are always finite, so ~isnan(out[..., 0]) is the presence
+    mask. Absent joints may hold any coordinates, and NaN keeps them out of
+    every comparison.
+    """
+    absent = (math.nan, math.nan)
+    flat = [v for d in dets for k in d.pose.joints for v in ((k.x, k.y) if k.present else absent)]
+    return np.array(flat, dtype=float).reshape(len(dets), -1, 2)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box in a (N, 4) against every box in b (M, 4).
+
+    The same float operations in the same order as `iou`, so every entry
+    equals the scalar value bit for bit.
+    """
+    a = a[:, None, :]
+    b = b[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    positive = union > 0.0
+    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+
+
+def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.ndarray:
+    """(N, M, J) mask: joint j is present in a[i] and b[k] and their distance
+    is at most limits[i].
+
+    a (N, J, 2) and b (M, J, 2) come from keypoint_array. The decisions equal
+    the scalar test math.hypot(dx, dy) <= limit: np.hypot may round the last
+    bit differently, so distances that close to their limit are settled with
+    math.hypot.
+    """
+    dx = a[:, None, :, 0] - b[None, :, :, 0]
+    dy = a[:, None, :, 1] - b[None, :, :, 1]
+    lim = np.asarray(limits, dtype=float)[:, None, None]
+    dist = np.hypot(dx, dy)
+    within = dist <= lim
+    for i, k, j in np.argwhere(np.abs(dist - lim) <= 1e-12 * np.abs(lim)):
+        within[i, k, j] = math.hypot(dx[i, k, j], dy[i, k, j]) <= limits[i]
+    return within
+
+
+def pairwise_pckh(
+    prev: Sequence[Detection], curr: Sequence[Detection], alpha: float, norm_scale: float
+) -> np.ndarray:
+    """`pose_pckh_similarity` of every prev x curr pair of non-empty sides."""
+    a, b = keypoint_array(prev), keypoint_array(curr)
+    within = joints_within(a, b, [alpha * norm_scale * p.box.diagonal for p in prev])
+    shared = (~np.isnan(a[:, None, :, 0]) & ~np.isnan(b[None, :, :, 0])).sum(axis=2)
+    correct = within.sum(axis=2)
+    return np.where(shared > 0, correct / np.maximum(shared, 1), 0.0)
+
+
+def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`feature_cosine` of every row of a (N, D) against every row of b (M, D).
+
+    The sums run in another order, so entries agree with the scalar function
+    to within 1e-12; a pair with a zero-norm vector is 0, with the same warning.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    zero = (na == 0.0)[:, None] | (nb == 0.0)[None, :]
+    if zero.any():
+        warnings.warn("zero-norm feature vector; cosine similarity set to 0")
+    denom = np.where(zero, 1.0, na[:, None] * nb[None, :])
+    return np.where(zero, 0.0, (a @ b.T) / denom)
+
+
+def _feature_array(dets: Sequence[Detection]) -> np.ndarray:
+    return np.array([d.feature for d in dets], dtype=float).reshape(len(dets), -1)
+
+
 def build_cost_matrix(
     prev: Sequence[Detection],
     curr: Sequence[Detection],
@@ -164,56 +252,45 @@ def build_cost_matrix(
     """Similarity (and negated cost) for every prev x curr pair.
 
     frame_index keys the lookup for the external criterion and is ignored
-    otherwise. Entries are independent, so evaluation order never matters.
+    otherwise. Each criterion is one array kernel over the whole matrix.
     """
     rows, cols = len(prev), len(curr)
-    sim = np.zeros((rows, cols), dtype=float)
+    kind = criterion.kind
 
-    if criterion.kind == "bbox_iou":
-        for i, p in enumerate(prev):
-            for j, c in enumerate(curr):
-                sim[i, j] = iou(p.box, c.box)
-    elif criterion.kind == "pose_pckh":
-        for i, p in enumerate(prev):
-            for j, c in enumerate(curr):
-                sim[i, j] = pose_pckh_similarity(
-                    p, c, criterion.pckh_alpha, criterion.pckh_norm_scale
-                )
-    elif criterion.kind == "feature_cosine":
-        if rows and cols:
-            _require_features(prev, "previous")
-            _require_features(curr, "current")
-        for i, p in enumerate(prev):
-            for j, c in enumerate(curr):
-                sim[i, j] = feature_cosine(p.feature, c.feature)
-    elif criterion.kind == "combined":
-        w_iou, w_pckh, w_cos = criterion.weights
-        total = w_iou + w_pckh + w_cos
-        if w_cos > 0 and rows and cols:
-            _require_features(prev, "previous")
-            _require_features(curr, "current")
-        for i, p in enumerate(prev):
-            for j, c in enumerate(curr):
-                s = 0.0
-                if w_iou > 0:
-                    s += w_iou * iou(p.box, c.box)
-                if w_pckh > 0:
-                    s += w_pckh * pose_pckh_similarity(
-                        p, c, criterion.pckh_alpha, criterion.pckh_norm_scale
-                    )
-                if w_cos > 0:
-                    s += w_cos * 0.5 * (feature_cosine(p.feature, c.feature) + 1.0)
-                sim[i, j] = s / total
-    elif criterion.kind == "external":
+    if kind == "external":
         if criterion.external_scores is None:
             raise ValueError("external criterion requires a score table")
         if frame_index is None:
             raise ValueError("external criterion requires the current frame_index")
         table = criterion.external_scores
+        sim = np.zeros((rows, cols), dtype=float)
         for i in range(rows):
             for j in range(cols):
                 sim[i, j] = table.get((frame_index, i, j), 0.0)
-    else:  # pragma: no cover - guarded by SimilarityCriterion
-        raise ValueError(f"unknown criterion kind {criterion.kind!r}")
+        return CostMatrix(sim)
+    if rows == 0 or cols == 0:
+        return CostMatrix(np.zeros((rows, cols), dtype=float))
 
-    return CostMatrix(sim)
+    alpha, norm_scale = criterion.pckh_alpha, criterion.pckh_norm_scale
+    if kind == "bbox_iou":
+        return CostMatrix(pairwise_iou(box_array(prev), box_array(curr)))
+    if kind == "pose_pckh":
+        return CostMatrix(pairwise_pckh(prev, curr, alpha, norm_scale))
+    if kind == "feature_cosine":
+        _require_features(prev, "previous")
+        _require_features(curr, "current")
+        return CostMatrix(pairwise_cosine(_feature_array(prev), _feature_array(curr)))
+
+    # combined, summed in the scalar order: s = 0.0, s += w * term, s / total
+    w_iou, w_pckh, w_cos = criterion.weights
+    sim = np.zeros((rows, cols), dtype=float)
+    if w_iou > 0:
+        sim += w_iou * pairwise_iou(box_array(prev), box_array(curr))
+    if w_pckh > 0:
+        sim += w_pckh * pairwise_pckh(prev, curr, alpha, norm_scale)
+    if w_cos > 0:
+        _require_features(prev, "previous")
+        _require_features(curr, "current")
+        cosine = pairwise_cosine(_feature_array(prev), _feature_array(curr))
+        sim += w_cos * 0.5 * (cosine + 1.0)
+    return CostMatrix(sim / (w_iou + w_pckh + w_cos))

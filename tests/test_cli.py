@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 
 import pytest
 
 from poselink.cli import main
-from poselink.model import load_sequence, save_sequence
+from poselink.linking import LinkerConfig, track_video_with_stats
+from poselink.metrics import csv_row, evaluate
+from poselink.model import filter_detections, load_sequence, save_sequence
+from poselink.similarity import SimilarityCriterion
 
 from helpers import three_frame_pair
 
@@ -77,6 +81,23 @@ class TestTrack:
 
     def test_missing_input_file(self, tmp_path):
         assert run("track", "--pred", tmp_path / "nope.json", "--out", tmp_path / "o.json") == 1
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["frames"][0]["detections"][0].update(score=math.nan),
+        lambda doc: doc.update(frames=5),
+        lambda doc: doc["frames"][0].update(detections=5),
+        lambda doc: doc["frames"][0]["detections"][0].update(feature=[1.0, None]),
+    ])
+    def test_bad_input_is_one_line_error(self, synth_pair, tmp_path, capsys, mutate):
+        _, pred = synth_pair
+        doc = json.loads(pred.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("track", "--pred", bad, "--out", tmp_path / "t.json", "--det-thresh", 0.0) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("poselink track: ") and err.count("\n") == 1
 
 
 class TestEval:
@@ -154,6 +175,43 @@ class TestSweep:
         gt, pred = synth_pair
         assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv") == 2
 
+    def test_rows_equal_each_configuration_run_alone(self, tmp_path):
+        gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+        assert run(
+            "synth", "--out-gt", gt, "--out-pred", pred, "--seed", 3, "--frames", 8,
+            "--actors", 4, "--kp-jitter", 3.0, "--fp-rate", 1.0, "--feature-dim", 6,
+            "--tp-score", "0.9,1.0", "--fp-score", "0.5,1.0",
+        ) == 0
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", out,
+                   "--thresholds", "0.6,0.95", "--algos", "hungarian,greedy",
+                   "--costs", "iou,pckh,feat,combined") == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        gt_seq = load_sequence(str(gt), "groundtruth")
+        pred_seq = load_sequence(str(pred))
+        kinds = {"iou": "bbox_iou", "pckh": "pose_pckh", "feat": "feature_cosine",
+                 "combined": "combined"}
+        expected = []
+        for t in (0.6, 0.95):
+            for algo in ("hungarian", "greedy"):
+                for cost in ("iou", "pckh", "feat", "combined"):
+                    cfg = LinkerConfig(algorithm=algo, criterion=SimilarityCriterion(kinds[cost]))
+                    tracked, stats = track_video_with_stats(
+                        filter_detections(pred_seq, t, 1.95), cfg
+                    )
+                    row = csv_row(evaluate(gt_seq, tracked), (t, algo, cost),
+                                  stats.total_assignment_cost)
+                    expected.append([str(v) for v in row])
+        assert rows == expected
+
+    def test_manifest_has_no_worker_count(self, synth_pair, tmp_path):
+        gt, pred = synth_pair
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", out, "--algos", "greedy") == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert "workers" not in manifest["config"]
+
     def test_unknown_sweep_names_are_usage_errors(self, synth_pair, tmp_path):
         gt, pred = synth_pair
         out = tmp_path / "s.csv"
@@ -189,3 +247,13 @@ class TestBench:
         doc = json.loads(report.read_text())
         assert doc["frames"] == [20, 40]
         assert len(doc["seconds"]) == 2
+
+    @pytest.mark.parametrize("frames", ["20", "20,20"])
+    def test_fewer_than_two_sizes_is_usage_error(self, tmp_path, capsys, frames):
+        report = tmp_path / "bench.json"
+        assert run("bench", "--frames", frames, "--actors", 2, "--repeats", 1,
+                   "--report", report) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--frames" in captured.err
+        assert "R^2" not in captured.out
+        assert not report.exists()

@@ -184,6 +184,51 @@ class TestLoadValidation:
         seq = load_sequence(self._write(tmp_path, doc))
         assert seq.frames[0].detections[0].score == 1.0
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["score"] = score
+        with pytest.raises(ValueError, match="score must be finite"):
+            load_sequence(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(frames=5),
+        lambda doc: doc.update(frames=[5]),
+        lambda doc: doc["frames"][0].update(detections=5),
+        lambda doc: doc["frames"][0].update(detections=["det"]),
+        lambda doc: doc["frames"][0]["detections"][0].update(feature=[1.0, None]),
+        lambda doc: doc["frames"][0]["detections"][0].update(feature=[1.0, "2"]),
+        lambda doc: doc["frames"][0]["detections"][0].update(feature=7),
+        lambda doc: doc["frames"][0]["detections"][0].update(bbox=[0, 0, 10**400, 1]),
+        lambda doc: doc["frames"][0]["detections"][0].update(score=10**400),
+        lambda doc: doc.update(image_size=[None, 64]),
+    ])
+    def test_malformed_structure_is_value_error(self, tmp_path, mutate):
+        doc = self._doc()
+        mutate(doc)
+        with pytest.raises(ValueError):
+            load_sequence(self._write(tmp_path, doc))
+
+    def test_non_object_document_is_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            load_sequence(self._write(tmp_path, 5))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_documents_load_or_raise_value_error(self, tmp_path_factory, data):
+        doc = self._doc()
+        det = doc["frames"][0]["detections"][0]
+        det.update(feature=[0.5, -1.0], track_id=1, head_box=[0, 0, 3, 4])
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(doc, data)
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc))
+        role = data.draw(st.sampled_from(["prediction", "groundtruth"]))
+        try:
+            load_sequence(str(path), role=role)
+        except ValueError:
+            pass
+
     def test_identity_joint_map_is_noop(self, tmp_path):
         seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)])])])
         path = tmp_path / "seq.json"
@@ -204,6 +249,42 @@ class TestLoadValidation:
         save_sequence(seq, str(path))
         with pytest.raises(ValueError, match="permutation"):
             load_sequence(str(path), joint_map=[0, 0, 2])
+
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(), st.floats(), st.none()), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON tree, the root () included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """doc with one value replaced by an arbitrary JSON value, or deleted."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(json_values)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
 
 
 class TestDeriveBox:
