@@ -11,38 +11,25 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+import typing
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video, track_video_with_stats
-from .metrics import (
-    csv_header,
-    csv_row,
-    evaluate,
-    evaluate_map,
-    evaluate_mot,
-    write_csv,
-    write_text_atomic,
-)
+from .metrics import csv_header, csv_row, evaluate, evaluate_map, evaluate_mot, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
     filter_detections,
     load_sequence,
     save_sequence,
+    write_text_atomic,
 )
 from .oracles import apply_oracle
 from .similarity import SimilarityCriterion, load_external_scores
-from .synth import (
-    NO_NOISE,
-    MotionModel,
-    NoiseModel,
-    OcclusionModel,
-    ScenarioConfig,
-    generate_scenario,
-)
+from .synth import NO_NOISE, ScenarioConfig, generate_scenario
 
 COST_KINDS = {
     "iou": "bbox_iou",
@@ -80,8 +67,9 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip() != ""]
 
 
-def _criterion_from_args(args) -> SimilarityCriterion:
-    kind = COST_KINDS[args.cost]
+def _linker_from_args(args, algo: str, cost: str) -> LinkerConfig:
+    """The linker config of one algo x cost, with every other setting from the flags."""
+    kind = COST_KINDS[cost]
     external = None
     if kind == "external":
         if not getattr(args, "external_scores", None):
@@ -90,18 +78,26 @@ def _criterion_from_args(args) -> SimilarityCriterion:
     weights = tuple(getattr(args, "weights", None) or (1.0, 1.0, 1.0))
     if len(weights) != 3:
         raise ValueError("--weights needs exactly three comma-separated values")
-    return SimilarityCriterion(
+    criterion = SimilarityCriterion(
         kind=kind,
         weights=weights,
         pckh_alpha=args.pckh_alpha,
         pckh_norm_scale=args.pckh_norm_scale,
         external_scores=external,
     )
+    return LinkerConfig(
+        algorithm=algo,
+        criterion=criterion,
+        min_similarity=args.min_sim,
+        lookback=args.lookback,
+        random_max_id=args.random_max_id,
+        rng_seed=args.seed,
+    )
 
 
 def _add_track_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cost", choices=sorted(COST_KINDS), default="iou")
-    parser.add_argument("--algo", choices=("hungarian", "greedy", "random"), default="hungarian")
+    parser.add_argument("--algo", choices=ALGORITHMS, default="hungarian")
     parser.add_argument("--det-thresh", type=float, default=0.95)
     parser.add_argument("--kp-thresh", type=float, default=1.95)
     parser.add_argument("--min-sim", type=float, default=0.0)
@@ -120,14 +116,7 @@ def cmd_track(args) -> int:
     pred = load_sequence(args.pred, ROLE_PREDICTION)
     t_load = time.perf_counter()
     filtered = filter_detections(pred, args.det_thresh, args.kp_thresh)
-    cfg = LinkerConfig(
-        algorithm=args.algo,
-        criterion=_criterion_from_args(args),
-        min_similarity=args.min_sim,
-        lookback=args.lookback,
-        random_max_id=args.random_max_id,
-        rng_seed=args.seed,
-    )
+    cfg = _linker_from_args(args, args.algo, args.cost)
     tracked, stats = track_video_with_stats(filtered, cfg)
     t_track = time.perf_counter()
     save_sequence(tracked, args.out)
@@ -189,17 +178,7 @@ def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
     rows = []
     for algo in algos:
         for cost_name in costs:
-            ns = argparse.Namespace(**vars(args))
-            ns.cost = cost_name
-            cfg = LinkerConfig(
-                algorithm=algo,
-                criterion=_criterion_from_args(ns),
-                min_similarity=args.min_sim,
-                lookback=args.lookback,
-                random_max_id=args.random_max_id,
-                rng_seed=args.seed,
-            )
-            tracked, stats = track_video_with_stats(filtered, cfg)
+            tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name))
             report = evaluate_mot(gt, tracked, args.alpha).merged_with(map_report)
             rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
     return rows
@@ -267,22 +246,42 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _dataclass_from_doc(cls, doc, where: str):
+    """Build dataclass `cls` from a JSON object; unknown keys and wrong types are ValueErrors.
+
+    Nested dataclass fields take nested objects and tuple fields take lists;
+    a key left out keeps the field's default.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        values[key] = _config_value(hints[key], value, f"{where}.{key}")
+    return cls(**values)
+
+
+def _config_value(hint, value, where: str):
+    if is_dataclass(hint):
+        return _dataclass_from_doc(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if not isinstance(value, list) or len(value) != len(kinds):
+            raise ValueError(f"{where} must be a list of {len(kinds)} values")
+        return tuple(_config_value(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    accepted = (int, float) if hint is float else (hint,)  # a float may be written as 1
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} must be of type {hint.__name__}")
+    return value
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cfg = ScenarioConfig(
-            seed=doc.get("seed", cfg.seed),
-            frames=doc.get("frames", cfg.frames),
-            actors=doc.get("actors", cfg.actors),
-            image_width=doc.get("image_width", cfg.image_width),
-            image_height=doc.get("image_height", cfg.image_height),
-            motion=MotionModel(**doc.get("motion", {})),
-            occlusion=OcclusionModel(**doc.get("occlusion", {})),
-            noise=NoiseModel(**doc.get("noise", {})),
-            label_every=doc.get("label_every", cfg.label_every),
-        )
+            cfg = _dataclass_from_doc(ScenarioConfig, json.load(fh), "config")
     overrides = {}
     for name in ("seed", "frames", "actors", "label_every"):
         value = getattr(args, name)
@@ -324,33 +323,6 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return replace(cfg, motion=motion, occlusion=occlusion, noise=noise, **overrides)
 
 
-def _scenario_doc(cfg: ScenarioConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "frames": cfg.frames,
-        "actors": cfg.actors,
-        "image_width": cfg.image_width,
-        "image_height": cfg.image_height,
-        "motion": {"kind": cfg.motion.kind, "speed_range": list(cfg.motion.speed_range)},
-        "occlusion": {
-            "probability": cfg.occlusion.probability,
-            "duration_range": list(cfg.occlusion.duration_range),
-        },
-        "noise": {
-            "keypoint_jitter": cfg.noise.keypoint_jitter,
-            "box_jitter": cfg.noise.box_jitter,
-            "miss_probability": cfg.noise.miss_probability,
-            "false_positive_rate": cfg.noise.false_positive_rate,
-            "tp_score_range": list(cfg.noise.tp_score_range),
-            "fp_score_range": list(cfg.noise.fp_score_range),
-            "keypoint_score_range": list(cfg.noise.keypoint_score_range),
-            "feature_dim": cfg.noise.feature_dim,
-            "feature_noise": cfg.noise.feature_noise,
-        },
-        "label_every": cfg.label_every,
-    }
-
-
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg = _scenario_from_args(args)
@@ -361,7 +333,7 @@ def cmd_synth(args) -> int:
         save_sequence(pred, args.out_pred)
         outputs.append(args.out_pred)
     _write_manifest(
-        args.out_gt, "synth", _scenario_doc(cfg), [], outputs,
+        args.out_gt, "synth", asdict(cfg), [], outputs,
         {"total": time.perf_counter() - t0},
     )
     print(f"generated {cfg.frames} frames, {cfg.actors} actors -> {', '.join(outputs)}")
@@ -369,18 +341,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if len({int(n) for n in args.frames}) < 2:
-        print("bench: a linear fit needs at least two distinct --frames values", file=sys.stderr)
+    sizes = [int(n) for n in args.frames]
+    if len(sizes) < 2 or len(set(sizes)) != len(sizes):
+        print("bench: a linear fit needs at least two distinct --frames values, "
+              "none repeated", file=sys.stderr)
         return 2
     lcfg = LinkerConfig()
     inputs = []
-    for n_frames in args.frames:
+    for n_frames in sizes:
         cfg = ScenarioConfig(
-            seed=args.seed, frames=int(n_frames), actors=args.actors,
+            seed=args.seed, frames=n_frames, actors=args.actors,
             noise=NO_NOISE,
         )
         _, pred = generate_scenario(cfg)
-        inputs.append((int(n_frames), filter_detections(pred, 0.95, 1.95)))
+        inputs.append((n_frames, filter_detections(pred, 0.95, 1.95)))
 
     for _, seq in inputs:  # warmup pass
         track_video(seq, lcfg)
@@ -419,7 +393,7 @@ def cmd_bench(args) -> int:
         write_text_atomic(args.report, json.dumps(doc, indent=2) + "\n")
         _write_manifest(
             args.report, "bench",
-            {"frames": [int(v) for v in args.frames], "actors": args.actors,
+            {"frames": sizes, "actors": args.actors,
              "seed": args.seed, "repeats": args.repeats},
             [], [args.report], {"total": float(ys.sum())},
         )

@@ -103,10 +103,11 @@ def link_frame_pair(
     cfg: LinkerConfig,
     next_id: int,
     frame_index: Optional[int] = None,
-) -> tuple[tuple[Detection, ...], int]:
+) -> tuple[tuple[Detection, ...], int, float]:
     """Propagate track ids from prev onto curr and mint ids for the rest.
 
-    Returns (curr with every detection carrying a track id, next unused id).
+    Returns (curr with every detection carrying a track id, next unused id,
+    summed cost of the frame's assignment).
     """
     for i, det in enumerate(prev):
         if det.track_id is None:
@@ -127,7 +128,7 @@ def link_frame_pair(
         else:
             out.append(det.with_track_id(next_id))
             next_id += 1
-    return tuple(out), next_id
+    return tuple(out), next_id, assignment.total_cost
 
 
 def track_video(seq: VideoSequence, cfg: LinkerConfig) -> VideoSequence:
@@ -151,26 +152,15 @@ def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[Video
         reps = sorted(pool.values(), key=lambda rep: (rep[0], rep[1]))
         prev = [rep[2] for rep in reps]
 
-        cost = build_cost_matrix(prev, frame.detections, cfg.criterion, frame_index=frame.frame_index)
-        assignment = _assign(cost, cfg.algorithm)
-        total_cost += assignment.total_cost
-
-        inherited: dict[int, int] = {}
-        for i, j in assignment.pairs:
-            if cost.similarity[i, j] > cfg.min_similarity:
-                inherited[j] = prev[i].track_id
-        links += len(inherited)
-
-        linked = []
-        for j, det in enumerate(frame.detections):
-            if j in inherited:
-                linked.append(det.with_track_id(inherited[j]))
-            else:
-                linked.append(det.with_track_id(next_id))
-                next_id += 1
+        minted_from = next_id
+        linked, next_id, cost = link_frame_pair(
+            prev, frame.detections, cfg, next_id, frame_index=frame.frame_index
+        )
+        total_cost += cost
+        links += len(linked) - (next_id - minted_from)
         for j, det in enumerate(linked):
             pool[det.track_id] = (pos, j, det)
-        out_frames.append(replace(frame, detections=tuple(linked)))
+        out_frames.append(replace(frame, detections=linked))
 
     stats = TrackStats(
         frames=len(seq.frames),

@@ -33,15 +33,13 @@ import csv
 import io
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Box, Detection, Keypoint, VideoSequence
+from .model import Box, Detection, Keypoint, VideoSequence, write_text_atomic
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
@@ -210,19 +208,6 @@ def csv_row(
     row += [cell(report.motp_total), cell(report.precision_total), cell(report.recall_total)]
     row += [cell(total_assignment_cost)]
     return row
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -17,7 +17,7 @@ Sequence files are UTF-8 JSON with this layout:
               "keypoints": [[x, y, score, present01], ...],   # length J
               "feature": [float, ...],          # optional
               "track_id": int,                  # optional, required for GT
-              "head_box": [x1, y1, x2, y2]      # optional, required for GT
+              "head_box": [x1, y1, x2, y2]      # optional, required for GT, not zero-size
             }, ...
           ]
         }, ...
@@ -72,9 +72,6 @@ class Pose:
 
     def __len__(self) -> int:
         return len(self.joints)
-
-    def present_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, kp in enumerate(self.joints) if kp.present)
 
 
 @dataclass(frozen=True)
@@ -225,8 +222,8 @@ def load_sequence(
 ) -> VideoSequence:
     """Load and validate a sequence file.
 
-    role="groundtruth" additionally requires track_id and head_box on every
-    person. joint_map, when given, is a permutation of range(J); output joint
+    role="groundtruth" additionally requires track_id and a head_box of
+    non-zero size on every person. joint_map, when given, is a permutation of range(J); output joint
     slot i is taken from input slot joint_map[i], and joint_names are permuted
     the same way.
     """
@@ -318,6 +315,8 @@ def load_sequence(
                     raise ValueError(f"{where}: ground truth requires track_id")
                 if head_box is None:
                     raise ValueError(f"{where}: ground truth requires head_box")
+                if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
+                    raise ValueError(f"{where}: ground truth head_box has zero size")
             detections.append(
                 Detection(
                     box=box,
@@ -339,6 +338,21 @@ def load_sequence(
     )
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write UTF-8 text through a temp file in the target directory and a rename,
+    so readers see the old file or the new one, never a partial write."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_sequence(seq: VideoSequence, path: str) -> None:
     """Write a sequence file; atomic (temp file + rename)."""
     doc = {
@@ -354,16 +368,7 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
             for frame in seq.frames
         ],
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, json.dumps(doc))
 
 
 def _detection_doc(det: Detection) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import replace
 from scipy.optimize import linear_sum_assignment
 
 from .model import Keypoint, Pose, VideoSequence
-from .metrics import match_poses_frame
+from .metrics import _check_pair, match_poses_frame
 from .similarity import box_array, pairwise_iou
 
 ORACLE_MODES = ("perfect_association", "perfect_keypoints", "both")
@@ -30,11 +30,8 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
     renumbered, in sorted order, from (max ground-truth id + 1). Running the
     transform twice yields the same sequence.
     """
+    _check_pair(gt, pred, require_track_ids=True)
     gt_ids = [d.track_id for f in gt.frames for d in f.detections]
-    for frame in pred.frames:
-        for i, det in enumerate(frame.detections):
-            if det.track_id is None:
-                raise ValueError(f"prediction frame {frame.frame_index} detection {i} has no track_id")
     if any(tid is None for tid in gt_ids):
         raise ValueError("ground truth must carry track ids")
     offset = (max(gt_ids) + 1) if gt_ids else 0
@@ -72,6 +69,7 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
     IoU > 0. Replaced joints keep the label's presence flags and get score 1.
     Idempotent, since boxes are left untouched.
     """
+    _check_pair(gt, pred, require_track_ids=False)
     gt_by_index = {f.frame_index: f for f in gt.frames}
     out_frames = []
     for frame in pred.frames:

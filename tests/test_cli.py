@@ -48,6 +48,23 @@ class TestSynth:
         seq = load_sequence(str(gt), role="groundtruth")
         assert len(seq.frames) == 9
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"motion": {"bogus": 1}},
+        {"bogus": 1},
+        {"frames": "10"},
+        {"noise": {"tp_score_range": [0.9]}},
+        {"occlusion": None},
+    ])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("synth", "--out-gt", tmp_path / "gt.json", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("poselink synth: config") and err.count("\n") == 1
+        assert not (tmp_path / "gt.json").exists()
+
     def test_manifest_written(self, tmp_path):
         gt = tmp_path / "gt.json"
         assert run("synth", "--out-gt", gt, "--seed", 2) == 0
@@ -237,6 +254,26 @@ class TestOracle:
         assert better >= raw - 1e-9
 
 
+    @pytest.mark.parametrize("mode", ["assoc", "kpts"])
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(video_id="another"),
+        lambda doc: doc.update(joint_names=doc["joint_names"][::-1]),
+    ])
+    def test_mismatched_pair_is_one_line_error(self, synth_pair, tmp_path, capsys, mode, mutate):
+        gt, pred = synth_pair
+        tracked = tmp_path / "tracked.json"
+        assert run("track", "--pred", pred, "--out", tracked) == 0
+        doc = json.loads(tracked.read_text())
+        mutate(doc)
+        tracked.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "fixed.json"
+        assert run("oracle", "--mode", mode, "--gt", gt, "--pred", tracked, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("poselink oracle: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestBench:
     def test_smoke_and_report(self, tmp_path, capsys):
         report = tmp_path / "bench.json"
@@ -248,7 +285,7 @@ class TestBench:
         assert doc["frames"] == [20, 40]
         assert len(doc["seconds"]) == 2
 
-    @pytest.mark.parametrize("frames", ["20", "20,20"])
+    @pytest.mark.parametrize("frames", ["20", "20,20", "20,20,40"])
     def test_fewer_than_two_sizes_is_usage_error(self, tmp_path, capsys, frames):
         report = tmp_path / "bench.json"
         assert run("bench", "--frames", frames, "--actors", 2, "--repeats", 1,

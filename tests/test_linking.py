@@ -90,14 +90,14 @@ class TestLinkFramePair:
     def test_single_obvious_match_inherits_id(self):
         prev = [person([(0, 0), (5, 5), (10, 10)], track_id=7)]
         curr = [person([(1, 0), (6, 5), (11, 10)])]
-        out, next_id = link_frame_pair(prev, curr, LinkerConfig(), next_id=8)
+        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=8)
         assert out[0].track_id == 7
         assert next_id == 8
 
     def test_zero_similarity_never_links(self):
         prev = [person([(0, 0), (5, 5), (10, 10)], track_id=0)]
         curr = [person([(500, 500), (505, 505), (510, 510)])]
-        out, next_id = link_frame_pair(prev, curr, LinkerConfig(), next_id=1)
+        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=1)
         assert out[0].track_id == 1
         assert next_id == 2
 
@@ -111,7 +111,7 @@ class TestLinkFramePair:
             person([(101, 0), (106, 5), (111, 10)]),
             person([(300, 300), (305, 305), (310, 310)]),
         ]
-        out, next_id = link_frame_pair(prev, curr, LinkerConfig(), next_id=2)
+        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=2)
         assert [d.track_id for d in out] == [0, 1, 2]
         assert next_id == 3
 
@@ -222,3 +222,25 @@ class TestTrackVideo:
             LinkerConfig(algorithm="simulated-annealing")
         with pytest.raises(ValueError):
             LinkerConfig(lookback=0)
+
+    @pytest.mark.parametrize("algorithm", ["hungarian", "greedy"])
+    @pytest.mark.parametrize("lookback", [1, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), actors=st.integers(0, 5))
+    def test_links_count_detections_with_earlier_ids(self, algorithm, lookback, seed, actors):
+        cfg = ScenarioConfig(
+            seed=seed, frames=12, actors=actors,
+            occlusion=OcclusionModel(probability=0.1, duration_range=(1, 4)),
+            noise=NoiseModel(keypoint_jitter=3.0, box_jitter=3.0, miss_probability=0.1,
+                             false_positive_rate=0.5),
+        )
+        _, pred = generate_scenario(cfg)
+        tracked, stats = track_video_with_stats(pred, LinkerConfig(algorithm=algorithm, lookback=lookback))
+        detections = sum(len(f.detections) for f in tracked.frames)
+        assert stats.links + stats.new_tracks == detections
+        seen, reused = set(), 0
+        for frame in tracked.frames:
+            ids = [d.track_id for d in frame.detections]
+            reused += sum(tid in seen for tid in ids)
+            seen.update(ids)
+        assert stats.links == reused

@@ -122,6 +122,14 @@ class TestRoundTrip:
         assert load_sequence(str(path)) == seq
 
 
+    def test_save_onto_directory_fails_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            save_sequence(sequence([]), str(target))
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestLoadValidation:
     def _write(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -177,6 +185,14 @@ class TestLoadValidation:
         path = self._write(tmp_path, doc)
         with pytest.raises(ValueError, match="head_box"):
             load_sequence(path, role="groundtruth")
+
+    def test_groundtruth_zero_size_head_box_names_detection(self, tmp_path):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0].update(track_id=3, head_box=[5, 5, 5, 5])
+        path = self._write(tmp_path, doc)
+        with pytest.raises(ValueError, match="frame 0 detection 0: .*head_box"):
+            load_sequence(path, role="groundtruth")
+        assert load_sequence(path).frames[0].detections[0].head_box.diagonal == 0.0
 
     def test_detection_score_clamped(self, tmp_path):
         doc = self._doc()
