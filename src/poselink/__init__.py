@@ -6,7 +6,6 @@ from .model import (
     Box,
     Detection,
     Frame,
-    Keypoint,
     Pose,
     VideoSequence,
     derive_box_from_pose,

@@ -63,6 +63,10 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip() != ""]
+
+
 def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip() != ""]
 
@@ -72,15 +76,12 @@ def _linker_from_args(args, algo: str, cost: str) -> LinkerConfig:
     kind = COST_KINDS[cost]
     external = None
     if kind == "external":
-        if not getattr(args, "external_scores", None):
+        if not args.external_scores:
             raise ValueError("--cost external requires --external-scores PATH")
         external = load_external_scores(args.external_scores)
-    weights = tuple(getattr(args, "weights", None) or (1.0, 1.0, 1.0))
-    if len(weights) != 3:
-        raise ValueError("--weights needs exactly three comma-separated values")
     criterion = SimilarityCriterion(
         kind=kind,
-        weights=weights,
+        weights=_weights(args),
         pckh_alpha=args.pckh_alpha,
         pckh_norm_scale=args.pckh_norm_scale,
         external_scores=external,
@@ -93,6 +94,24 @@ def _linker_from_args(args, algo: str, cost: str) -> LinkerConfig:
         random_max_id=args.random_max_id,
         rng_seed=args.seed,
     )
+
+
+def _weights(args) -> tuple[float, float, float]:
+    weights = tuple(args.weights or (1.0, 1.0, 1.0))
+    if len(weights) != 3:
+        raise ValueError("--weights needs exactly three comma-separated values")
+    return weights
+
+
+def _linker_manifest(args) -> dict:
+    """The linker settings as the `track` and `sweep` manifests record them."""
+    return {
+        "min_sim": args.min_sim, "lookback": args.lookback, "seed": args.seed,
+        "weights": list(_weights(args)),
+        "pckh_alpha": args.pckh_alpha, "pckh_norm_scale": args.pckh_norm_scale,
+        "random_max_id": args.random_max_id,
+        "external_scores": args.external_scores,
+    }
 
 
 def _add_track_flags(parser: argparse.ArgumentParser) -> None:
@@ -127,11 +146,7 @@ def cmd_track(args) -> int:
         {
             "cost": args.cost, "algo": args.algo,
             "det_thresh": args.det_thresh, "kp_thresh": args.kp_thresh,
-            "min_sim": args.min_sim, "lookback": args.lookback, "seed": args.seed,
-            "weights": list(cfg.criterion.weights),
-            "pckh_alpha": args.pckh_alpha, "pckh_norm_scale": args.pckh_norm_scale,
-            "random_max_id": args.random_max_id,
-            "external_scores": args.external_scores,
+            **_linker_manifest(args),
             "total_assignment_cost": stats.total_assignment_cost,
             "new_tracks": stats.new_tracks,
         },
@@ -217,8 +232,7 @@ def cmd_sweep(args) -> int:
         "sweep",
         {
             "thresholds": thresholds, "algos": algos, "costs": costs,
-            "kp_thresh": args.kp_thresh, "min_sim": args.min_sim,
-            "lookback": args.lookback, "seed": args.seed, "alpha": args.alpha,
+            "kp_thresh": args.kp_thresh, **_linker_manifest(args), "alpha": args.alpha,
         },
         [args.gt, args.pred],
         [args.out],
@@ -260,7 +274,10 @@ def _dataclass_from_doc(cls, doc, where: str):
         if key not in hints:
             raise ValueError(f"{where}: unknown key {key!r}")
         values[key] = _config_value(hints[key], value, f"{where}.{key}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _config_value(hint, value, where: str):
@@ -277,50 +294,45 @@ def _config_value(hint, value, where: str):
     return value
 
 
+# (config section, field, synth flag); "" is the top level
+_SYNTH_FLAGS = (
+    ("", "seed", "seed"),
+    ("", "frames", "frames"),
+    ("", "actors", "actors"),
+    ("", "label_every", "label_every"),
+    ("", "image_width", "width"),
+    ("", "image_height", "height"),
+    ("motion", "kind", "motion"),
+    ("motion", "speed_range", "speed"),
+    ("occlusion", "probability", "occlusion_prob"),
+    ("occlusion", "duration_range", "occlusion_dur"),
+    ("noise", "keypoint_jitter", "kp_jitter"),
+    ("noise", "box_jitter", "box_jitter"),
+    ("noise", "miss_probability", "miss_prob"),
+    ("noise", "false_positive_rate", "fp_rate"),
+    ("noise", "feature_dim", "feature_dim"),
+    ("noise", "tp_score_range", "tp_score"),
+    ("noise", "fp_score_range", "fp_score"),
+    ("noise", "keypoint_score_range", "kp_score"),
+)
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = _dataclass_from_doc(ScenarioConfig, json.load(fh), "config")
-    overrides = {}
-    for name in ("seed", "frames", "actors", "label_every"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.width is not None:
-        overrides["image_width"] = args.width
-    if args.height is not None:
-        overrides["image_height"] = args.height
-    motion = cfg.motion
-    if args.motion is not None:
-        motion = replace(motion, kind=args.motion)
-    if args.speed is not None:
-        motion = replace(motion, speed_range=tuple(args.speed))
-    occlusion = cfg.occlusion
-    if args.occlusion_prob is not None:
-        occlusion = replace(occlusion, probability=args.occlusion_prob)
-    if args.occlusion_dur is not None:
-        occlusion = replace(occlusion, duration_range=tuple(int(v) for v in args.occlusion_dur))
-    noise = cfg.noise
-    for flag, name in (
-        ("kp_jitter", "keypoint_jitter"),
-        ("box_jitter", "box_jitter"),
-        ("miss_prob", "miss_probability"),
-        ("fp_rate", "false_positive_rate"),
-        ("feature_dim", "feature_dim"),
-    ):
+    overrides: dict[str, dict] = {"": {}, "motion": {}, "occlusion": {}, "noise": {}}
+    for section, name, flag in _SYNTH_FLAGS:
         value = getattr(args, flag)
         if value is not None:
-            noise = replace(noise, **{name: value})
-    for flag, name in (
-        ("tp_score", "tp_score_range"),
-        ("fp_score", "fp_score_range"),
-        ("kp_score", "keypoint_score_range"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            noise = replace(noise, **{name: tuple(value)})
-    return replace(cfg, motion=motion, occlusion=occlusion, noise=noise, **overrides)
+            overrides[section][name] = tuple(value) if isinstance(value, list) else value
+    top = overrides.pop("")
+    try:
+        sections = {name: replace(getattr(cfg, name), **kw) for name, kw in overrides.items()}
+        return replace(cfg, **sections, **top)
+    except ValueError as exc:  # a flag set a value the config rejects
+        raise ValueError(f"config: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -341,7 +353,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(n) for n in args.frames]
+    sizes = args.frames
     if len(sizes) < 2 or len(set(sizes)) != len(sizes):
         print("bench: a linear fit needs at least two distinct --frames values, "
               "none repeated", file=sys.stderr)
@@ -450,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", choices=("linear", "sinusoidal"), default=None)
     p.add_argument("--speed", type=_float_list, default=None, help="min,max px per frame")
     p.add_argument("--occlusion-prob", type=float, default=None)
-    p.add_argument("--occlusion-dur", type=_float_list, default=None, help="min,max frames")
+    p.add_argument("--occlusion-dur", type=_int_list, default=None, help="min,max frames")
     p.add_argument("--kp-jitter", type=float, default=None)
     p.add_argument("--box-jitter", type=float, default=None)
     p.add_argument("--miss-prob", type=float, default=None)
@@ -463,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="measure tracking wall time vs frame count")
-    p.add_argument("--frames", type=_float_list, default=[100, 200, 400])
+    p.add_argument("--frames", type=_int_list, default=[100, 200, 400])
     p.add_argument("--actors", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=5)

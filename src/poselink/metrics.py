@@ -33,13 +33,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Box, Detection, Keypoint, VideoSequence, write_text_atomic
+from .model import Box, Detection, VideoSequence, write_text_atomic
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
@@ -53,18 +53,25 @@ def head_size(gt_head_box: Box) -> float:
     return HEAD_SIZE_BIAS * diag
 
 
-def pckh_correct(gt_joint: Keypoint, pred_joint: Keypoint, head: float, alpha: float = 0.5) -> bool:
-    """True when the prediction is within alpha * head of the label (closed)."""
-    return math.hypot(gt_joint.x - pred_joint.x, gt_joint.y - pred_joint.y) <= alpha * head
+def pckh_correct(gt_xy, pred_xy, head: float, alpha: float = 0.5) -> bool:
+    """True when the predicted (x, y) is within alpha * head of the label (closed)."""
+    return math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1]) <= alpha * head
 
 
 def _correct_joint_count(gt: Detection, pred: Detection, alpha: float) -> int:
     head = head_size(gt.head_box)
+    g, p = gt.pose, pred.pose
     count = 0
-    for g, p in zip(gt.pose.joints, pred.pose.joints):
-        if g.present and p.present and pckh_correct(g, p, head, alpha):
+    for j in range(len(g)):
+        if g.present[j] and p.present[j] and pckh_correct(g.xy[j], p.xy[j], head, alpha):
             count += 1
     return count
+
+
+def _present_counts(dets: Sequence[Detection], j_count: int) -> np.ndarray:
+    """(J,) number of dets in which each joint is present."""
+    present = np.array([d.pose.present for d in dets], dtype=bool)
+    return present.reshape(len(dets), j_count).sum(axis=0)
 
 
 def correct_joint_mask(
@@ -87,6 +94,8 @@ class PoseMatchResult:
     pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
     unmatched_gt: tuple[int, ...]
     unmatched_pred: tuple[int, ...]
+    # (n_gt, n_pred, J) PCKh-correct joints of every pair, from correct_joint_mask
+    correct: np.ndarray = field(compare=False, repr=False)
 
 
 def match_poses_frame(
@@ -100,8 +109,11 @@ def match_poses_frame(
     """
     n_gt, n_pred = len(gt_persons), len(pred_persons)
     if n_gt == 0 or n_pred == 0:
-        return PoseMatchResult((), tuple(range(n_gt)), tuple(range(n_pred)))
-    counts = correct_joint_mask(gt_persons, pred_persons, alpha).sum(axis=2)
+        persons = [*gt_persons, *pred_persons]
+        empty = np.zeros((n_gt, n_pred, len(persons[0].pose) if persons else 0), dtype=bool)
+        return PoseMatchResult((), tuple(range(n_gt)), tuple(range(n_pred)), empty)
+    correct = correct_joint_mask(gt_persons, pred_persons, alpha)
+    counts = correct.sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
     matched_gt = {i for i, _ in pairs}
@@ -110,6 +122,7 @@ def match_poses_frame(
         pairs,
         tuple(i for i in range(n_gt) if i not in matched_gt),
         tuple(j for j in range(n_pred) if j not in matched_pred),
+        correct,
     )
 
 
@@ -247,48 +260,36 @@ def evaluate_mot(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> 
     _check_pair(gt, pred, require_track_ids=True)
     j_count = gt.joint_count
     tp = np.zeros(j_count, dtype=int)
-    fp = np.zeros(j_count, dtype=int)
-    fn = np.zeros(j_count, dtype=int)
     idsw = np.zeros(j_count, dtype=int)
     gt_count = np.zeros(j_count, dtype=int)
+    pred_count = np.zeros(j_count, dtype=int)
     motp_sum = 0.0
-    last_id: dict[tuple[int, int], int] = {}  # (gt track, joint) -> last matched pred id
+    # gt track -> per joint, the last matched pred id (-1 before any); object
+    # entries hold track ids of any size
+    last_id: dict[int, np.ndarray] = {}
 
     for frame, pred_dets in _labeled_frame_pairs(gt, pred):
         result = match_poses_frame(frame.detections, pred_dets, alpha)
+        gt_count += _present_counts(frame.detections, j_count)
+        pred_count += _present_counts(pred_dets, j_count)
         for gi, pi in result.pairs:
-            g_det = frame.detections[gi]
-            p_det = pred_dets[pi]
-            head = head_size(g_det.head_box)
-            limit = alpha * head
-            pred_id = p_det.track_id
-            for j, (g, p) in enumerate(zip(g_det.pose.joints, p_det.pose.joints)):
-                if g.present:
-                    gt_count[j] += 1
-                    key = (g_det.track_id, j)
-                    prev_id = last_id.get(key)
-                    if prev_id is not None and prev_id != pred_id:
-                        idsw[j] += 1
-                    last_id[key] = pred_id
-                if g.present and p.present:
-                    d = math.hypot(g.x - p.x, g.y - p.y)
-                    if d <= limit:
-                        tp[j] += 1
-                        motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
-                        continue
-                if p.present:
-                    fp[j] += 1
-                if g.present:
-                    fn[j] += 1
-        for gi in result.unmatched_gt:
-            for j, g in enumerate(frame.detections[gi].pose.joints):
-                if g.present:
-                    gt_count[j] += 1
-                    fn[j] += 1
-        for pi in result.unmatched_pred:
-            for j, p in enumerate(pred_dets[pi].pose.joints):
-                if p.present:
-                    fp[j] += 1
+            g_det, p_det = frame.detections[gi], pred_dets[pi]
+            present, hit = g_det.pose.present, result.correct[gi, pi]
+            tp += hit
+            ids = last_id.get(g_det.track_id)
+            if ids is None:
+                ids = last_id[g_det.track_id] = np.full(j_count, -1, dtype=object)
+            idsw += present & (ids != -1) & (ids != p_det.track_id)
+            ids[present] = p_det.track_id
+            limit = alpha * head_size(g_det.head_box)
+            g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
+            for j in np.flatnonzero(hit).tolist():
+                d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
+                motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
+    # a correct joint is present on both sides; every other present joint
+    # is an error: FN when labeled, FP when predicted
+    fn = gt_count - tp
+    fp = pred_count - tp
 
     mota_per_joint = tuple(
         100.0 * (1.0 - (fn[j] + fp[j] + idsw[j]) / gt_count[j]) if gt_count[j] > 0 else None
@@ -349,10 +350,7 @@ def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> 
     n_gt = np.zeros(j_count, dtype=int)
 
     for frame, pred_dets in _labeled_frame_pairs(gt, pred):
-        for g_det in frame.detections:
-            for j, g in enumerate(g_det.pose.joints):
-                if g.present:
-                    n_gt[j] += 1
+        n_gt += _present_counts(frame.detections, j_count)
         if not pred_dets:
             continue
         # hits[k, j]: joint j of prediction k is correct for the pose it claimed
@@ -367,9 +365,8 @@ def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> 
                     hits[pi] = correct[gi, pi]
                     overlap[gi] = 0
         for p_det, hit_row in zip(pred_dets, hits.tolist()):
-            for j, p in enumerate(p_det.pose.joints):
-                if p.present:
-                    scored[j].append((p_det.score, hit_row[j]))
+            for j in np.flatnonzero(p_det.pose.present).tolist():
+                scored[j].append((p_det.score, hit_row[j]))
 
     ap = tuple(
         100.0 * _average_precision(scored[j], int(n_gt[j])) if n_gt[j] > 0 else None

@@ -24,14 +24,14 @@ Sequence files are UTF-8 JSON with this layout:
       ]
     }
 
-Keypoint scores are unnormalized (heatmap scale) and may exceed 1; detector
+Joint scores are unnormalized (heatmap scale) and may exceed 1; detector
 box scores are clamped to [0, 1] when loading. Absent keypoints keep their
 coordinates and carry present=0 in the file, so no sentinel values are needed.
 Floats are serialized with Python's shortest round-trip representation, which
 makes save followed by load the identity on every semantic field.
 
-All types are frozen dataclasses, immutable after construction and safe to
-share across threads.
+All types are frozen dataclasses and a pose's arrays are read-only, so every
+value is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -43,35 +43,56 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One joint location with an unnormalized confidence score."""
 
-    x: float
-    y: float
-    score: float
-    present: bool = True
+def _frozen(value, dtype) -> np.ndarray:
+    """value as a read-only array; an array that is read-only already is shared."""
+    if isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable:
+        return value
+    arr = np.array(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Pose:
+    """J joints as read-only arrays: xy (J, 2), score (J,) and present (J,) flags.
+
+    A present joint is finite; an absent one may hold any values. Poses are
+    equal when their arrays are, NaN equal to NaN.
+    """
+
+    xy: np.ndarray
+    score: np.ndarray
+    present: np.ndarray
 
     def __post_init__(self):
-        if self.present and not (
-            math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.score)
+        xy = _frozen(self.xy, np.float64).reshape(-1, 2)
+        score, present = _frozen(self.score, np.float64), _frozen(self.present, np.bool_)
+        if score.ndim != 1 or present.shape != score.shape or len(xy) != len(score):
+            raise ValueError("pose arrays must have shapes (J, 2), (J,) and (J,)")
+        # a sum of squares is finite unless an entry is NaN or inf, or it overflows
+        if not math.isfinite(np.vdot(xy, xy) + np.vdot(score, score)) and not (
+            np.isfinite(xy[present]).all() and np.isfinite(score[present]).all()
         ):
             raise ValueError("present keypoint has non-finite coordinates or score")
-
-    @staticmethod
-    def absent() -> "Keypoint":
-        return Keypoint(0.0, 0.0, 0.0, False)
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Fixed-length joint array; index semantics come from the sequence's joint names."""
-
-    joints: tuple[Keypoint, ...]
+        for name, arr in (("xy", xy), ("score", score), ("present", present)):
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.joints)
+        return len(self.score)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Pose)
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.xy, other.xy, equal_nan=True)
+            and np.array_equal(self.score, other.score, equal_nan=True)
+        )
+
+    def __hash__(self) -> int:  # equal poses have equal presence flags
+        return hash(self.present.tobytes())
 
 
 @dataclass(frozen=True)
@@ -201,20 +222,6 @@ def _as_box(raw, what: str) -> Box:
     return Box(*vals)
 
 
-def _as_keypoint(raw, what: str) -> Keypoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ValueError(f"{what} must be [x, y, score, present]")
-    x, y, score, present = raw
-    for v in (x, y, score):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{what} has a non-numeric entry")
-        if not math.isfinite(float(v)):
-            raise ValueError(f"{what} has a non-finite entry")
-    if present not in (0, 1, True, False):
-        raise ValueError(f"{what} presence flag must be 0 or 1")
-    return Keypoint(float(x), float(y), float(score), bool(present))
-
-
 def load_sequence(
     path: str,
     role: str = ROLE_PREDICTION,
@@ -292,9 +299,17 @@ def load_sequence(
                 kps = d["keypoints"]
                 if not isinstance(kps, list) or len(kps) != j:
                     raise ValueError(f"{where}: keypoints must have length {j}")
-                joints = [_as_keypoint(kp, f"{where} keypoint") for kp in kps]
+                if not all(isinstance(kp, list) and len(kp) == 4 for kp in kps):
+                    raise ValueError(f"{where} keypoint must be [x, y, score, present]")
+                if not {type(v) for kp in kps for v in kp[:3]} <= {int, float}:  # not bool
+                    raise ValueError(f"{where} keypoint has a non-numeric entry")
+                if not all(kp[3] in (0, 1) for kp in kps):
+                    raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
+                block = np.array(kps, dtype=float).reshape(j, 4)
+                if not np.isfinite(block).all():  # absent joints too
+                    raise ValueError(f"{where} keypoint has a non-finite entry")
                 if joint_map is not None:
-                    joints = [joints[k] for k in joint_map]
+                    block = block[list(joint_map)]
                 feature = d.get("feature")
                 if feature is not None:
                     if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
@@ -321,7 +336,7 @@ def load_sequence(
                 Detection(
                     box=box,
                     score=score,
-                    pose=Pose(tuple(joints)),
+                    pose=Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0),
                     feature=feature,
                     track_id=track_id,
                     head_box=head_box,
@@ -372,12 +387,13 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
 
 
 def _detection_doc(det: Detection) -> dict:
+    pose = det.pose
     doc = {
         "bbox": [float(det.box.x_min), float(det.box.y_min), float(det.box.x_max), float(det.box.y_max)],
         "score": float(det.score),
         "keypoints": [
-            [float(kp.x), float(kp.y), float(kp.score), 1 if kp.present else 0]
-            for kp in det.pose.joints
+            [x, y, s, 1 if p else 0]
+            for (x, y), s, p in zip(pose.xy.tolist(), pose.score.tolist(), pose.present.tolist())
         ],
     }
     if det.feature is not None:
@@ -396,12 +412,11 @@ def derive_box_from_pose(pose: Pose, dilation: float = 0.20) -> Box:
     Growth is split evenly between the two sides (dilation/2 each), so a
     zero-span dimension stays zero-span.
     """
-    xs = [kp.x for kp in pose.joints if kp.present]
-    ys = [kp.y for kp in pose.joints if kp.present]
-    if not xs:
+    points = pose.xy[pose.present]
+    if not len(points):
         raise ValueError("cannot derive a box from a pose with no present joints")
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    x_min, y_min = points.min(axis=0).tolist()
+    x_max, y_max = points.max(axis=0).tolist()
     gx = 0.5 * dilation * (x_max - x_min)
     gy = 0.5 * dilation * (y_max - y_min)
     return Box(x_min - gx, y_min - gy, x_max + gx, y_max + gy)
@@ -418,10 +433,10 @@ def filter_detections(seq: VideoSequence, det_threshold: float, kp_threshold: fl
         for det in frame.detections:
             if det.score < det_threshold:
                 continue
-            joints = tuple(
-                kp if not kp.present or kp.score >= kp_threshold else replace(kp, present=False)
-                for kp in det.pose.joints
-            )
-            kept.append(replace(det, pose=Pose(joints)))
+            pose = det.pose
+            dropped = pose.present & (pose.score < kp_threshold)
+            if dropped.any():
+                det = replace(det, pose=Pose(pose.xy, pose.score, pose.present & ~dropped))
+            kept.append(det)
         frames.append(replace(frame, detections=tuple(kept)))
     return seq.with_frames(frames)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from scipy.optimize import linear_sum_assignment
 
-from .model import Keypoint, Pose, VideoSequence
+from .model import Pose, VideoSequence
 from .metrics import _check_pair, match_poses_frame
 from .similarity import box_array, pairwise_iou
 
@@ -90,10 +90,8 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
             if g_det is None:
                 dets.append(det)
             else:
-                joints = tuple(
-                    Keypoint(g.x, g.y, 1.0, g.present) for g in g_det.pose.joints
-                )
-                dets.append(replace(det, pose=Pose(joints)))
+                g = g_det.pose
+                dets.append(replace(det, pose=Pose(g.xy, [1.0] * len(g), g.present)))
         out_frames.append(replace(frame, detections=tuple(dets)))
     return pred.with_frames(out_frames)
 

@@ -17,8 +17,12 @@ criteria:
 External score files are a JSON list of
 {"frame": int, "prev_index": int, "curr_index": int, "similarity": float},
 keyed by the current frame's frame_index and by indices into the candidate
-pools handed to build_cost_matrix (for lookback 1, prev_index is simply the
-detection index in the previous frame). Missing entries default to 0.
+pools handed to build_cost_matrix. curr_index is the detection index in the
+current frame. prev_index counts the lookback pool, which holds the most
+recent detection of every track seen within the last `lookback` frames:
+oldest frame first, then by detection index within a frame. For lookback 1,
+prev_index is simply the detection index in the previous frame. Missing
+entries default to 0; a repeated key or a non-integer index is an error.
 """
 
 from __future__ import annotations
@@ -105,11 +109,13 @@ def pose_pckh_similarity(
     threshold = alpha * norm_scale * a.box.diagonal
     shared = 0
     correct = 0
-    for ka, kb in zip(a.pose.joints, b.pose.joints):
-        if not (ka.present and kb.present):
+    for (xa, ya), (xb, yb), present_a, present_b in zip(
+        a.pose.xy.tolist(), b.pose.xy.tolist(), a.pose.present.tolist(), b.pose.present.tolist()
+    ):
+        if not (present_a and present_b):
             continue
         shared += 1
-        if math.hypot(ka.x - kb.x, ka.y - kb.y) <= threshold:
+        if math.hypot(xa - xb, ya - yb) <= threshold:
             correct += 1
     if shared == 0:
         return 0.0
@@ -131,18 +137,34 @@ def feature_cosine(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
-    """Read an external-score file into a lookup keyed (frame, prev, curr)."""
+    """Read an external-score file into a lookup keyed (frame, prev, curr).
+
+    frame, prev_index and curr_index must be integers and similarity a finite
+    number; a key may appear once.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
         raise ValueError("external score file must hold a JSON list")
+    index_keys = ("frame", "prev_index", "curr_index")
     table = {}
-    for e in entries:
+    for n, e in enumerate(entries):
+        where = f"external score entry {n}"
+        if not isinstance(e, dict) or not {*index_keys, "similarity"} <= e.keys():
+            raise ValueError(f"{where}: needs frame, prev_index, curr_index and similarity")
+        key = tuple(e[k] for k in index_keys)
+        if not all(type(v) is int for v in key):
+            raise ValueError(f"{where}: frame, prev_index and curr_index must be integers")
+        similarity = e["similarity"]
         try:
-            key = (int(e["frame"]), int(e["prev_index"]), int(e["curr_index"]))
-            table[key] = float(e["similarity"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed external score entry: {e!r}") from exc
+            finite = type(similarity) in (int, float) and math.isfinite(similarity)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{where}: similarity must be a finite number")
+        if key in table:
+            raise ValueError(f"{where}: repeats (frame, prev_index, curr_index) {key}")
+        table[key] = float(similarity)
     return table
 
 
@@ -169,9 +191,9 @@ def keypoint_array(dets: Sequence[Detection]) -> np.ndarray:
     mask. Absent joints may hold any coordinates, and NaN keeps them out of
     every comparison.
     """
-    absent = (math.nan, math.nan)
-    flat = [v for d in dets for k in d.pose.joints for v in ((k.x, k.y) if k.present else absent)]
-    return np.array(flat, dtype=float).reshape(len(dets), -1, 2)
+    xy = np.stack([d.pose.xy for d in dets])
+    present = np.stack([d.pose.present for d in dets])
+    return np.where(present[..., None], xy, math.nan)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

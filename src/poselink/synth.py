@@ -34,7 +34,6 @@ from .model import (
     Box,
     Detection,
     Frame,
-    Keypoint,
     Pose,
     VideoSequence,
     derive_box_from_pose,
@@ -61,7 +60,7 @@ JOINT_NAMES = (
 HEAD_JOINT_COUNT = 3  # head_top, nose, neck form the head box
 
 # (dx, dy) offsets in units of actor height, y grows downward, origin mid-hip
-_TEMPLATE = (
+_TEMPLATE = np.array((
     (0.00, -0.50),
     (0.03, -0.43),
     (0.00, -0.36),
@@ -77,9 +76,17 @@ _TEMPLATE = (
     (0.08, 0.24),
     (-0.09, 0.50),
     (0.09, 0.50),
-)
+))
 
 BOX_DILATION = 0.20
+
+
+def _check_range(config, name: str, low: float = -math.inf) -> None:
+    """Reject a (low, high) field unless low <= field[0] <= field[1]; NaN fails."""
+    lo, hi = getattr(config, name)
+    if not low <= lo <= hi:
+        bound = "" if low == -math.inf else f"{low} <= "
+        raise ValueError(f"{name} must be [low, high] with {bound}low <= high, got {[lo, hi]}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,7 @@ class MotionModel:
     def __post_init__(self):
         if self.kind not in ("linear", "sinusoidal"):
             raise ValueError(f"unknown motion kind {self.kind!r}")
+        _check_range(self, "speed_range")
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,7 @@ class OcclusionModel:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("occlusion probability must be in [0, 1]")
+        _check_range(self, "duration_range", low=0)
 
 
 @dataclass(frozen=True)
@@ -117,8 +126,13 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ValueError("miss probability must be in [0, 1]")
-        if self.false_positive_rate < 0:
+        if not self.false_positive_rate >= 0:
             raise ValueError("false-positive rate must be non-negative")
+        for name in ("keypoint_jitter", "box_jitter", "feature_noise", "feature_dim"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("tp_score_range", "fp_score_range", "keypoint_score_range"):
+            _check_range(self, name)
 
 
 NO_NOISE = NoiseModel(tp_score_range=(1.0, 1.0), keypoint_score_range=(2.0, 2.0))
@@ -143,6 +157,9 @@ class ScenarioConfig:
             raise ValueError("actor count must be non-negative")
         if self.label_every < 1:
             raise ValueError("label_every must be >= 1")
+        for name in ("image_width", "image_height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _bounce(value: float, lo: float, hi: float) -> float:
@@ -155,14 +172,13 @@ def _bounce(value: float, lo: float, hi: float) -> float:
 
 
 def _pose_at(cx: float, cy: float, height: float) -> Pose:
-    joints = tuple(
-        Keypoint(cx + dx * height, cy + dy * height, 1.0, True) for dx, dy in _TEMPLATE
-    )
-    return Pose(joints)
+    j = len(_TEMPLATE)
+    return Pose((cx, cy) + _TEMPLATE * height, np.ones(j), np.ones(j, dtype=bool))
 
 
 def _head_box(pose: Pose) -> Box:
-    head = Pose(pose.joints[:HEAD_JOINT_COUNT])
+    k = HEAD_JOINT_COUNT
+    head = Pose(pose.xy[:k], pose.score[:k], pose.present[:k])
     return derive_box_from_pose(head, BOX_DILATION)
 
 
@@ -263,17 +279,13 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
                 x1, x2 = sorted((box.x_min + n[0], box.x_max + n[1]))
                 y1, y2 = sorted((box.y_min + n[2], box.y_max + n[3]))
                 box = Box(x1, y1, x2, y2)
-            joints = []
-            for kp in det.pose.joints:
-                if not kp.present:
-                    joints.append(kp)
-                    continue
-                x, y = kp.x, kp.y
+            xy, kp_score = det.pose.xy.copy(), det.pose.score.copy()
+            for j in np.flatnonzero(det.pose.present).tolist():
                 if noise.keypoint_jitter > 0:
-                    x += float(rng.normal(0.0, noise.keypoint_jitter))
-                    y += float(rng.normal(0.0, noise.keypoint_jitter))
-                score = float(rng.uniform(*noise.keypoint_score_range))
-                joints.append(Keypoint(x, y, score, True))
+                    xy[j, 0] += float(rng.normal(0.0, noise.keypoint_jitter))
+                    xy[j, 1] += float(rng.normal(0.0, noise.keypoint_jitter))
+                kp_score[j] = float(rng.uniform(*noise.keypoint_score_range))
+            pose = Pose(xy, kp_score, det.pose.present)
             score = float(rng.uniform(*noise.tp_score_range))
             feature = None
             if noise.feature_dim > 0:
@@ -282,7 +294,7 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
                 )
                 feature = tuple(float(v) for v in vec)
             detections.append(
-                Detection(box=box, score=score, pose=Pose(tuple(joints)), feature=feature)
+                Detection(box=box, score=score, pose=pose, feature=feature)
             )
         if noise.false_positive_rate > 0:
             for _ in range(int(rng.poisson(noise.false_positive_rate))):
@@ -290,10 +302,9 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
                 cx = float(rng.uniform(0.25 * height, gt.image_width - 0.25 * height))
                 cy = float(rng.uniform(0.55 * height, gt.image_height - 0.55 * height))
                 pose = _pose_at(cx, cy, height)
-                joints = tuple(
-                    replace(kp, score=float(rng.uniform(*noise.keypoint_score_range)))
-                    for kp in pose.joints
-                )
+                kp_score = [
+                    float(rng.uniform(*noise.keypoint_score_range)) for _ in range(len(pose))
+                ]
                 feature = None
                 if noise.feature_dim > 0:
                     vec = rng.normal(size=noise.feature_dim)
@@ -303,7 +314,7 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
                     Detection(
                         box=derive_box_from_pose(pose, BOX_DILATION),
                         score=float(rng.uniform(*noise.fp_score_range)),
-                        pose=Pose(joints),
+                        pose=Pose(pose.xy, kp_score, pose.present),
                         feature=feature,
                     )
                 )

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Box
+from .model import Box, Pose
 from .similarity import iou
 
 LABEL_BG = -1
@@ -317,34 +317,29 @@ def spatiotemporal_roi_align(
     return out
 
 
-def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box):
+def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> Pose:
     """Peak-decode a (J, R, R) heatmap into a pose inside the given box.
 
     Each joint takes the argmax bin (ties resolve to the lowest row-major
     index), placed at that bin's center within the box; the score is the
     softmax probability of the winning bin over the joint's full heatmap.
     """
-    from .model import Keypoint, Pose
-
     maps = np.asarray(heatmap, dtype=float)
     if maps.ndim != 3 or maps.shape[1] != maps.shape[2] or maps.shape[1] < 1:
         raise ValueError("heatmap must have shape (J, R, R) with R >= 1")
     if not np.all(np.isfinite(maps)):
         raise ValueError("heatmap entries must be finite")
     r = maps.shape[1]
-    bw = box.width / r
-    bh = box.height / r
-    joints = []
-    for plane in maps:
-        flat = plane.reshape(-1)
-        idx = int(np.argmax(flat))
-        row, col = divmod(idx, r)
-        shifted = flat - flat.max()
-        prob = float(np.exp(shifted[idx]) / np.exp(shifted).sum())
-        joints.append(
-            Keypoint(box.x_min + (col + 0.5) * bw, box.y_min + (row + 0.5) * bh, prob, True)
-        )
-    return Pose(tuple(joints))
+    flat = maps.reshape(len(maps), -1)
+    idx = flat.argmax(axis=1)
+    row, col = np.divmod(idx, r)
+    shifted = np.exp(flat - flat.max(axis=1, keepdims=True))
+    prob = shifted[np.arange(len(flat)), idx] / shifted.sum(axis=1)
+    xy = np.column_stack((
+        box.x_min + (col + 0.5) * (box.width / r),
+        box.y_min + (row + 0.5) * (box.height / r),
+    ))
+    return Pose(xy, prob, np.ones(len(flat), dtype=bool))
 
 
 def inflate_2d_filter(weights2d: np.ndarray, k_t: int, mode: str) -> np.ndarray:

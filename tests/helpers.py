@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from poselink.model import Box, Detection, Frame, Keypoint, Pose, VideoSequence
+from poselink.model import Box, Detection, Frame, Pose, VideoSequence
 
 JOINTS3 = ("head", "left", "right")
 
@@ -16,13 +16,17 @@ HEAD_BOX = Box(0.0, 0.0, 30.0, 40.0)
 PCKH_LIMIT = 15.0
 
 
+def pose_from_rows(rows) -> Pose:
+    """Pose of (x, y, score, present) rows, one per joint."""
+    rows = list(rows)
+    return Pose([r[:2] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
+
+
 def pose_at(coords, score=2.5, present=None) -> Pose:
     present = present or [True] * len(coords)
-    joints = tuple(
-        Keypoint(float(x), float(y), score, flag)
-        for (x, y), flag in zip(coords, present)
+    return pose_from_rows(
+        (float(x), float(y), score, flag) for (x, y), flag in zip(coords, present)
     )
-    return Pose(joints)
 
 
 def person(coords, score=1.0, track_id=None, head_box=HEAD_BOX, feature=None, present=None) -> Detection:
@@ -73,7 +77,7 @@ def scale_sequence(seq: VideoSequence, s: float) -> VideoSequence:
                 det,
                 box=scale_box(det.box),
                 head_box=scale_box(det.head_box),
-                pose=Pose(tuple(replace(kp, x=kp.x * s, y=kp.y * s) for kp in det.pose.joints)),
+                pose=Pose(det.pose.xy * s, det.pose.score, det.pose.present),
             )
             for det in frame.detections
         )

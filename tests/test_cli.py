@@ -48,21 +48,54 @@ class TestSynth:
         seq = load_sequence(str(gt), role="groundtruth")
         assert len(seq.frames) == 9
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2],
-        {"motion": {"bogus": 1}},
-        {"bogus": 1},
-        {"frames": "10"},
-        {"noise": {"tp_score_range": [0.9]}},
-        {"occlusion": None},
-    ])
-    def test_bad_config_is_one_line_error(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, flags", [
+        pytest.param(doc, [], id=f"doc{i}") for i, doc in enumerate([
+            [1, 2],
+            {"motion": {"bogus": 1}},
+            {"bogus": 1},
+            {"frames": "10"},
+            {"noise": {"tp_score_range": [0.9]}},
+            {"occlusion": None},
+            {"noise": {"keypoint_jitter": math.nan}},
+            {"noise": {"keypoint_jitter": -1}},
+            {"noise": {"box_jitter": -0.5}},
+            {"noise": {"feature_noise": math.nan}},
+            {"noise": {"feature_dim": -4}},
+            {"occlusion": {"duration_range": [5, 1]}},
+            {"occlusion": {"probability": 1.0, "duration_range": [5, 1]}},
+            {"occlusion": {"duration_range": [-2, 1]}},
+            {"motion": {"speed_range": [6.0, 2.0]}},
+            {"noise": {"tp_score_range": [1.0, 0.5]}},
+            {"noise": {"keypoint_score_range": [3.0, math.nan]}},
+            {"image_width": 0},
+            {"image_height": -3},
+        ])
+    ] + [pytest.param({}, ["--kp-jitter", "nan"], id="kp-jitter-nan")])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, doc, flags):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))
-        assert run("synth", "--out-gt", tmp_path / "gt.json", "--config", cfg) == 1
+        assert run("synth", "--out-gt", tmp_path / "gt.json", "--config", cfg, *flags) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("poselink synth: config") and err.count("\n") == 1
+        assert not (tmp_path / "gt.json").exists()
+
+    @pytest.mark.parametrize("field, flags", [
+        ("keypoint_jitter", ["--kp-jitter", "-1"]),
+        ("duration_range", ["--occlusion-dur", "5,1"]),
+        ("image_width", ["--width", "0"]),
+        ("speed_range", ["--speed", "6,2"]),
+    ])
+    def test_bad_flag_value_names_the_field(self, tmp_path, capsys, field, flags):
+        assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"poselink synth: config: {field} ") and err.count("\n") == 1
+        assert not (tmp_path / "gt.json").exists()
+
+    def test_non_integer_occlusion_duration_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--out-gt", tmp_path / "gt.json", "--occlusion-dur", "1.9,2.5")
+        assert exc.value.code == 2
         assert not (tmp_path / "gt.json").exists()
 
     def test_manifest_written(self, tmp_path):
@@ -115,6 +148,47 @@ class TestTrack:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("poselink track: ") and err.count("\n") == 1
+
+
+def _external_entries(tmp_path, entries_text):
+    path = tmp_path / "scores.json"
+    path.write_text(entries_text)
+    return path
+
+
+class TestExternalScores:
+    VALID = '{"frame": 1, "prev_index": 0, "curr_index": 0, "similarity": 0.5}'
+
+    @pytest.mark.parametrize("entry", [
+        '{"frame": 1e400, "prev_index": 0, "curr_index": 0, "similarity": 0.9}',
+        '{"frame": 1.7, "prev_index": 0, "curr_index": 0, "similarity": 0.9}',
+        '{"frame": 1, "prev_index": "0", "curr_index": 0, "similarity": 0.9}',
+        '{"frame": 1, "prev_index": 0, "curr_index": true, "similarity": 0.9}',
+        '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": "0.9"}',
+        '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": NaN}',
+        '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": 1e400}',
+        '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": 1' + "0" * 400 + '}',
+        '{"frame": 1, "prev_index": 0, "curr_index": 1}',
+        '[1, 0, 1, 0.9]',
+        '{"frame": 1, "prev_index": 0, "curr_index": 0, "similarity": 0.7}',  # repeats VALID's key
+    ])
+    def test_bad_entry_is_one_line_error(self, synth_pair, tmp_path, capsys, entry):
+        _, pred = synth_pair
+        scores = _external_entries(tmp_path, f"[{self.VALID}, {entry}]")
+        capsys.readouterr()
+        out = tmp_path / "tracked.json"
+        assert run("track", "--pred", pred, "--out", out, "--cost", "external",
+                   "--external-scores", scores) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("poselink track: external score entry 1: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_valid_entries_track(self, synth_pair, tmp_path):
+        _, pred = synth_pair
+        scores = _external_entries(tmp_path, f"[{self.VALID}]")
+        out = tmp_path / "tracked.json"
+        assert run("track", "--pred", pred, "--out", out, "--cost", "external",
+                   "--external-scores", scores) == 0
 
 
 class TestEval:
@@ -229,6 +303,22 @@ class TestSweep:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert "workers" not in manifest["config"]
 
+    def test_manifest_records_every_linker_setting_of_track(self, synth_pair, tmp_path):
+        gt, pred = synth_pair
+        flags = ["--kp-thresh", "1.5", "--min-sim", "0.05", "--lookback", "2", "--seed", "4",
+                 "--weights", "2,1,0", "--pckh-alpha", "0.4", "--pckh-norm-scale", "0.2",
+                 "--random-max-id", "50"]
+        assert run("track", "--pred", pred, "--out", tmp_path / "t.json", "--cost", "combined",
+                   *flags) == 0
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv",
+                   "--costs", "combined", *flags) == 0
+        track = json.loads((tmp_path / "t.json.manifest.json").read_text())["config"]
+        sweep = json.loads((tmp_path / "s.csv.manifest.json").read_text())["config"]
+        linker = set(track) - {"cost", "algo", "det_thresh", "total_assignment_cost", "new_tracks"}
+        assert linker <= set(sweep)
+        assert {k: sweep[k] for k in linker} == {k: track[k] for k in linker}
+        assert sweep["weights"] == [2.0, 1.0, 0.0]
+
     def test_unknown_sweep_names_are_usage_errors(self, synth_pair, tmp_path):
         gt, pred = synth_pair
         out = tmp_path / "s.csv"
@@ -284,6 +374,11 @@ class TestBench:
         doc = json.loads(report.read_text())
         assert doc["frames"] == [20, 40]
         assert len(doc["seconds"]) == 2
+
+    def test_non_integer_frames_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--frames", "20.9,40", "--actors", 2, "--repeats", 1)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("frames", ["20", "20,20", "20,20,40"])
     def test_fewer_than_two_sizes_is_usage_error(self, tmp_path, capsys, frames):

@@ -23,7 +23,7 @@ from poselink.metrics import (
     match_poses_frame,
     pckh_correct,
 )
-from poselink.model import Box, Detection, Keypoint, Pose
+from poselink.model import Box, Detection, Pose
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
@@ -37,7 +37,7 @@ from poselink.similarity import (
     pose_pckh_similarity,
 )
 
-from helpers import sequence
+from helpers import pose_from_rows, sequence
 
 J = 4
 # a coarse grid makes shared edges, zero-area boxes and exact PCKh ties common
@@ -57,9 +57,9 @@ def boxes(draw):
 @st.composite
 def keypoints(draw):
     if draw(st.booleans()):
-        return Keypoint(draw(coord), draw(coord), 2.0, True)
+        return (draw(coord), draw(coord), 2.0, True)
     # absent joints may hold any coordinates, non-finite ones included
-    return Keypoint(draw(st.one_of(coord, junk)), draw(st.one_of(coord, junk)), 0.0, False)
+    return (draw(st.one_of(coord, junk)), draw(st.one_of(coord, junk)), 0.0, False)
 
 
 features = st.one_of(
@@ -75,7 +75,7 @@ def detections(draw, gt=False):
     return Detection(
         box=draw(boxes()),
         score=draw(st.sampled_from([0.5, 0.75, 1.0])),
-        pose=Pose(tuple(draw(keypoints()) for _ in range(J))),
+        pose=pose_from_rows(draw(keypoints()) for _ in range(J)),
         feature=draw(features),
         track_id=draw(st.integers(0, 3)) if gt else None,
         head_box=head,
@@ -158,7 +158,7 @@ class TestCostMatrixKernels:
         assert all("zero-norm" in str(w.message) for w in caught)
 
     def test_empty_sides(self):
-        det = Detection(Box(0, 0, 1, 1), 1.0, Pose((Keypoint(0, 0, 1.0),) * J), feature=(1.0, 0, 0))
+        det = Detection(Box(0, 0, 1, 1), 1.0, pose_from_rows([(0, 0, 1.0, True)] * J), feature=(1.0, 0, 0))
         for kind in ("bbox_iou", "pose_pckh", "feature_cosine", "combined"):
             crit = SimilarityCriterion(kind)
             assert build_cost_matrix([], [det], crit).similarity.shape == (0, 1)
@@ -195,8 +195,10 @@ class TestMetricKernels:
             head = head_size(g.head_box)
             for k, p in enumerate(pred):
                 assert mask[i, k].sum() == _correct_joint_count(g, p, alpha)
-                for j, (gj, pj) in enumerate(zip(g.pose.joints, p.pose.joints)):
-                    expected = gj.present and pj.present and pckh_correct(gj, pj, head, alpha)
+                for j in range(J):
+                    expected = g.pose.present[j] and p.pose.present[j] and pckh_correct(
+                        g.pose.xy[j], p.pose.xy[j], head, alpha
+                    )
                     assert mask[i, k, j] == expected
 
     @settings(max_examples=75)
@@ -235,7 +237,7 @@ class TestMetricKernels:
         for k, det in enumerate(out.frames[0].detections):
             source = replaced.get(k)
             expected = pred[k].pose if source is None else Pose(
-                tuple(Keypoint(g.x, g.y, 1.0, g.present) for g in source.pose.joints)
+                source.pose.xy, np.ones(J), source.pose.present
             )
             assert det.pose == expected
 
@@ -248,8 +250,8 @@ def scalar_map(gt, pred, alpha=0.5):
     for g_frame, p_frame in zip(gt.frames, pred.frames):
         gts, preds = g_frame.detections, p_frame.detections
         for g in gts:
-            for j, k in enumerate(g.pose.joints):
-                n_gt[j] += k.present
+            for j in range(J):
+                n_gt[j] += g.pose.present[j]
         claimed, taken = {}, set()
         for pi in sorted(range(len(preds)), key=lambda k: (-preds[k].score, k)):
             best, best_overlap = None, 0
@@ -262,10 +264,10 @@ def scalar_map(gt, pred, alpha=0.5):
                 taken.add(best)
         for pi, p in enumerate(preds):
             g = gts[claimed[pi]] if pi in claimed else None
-            for j, pk in enumerate(p.pose.joints):
-                if pk.present:
-                    hit = g is not None and g.pose.joints[j].present and pckh_correct(
-                        g.pose.joints[j], pk, head_size(g.head_box), alpha
+            for j in range(J):
+                if p.pose.present[j]:
+                    hit = g is not None and g.pose.present[j] and pckh_correct(
+                        g.pose.xy[j], p.pose.xy[j], head_size(g.head_box), alpha
                     )
                     scored[j].append((p.score, hit))
     return tuple(
@@ -274,8 +276,8 @@ def scalar_map(gt, pred, alpha=0.5):
 
 
 def test_keypoint_array_masks_absent_joints():
-    joints = (Keypoint(1.0, 2.0, 1.0), Keypoint(math.inf, math.nan, 0.0, False))
-    arr = keypoint_array([Detection(Box(0, 0, 1, 1), 1.0, Pose(joints))])
+    pose = pose_from_rows([(1.0, 2.0, 1.0, True), (math.inf, math.nan, 0.0, False)])
+    arr = keypoint_array([Detection(Box(0, 0, 1, 1), 1.0, pose)])
     assert arr.shape == (1, 2, 2)
     assert arr[0, 0].tolist() == [1.0, 2.0]
     assert np.isnan(arr[0, 1]).all()

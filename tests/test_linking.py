@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from poselink.linking import (
     track_video,
     track_video_with_stats,
 )
-from poselink.similarity import CostMatrix, SimilarityCriterion
+from poselink.similarity import CostMatrix, SimilarityCriterion, load_external_scores
 from poselink.synth import NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
 
 from helpers import brute_force_min_cost, person, sequence
@@ -208,6 +210,23 @@ class TestTrackVideo:
         tracked = track_video(seq, LinkerConfig(criterion=crit))
         assert tracked.frames[1].detections[1].track_id == 0
         assert tracked.frames[1].detections[0].track_id == 1
+
+    def test_external_prev_index_counts_the_pool_oldest_frame_first(self, tmp_path):
+        # lookback 2; track B skips frame 1, so frame 2's pool holds B from
+        # frame 0 ahead of A from frame 1
+        a = person([(0, 0), (5, 5), (10, 10)])
+        b = person([(100, 100), (105, 105), (110, 110)])
+        seq = sequence([(0, True, [a, b]), (1, True, [a]), (2, True, [a, b])])
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps([
+            {"frame": 1, "prev_index": 0, "curr_index": 0, "similarity": 0.9},  # A <- A
+            {"frame": 2, "prev_index": 0, "curr_index": 1, "similarity": 0.9},  # B (frame 0) <- B
+            {"frame": 2, "prev_index": 1, "curr_index": 0, "similarity": 0.9},  # A (frame 1) <- A
+        ]))
+        crit = SimilarityCriterion("external", external_scores=load_external_scores(str(path)))
+        tracked = track_video(seq, LinkerConfig(criterion=crit, lookback=2))
+        ids = [[d.track_id for d in f.detections] for f in tracked.frames]
+        assert ids == [[0, 1], [0], [0, 1]]
 
     def test_stats_accumulate_costs(self):
         seq = sequence(_drifting_box_frames([0, 2, 4]))

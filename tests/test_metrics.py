@@ -9,7 +9,7 @@ from poselink.metrics import (
     match_poses_frame,
     pckh_correct,
 )
-from poselink.model import Box, Keypoint, filter_detections
+from poselink.model import Box, filter_detections
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
 
 from helpers import person, scale_sequence, sequence, three_frame_pair
@@ -29,17 +29,17 @@ class TestHeadSize:
 
 class TestPckhCorrect:
     def test_zero_distance(self):
-        kp = Keypoint(5.0, 5.0, 1.0)
-        assert pckh_correct(kp, kp, head=10.0)
+        xy = (5.0, 5.0)
+        assert pckh_correct(xy, xy, head=10.0)
 
     def test_boundary_is_closed(self):
-        gt = Keypoint(0.0, 0.0, 1.0)
-        pred = Keypoint(5.0, 0.0, 1.0)
+        gt = (0.0, 0.0)
+        pred = (5.0, 0.0)
         assert pckh_correct(gt, pred, head=10.0, alpha=0.5)
 
     def test_just_beyond_boundary(self):
-        gt = Keypoint(0.0, 0.0, 1.0)
-        pred = Keypoint(5.005, 0.0, 1.0)
+        gt = (0.0, 0.0)
+        pred = (5.005, 0.0)
         assert not pckh_correct(gt, pred, head=10.0, alpha=0.5)
 
 

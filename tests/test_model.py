@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -9,7 +10,6 @@ from poselink.model import (
     Box,
     Detection,
     Frame,
-    Keypoint,
     Pose,
     VideoSequence,
     derive_box_from_pose,
@@ -18,7 +18,7 @@ from poselink.model import (
     save_sequence,
 )
 
-from helpers import person, pose_at, sequence
+from helpers import person, pose_at, pose_from_rows, sequence
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -34,8 +34,8 @@ def random_sequences(draw):
         index += draw(st.integers(min_value=1, max_value=3))
         dets = []
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            joints = tuple(
-                Keypoint(draw(coords), draw(coords), draw(coords), draw(st.booleans()))
+            pose = pose_from_rows(
+                (draw(coords), draw(coords), draw(coords), draw(st.booleans()))
                 for _ in range(j)
             )
             xs = sorted([draw(coords), draw(coords)])
@@ -47,7 +47,7 @@ def random_sequences(draw):
                 Detection(
                     box=Box(xs[0], ys[0], xs[1], ys[1]),
                     score=draw(st.floats(min_value=0, max_value=1, allow_nan=False)),
-                    pose=Pose(joints),
+                    pose=pose,
                     feature=feature,
                     track_id=draw(st.one_of(st.none(), st.integers(0, 50))),
                 )
@@ -73,8 +73,32 @@ class TestTypes:
 
     def test_present_keypoint_rejects_nan(self):
         with pytest.raises(ValueError):
-            Keypoint(math.nan, 0.0, 1.0, True)
-        Keypoint(math.nan, 0.0, 1.0, False)  # absent joints are unconstrained
+            Pose([(math.nan, 0.0)], [1.0], [True])
+        Pose([(math.nan, 0.0)], [1.0], [False])  # absent joints are unconstrained
+
+    def test_pose_arrays_are_read_only_copies(self):
+        xy = np.array([[1.0, 2.0], [3.0, 4.0]])
+        pose = Pose(xy, [1.0, 2.0], [True, False])
+        xy[0, 0] = 99.0
+        assert pose.xy[0, 0] == 1.0
+        for arr in (pose.xy, pose.score, pose.present):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert len(pose) == 2 and pose.present.dtype == bool
+
+    def test_pose_equality_treats_nan_as_equal(self):
+        pose = Pose([(1.0, 2.0), (math.nan, math.inf)], [1.0, math.nan], [True, False])
+        assert pose == pose
+        assert pose == Pose(pose.xy.copy(), pose.score.copy(), pose.present.copy())
+        assert hash(pose) == hash(Pose(pose.xy, pose.score, pose.present))
+        assert pose != Pose(pose.xy, pose.score, [False, False])
+        assert pose != Pose([(1.0, 2.5), (math.nan, math.inf)], [1.0, math.nan], [True, False])
+
+    def test_pose_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shapes"):
+            Pose([(1.0, 2.0)], [1.0, 2.0], [True, True])
+        with pytest.raises(ValueError, match="shapes"):
+            Pose([(1.0, 2.0)], [1.0], [True, False])
 
     def test_sequence_rejects_non_monotone_frames(self):
         with pytest.raises(ValueError, match="non-monotone"):
@@ -168,6 +192,32 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="keypoints"):
             load_sequence(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("keypoints, message", [
+        ([[1, 1, 2.0], [2, 2, 2.0, 1]], r"keypoint must be \[x, y, score, present\]"),
+        ([[1, 1, 2.0, 1], "2"], r"keypoint must be \[x, y, score, present\]"),
+        ([[1, "1", 2.0, 1], [2, 2, 2.0, 1]], "keypoint has a non-numeric entry"),
+        ([[1, 1, 2.0, 1], [True, 2, 2.0, 1]], "keypoint has a non-numeric entry"),
+        ([[1, 1, None, 1], [2, 2, 2.0, 1]], "keypoint has a non-numeric entry"),
+        ([[1, 1, 2.0, 1], [2, 2, 2.0, 2]], "keypoint presence flag must be 0 or 1"),
+        ([[1, 1, 2.0, "1"], [2, 2, 2.0, 1]], "keypoint presence flag must be 0 or 1"),
+        ([[1, 1, 2.0, 1], [math.nan, 2, 2.0, 1]], "keypoint has a non-finite entry"),
+        ([[1, 1, 2.0, 1], [2, 2, math.inf, 0]], "keypoint has a non-finite entry"),
+        ([[1, 1, 2.0, 1], [10**400, 2, 2.0, 1]], "number out of the float range"),
+    ])
+    def test_bad_keypoint_names_the_detection(self, tmp_path, keypoints, message):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["keypoints"] = keypoints
+        with pytest.raises(ValueError, match=f"^frame 0 detection 0:? {message}"):
+            load_sequence(self._write(tmp_path, doc))
+
+    def test_keypoint_block_loads_as_arrays(self, tmp_path):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 2, 2.5, 1], [3.5, 4, 0, False]]
+        pose = load_sequence(self._write(tmp_path, doc)).frames[0].detections[0].pose
+        assert pose.xy.tolist() == [[1.0, 2.0], [3.5, 4.0]]
+        assert pose.score.tolist() == [2.5, 0.0]
+        assert pose.present.tolist() == [True, False]
+
     def test_non_monotone_frame_indices(self, tmp_path):
         doc = self._doc()
         doc["frames"] = [
@@ -257,7 +307,7 @@ class TestLoadValidation:
         save_sequence(seq, str(path))
         loaded = load_sequence(str(path), joint_map=[2, 0, 1])
         assert loaded.joint_names == ("right", "head", "left")
-        assert loaded.frames[0].detections[0].pose.joints[0].x == 5
+        assert loaded.frames[0].detections[0].pose.xy[0, 0] == 5
 
     def test_bad_joint_map_rejected(self, tmp_path):
         seq = sequence([(0, True, [])])
@@ -352,11 +402,11 @@ class TestFilter:
         det = Detection(
             box=Box(0, 0, 10, 10),
             score=1.0,
-            pose=Pose((Keypoint(1, 1, 1.0), Keypoint(2, 2, 2.3), Keypoint(3, 3, 2.0))),
+            pose=Pose([(1, 1), (2, 2), (3, 3)], [1.0, 2.3, 2.0], [True, True, True]),
         )
         seq = sequence([(0, True, [det])])
         out = filter_detections(seq, 0.0, 1.95)
-        flags = [kp.present for kp in out.frames[0].detections[0].pose.joints]
+        flags = out.frames[0].detections[0].pose.present.tolist()
         assert flags == [False, True, True]
 
     def test_rejects_nan_threshold(self):

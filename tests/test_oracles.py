@@ -76,21 +76,23 @@ class TestPerfectKeypoints:
         # skew the predicted keypoints, keep boxes identical
         from dataclasses import replace
 
-        from poselink.model import Keypoint, Pose
+        from poselink.model import Pose
 
         frames = []
         for f in pred.frames:
             dets = []
             for d in f.detections:
-                joints = tuple(replace(kp, x=kp.x + 3.0) for kp in d.pose.joints)
-                dets.append(replace(d, pose=Pose(joints)))
+                xy = d.pose.xy + (3.0, 0.0)
+                dets.append(replace(d, pose=Pose(xy, d.pose.score, d.pose.present)))
             frames.append((f.frame_index, f.labeled, dets))
         skewed = sequence(frames)
         fixed = perfect_keypoints(gt, skewed)
         for gf, pf in zip(gt.frames, fixed.frames):
             for gd, pd in zip(gf.detections, pf.detections):
-                for g, p in zip(gd.pose.joints, pd.pose.joints):
-                    assert (p.x, p.y, p.score, p.present) == (g.x, g.y, 1.0, g.present)
+                for j in range(len(gd.pose)):
+                    assert (pd.pose.xy[j].tolist(), pd.pose.score[j], pd.pose.present[j]) == (
+                        gd.pose.xy[j].tolist(), 1.0, gd.pose.present[j]
+                    )
 
     def test_zero_overlap_leaves_predictions_untouched(self):
         gt, _ = three_frame_pair()
@@ -108,7 +110,7 @@ class TestPerfectKeypoints:
         gt = sequence([(0, True, [person(coords, track_id=0, present=[True, False, True])])])
         pred = sequence([(0, True, [person(coords, track_id=0, head_box=None)])])
         fixed = perfect_keypoints(gt, pred)
-        assert fixed.frames[0].detections[0].pose.joints[1].present is False
+        assert not fixed.frames[0].detections[0].pose.present[1]
 
 
 class TestOrderingAndComposition:

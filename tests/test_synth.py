@@ -56,7 +56,8 @@ class TestGroundTruth:
         gt = generate_ground_truth(ScenarioConfig(seed=4, frames=3, actors=2))
         det = gt.frames[0].detections[0]
         assert det.box == derive_box_from_pose(det.pose, 0.20)
-        head_pose = type(det.pose)(det.pose.joints[:HEAD_JOINT_COUNT])
+        k = HEAD_JOINT_COUNT
+        head_pose = type(det.pose)(det.pose.xy[:k], det.pose.score[:k], det.pose.present[:k])
         assert det.head_box == derive_box_from_pose(head_pose, 0.20)
 
     def test_label_every_marks_stride(self):
@@ -70,9 +71,9 @@ class TestGroundTruth:
         gt = generate_ground_truth(cfg)
         for frame in gt.frames:
             for det in frame.detections:
-                for kp in det.pose.joints:
-                    assert -1 <= kp.x <= cfg.image_width + 1
-                    assert -1 <= kp.y <= cfg.image_height + 1
+                for x, y in det.pose.xy.tolist():
+                    assert -1 <= x <= cfg.image_width + 1
+                    assert -1 <= y <= cfg.image_height + 1
 
     def test_fifteen_named_joints(self):
         gt = generate_ground_truth(ScenarioConfig(seed=0, frames=1, actors=1))
@@ -97,8 +98,10 @@ class TestCorruption:
                 assert pd.box == gd.box
                 assert pd.score == 1.0
                 assert pd.track_id is None and pd.head_box is None
-                for g, p in zip(gd.pose.joints, pd.pose.joints):
-                    assert (p.x, p.y, p.present) == (g.x, g.y, g.present)
+                for j in range(len(gd.pose)):
+                    assert (pd.pose.xy[j].tolist(), pd.pose.present[j]) == (
+                        gd.pose.xy[j].tolist(), gd.pose.present[j]
+                    )
 
     def test_zero_noise_pipeline_closure(self):
         cfg = ScenarioConfig(seed=10, frames=12, actors=3, noise=NO_NOISE)
@@ -161,3 +164,28 @@ class TestCorruption:
             OcclusionModel(probability=-0.1)
         with pytest.raises(ValueError):
             MotionModel(kind="brownian")
+
+    @pytest.mark.parametrize("cls, kwargs, field", [
+        (NoiseModel, {"keypoint_jitter": float("nan")}, "keypoint_jitter"),
+        (NoiseModel, {"keypoint_jitter": -1.0}, "keypoint_jitter"),
+        (NoiseModel, {"box_jitter": float("nan")}, "box_jitter"),
+        (NoiseModel, {"box_jitter": -1.0}, "box_jitter"),
+        (NoiseModel, {"feature_noise": -0.1}, "feature_noise"),
+        (NoiseModel, {"feature_dim": -4}, "feature_dim"),
+        (NoiseModel, {"tp_score_range": (1.0, 0.8)}, "tp_score_range"),
+        (NoiseModel, {"fp_score_range": (0.7, 0.3)}, "fp_score_range"),
+        (NoiseModel, {"keypoint_score_range": (3.0, 2.0)}, "keypoint_score_range"),
+        (OcclusionModel, {"duration_range": (5, 1)}, "duration_range"),
+        (OcclusionModel, {"duration_range": (-1, 2)}, "duration_range"),
+        (MotionModel, {"speed_range": (6.0, 2.0)}, "speed_range"),
+        (ScenarioConfig, {"image_width": 0}, "image_width"),
+        (ScenarioConfig, {"image_height": 0}, "image_height"),
+    ])
+    def test_config_rejects_bad_value_naming_the_field(self, cls, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} ") as exc:
+            cls(**kwargs)
+        assert "\n" not in str(exc.value)
+
+    def test_default_and_no_noise_configs_are_valid(self):
+        ScenarioConfig()
+        ScenarioConfig(noise=NO_NOISE, occlusion=OcclusionModel(duration_range=(0, 0)))

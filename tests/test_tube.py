@@ -302,31 +302,31 @@ class TestHeatmapDecode:
         maps = np.zeros((1, 4, 4))
         maps[0, 1, 1] = 10.0
         pose = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
-        assert (pose.joints[0].x, pose.joints[0].y) == (3.0, 3.0)
+        assert tuple(pose.xy[0]) == (3.0, 3.0)
 
     def test_uniform_heatmap_tie_rule_and_score(self):
         maps = np.zeros((1, 4, 4))
         pose = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
-        assert (pose.joints[0].x, pose.joints[0].y) == (1.0, 1.0)  # bin (0, 0)
-        assert pose.joints[0].score == pytest.approx(1 / 16)
+        assert tuple(pose.xy[0]) == (1.0, 1.0)  # bin (0, 0)
+        assert pose.score[0] == pytest.approx(1 / 16)
 
     def test_box_scaling_scales_coordinates(self):
         maps = np.zeros((1, 4, 4))
         maps[0, 2, 3] = 1.0
-        small = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8)).joints[0]
-        big = decode_keypoint_heatmap(maps, Box(0, 0, 16, 16)).joints[0]
-        assert (big.x, big.y) == (2 * small.x, 2 * small.y)
+        small = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8)).xy[0]
+        big = decode_keypoint_heatmap(maps, Box(0, 0, 16, 16)).xy[0]
+        assert (big[0], big[1]) == (2 * small[0], 2 * small[1])
 
     def test_scores_are_softmax_probabilities(self):
         rng = np.random.default_rng(3)
         maps = rng.normal(size=(5, 6, 6))
         pose = decode_keypoint_heatmap(maps, Box(0, 0, 12, 12))
-        for j, joint in enumerate(pose.joints):
+        for j, joint_score in enumerate(pose.score):
             flat = maps[j].reshape(-1)
             probs = np.exp(flat - flat.max())
             probs /= probs.sum()
             assert probs.sum() == pytest.approx(1.0)
-            assert joint.score == pytest.approx(float(probs.max()))
+            assert joint_score == pytest.approx(float(probs.max()))
 
     def test_non_finite_heatmap_rejected(self):
         maps = np.zeros((1, 2, 2))
