@@ -335,9 +335,7 @@ def _average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
     # integrate over integer TP counts and divide once, so that a perfect
     # prediction scores exactly 1.0
     mtp = np.concatenate(([0], tps, [tps[-1]]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     change = np.where(mtp[1:] != mtp[:-1])[0]
     return float(np.sum((mtp[change + 1] - mtp[change]) * mpre[change + 1]) / n_gt)
 

@@ -79,6 +79,7 @@ _TEMPLATE = np.array((
 ))
 
 BOX_DILATION = 0.20
+MIN_HEIGHT, MAX_HEIGHT = 0.18, 0.35  # figure height as a fraction of the image height
 
 
 def _check_range(config, name: str, low: float = -math.inf) -> None:
@@ -129,8 +130,8 @@ class NoiseModel:
         if not self.false_positive_rate >= 0:
             raise ValueError("false-positive rate must be non-negative")
         for name in ("keypoint_jitter", "box_jitter", "feature_noise", "feature_dim"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         for name in ("tp_score_range", "fp_score_range", "keypoint_score_range"):
             _check_range(self, name)
 
@@ -160,6 +161,13 @@ class ScenarioConfig:
         for name in ("image_width", "image_height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # actors and false positives are placed at x in [h/4, width - h/4] for a
+        # figure height h below MAX_HEIGHT * image_height
+        if self.image_width < 0.5 * MAX_HEIGHT * self.image_height:
+            raise ValueError(
+                f"image_width must be >= {0.5 * MAX_HEIGHT:g} * image_height, "
+                f"got {self.image_width} for image_height {self.image_height}"
+            )
 
 
 def _bounce(value: float, lo: float, hi: float) -> float:
@@ -189,7 +197,7 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
 
     actors = []
     for _ in range(cfg.actors):
-        height = float(rng.uniform(0.18, 0.35)) * h
+        height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * h
         margin_x = 0.25 * height
         margin_y = 0.55 * height
         cx = float(rng.uniform(margin_x, w - margin_x))
@@ -298,7 +306,7 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
             )
         if noise.false_positive_rate > 0:
             for _ in range(int(rng.poisson(noise.false_positive_rate))):
-                height = float(rng.uniform(0.18, 0.35)) * gt.image_height
+                height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * gt.image_height
                 cx = float(rng.uniform(0.25 * height, gt.image_width - 0.25 * height))
                 cy = float(rng.uniform(0.55 * height, gt.image_height - 0.55 * height))
                 pose = _pose_at(cx, cy, height)

@@ -8,6 +8,11 @@ deltas, ordered frame-major as (tx, ty, tw, th):
     tx = (x - xa) / wa      tw = log(w / wa)
     ty = (y - ya) / ha      th = log(h / ha)
 
+The anchors of one image are one (A, 4) corner array with their clip length
+(TubeAnchors), and assignment computes all anchor x ground-truth overlaps at
+once (pairwise_tube_overlap), each overlap equal to the scalar tube_overlap
+bit for bit.
+
 Region features are pulled from a T x C x H x W volume by running 2D RoIAlign
 per temporal slice with that frame's box and concatenating along time.
 Sampling uses the half-pixel convention (the feature cell (r, c) center sits
@@ -17,13 +22,15 @@ at continuous (c + 0.5, r + 0.5)) with zero padding outside the grid.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import Box, Pose
-from .similarity import iou
+from .similarity import iou, pairwise_iou
 
 LABEL_BG = -1
 LABEL_IGNORE = -2
@@ -59,6 +66,42 @@ class TubeAnchor:
         return Tube((self.base,) * self.length)
 
 
+@dataclass(frozen=True, eq=False)
+class TubeAnchors(Sequence):
+    """Anchors of one clip length as a read-only (A, 4) corner array.
+
+    Rows are [x_min, y_min, x_max, y_max]. Indexing (numpy integers too) and
+    iteration build TubeAnchor views on demand; the checks are TubeAnchor's,
+    run once over the whole array.
+    """
+
+    corners: np.ndarray
+    length: int
+
+    def __post_init__(self):
+        arr = np.array(self.corners, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 4:
+            raise ValueError("anchor corners must have shape (A, 4)")
+        if not np.isfinite(arr).all():
+            raise ValueError("box coordinate is not finite")
+        if self.length < 1:
+            raise ValueError("anchor length must be >= 1")
+        if not ((arr[:, 2] - arr[:, 0] > 0) & (arr[:, 3] - arr[:, 1] > 0)).all():
+            raise ValueError("anchor box must have positive width and height")
+        arr.flags.writeable = False
+        object.__setattr__(self, "corners", arr)
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def __getitem__(self, index) -> TubeAnchor:
+        return TubeAnchor(Box(*self.corners[operator.index(index)].tolist()), self.length)
+
+    def __iter__(self):
+        for row in self.corners.tolist():
+            yield TubeAnchor(Box(*row), self.length)
+
+
 @dataclass(frozen=True)
 class TubeDeltas:
     values: tuple[float, ...]  # 4T floats, frame-major (tx, ty, tw, th)
@@ -66,6 +109,9 @@ class TubeDeltas:
     def __post_init__(self):
         if len(self.values) == 0 or len(self.values) % 4 != 0:
             raise ValueError("delta vector length must be a positive multiple of 4")
+        for i, v in enumerate(self.values):
+            if not math.isfinite(v):
+                raise ValueError(f"delta value {i} is not finite: {v}")
 
     @property
     def length(self) -> int:
@@ -95,6 +141,13 @@ class AnchorGrid:
     def __post_init__(self):
         if not self.scales or not self.aspects:
             raise ValueError("anchor grid needs at least one scale and one aspect")
+        stride = self.stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+        for name in ("scales", "aspects"):
+            values = getattr(self, name)
+            if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be finite and positive, got {values!r}")
 
     @property
     def anchors_per_position(self) -> int:
@@ -105,27 +158,30 @@ class AnchorGrid:
 DEFAULT_GRID = AnchorGrid(scales=(32.0, 64.0, 128.0, 256.0), aspects=(0.5, 1.0, 2.0))
 
 
-def generate_anchors(grid: AnchorGrid, image_w: int, image_h: int, length: int = 1) -> list[TubeAnchor]:
+def generate_anchors(grid: AnchorGrid, image_w: int, image_h: int, length: int = 1) -> TubeAnchors:
     """All tube anchors for an image: one per (cell, scale, aspect).
 
     Cells tile the image at the grid stride; anchors sit on cell centers with
     area scale**2 and width/height ratio equal to the aspect. Enumeration is
-    row-major over cells, then scales, then aspects.
+    row-major over cells, then scales, then aspects. Returns a TubeAnchors:
+    one (A, 4) corner array in that order plus the clip length, whose items
+    are TubeAnchor views.
     """
-    nx = math.ceil(image_w / grid.stride)
-    ny = math.ceil(image_h / grid.stride)
-    anchors = []
-    for gy in range(ny):
-        cy = (gy + 0.5) * grid.stride
-        for gx in range(nx):
-            cx = (gx + 0.5) * grid.stride
-            for scale in grid.scales:
-                for aspect in grid.aspects:
-                    w = scale * math.sqrt(aspect)
-                    h = scale / math.sqrt(aspect)
-                    base = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-                    anchors.append(TubeAnchor(base, length))
-    return anchors
+    cx = (np.arange(math.ceil(image_w / grid.stride)) + 0.5) * grid.stride
+    cy = (np.arange(math.ceil(image_h / grid.stride)) + 0.5) * grid.stride
+    root = np.sqrt(np.array(grid.aspects, dtype=float))
+    scales = np.array(grid.scales, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # an infinite size fails TubeAnchors' check
+        half_w = scales * root / 2  # (scale, aspect)
+        half_h = scales / root / 2
+    cx = cx[None, :, None, None]  # (row, column, scale, aspect)
+    cy = cy[:, None, None, None]
+    corners = np.empty((cy.shape[0], cx.shape[1]) + half_w.shape + (4,))
+    corners[..., 0] = cx - half_w
+    corners[..., 1] = cy - half_h
+    corners[..., 2] = cx + half_w
+    corners[..., 3] = cy + half_h
+    return TubeAnchors(corners.reshape(-1, 4), length)
 
 
 def encode_tube_deltas(target: Tube, anchor: TubeAnchor) -> TubeDeltas:
@@ -155,10 +211,21 @@ def decode_tube_deltas(deltas: TubeDeltas, anchor: TubeAnchor) -> Tube:
         tx, ty, tw, th = deltas.values[4 * t : 4 * t + 4]
         x = tx * wa + xa
         y = ty * ha + ya
-        w = wa * math.exp(tw)
-        h = ha * math.exp(th)
-        boxes.append(Box(x - w / 2, y - h / 2, x + w / 2, y + h / 2))
+        try:
+            w = wa * math.exp(tw)
+            h = ha * math.exp(th)
+        except OverflowError:
+            w = h = math.inf
+        corners = (x - w / 2, y - h / 2, x + w / 2, y + h / 2)
+        if not all(map(math.isfinite, corners)):
+            raise ValueError(f"deltas of frame {t} decode to a box beyond the float range")
+        boxes.append(Box(*corners))
     return Tube(tuple(boxes))
+
+
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    """(N, 4) corners [x_min, y_min, x_max, y_max] of a sequence of boxes."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def tube_overlap(a: Tube, b: Tube) -> float:
@@ -166,6 +233,31 @@ def tube_overlap(a: Tube, b: Tube) -> float:
     if a.length != b.length:
         raise ValueError(f"tube lengths differ: {a.length} vs {b.length}")
     return sum(iou(x, y) for x, y in zip(a.boxes, b.boxes)) / a.length
+
+
+def pairwise_tube_overlap(anchors: Sequence[TubeAnchor], gt_tubes: Sequence[Tube]) -> np.ndarray:
+    """(A, G) tube overlap of every anchor with every ground-truth tube.
+
+    The float operations of tube_overlap in the same order (per-frame IoU,
+    summed in frame order from 0, divided by T), so every entry equals
+    tube_overlap(anchor.as_tube(), gt) bit for bit. Anchors come as a
+    TubeAnchors or as any sequence of TubeAnchor.
+    """
+    if isinstance(anchors, TubeAnchors):
+        corners, lengths = anchors.corners, (anchors.length,)
+    else:
+        corners = _corners([a.base for a in anchors])
+        # in order of first appearance, so the mismatch reported is tube_overlap's first
+        lengths = dict.fromkeys(a.length for a in anchors)
+    for length in lengths:
+        for gt in gt_tubes:
+            if gt.length != length:
+                raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
+    if not gt_tubes or len(corners) == 0:
+        return np.zeros((len(corners), len(gt_tubes)))
+    gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes])  # (G, T, 4)
+    length = gt_corners.shape[1]
+    return sum(pairwise_iou(corners, gt_corners[:, t]) for t in range(length)) / length
 
 
 def assign_anchors(
@@ -188,11 +280,7 @@ def assign_anchors(
     labels = np.full(n, LABEL_BG, dtype=int)
     if not gt_tubes or n == 0:
         return labels
-    overlaps = np.zeros((n, len(gt_tubes)))
-    for i, anchor in enumerate(anchors):
-        tube = anchor.as_tube()
-        for k, gt in enumerate(gt_tubes):
-            overlaps[i, k] = tube_overlap(tube, gt)
+    overlaps = pairwise_tube_overlap(anchors, gt_tubes)
     best = overlaps.max(axis=1)
     best_gt = overlaps.argmax(axis=1)
     labels[(best > bg_thresh) & (best < fg_thresh)] = LABEL_IGNORE

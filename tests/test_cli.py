@@ -69,6 +69,8 @@ class TestSynth:
             {"noise": {"keypoint_score_range": [3.0, math.nan]}},
             {"image_width": 0},
             {"image_height": -3},
+            {"image_width": 10},
+            {"noise": {"keypoint_jitter": math.inf}},
         ])
     ] + [pytest.param({}, ["--kp-jitter", "nan"], id="kp-jitter-nan")])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, doc, flags):
@@ -85,6 +87,8 @@ class TestSynth:
         ("duration_range", ["--occlusion-dur", "5,1"]),
         ("image_width", ["--width", "0"]),
         ("speed_range", ["--speed", "6,2"]),
+        ("image_width", ["--width", "10"]),
+        ("keypoint_jitter", ["--kp-jitter", "inf"]),
     ])
     def test_bad_flag_value_names_the_field(self, tmp_path, capsys, field, flags):
         assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1

@@ -1,8 +1,11 @@
 """Differential tests: the array kernels against the scalar functions they replace.
 
-The scalar functions (iou, pose_pckh_similarity, feature_cosine, pckh_correct
-and _correct_joint_count) stay in the package as the oracles. IoU and every
-PCKh decision must agree exactly; cosine terms agree to 1e-12.
+The scalar functions (iou, pose_pckh_similarity, feature_cosine, pckh_correct,
+_correct_joint_count and tube_overlap) stay in the package as the oracles.
+IoU, tube overlaps, anchor corners and every PCKh decision must agree
+exactly; cosine terms agree to 1e-12. Loops that no longer exist in the
+package (the anchor grid, anchor assignment and the AP envelope) are kept
+here as the reference.
 """
 
 import math
@@ -35,6 +38,19 @@ from poselink.similarity import (
     keypoint_array,
     pairwise_iou,
     pose_pckh_similarity,
+)
+from poselink.tube import (
+    LABEL_BG,
+    LABEL_IGNORE,
+    AnchorGrid,
+    DEFAULT_GRID,
+    Tube,
+    TubeAnchor,
+    TubeAnchors,
+    assign_anchors,
+    generate_anchors,
+    pairwise_tube_overlap,
+    tube_overlap,
 )
 
 from helpers import pose_from_rows, sequence
@@ -281,3 +297,240 @@ def test_keypoint_array_masks_absent_joints():
     assert arr.shape == (1, 2, 2)
     assert arr[0, 0].tolist() == [1.0, 2.0]
     assert np.isnan(arr[0, 1]).all()
+
+
+def loop_average_precision(scored, n_gt):
+    """_average_precision with the envelope as a Python loop."""
+    if not scored:
+        return 0.0
+    scored = sorted(scored, key=lambda s: -s[0])
+    tps = np.cumsum([1 if hit else 0 for _, hit in scored])
+    fps = np.cumsum([0 if hit else 1 for _, hit in scored])
+    precision = tps / np.maximum(tps + fps, 1)
+    mtp = np.concatenate(([0], tps, [tps[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 1, 0, -1):
+        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    change = np.where(mtp[1:] != mtp[:-1])[0]
+    return float(np.sum((mtp[change + 1] - mtp[change]) * mpre[change + 1]) / n_gt)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.1, 0.5, 0.5, 0.9, 1.0]), st.booleans()), max_size=30),
+    st.integers(1, 40),
+)
+def test_average_precision_envelope_equals_loop(scored, n_gt):
+    assert _average_precision(scored, n_gt) == loop_average_precision(scored, n_gt)
+
+
+def scalar_anchors(grid, image_w, image_h, length):
+    """generate_anchors as a triple loop building one scalar box per anchor."""
+    nx = math.ceil(image_w / grid.stride)
+    ny = math.ceil(image_h / grid.stride)
+    anchors = []
+    for gy in range(ny):
+        cy = (gy + 0.5) * grid.stride
+        for gx in range(nx):
+            cx = (gx + 0.5) * grid.stride
+            for scale in grid.scales:
+                for aspect in grid.aspects:
+                    w = scale * math.sqrt(aspect)
+                    h = scale / math.sqrt(aspect)
+                    base = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+                    anchors.append(TubeAnchor(base, length))
+    return anchors
+
+
+def scalar_assign(anchors, gt_tubes, fg_thresh, bg_thresh):
+    """assign_anchors with every overlap from tube_overlap, one pair at a time."""
+    labels = np.full(len(anchors), LABEL_BG, dtype=int)
+    if not gt_tubes or not anchors:
+        return labels
+    overlaps = np.zeros((len(anchors), len(gt_tubes)))
+    for i, anchor in enumerate(anchors):
+        for k, gt in enumerate(gt_tubes):
+            overlaps[i, k] = tube_overlap(anchor.as_tube(), gt)
+    best = overlaps.max(axis=1)
+    best_gt = overlaps.argmax(axis=1)
+    labels[(best > bg_thresh) & (best < fg_thresh)] = LABEL_IGNORE
+    fg = best >= fg_thresh
+    labels[fg] = best_gt[fg]
+    for k in range(len(gt_tubes)):
+        i = int(overlaps[:, k].argmax())
+        if overlaps[i, k] > 0:
+            labels[i] = k
+    return labels
+
+
+def corner_rows(anchors):
+    return np.array([(a.base.x_min, a.base.y_min, a.base.x_max, a.base.y_max) for a in anchors]).reshape(-1, 4)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.int64)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+anchor_grids = st.builds(
+    AnchorGrid,
+    scales=st.lists(st.one_of(st.integers(1, 300), st.floats(0.5, 600)), min_size=1, max_size=4).map(tuple),
+    aspects=st.lists(st.one_of(st.sampled_from([0.5, 1, 2, 3.0]), st.floats(0.05, 20)),
+                     min_size=1, max_size=3).map(tuple),
+    stride=st.integers(1, 32),
+)
+# a coarse grid makes tied anchors and exactly shared edges common; the wide
+# range puts some ground-truth tubes clear of every anchor
+tube_coord = st.integers(0, 12).map(float)
+far_coord = st.integers(0, 40).map(float)
+
+
+@st.composite
+def sized_boxes(draw, coord=tube_coord):
+    x, y = draw(coord), draw(coord)
+    return Box(x, y, x + draw(st.integers(1, 8)), y + draw(st.integers(1, 8)))
+
+
+@st.composite
+def assignment_cases(draw):
+    t = draw(st.integers(1, 4))
+    lengths = st.sampled_from([t] * 9 + [t + 1])  # a rare length mismatch
+    anchors = draw(st.lists(st.builds(TubeAnchor, sized_boxes(), lengths), max_size=8))
+    gts = draw(st.lists(
+        lengths.flatmap(lambda n: st.lists(sized_boxes(far_coord), min_size=n, max_size=n)),
+        max_size=4,
+    ))
+    thresholds = draw(st.sampled_from([(0.7, 0.3), (0.5, 0.0), (1.0, 0.5), (0.2, 0.1)]))
+    return anchors, [Tube(tuple(b)) for b in gts], thresholds
+
+
+class TestTubeKernels:
+    @settings(max_examples=100)
+    @given(anchor_grids, st.integers(0, 70), st.integers(0, 70), st.integers(1, 4))
+    def test_anchor_corners_equal_scalar_loop(self, grid, image_w, image_h, length):
+        anchors = generate_anchors(grid, image_w, image_h, length)
+        expected = scalar_anchors(grid, image_w, image_h, length)
+        assert isinstance(anchors, TubeAnchors) and anchors.length == length
+        assert anchors.corners.shape == (len(expected), 4)
+        assert np.array_equal(bits(anchors.corners), bits(corner_rows(expected)))
+
+    def test_partial_cells_and_empty_images(self):
+        grid = AnchorGrid(scales=(8.0, 16.0), aspects=(0.5, 1.0, 2.0), stride=8)
+        for size in ((20, 9), (0, 50), (50, 0), (0, 0), (1, 1)):
+            anchors = generate_anchors(grid, *size, 2)
+            expected = scalar_anchors(grid, *size, 2)
+            assert len(anchors) == len(expected) == 6 * math.ceil(size[0] / 8) * math.ceil(size[1] / 8)
+            assert list(anchors) == expected
+
+    @pytest.mark.parametrize("grid", [
+        AnchorGrid(scales=(1e-20,), aspects=(1.0,)),  # width rounds to 0 at the cell center
+        AnchorGrid(scales=(1e308,), aspects=(4.0,)),  # width overflows to inf
+        AnchorGrid(scales=(1e200,), aspects=(1e-300,)),  # height overflows to inf
+    ])
+    def test_bad_anchor_boxes_fail_with_the_scalar_message(self, grid):
+        expected = outcome(scalar_anchors, grid, 16, 16, 1)
+        assert isinstance(expected, str)
+        assert outcome(generate_anchors, grid, 16, 16, 1) == expected
+
+    @settings(max_examples=300)
+    @given(assignment_cases())
+    def test_labels_equal_scalar_assignment(self, case):
+        anchors, gts, (fg, bg) = case
+        expected = outcome(scalar_assign, anchors, gts, fg, bg)
+        got = outcome(assign_anchors, anchors, gts, fg, bg)
+        if isinstance(expected, str):
+            assert got == expected and expected.startswith("tube lengths differ: ")
+            return
+        assert np.array_equal(got, expected)
+        lengths = {a.length for a in anchors}
+        if len(lengths) == 1:
+            packed = TubeAnchors(corner_rows(anchors), lengths.pop())
+            assert np.array_equal(assign_anchors(packed, gts, fg, bg), expected)
+            overlaps = pairwise_tube_overlap(packed, gts)
+            scalar = [[tube_overlap(a.as_tube(), g) for g in gts] for a in anchors]
+            assert np.array_equal(bits(overlaps), bits(np.array(scalar).reshape(overlaps.shape)))
+
+    def test_tied_anchors_force_the_lowest_index(self):
+        gt = Tube((Box(0, 0, 10, 10), Box(1, 0, 11, 10)))
+        weak = TubeAnchor(Box(6, 0, 16, 10), 2)
+        anchors = [TubeAnchor(Box(30, 30, 40, 40), 2), weak, weak]
+        labels = assign_anchors(anchors, [gt])
+        assert labels.tolist() == [LABEL_BG, 0, LABEL_BG]
+        assert labels.tolist() == scalar_assign(anchors, [gt], 0.7, 0.3).tolist()
+
+    def test_ground_truth_without_overlap_forces_nothing(self):
+        anchors = generate_anchors(AnchorGrid(scales=(8.0,), aspects=(1.0,)), 16, 16, 1)
+        far = Tube((Box(100, 100, 110, 110),))
+        assert assign_anchors(anchors, [far]).tolist() == [LABEL_BG] * 4
+        assert pairwise_tube_overlap(anchors, [far]).tolist() == [[0.0]] * 4
+
+    def test_empty_ground_truth_and_length_mismatch(self):
+        anchors = generate_anchors(AnchorGrid(scales=(8.0,), aspects=(1.0,)), 16, 16, 3)
+        assert assign_anchors(anchors, []).tolist() == [LABEL_BG] * 4
+        two = Tube((Box(0, 0, 8, 8),) * 2)
+        with pytest.raises(ValueError, match=r"^tube lengths differ: 3 vs 2$"):
+            assign_anchors(anchors, [Tube((Box(0, 0, 8, 8),) * 3), two])
+        with pytest.raises(ValueError, match=r"^tube lengths differ: 3 vs 2$"):
+            assign_anchors(list(anchors), [two])
+
+    def test_sampled_overlaps_of_the_default_grid_equal_tube_overlap(self):
+        rng = np.random.default_rng(7)
+        gts = []
+        for _ in range(4):
+            x, y = rng.uniform(0, 560), rng.uniform(0, 250)
+            w, h = rng.uniform(20, 80), rng.uniform(60, 110)
+            gts.append(Tube(tuple(
+                Box(x + dx, y, x + dx + w, y + h) for dx in rng.normal(0, 4, size=3)
+            )))
+        anchors = generate_anchors(DEFAULT_GRID, 640, 360, 3)
+        overlaps = pairwise_tube_overlap(anchors, gts)
+        assert overlaps.shape == (43_200, 4)
+        # every anchor that overlaps at all, plus a random sample of the rest
+        rows = np.union1d(np.flatnonzero(overlaps.max(axis=1) > 0), rng.choice(len(anchors), 500))
+        for i in rows:
+            tube = anchors[i].as_tube()
+            expected = [tube_overlap(tube, g) for g in gts]
+            assert bits(overlaps[i]).tolist() == bits(np.array(expected)).tolist()
+
+
+class TestTubeAnchors:
+    grid = AnchorGrid(scales=(8.0, 20.0), aspects=(0.5, 2.0), stride=8)
+
+    def test_sequence_of_anchor_views(self):
+        anchors = generate_anchors(self.grid, 24, 16, 3)
+        expected = scalar_anchors(self.grid, 24, 16, 3)
+        assert len(anchors) == len(expected) == 24
+        assert list(anchors) == expected
+        for k in (0, 5, 23, -1):
+            assert anchors[np.int64(k)] == anchors[k] == expected[k]
+        with pytest.raises(IndexError):
+            anchors[24]
+        with pytest.raises(TypeError):
+            anchors[1.0]
+
+    def test_corners_are_read_only_and_owned(self):
+        source = corner_rows(scalar_anchors(self.grid, 16, 16, 1))
+        anchors = TubeAnchors(source, 1)
+        source[0, 0] = -99.0
+        assert anchors.corners[0, 0] != -99.0
+        with pytest.raises(ValueError):
+            anchors.corners[0, 0] = 0.0
+
+    @pytest.mark.parametrize("corners, length, message", [
+        (np.zeros((2, 3)), 1, "anchor corners must have shape (A, 4)"),
+        ([[0.0, 0.0, math.inf, 1.0]], 1, "box coordinate is not finite"),
+        ([[0.0, 0.0, 1.0, 1.0]], 0, "anchor length must be >= 1"),
+        ([[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 2.0, 3.0]], 1, "anchor box must have positive width and height"),
+        ([[0.0, 5.0, 1.0, 1.0]], 2, "anchor box must have positive width and height"),
+    ])
+    def test_checks_name_what_is_wrong(self, corners, length, message):
+        with pytest.raises(ValueError) as exc:
+            TubeAnchors(corners, length)
+        assert str(exc.value) == message

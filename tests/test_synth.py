@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -180,11 +182,25 @@ class TestCorruption:
         (MotionModel, {"speed_range": (6.0, 2.0)}, "speed_range"),
         (ScenarioConfig, {"image_width": 0}, "image_width"),
         (ScenarioConfig, {"image_height": 0}, "image_height"),
+        (ScenarioConfig, {"image_width": 125, "image_height": 720}, "image_width"),
+        (NoiseModel, {"keypoint_jitter": float("inf")}, "keypoint_jitter"),
+        (NoiseModel, {"box_jitter": float("inf")}, "box_jitter"),
+        (NoiseModel, {"feature_noise": float("inf")}, "feature_noise"),
     ])
     def test_config_rejects_bad_value_naming_the_field(self, cls, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} ") as exc:
             cls(**kwargs)
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("height", [7, 40, 360, 720, 1001])
+    def test_narrowest_accepted_image_places_actors_and_false_positives(self, height):
+        width = math.ceil(0.175 * height)
+        with pytest.raises(ValueError, match="^image_width "):
+            ScenarioConfig(image_width=width - 1, image_height=height)
+        cfg = ScenarioConfig(seed=height, frames=2, actors=20, image_width=width, image_height=height,
+                             noise=NoiseModel(false_positive_rate=10.0))
+        gt, pred = generate_scenario(cfg)
+        assert len(gt.frames[0].detections) == 20 and len(pred.frames[0].detections) > 20
 
     def test_default_and_no_noise_configs_are_valid(self):
         ScenarioConfig()

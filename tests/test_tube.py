@@ -79,6 +79,28 @@ class TestAnchors:
         with pytest.raises(ValueError):
             AnchorGrid(scales=(), aspects=(1.0,))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"stride": 0}, "stride"),
+        ({"stride": -8}, "stride"),
+        ({"stride": 8.0}, "stride"),
+        ({"stride": True}, "stride"),
+        ({"scales": (32.0, 0.0)}, "scales"),
+        ({"scales": (math.inf,)}, "scales"),
+        ({"scales": (math.nan,)}, "scales"),
+        ({"aspects": (-1.0,)}, "aspects"),
+        ({"aspects": (1.0, math.nan)}, "aspects"),
+        ({"aspects": ("2",)}, "aspects"),
+    ])
+    def test_bad_grid_value_names_the_field(self, kwargs, field):
+        args = {"scales": (32.0,), "aspects": (1.0,), **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} ") as exc:
+            AnchorGrid(**args)
+        assert "\n" not in str(exc.value)
+
+    def test_numpy_integer_stride_is_accepted(self):
+        grid = AnchorGrid(scales=(8.0,), aspects=(1.0,), stride=np.int64(8))
+        assert len(generate_anchors(grid, 16, 16)) == 4
+
 
 class TestDeltas:
     def test_anchor_encodes_to_zero(self):
@@ -118,6 +140,25 @@ class TestDeltas:
         anchor = TubeAnchor(box_from_center(0, 0, 10, 10), 1)
         with pytest.raises(ValueError, match="positive"):
             encode_tube_deltas(Tube((Box(0, 0, 0, 5),)), anchor)
+
+    @pytest.mark.parametrize("values, index", [
+        ((0.0, 0.0, math.inf, 0.0), 2),
+        ((0.0,) * 5 + (math.nan, 0.0, 0.0), 5),
+        ((-math.inf, 0.0, 0.0, 0.0), 0),
+    ])
+    def test_non_finite_delta_names_its_index(self, values, index):
+        with pytest.raises(ValueError, match=f"^delta value {index} is not finite"):
+            TubeDeltas(values)
+
+    @pytest.mark.parametrize("values, frame", [
+        ((0.0, 0.0, 1000.0, 0.0), 0),  # exp overflows
+        ((0.0,) * 4 + (0.0, 0.0, 0.0, 709.0), 1),  # exp is finite, the height is not
+        ((0.0,) * 4 + (1e307, 0.0, 0.0, 0.0), 1),  # the center overflows
+    ])
+    def test_overflowing_decode_names_the_frame(self, values, frame):
+        anchor = TubeAnchor(box_from_center(0, 0, 100, 100), len(values) // 4)
+        with pytest.raises(ValueError, match=f"^deltas of frame {frame} decode to a box beyond"):
+            decode_tube_deltas(TubeDeltas(values), anchor)
 
     def test_length_mismatch_rejected(self):
         anchor = TubeAnchor(box_from_center(0, 0, 10, 10), 2)
