@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth, track, eval, sweep, oracle, bench.
+"""Command-line pipeline: synth, track, eval, sweep, oracle.
 
 Every command writes a run manifest (<output>.manifest.json) capturing the
 effective configuration, input/output paths, stage timings, and tool version.
@@ -14,11 +14,9 @@ import time
 import typing
 from dataclasses import asdict, is_dataclass, replace
 
-import numpy as np
-
 from . import __version__
-from .linking import ALGORITHMS, LinkerConfig, track_video, track_video_with_stats
-from .metrics import csv_header, csv_row, evaluate, evaluate_map, evaluate_mot, write_csv
+from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
+from .metrics import csv_header, csv_row, evaluate, map_report, match_sequence, mot_report, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -29,7 +27,7 @@ from .model import (
 )
 from .oracles import apply_oracle
 from .similarity import SimilarityCriterion, load_external_scores
-from .synth import NO_NOISE, ScenarioConfig, generate_scenario
+from .synth import ScenarioConfig, generate_scenario
 
 COST_KINDS = {
     "iou": "bbox_iou",
@@ -184,17 +182,18 @@ def cmd_eval(args) -> int:
 def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
     """CSV rows of every algo x cost at one detection threshold.
 
-    Filtering and mAP depend only on the threshold (mAP ignores track ids,
-    and tracking changes nothing else), so both run once and each row merges
-    its own MOT report with the shared mAP report.
+    Filtering, pose matching and mAP depend only on the threshold (tracking
+    changes only track ids, which matching and mAP ignore), so they run once,
+    and each row runs only the id pass of its own MOT report.
     """
     filtered = filter_detections(pred, threshold, args.kp_thresh)
-    map_report = evaluate_map(gt, filtered, args.alpha)
+    match = match_sequence(gt, filtered, args.alpha)
+    shared_map = map_report(match)
     rows = []
     for algo in algos:
         for cost_name in costs:
             tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name))
-            report = evaluate_mot(gt, tracked, args.alpha).merged_with(map_report)
+            report = mot_report(match, tracked).merged_with(shared_map)
             rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
     return rows
 
@@ -352,66 +351,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = args.frames
-    if len(sizes) < 2 or len(set(sizes)) != len(sizes):
-        print("bench: a linear fit needs at least two distinct --frames values, "
-              "none repeated", file=sys.stderr)
-        return 2
-    lcfg = LinkerConfig()
-    inputs = []
-    for n_frames in sizes:
-        cfg = ScenarioConfig(
-            seed=args.seed, frames=n_frames, actors=args.actors,
-            noise=NO_NOISE,
-        )
-        _, pred = generate_scenario(cfg)
-        inputs.append((n_frames, filter_detections(pred, 0.95, 1.95)))
-
-    for _, seq in inputs:  # warmup pass
-        track_video(seq, lcfg)
-    # interleave timing rounds so every size runs under the same conditions
-    times: dict[int, list[float]] = {n: [] for n, _ in inputs}
-    for _ in range(args.repeats):
-        for n_frames, seq in inputs:
-            start = time.perf_counter()
-            track_video(seq, lcfg)
-            times[n_frames].append(time.perf_counter() - start)
-    results = [(n, float(np.median(times[n]))) for n, _ in inputs]
-
-    xs = np.array([r[0] for r in results], dtype=float)
-    ys = np.array([r[1] for r in results], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(((ys - fitted) ** 2).sum())
-    ss_tot = float(((ys - ys.mean()) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    for n_frames, seconds in results:
-        print(f"frames {n_frames:6d}  track time {seconds * 1000:9.2f} ms")
-    for (n0, t0_), (n1, t1_) in zip(results, results[1:]):
-        ratio = t1_ / t0_ if t0_ > 0 else float("inf")
-        print(f"ratio {n0} -> {n1}: {ratio:.2f}")
-    print(f"linear fit R^2 = {r_squared:.4f}")
-
-    if args.report:
-        doc = {
-            "frames": [r[0] for r in results],
-            "seconds": [r[1] for r in results],
-            "r_squared": r_squared,
-            "actors": args.actors,
-            "seed": args.seed,
-        }
-        write_text_atomic(args.report, json.dumps(doc, indent=2) + "\n")
-        _write_manifest(
-            args.report, "bench",
-            {"frames": sizes, "actors": args.actors,
-             "seed": args.seed, "repeats": args.repeats},
-            [], [args.report], {"total": float(ys.sum())},
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poselink", description=__doc__)
     parser.add_argument("--version", action="version", version=f"poselink {__version__}")
@@ -473,14 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-dim", type=int, default=None)
     p.add_argument("--label-every", type=int, default=None)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="measure tracking wall time vs frame count")
-    p.add_argument("--frames", type=_int_list, default=[100, 200, 400])
-    p.add_argument("--actors", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

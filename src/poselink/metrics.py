@@ -25,6 +25,10 @@ order (highest PCKh overlap first, one claim per labeled pose). AP integrates
 the precision-recall curve with the standard max-to-the-right precision
 envelope, and mAP averages AP over joints that have at least one labeled
 instance. Unlabeled frames contribute nothing to any metric.
+
+Each labeled ground-truth frame is paired with the prediction frame of the
+same frame_index and matched once, by match_sequence; that one SequenceMatch
+serves the MOT report, the mAP report and the perfect-association oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -246,46 +251,100 @@ def _check_pair(gt: VideoSequence, pred: VideoSequence, require_track_ids: bool)
                     )
 
 
-def _labeled_frame_pairs(gt: VideoSequence, pred: VideoSequence):
-    pred_by_index = {f.frame_index: f for f in pred.frames}
+@dataclass(frozen=True)
+class FrameMatch:
+    """One labeled frame: the detections of both sides and their pose matching."""
+
+    frame_index: int
+    gt: tuple[Detection, ...]
+    pred: tuple[Detection, ...]
+    result: PoseMatchResult
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceMatch:
+    """The pose matching of every labeled frame, from match_sequence. It ignores
+    track ids, so it serves every retracking of the matched predictions; the
+    terms only the reports need are computed on first use."""
+
+    gt: VideoSequence
+    alpha: float
+    frames: tuple[FrameMatch, ...]
+
+    @cached_property
+    def gt_count(self) -> np.ndarray:
+        """(J,) number of labeled instances of each joint."""
+        return _present_counts([d for f in self.frames for d in f.gt], self.gt.joint_count)
+
+    @cached_property
+    def _mot_terms(self) -> tuple:
+        """(tp, pred_count, motp_sum, entry_pair, follows, next_joint), the MOT terms
+        that ignore predicted ids. An entry is a present joint of a matched
+        ground-truth pose; entries run by track and joint, then by frame and pair.
+        entry_pair numbers the pair of each entry over the sequence; follows[k]
+        says entry k + 1, of joint next_joint[k], has the track and joint of entry k."""
+        j_count = self.gt.joint_count
+        tp = np.zeros(j_count, dtype=int)
+        motp_sum = 0.0
+        tracks, present = [], []
+        for f in self.frames:
+            for gi, pi in f.result.pairs:
+                g_det, p_det = f.gt[gi], f.pred[pi]
+                hit = f.result.correct[gi, pi]
+                tp += hit
+                tracks.append(g_det.track_id)
+                present.append(g_det.pose.present)
+                limit = self.alpha * head_size(g_det.head_box)
+                g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
+                for j in np.flatnonzero(hit).tolist():
+                    d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
+                    motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
+        pred_count = _present_counts([d for f in self.frames for d in f.pred], j_count)
+        pair, joint = np.nonzero(np.array(present, dtype=bool).reshape(-1, j_count))
+        key = _id_codes(tracks)[pair] * j_count + joint
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        return tp, pred_count, motp_sum, pair[order], key[1:] == key[:-1], joint[order][1:]
+
+
+def _id_codes(ids: Sequence[int]) -> np.ndarray:
+    """Dense integer codes of track ids of any size; equal ids get equal codes."""
+    index: dict[int, int] = {}
+    return np.array([index.setdefault(t, len(index)) for t in ids], dtype=np.intp)
+
+
+def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> SequenceMatch:
+    """Match the poses of every labeled frame with the prediction frame of the
+    same frame_index, which holds no predictions when it is missing."""
+    _check_pair(gt, pred, require_track_ids=False)
+    pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    frames = []
     for frame in gt.frames:
-        if not frame.labeled:
-            continue
-        pf = pred_by_index.get(frame.frame_index)
-        yield frame, (pf.detections if pf is not None else ())
+        if frame.labeled:
+            dets = pred_by_index.get(frame.frame_index, ())
+            result = match_poses_frame(frame.detections, dets, alpha)
+            frames.append(FrameMatch(frame.frame_index, frame.detections, dets, result))
+    return SequenceMatch(gt, alpha, tuple(frames))
 
 
-def evaluate_mot(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Per-joint CLEAR-MOT counts and rates over the labeled frames."""
-    _check_pair(gt, pred, require_track_ids=True)
-    j_count = gt.joint_count
-    tp = np.zeros(j_count, dtype=int)
-    idsw = np.zeros(j_count, dtype=int)
-    gt_count = np.zeros(j_count, dtype=int)
-    pred_count = np.zeros(j_count, dtype=int)
-    motp_sum = 0.0
-    # gt track -> per joint, the last matched pred id (-1 before any); object
-    # entries hold track ids of any size
-    last_id: dict[int, np.ndarray] = {}
-
-    for frame, pred_dets in _labeled_frame_pairs(gt, pred):
-        result = match_poses_frame(frame.detections, pred_dets, alpha)
-        gt_count += _present_counts(frame.detections, j_count)
-        pred_count += _present_counts(pred_dets, j_count)
-        for gi, pi in result.pairs:
-            g_det, p_det = frame.detections[gi], pred_dets[pi]
-            present, hit = g_det.pose.present, result.correct[gi, pi]
-            tp += hit
-            ids = last_id.get(g_det.track_id)
-            if ids is None:
-                ids = last_id[g_det.track_id] = np.full(j_count, -1, dtype=object)
-            idsw += present & (ids != -1) & (ids != p_det.track_id)
-            ids[present] = p_det.track_id
-            limit = alpha * head_size(g_det.head_box)
-            g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
-            for j in np.flatnonzero(hit).tolist():
-                d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
-                motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
+def mot_report(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
+    """Per-joint CLEAR-MOT counts and rates of `match`, with the track ids of
+    `pred`: the matched predictions under any ids, in the same frames and order."""
+    _check_pair(match.gt, pred, require_track_ids=True)
+    j_count = match.gt.joint_count
+    pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    ids = []
+    for f in match.frames:
+        dets = pred_by_index.get(f.frame_index, ())
+        if len(dets) != len(f.pred):
+            raise ValueError(f"prediction frame {f.frame_index} has {len(dets)} detections, "
+                             f"the match has {len(f.pred)}")
+        ids += [dets[pi].track_id for _, pi in f.result.pairs]
+    tp, pred_count, motp_sum, entry_pair, follows, next_joint = match._mot_terms
+    # a switch is an entry whose id differs from the entry before of its track and joint
+    entry_ids = _id_codes(ids)[entry_pair]
+    idsw = np.bincount(next_joint[follows & (entry_ids[1:] != entry_ids[:-1])], minlength=j_count)
+    gt_count = match.gt_count
     # a correct joint is present on both sides; every other present joint
     # is an error: FN when labeled, FP when predicted
     fn = gt_count - tp
@@ -308,7 +367,7 @@ def evaluate_mot(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> 
     motp = 100.0 * motp_sum / total_tp if total_tp > 0 else 0.0
 
     return EvalReport(
-        joint_names=gt.joint_names,
+        joint_names=match.gt.joint_names,
         mota_per_joint=mota_per_joint,
         mota_total=mota_total,
         motp_total=motp,
@@ -340,41 +399,46 @@ def _average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
     return float(np.sum((mtp[change + 1] - mtp[change]) * mpre[change + 1]) / n_gt)
 
 
-def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Per-joint average precision of scored keypoint predictions."""
-    _check_pair(gt, pred, require_track_ids=False)
-    j_count = gt.joint_count
+def map_report(match: SequenceMatch) -> EvalReport:
+    """Per-joint average precision of the scored keypoint predictions of `match`."""
+    j_count = match.gt.joint_count
     scored: list[list[tuple[float, bool]]] = [[] for _ in range(j_count)]
-    n_gt = np.zeros(j_count, dtype=int)
-
-    for frame, pred_dets in _labeled_frame_pairs(gt, pred):
-        n_gt += _present_counts(frame.detections, j_count)
-        if not pred_dets:
-            continue
+    for f in match.frames:
         # hits[k, j]: joint j of prediction k is correct for the pose it claimed
-        hits = np.zeros((len(pred_dets), j_count), dtype=bool)
-        if frame.detections:
-            correct = correct_joint_mask(frame.detections, pred_dets, alpha)
-            overlap = correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
-            order = sorted(range(len(pred_dets)), key=lambda k: (-pred_dets[k].score, k))
+        hits = np.zeros((len(f.pred), j_count), dtype=bool)
+        if f.gt:
+            overlap = f.result.correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
+            order = sorted(range(len(f.pred)), key=lambda k: (-f.pred[k].score, k))
             for pi in order:
                 gi = int(overlap[:, pi].argmax())  # the first largest overlap
                 if overlap[gi, pi] > 0:
-                    hits[pi] = correct[gi, pi]
+                    hits[pi] = f.result.correct[gi, pi]
                     overlap[gi] = 0
-        for p_det, hit_row in zip(pred_dets, hits.tolist()):
+        for p_det, hit_row in zip(f.pred, hits.tolist()):
             for j in np.flatnonzero(p_det.pose.present).tolist():
                 scored[j].append((p_det.score, hit_row[j]))
 
+    n_gt = match.gt_count
     ap = tuple(
         100.0 * _average_precision(scored[j], int(n_gt[j])) if n_gt[j] > 0 else None
         for j in range(j_count)
     )
     defined = [v for v in ap if v is not None]
     map_total = float(np.mean(defined)) if defined else 0.0
-    return EvalReport(joint_names=gt.joint_names, map_per_joint=ap, map_total=map_total)
+    return EvalReport(joint_names=match.gt.joint_names, map_per_joint=ap, map_total=map_total)
+
+
+def evaluate_mot(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
+    """Per-joint CLEAR-MOT counts and rates over the labeled frames."""
+    return mot_report(match_sequence(gt, pred, alpha), pred)
+
+
+def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
+    """Per-joint average precision of scored keypoint predictions."""
+    return map_report(match_sequence(gt, pred, alpha))
 
 
 def evaluate(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Full report: MOT fields and mAP fields together."""
-    return evaluate_mot(gt, pred, alpha).merged_with(evaluate_map(gt, pred, alpha))
+    """Full report: MOT fields and mAP fields together, from one match."""
+    match = match_sequence(gt, pred, alpha)
+    return mot_report(match, pred).merged_with(map_report(match))

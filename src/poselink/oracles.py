@@ -16,7 +16,7 @@ from dataclasses import replace
 from scipy.optimize import linear_sum_assignment
 
 from .model import Pose, VideoSequence
-from .metrics import _check_pair, match_poses_frame
+from .metrics import _check_pair, match_sequence
 from .similarity import box_array, pairwise_iou
 
 ORACLE_MODES = ("perfect_association", "perfect_keypoints", "both")
@@ -36,19 +36,15 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
         raise ValueError("ground truth must carry track ids")
     offset = (max(gt_ids) + 1) if gt_ids else 0
 
-    gt_by_index = {f.frame_index: f for f in gt.frames}
     # matched[(frame_index, pred det index)] -> gt track id
-    matched: dict[tuple[int, int], int] = {}
-    unmatched_ids: set[int] = set()
-    for frame in pred.frames:
-        gt_frame = gt_by_index.get(frame.frame_index)
-        if gt_frame is not None and gt_frame.labeled:
-            result = match_poses_frame(gt_frame.detections, frame.detections, alpha)
-            for gi, pi in result.pairs:
-                matched[(frame.frame_index, pi)] = gt_frame.detections[gi].track_id
-        for i, det in enumerate(frame.detections):
-            if (frame.frame_index, i) not in matched:
-                unmatched_ids.add(det.track_id)
+    matched = {
+        (f.frame_index, pi): f.gt[gi].track_id
+        for f in match_sequence(gt, pred, alpha).frames for gi, pi in f.result.pairs
+    }
+    unmatched_ids = {
+        det.track_id for frame in pred.frames for i, det in enumerate(frame.detections)
+        if (frame.frame_index, i) not in matched
+    }
 
     remap = {tid: offset + rank for rank, tid in enumerate(sorted(unmatched_ids))}
 

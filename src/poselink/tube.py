@@ -118,12 +118,18 @@ class TubeDeltas:
         return len(self.values) // 4
 
 
+def _check_stride(stride) -> None:
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureVolume:
     data: np.ndarray  # (T, C, H, W)
     stride: int = 8
 
     def __post_init__(self):
+        _check_stride(self.stride)
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 4:
             raise ValueError("feature volume must have shape (T, C, H, W)")
@@ -141,9 +147,7 @@ class AnchorGrid:
     def __post_init__(self):
         if not self.scales or not self.aspects:
             raise ValueError("anchor grid needs at least one scale and one aspect")
-        stride = self.stride
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-            raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+        _check_stride(self.stride)
         for name in ("scales", "aspects"):
             values = getattr(self, name)
             if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in values):
@@ -320,6 +324,9 @@ def tracking_loss(
         raise ValueError("delta arrays must both have shape (N, 4T)")
     if logits.shape != (labels.shape[0], 2) or pred.shape[0] != labels.shape[0]:
         raise ValueError("logit/label shapes inconsistent with anchor count")
+    for name, arr in (("pred_deltas", pred), ("target_deltas", target), ("cls_logits", logits)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
 
     keep = labels != LABEL_IGNORE
     if np.any(keep):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from poselink import metrics
 from poselink.cli import main
 from poselink.linking import LinkerConfig, track_video_with_stats
 from poselink.metrics import csv_row, evaluate
@@ -223,11 +224,6 @@ class TestEval:
         doc = json.loads(report_path.read_text())
         assert doc["mota"]["total"] == pytest.approx(66.7, abs=0.05)
 
-    def test_missing_gt_flag_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("eval", "--pred", tmp_path / "p.json", "--report", tmp_path / "r.json")
-        assert exc.value.code == 2
-
     def test_untracked_predictions_fail(self, synth_pair, tmp_path):
         gt, pred = synth_pair
         assert run("eval", "--gt", gt, "--pred", pred, "--report", tmp_path / "r.json") == 1
@@ -300,6 +296,27 @@ class TestSweep:
                     expected.append([str(v) for v in row])
         assert rows == expected
 
+    @pytest.mark.parametrize("command, matches_per_frame", [
+        pytest.param(["sweep", "--thresholds", "0.5,0.95", "--algos", "hungarian,greedy",
+                      "--costs", "iou,pckh", "--out"], 2, id="sweep-two-thresholds"),
+        pytest.param(["eval", "--report"], 1, id="eval"),
+        pytest.param(["oracle", "--mode", "assoc", "--out"], 1, id="oracle-assoc"),
+    ])
+    def test_each_labeled_frame_is_matched_once_per_threshold(
+        self, tmp_path, monkeypatch, command, matches_per_frame
+    ):
+        gt, pred, tracked = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "t.json"
+        assert run("synth", "--out-gt", gt, "--out-pred", pred, "--seed", 2, "--frames", 9,
+                   "--actors", 3, "--kp-jitter", 2.0, "--fp-rate", 1.0, "--label-every", 2) == 0
+        assert run("track", "--pred", pred, "--out", tracked) == 0
+        calls = []
+        match = metrics.match_poses_frame
+        monkeypatch.setattr(metrics, "match_poses_frame", lambda *a: calls.append(a) or match(*a))
+        assert run(command[0], "--gt", gt, "--pred", tracked, *command[1:], tmp_path / "out") == 0
+        labeled = sum(f.labeled for f in load_sequence(str(gt), "groundtruth").frames)
+        assert 0 < labeled < 9
+        assert len(calls) == matches_per_frame * labeled
+
     def test_manifest_has_no_worker_count(self, synth_pair, tmp_path):
         gt, pred = synth_pair
         out = tmp_path / "s.csv"
@@ -368,28 +385,12 @@ class TestOracle:
         assert not out.exists()
 
 
-class TestBench:
-    def test_smoke_and_report(self, tmp_path, capsys):
-        report = tmp_path / "bench.json"
-        assert run("bench", "--frames", "20,40", "--actors", 2,
-                   "--repeats", 1, "--report", report) == 0
-        out = capsys.readouterr().out
-        assert "linear fit R^2" in out
-        doc = json.loads(report.read_text())
-        assert doc["frames"] == [20, 40]
-        assert len(doc["seconds"]) == 2
-
-    def test_non_integer_frames_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("bench", "--frames", "20.9,40", "--actors", 2, "--repeats", 1)
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("frames", ["20", "20,20", "20,20,40"])
-    def test_fewer_than_two_sizes_is_usage_error(self, tmp_path, capsys, frames):
-        report = tmp_path / "bench.json"
-        assert run("bench", "--frames", frames, "--actors", 2, "--repeats", 1,
-                   "--report", report) == 2
-        captured = capsys.readouterr()
-        assert captured.err.count("\n") == 1 and "--frames" in captured.err
-        assert "R^2" not in captured.out
-        assert not report.exists()
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--pred", "p.json", "--report", "r.json"], id="eval-without-gt"),
+    pytest.param(["bench", "--frames", "20,40"], id="unknown-command-bench"),
+])
+def test_usage_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "usage: poselink" in capsys.readouterr().err

@@ -5,9 +5,11 @@ _correct_joint_count and tube_overlap) stay in the package as the oracles.
 IoU, tube overlaps, anchor corners and every PCKh decision must agree
 exactly; cosine terms agree to 1e-12. Loops that no longer exist in the
 package (the anchor grid, anchor assignment and the AP envelope) are kept
-here as the reference.
+here as the reference, and so is the per-pair evaluate_mot loop that the
+shared sequence match replaced.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -18,12 +20,15 @@ import hypothesis.strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from poselink.metrics import (
+    EvalReport,
     _average_precision,
     _correct_joint_count,
     correct_joint_mask,
     evaluate_map,
     head_size,
     match_poses_frame,
+    match_sequence,
+    mot_report,
     pckh_correct,
 )
 from poselink.model import Box, Detection, Pose
@@ -289,6 +294,121 @@ def scalar_map(gt, pred, alpha=0.5):
     return tuple(
         100.0 * _average_precision(scored[j], n_gt[j]) if n_gt[j] else None for j in range(J)
     )
+
+
+def loop_evaluate_mot(gt, pred, alpha=0.5):
+    """evaluate_mot as a loop over the matched pairs of each labeled frame."""
+    j_count = gt.joint_count
+    tp = np.zeros(j_count, dtype=int)
+    idsw = np.zeros(j_count, dtype=int)
+    gt_count = np.zeros(j_count, dtype=int)
+    pred_count = np.zeros(j_count, dtype=int)
+    motp_sum = 0.0
+    # gt track -> per joint, the last matched pred id (-1 before any); object
+    # entries hold track ids of any size
+    last_id = {}
+    pred_by_index = {f.frame_index: f for f in pred.frames}
+
+    for frame in gt.frames:
+        if not frame.labeled:
+            continue
+        pf = pred_by_index.get(frame.frame_index)
+        pred_dets = pf.detections if pf is not None else ()
+        result = match_poses_frame(frame.detections, pred_dets, alpha)
+        for dets, count in ((frame.detections, gt_count), (pred_dets, pred_count)):
+            count += np.array([d.pose.present for d in dets], dtype=bool).reshape(
+                len(dets), j_count).sum(axis=0)
+        for gi, pi in result.pairs:
+            g_det, p_det = frame.detections[gi], pred_dets[pi]
+            present, hit = g_det.pose.present, result.correct[gi, pi]
+            tp += hit
+            ids = last_id.get(g_det.track_id)
+            if ids is None:
+                ids = last_id[g_det.track_id] = np.full(j_count, -1, dtype=object)
+            idsw += present & (ids != -1) & (ids != p_det.track_id)
+            ids[present] = p_det.track_id
+            limit = alpha * head_size(g_det.head_box)
+            g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
+            for j in np.flatnonzero(hit).tolist():
+                d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
+                motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
+    fn = gt_count - tp
+    fp = pred_count - tp
+
+    mota_per_joint = tuple(
+        100.0 * (1.0 - (fn[j] + fp[j] + idsw[j]) / gt_count[j]) if gt_count[j] > 0 else None
+        for j in range(j_count)
+    )
+    total_gt = int(gt_count.sum())
+    total_tp = int(tp.sum())
+    total_fp = int(fp.sum())
+    total_fn = int(fn.sum())
+    total_idsw = int(idsw.sum())
+    mota_total = (
+        100.0 * (1.0 - (total_fn + total_fp + total_idsw) / total_gt) if total_gt > 0 else None
+    )
+    precision = 100.0 * total_tp / (total_tp + total_fp) if total_tp + total_fp > 0 else 0.0
+    recall = 100.0 * total_tp / (total_tp + total_fn) if total_tp + total_fn > 0 else 0.0
+    motp = 100.0 * motp_sum / total_tp if total_tp > 0 else 0.0
+
+    return EvalReport(
+        joint_names=gt.joint_names,
+        mota_per_joint=mota_per_joint,
+        mota_total=mota_total,
+        motp_total=motp,
+        precision_total=precision,
+        recall_total=recall,
+        tp=tuple(int(v) for v in tp),
+        fp=tuple(int(v) for v in fp),
+        fn=tuple(int(v) for v in fn),
+        idsw=tuple(int(v) for v in idsw),
+        gt=tuple(int(v) for v in gt_count),
+    )
+
+
+# few ids make switches common; the large ones do not fit an int64
+track_ids = st.sampled_from([0, 1, 2**63, 2**63 + 1, 2**64 + 7])
+
+
+@st.composite
+def near_copy(draw, g):
+    """A prediction of labeled pose g: each joint shifted by up to a few
+    PCKh limits, some joints dropped."""
+    shifts = st.sampled_from([0.0, 1.0, 4.0, 60.0])
+    xy = [(x + draw(shifts), y + draw(shifts)) for x, y in g.pose.xy.tolist()]
+    present = [p and draw(st.integers(0, 4)) > 0 for p in g.pose.present.tolist()]
+    return Detection(g.box, draw(st.sampled_from([0.5, 1.0])), Pose(xy, np.full(J, 2.0), present))
+
+
+@st.composite
+def tracked_sequences(draw):
+    """(gt, pred, retracked): labeled and unlabeled frames, some with no
+    prediction frame, predictions carrying one set of ids and a retracking
+    of the same predictions carrying another."""
+    names = tuple(f"j{k}" for k in range(J))
+    gt_frames, pred_frames, retracked_frames = [], [], []
+    for t in range(draw(st.integers(1, 6))):
+        gts = draw(gt_sides)
+        gt_frames.append((t, draw(st.integers(0, 3)) > 0, gts))
+        if draw(st.integers(0, 4)) == 0:
+            continue  # no prediction frame
+        dets = draw(st.permutations([draw(near_copy(g)) for g in gts] + draw(sides)))
+        pred_frames.append((t, True, [d.with_track_id(draw(track_ids)) for d in dets]))
+        retracked_frames.append((t, True, [d.with_track_id(draw(track_ids)) for d in dets]))
+    return (sequence(gt_frames, joint_names=names), sequence(pred_frames, joint_names=names),
+            sequence(retracked_frames, joint_names=names))
+
+
+class TestSequenceMatch:
+    @settings(max_examples=100)
+    @given(tracked_sequences(), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_mot_report_of_a_retracking_equals_the_loop(self, seqs, alpha):
+        gt, pred, retracked = seqs
+        got = mot_report(match_sequence(gt, pred, alpha), retracked)
+        want = loop_evaluate_mot(gt, retracked, alpha)
+        for f in dataclasses.fields(EvalReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.motp_total.hex() == want.motp_total.hex()
 
 
 def test_keypoint_array_masks_absent_joints():

@@ -7,6 +7,8 @@ from poselink.metrics import (
     evaluate_mot,
     head_size,
     match_poses_frame,
+    match_sequence,
+    mot_report,
     pckh_correct,
 )
 from poselink.model import Box, filter_detections
@@ -175,6 +177,23 @@ class TestEvaluateMot:
         ]
         with pytest.raises(ValueError, match="track_id"):
             evaluate_mot(gt, sequence(frames))
+
+
+class TestMotReport:
+    @pytest.mark.parametrize("frame, kept, message", [
+        (1, 1, "prediction frame 1 has 1 detections, the match has 2"),
+        (2, None, "prediction frame 2 has 0 detections, the match has 2"),
+    ])
+    def test_other_detections_than_the_match_name_the_frame(self, frame, kept, message):
+        gt, pred = three_frame_pair(extra_fp_per_frame=1)
+        match = match_sequence(gt, pred)
+        frames = [
+            (f.frame_index, f.labeled, list(f.detections[:kept] if f.frame_index == frame else f.detections))
+            for f in pred.frames
+            if kept is not None or f.frame_index != frame
+        ]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mot_report(match, sequence(frames))
 
 
 class TestEvaluateMap:

@@ -273,6 +273,16 @@ class TestTrackingLoss:
         _, reg = tracking_loss(np.ones((2, 4)), np.zeros((2, 4)), np.zeros((2, 2)), labels, 1)
         assert reg == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", [
+        (0, "pred_deltas"), (1, "target_deltas"), (2, "cls_logits"),
+    ])
+    def test_non_finite_entry_names_the_argument(self, position, name, bad):
+        args = [np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((2, 2))]
+        args[position][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            tracking_loss(*args, np.array([0, LABEL_BG]), 1)
+
 
 class TestRoiAlign:
     def test_constant_volume_preserved(self):
@@ -336,6 +346,15 @@ class TestRoiAlign:
         vol = FeatureVolume(np.zeros((2, 1, 4, 4)))
         with pytest.raises(ValueError, match="length"):
             spatiotemporal_roi_align(vol, Tube((Box(0, 0, 4, 4),)), 2)
+
+    @pytest.mark.parametrize("stride", [0, -8, 2.5, True])
+    def test_bad_stride_is_rejected_as_the_grid_rejects_it(self, stride):
+        with pytest.raises(ValueError) as grid_exc:
+            AnchorGrid(scales=(8.0,), aspects=(1.0,), stride=stride)
+        with pytest.raises(ValueError, match="^stride ") as exc:
+            FeatureVolume(np.zeros((1, 2, 4, 4)), stride=stride)
+        assert str(exc.value) == str(grid_exc.value)
+        assert "\n" not in str(exc.value)
 
 
 class TestHeatmapDecode:
