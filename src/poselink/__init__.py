@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .model import (
     Box,
     Detection,
+    Detections,
     Frame,
     Pose,
     VideoSequence,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Detection, VideoSequence
+from .model import Detection, Detections, Frame, VideoSequence
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -98,37 +98,33 @@ def _assign(cost: CostMatrix, algorithm: str) -> Assignment:
 
 
 def link_frame_pair(
-    prev: Sequence[Detection],
-    curr: Sequence[Detection],
+    prev: Detections | Sequence[Detection],
+    curr: Detections | Sequence[Detection],
     cfg: LinkerConfig,
     next_id: int,
     frame_index: Optional[int] = None,
-) -> tuple[tuple[Detection, ...], int, float]:
+) -> tuple[Detections, int, float]:
     """Propagate track ids from prev onto curr and mint ids for the rest.
 
     Returns (curr with every detection carrying a track id, next unused id,
     summed cost of the frame's assignment).
     """
-    for i, det in enumerate(prev):
-        if det.track_id is None:
-            raise ValueError(f"previous detection {i} carries no track_id")
+    prev, curr = Detections.of(prev), Detections.of(curr)
+    if None in prev.track_ids:
+        raise ValueError(f"previous detection {prev.track_ids.index(None)} carries no track_id")
 
     cost = build_cost_matrix(prev, curr, cfg.criterion, frame_index=frame_index)
     assignment = _assign(cost, cfg.algorithm)
 
-    inherited: dict[int, int] = {}
+    ids: list[Optional[int]] = [None] * len(curr)
     for i, j in assignment.pairs:
         if cost.similarity[i, j] > cfg.min_similarity:
-            inherited[j] = prev[i].track_id
-
-    out = []
-    for j, det in enumerate(curr):
-        if j in inherited:
-            out.append(det.with_track_id(inherited[j]))
-        else:
-            out.append(det.with_track_id(next_id))
+            ids[j] = prev.track_ids[i]
+    for j, track_id in enumerate(ids):
+        if track_id is None:
+            ids[j] = next_id
             next_id += 1
-    return tuple(out), next_id, assignment.total_cost
+    return replace(curr, track_ids=tuple(ids)), next_id, assignment.total_cost
 
 
 def track_video(seq: VideoSequence, cfg: LinkerConfig) -> VideoSequence:
@@ -144,23 +140,28 @@ def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[Video
     next_id = 0
     total_cost = 0.0
     links = 0
-    # track_id -> (position in frames list, detection index there, detection)
-    pool: dict[int, tuple[int, int, Detection]] = {}
+    # the candidate pool: the latest detection of every live track, oldest
+    # frame first, then by detection index; pool_pos holds each row's frame position
+    pool, pool_pos = Detections.of(()), np.empty(0, dtype=int)
     out_frames = []
     for pos, frame in enumerate(seq.frames):
-        pool = {tid: rep for tid, rep in pool.items() if pos - rep[0] <= cfg.lookback}
-        reps = sorted(pool.values(), key=lambda rep: (rep[0], rep[1]))
-        prev = [rep[2] for rep in reps]
-
         minted_from = next_id
         linked, next_id, cost = link_frame_pair(
-            prev, frame.detections, cfg, next_id, frame_index=frame.frame_index
+            pool, frame.detections, cfg, next_id, frame_index=frame.frame_index
         )
         total_cost += cost
         links += len(linked) - (next_id - minted_from)
-        for j, det in enumerate(linked):
-            pool[det.track_id] = (pos, j, det)
-        out_frames.append(replace(frame, detections=linked))
+        out_frames.append(Frame(frame.frame_index, frame.labeled, linked))
+        # a row stays while its track is not relinked and it is within the next frame's lookback
+        relinked = set(linked.track_ids)
+        stays = (pos + 1 - pool_pos <= cfg.lookback) & np.array(
+            [track_id not in relinked for track_id in pool.track_ids], dtype=bool
+        )
+        if stays.any():
+            pool = Detections.concat([pool.take(stays), linked])
+            pool_pos = np.concatenate([pool_pos[stays], np.full(len(linked), pos)])
+        else:
+            pool, pool_pos = linked, np.full(len(linked), pos)
 
     stats = TrackStats(
         frames=len(seq.frames),
@@ -177,11 +178,9 @@ def _track_random(seq: VideoSequence, cfg: LinkerConfig) -> tuple[VideoSequence,
     out_frames = []
     n = 0
     for frame in seq.frames:
-        linked = tuple(
-            det.with_track_id(int(rng.integers(0, cfg.random_max_id + 1)))
-            for det in frame.detections
-        )
-        n += len(linked)
-        out_frames.append(replace(frame, detections=linked))
+        dets = frame.detections
+        ids = [int(rng.integers(0, cfg.random_max_id + 1)) for _ in range(len(dets))]
+        n += len(ids)
+        out_frames.append(Frame(frame.frame_index, frame.labeled, replace(dets, track_ids=tuple(ids))))
     stats = TrackStats(frames=len(seq.frames), total_assignment_cost=0.0, links=0, new_tracks=n)
     return seq.with_frames(out_frames), stats

@@ -44,10 +44,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Box, Detection, VideoSequence, write_text_atomic
+from .model import Box, Detection, Detections, VideoSequence, box_diagonals, write_text_atomic
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
+
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
 
 
 def head_size(gt_head_box: Box) -> float:
@@ -73,14 +75,29 @@ def _correct_joint_count(gt: Detection, pred: Detection, alpha: float) -> int:
     return count
 
 
-def _present_counts(dets: Sequence[Detection], j_count: int) -> np.ndarray:
-    """(J,) number of dets in which each joint is present."""
-    present = np.array([d.pose.present for d in dets], dtype=bool)
-    return present.reshape(len(dets), j_count).sum(axis=0)
+def _head_sizes(dets: Detections) -> list[float]:
+    """`head_size` of each detection's head box; every detection needs one."""
+    if np.isnan(dets.head_boxes).any():
+        raise ValueError("a ground-truth detection has no head box")
+    diagonals = box_diagonals(dets.head_boxes)
+    if min(diagonals, default=1.0) <= 0.0:
+        raise ValueError("degenerate head box")
+    return [HEAD_SIZE_BIAS * diag for diag in diagonals]
+
+
+def _present_counts(frames: Sequence[Detections], j_count: int) -> np.ndarray:
+    """(J,) number of detections, over all frames, in which each joint is present."""
+    counts = np.zeros(j_count, dtype=int)
+    for dets in frames:
+        if len(dets):
+            counts += dets.present.sum(axis=0)
+    return counts
 
 
 def correct_joint_mask(
-    gt_persons: Sequence[Detection], pred_persons: Sequence[Detection], alpha: float = 0.5
+    gt_persons: Detections | Sequence[Detection],
+    pred_persons: Detections | Sequence[Detection],
+    alpha: float = 0.5,
 ) -> np.ndarray:
     """(n_gt, n_pred, J) mask of PCKh-correct joints for every gt x pred pair.
 
@@ -88,8 +105,9 @@ def correct_joint_mask(
     poses; summed over the last axis it is the matrix of correct joint
     counts. Both sides must be non-empty.
     """
-    limits = [alpha * head_size(g.head_box) for g in gt_persons]
-    return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)
+    gt = Detections.of(gt_persons)
+    limits = [alpha * size for size in _head_sizes(gt)]
+    return joints_within(keypoint_array(gt), keypoint_array(pred_persons), limits)
 
 
 @dataclass(frozen=True)
@@ -104,20 +122,20 @@ class PoseMatchResult:
 
 
 def match_poses_frame(
-    gt_persons: Sequence[Detection],
-    pred_persons: Sequence[Detection],
+    gt_persons: Detections | Sequence[Detection],
+    pred_persons: Detections | Sequence[Detection],
     alpha: float = 0.5,
 ) -> PoseMatchResult:
     """Match poses by maximizing the total count of PCKh-correct joints.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
-    n_gt, n_pred = len(gt_persons), len(pred_persons)
+    gt, pred = Detections.of(gt_persons), Detections.of(pred_persons)
+    n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 or n_pred == 0:
-        persons = [*gt_persons, *pred_persons]
-        empty = np.zeros((n_gt, n_pred, len(persons[0].pose) if persons else 0), dtype=bool)
+        empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
         return PoseMatchResult((), tuple(range(n_gt)), tuple(range(n_pred)), empty)
-    correct = correct_joint_mask(gt_persons, pred_persons, alpha)
+    correct = correct_joint_mask(gt, pred, alpha)
     counts = correct.sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
@@ -244,11 +262,11 @@ def _check_pair(gt: VideoSequence, pred: VideoSequence, require_track_ids: bool)
         raise ValueError("joint names differ between ground truth and predictions")
     if require_track_ids:
         for frame in pred.frames:
-            for i, det in enumerate(frame.detections):
-                if det.track_id is None:
-                    raise ValueError(
-                        f"prediction frame {frame.frame_index} detection {i} has no track_id"
-                    )
+            ids = frame.detections.track_ids
+            if None in ids:
+                raise ValueError(
+                    f"prediction frame {frame.frame_index} detection {ids.index(None)} has no track_id"
+                )
 
 
 @dataclass(frozen=True)
@@ -256,8 +274,8 @@ class FrameMatch:
     """One labeled frame: the detections of both sides and their pose matching."""
 
     frame_index: int
-    gt: tuple[Detection, ...]
-    pred: tuple[Detection, ...]
+    gt: Detections
+    pred: Detections
     result: PoseMatchResult
 
 
@@ -274,7 +292,7 @@ class SequenceMatch:
     @cached_property
     def gt_count(self) -> np.ndarray:
         """(J,) number of labeled instances of each joint."""
-        return _present_counts([d for f in self.frames for d in f.gt], self.gt.joint_count)
+        return _present_counts([f.gt for f in self.frames], self.gt.joint_count)
 
     @cached_property
     def _mot_terms(self) -> tuple:
@@ -285,22 +303,28 @@ class SequenceMatch:
         says entry k + 1, of joint next_joint[k], has the track and joint of entry k."""
         j_count = self.gt.joint_count
         tp = np.zeros(j_count, dtype=int)
-        motp_sum = 0.0
-        tracks, present = [], []
+        tracks, present = [], [np.zeros((0, j_count), dtype=bool)]
+        # the gt - pred offset and PCKh limit of every TP joint, by frame, pair and joint
+        deltas, limits = [np.zeros((0, 2))], [np.zeros(0)]
         for f in self.frames:
-            for gi, pi in f.result.pairs:
-                g_det, p_det = f.gt[gi], f.pred[pi]
-                hit = f.result.correct[gi, pi]
-                tp += hit
-                tracks.append(g_det.track_id)
-                present.append(g_det.pose.present)
-                limit = self.alpha * head_size(g_det.head_box)
-                g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
-                for j in np.flatnonzero(hit).tolist():
-                    d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
-                    motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
-        pred_count = _present_counts([d for f in self.frames for d in f.pred], j_count)
-        pair, joint = np.nonzero(np.array(present, dtype=bool).reshape(-1, j_count))
+            if not f.result.pairs:
+                continue
+            gi, pi = (np.array(side) for side in zip(*f.result.pairs))
+            hit = f.result.correct[gi, pi]
+            tp += hit.sum(axis=0)
+            tracks += [f.gt.track_ids[g] for g in gi.tolist()]
+            present.append(f.gt.present[gi])
+            pair, joint = np.nonzero(hit)
+            deltas.append(f.gt.xy[gi[pair], joint] - f.pred.xy[pi[pair], joint])
+            limits.append(self.alpha * np.array(_head_sizes(f.gt))[gi[pair]])
+        deltas, limits = np.concatenate(deltas), np.concatenate(limits)
+        # math.hypot may round differently from np.hypot; the running sum keeps the
+        # order of a loop over the TP joints
+        distance = _hypot(deltas[:, 0], deltas[:, 1]).astype(float)
+        scaled = np.divide(distance, limits, out=np.zeros_like(distance), where=limits > 0)
+        motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
+        pred_count = _present_counts([f.pred for f in self.frames], j_count)
+        pair, joint = np.nonzero(np.concatenate(present))
         key = _id_codes(tracks)[pair] * j_count + joint
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -318,10 +342,11 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     same frame_index, which holds no predictions when it is missing."""
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    no_predictions = Detections.of(())
     frames = []
     for frame in gt.frames:
         if frame.labeled:
-            dets = pred_by_index.get(frame.frame_index, ())
+            dets = pred_by_index.get(frame.frame_index, no_predictions)
             result = match_poses_frame(frame.detections, dets, alpha)
             frames.append(FrameMatch(frame.frame_index, frame.detections, dets, result))
     return SequenceMatch(gt, alpha, tuple(frames))
@@ -332,14 +357,14 @@ def mot_report(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
     `pred`: the matched predictions under any ids, in the same frames and order."""
     _check_pair(match.gt, pred, require_track_ids=True)
     j_count = match.gt.joint_count
-    pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
     ids = []
     for f in match.frames:
-        dets = pred_by_index.get(f.frame_index, ())
-        if len(dets) != len(f.pred):
-            raise ValueError(f"prediction frame {f.frame_index} has {len(dets)} detections, "
+        frame_ids = ids_by_index.get(f.frame_index, ())
+        if len(frame_ids) != len(f.pred):
+            raise ValueError(f"prediction frame {f.frame_index} has {len(frame_ids)} detections, "
                              f"the match has {len(f.pred)}")
-        ids += [dets[pi].track_id for _, pi in f.result.pairs]
+        ids += [frame_ids[pi] for _, pi in f.result.pairs]
     tp, pred_count, motp_sum, entry_pair, follows, next_joint = match._mot_terms
     # a switch is an entry whose id differs from the entry before of its track and joint
     entry_ids = _id_codes(ids)[entry_pair]
@@ -381,15 +406,16 @@ def mot_report(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
     )
 
 
-def _average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
-    """Area under the PR curve with the max-to-the-right precision envelope."""
+def _average_precision(scores, hits, n_gt: int) -> float:
+    """Area under the PR curve of predictions with these scores and hit flags,
+    with the max-to-the-right precision envelope."""
     if n_gt == 0:
         raise ValueError("average precision needs at least one labeled instance")
-    if not scored:
+    if not len(scores):
         return 0.0
-    scored = sorted(scored, key=lambda s: -s[0])
-    tps = np.cumsum([1 if hit else 0 for _, hit in scored])
-    fps = np.cumsum([0 if hit else 1 for _, hit in scored])
+    hits = np.asarray(hits, dtype=bool)[np.argsort(-np.asarray(scores, dtype=float), kind="stable")]
+    tps = np.cumsum(hits)
+    fps = np.cumsum(~hits)
     precision = tps / np.maximum(tps + fps, 1)
     # integrate over integer TP counts and divide once, so that a perfect
     # prediction scores exactly 1.0
@@ -402,25 +428,30 @@ def _average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
 def map_report(match: SequenceMatch) -> EvalReport:
     """Per-joint average precision of the scored keypoint predictions of `match`."""
     j_count = match.gt.joint_count
-    scored: list[list[tuple[float, bool]]] = [[] for _ in range(j_count)]
+    # one row per prediction, in frame and prediction order
+    no_rows = np.zeros((0, j_count), dtype=bool)
+    scores, hits, present = [np.zeros(0)], [no_rows], [no_rows]
     for f in match.frames:
-        # hits[k, j]: joint j of prediction k is correct for the pose it claimed
-        hits = np.zeros((len(f.pred), j_count), dtype=bool)
-        if f.gt:
+        if not len(f.pred):
+            continue
+        # frame_hits[k, j]: joint j of prediction k is correct for the pose it claimed
+        frame_hits = np.zeros((len(f.pred), j_count), dtype=bool)
+        if len(f.gt):
             overlap = f.result.correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
-            order = sorted(range(len(f.pred)), key=lambda k: (-f.pred[k].score, k))
-            for pi in order:
+            for pi in np.argsort(-f.pred.scores, kind="stable").tolist():
                 gi = int(overlap[:, pi].argmax())  # the first largest overlap
                 if overlap[gi, pi] > 0:
-                    hits[pi] = f.result.correct[gi, pi]
+                    frame_hits[pi] = f.result.correct[gi, pi]
                     overlap[gi] = 0
-        for p_det, hit_row in zip(f.pred, hits.tolist()):
-            for j in np.flatnonzero(p_det.pose.present).tolist():
-                scored[j].append((p_det.score, hit_row[j]))
+        scores.append(f.pred.scores)
+        hits.append(frame_hits)
+        present.append(f.pred.present)
+    scores, hits, present = np.concatenate(scores), np.concatenate(hits), np.concatenate(present)
 
     n_gt = match.gt_count
     ap = tuple(
-        100.0 * _average_precision(scored[j], int(n_gt[j])) if n_gt[j] > 0 else None
+        100.0 * _average_precision(scores[present[:, j]], hits[present[:, j], j], int(n_gt[j]))
+        if n_gt[j] > 0 else None
         for j in range(j_count)
     )
     defined = [v for v in ap if v is not None]

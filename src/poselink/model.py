@@ -30,17 +30,35 @@ coordinates and carry present=0 in the file, so no sentinel values are needed.
 Floats are serialized with Python's shortest round-trip representation, which
 makes save followed by load the identity on every semantic field.
 
-All types are frozen dataclasses and a pose's arrays are read-only, so every
-value is immutable after construction and safe to share across threads.
+A frame holds its N detections as one `Detections`: read-only columns with
+one row per detection, in file order.
+
+    boxes        (N, 4)     corners [x_min, y_min, x_max, y_max]
+    scores       (N,)       detector scores
+    xy           (N, J, 2)  joint coordinates
+    kp_score     (N, J)     joint scores
+    present      (N, J)     joint presence flags
+    features     (N, D)     appearance embeddings; NaN where has_feature is False
+    has_feature  (N,)       which detections carry an embedding
+    track_ids    N Python ints or None, so that ids of any size survive
+    head_boxes   (N, 4)     head-box corners; NaN rows where there is none
+
+Loading, filtering, linking, scoring and saving work on these columns.
+Indexing or iterating a `Detections` yields `Detection` views, built on
+demand, and a frame built from `Detection` objects stores them as columns.
+Every type is frozen and every array read-only, so each value is immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import chain, compress, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,6 +154,15 @@ class Box:
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
 
+def _corners(box: Box) -> tuple[float, float, float, float]:
+    return (box.x_min, box.y_min, box.x_max, box.y_max)
+
+
+def box_diagonals(corners: np.ndarray) -> list[float]:
+    """`Box.diagonal` of each (x_min, y_min, x_max, y_max) row, bit for bit."""
+    return [math.hypot(x2 - x1, y2 - y1) for x1, y1, x2, y2 in corners.tolist()]
+
+
 @dataclass(frozen=True)
 class Detection:
     """One person hypothesis in one frame."""
@@ -151,19 +178,138 @@ class Detection:
         if self.track_id is not None and self.track_id < 0:
             raise ValueError("track_id must be non-negative")
 
-    def with_track_id(self, track_id: int) -> "Detection":
-        return replace(self, track_id=track_id)
+
+_ARRAYS = ("boxes", "scores", "xy", "kp_score", "present", "features", "has_feature", "head_boxes")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """The detections of one frame as read-only columns (see the module docstring).
+
+    The constructor makes the arrays it is given read-only and checks
+    nothing: its columns must already hold what Box, Pose and Detection
+    check. `Detections.of` and `load_sequence` build checked ones. len, iteration and integer indexing
+    give `Detection` views; a slice gives the `Detections` of those rows.
+    Equal when every row is, NaN equal to NaN.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    xy: np.ndarray
+    kp_score: np.ndarray
+    present: np.ndarray
+    features: np.ndarray
+    has_feature: np.ndarray
+    track_ids: tuple[Optional[int], ...]
+    head_boxes: np.ndarray
+
+    def __post_init__(self):
+        for name in _ARRAYS:
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def of(cls, items) -> "Detections":
+        """`Detection` objects as columns; a `Detections` is returned as it is."""
+        if isinstance(items, Detections):
+            return items
+        items = tuple(items)
+        n, j = len(items), len(items[0].pose) if items else 0
+        if any(len(d.pose) != j for d in items):
+            raise ValueError("joint count mismatch: the poses of one frame differ in length")
+        feats = [d.feature for d in items if d.feature is not None]
+        if len({len(f) for f in feats}) > 1:
+            raise ValueError("feature vectors must share one dimensionality")
+        has_feature = np.array([d.feature is not None for d in items], dtype=bool)
+        features = np.full((n, len(feats[0]) if feats else 0), math.nan)
+        if feats:
+            features[has_feature] = feats
+        no_box = (math.nan,) * 4
+        return cls(
+            boxes=np.array([_corners(d.box) for d in items], dtype=float).reshape(n, 4),
+            scores=np.array([d.score for d in items], dtype=float),
+            xy=np.array([d.pose.xy for d in items], dtype=float).reshape(n, j, 2),
+            kp_score=np.array([d.pose.score for d in items], dtype=float).reshape(n, j),
+            present=np.array([d.pose.present for d in items], dtype=bool).reshape(n, j),
+            features=features,
+            has_feature=has_feature,
+            track_ids=tuple(d.track_id for d in items),
+            head_boxes=np.array([no_box if d.head_box is None else _corners(d.head_box) for d in items],
+                                dtype=float).reshape(n, 4),
+        )
+
+    def take(self, rows) -> "Detections":
+        """The rows picked by a slice, a boolean mask or an index sequence, in that order."""
+        ids = tuple(np.array(self.track_ids, dtype=object)[rows])  # Python ints of any size
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ARRAYS}, track_ids=ids)
+
+    @staticmethod
+    def concat(parts: Sequence["Detections"]) -> "Detections":
+        """The rows of every part in order. A part with no features at all
+        takes the feature width of the others."""
+        parts = [p for p in parts if len(p)]
+        if len(parts) <= 1:
+            return parts[0] if parts else Detections.of(())
+        width = max(p.features.shape[1] for p in parts)
+        features = [p.features if p.features.shape[1] == width else np.full((len(p), width), math.nan)
+                    for p in parts]
+        columns = {name: np.concatenate([getattr(p, name) for p in parts])
+                   for name in _ARRAYS if name != "features"}
+        return Detections(**columns, features=np.concatenate(features),
+                          track_ids=tuple(chain.from_iterable(p.track_ids for p in parts)))
+
+    def __len__(self) -> int:
+        return len(self.track_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        i = range(len(self))[operator.index(index)]  # IndexError when out of range
+        head = self.head_boxes[i]
+        return Detection(
+            box=Box(*self.boxes[i].tolist()),
+            score=float(self.scores[i]),
+            pose=Pose(self.xy[i], self.kp_score[i], self.present[i]),
+            feature=tuple(self.features[i].tolist()) if self.has_feature[i] else None,
+            track_id=self.track_ids[i],
+            head_box=None if np.isnan(head[0]) else Box(*head.tolist()),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        if len(self) != len(other) or self.track_ids != other.track_ids:
+            return False
+        if not len(self):  # no rows: the joint count and feature width do not matter
+            return True
+        has = self.has_feature
+        return (
+            np.array_equal(self.present, other.present)
+            and np.array_equal(has, other.has_feature)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                for name in ("boxes", "scores", "xy", "kp_score", "head_boxes")
+            )
+            and (not has.any() or np.array_equal(self.features[has], other.features[has], equal_nan=True))
+        )
+
+    def __hash__(self) -> int:  # equal columns have equal presence flags
+        return hash((len(self), self.present.tobytes()))
 
 
 @dataclass(frozen=True)
 class Frame:
     frame_index: int
     labeled: bool
-    detections: tuple[Detection, ...]
+    detections: Detections  # a sequence of Detection objects is stored as columns
 
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
+        if not isinstance(self.detections, Detections):
+            object.__setattr__(self, "detections", Detections.of(self.detections))
 
 
 @dataclass(frozen=True)
@@ -177,23 +323,25 @@ class VideoSequence:
     def __post_init__(self):
         j = len(self.joint_names)
         last_index = -1
-        feature_dim: Optional[int] = None
+        widths = set()
         for frame in self.frames:
             if frame.frame_index <= last_index:
                 raise ValueError(
                     f"non-monotone frames: index {frame.frame_index} after {last_index}"
                 )
             last_index = frame.frame_index
-            for det in frame.detections:
-                if len(det.pose) != j:
+            dets = frame.detections
+            if len(dets):
+                if dets.xy.shape[1] != j:
                     raise ValueError(
-                        f"joint count mismatch: pose has {len(det.pose)}, sequence has {j}"
+                        f"joint count mismatch: pose has {dets.xy.shape[1]}, sequence has {j}"
                     )
-                if det.feature is not None:
-                    if feature_dim is None:
-                        feature_dim = len(det.feature)
-                    elif len(det.feature) != feature_dim:
-                        raise ValueError("feature vectors must share one dimensionality")
+                widths.add(dets.features.shape[1])
+        # a frame without features may have another width than those with them
+        if len(widths) > 1 and len(
+            {f.detections.features.shape[1] for f in self.frames if f.detections.has_feature.any()}
+        ) > 1:
+            raise ValueError("feature vectors must share one dimensionality")
 
     @property
     def joint_count(self) -> int:
@@ -260,14 +408,135 @@ def load_sequence(
     j = len(joint_names)
 
     if joint_map is not None:
-        if sorted(joint_map) != list(range(j)):
+        joint_map = list(joint_map)
+        integers = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in joint_map)
+        if not integers or sorted(joint_map) != list(range(j)):
             raise ValueError(f"joint_map must be a permutation of range({j})")
         joint_names = [joint_names[k] for k in joint_map]
 
     if not isinstance(raw["frames"], list):
         raise ValueError("frames must be a list")
+    frames = _frames(raw["frames"], j, role, joint_map)
+    if frames is None:
+        _raise_first_error(raw["frames"], j, role)
+
+    return VideoSequence(
+        video_id=raw["video_id"],
+        image_width=int(size[0]),
+        image_height=int(size[1]),
+        joint_names=tuple(joint_names),
+        frames=frames,
+    )
+
+
+_NUMBER = {int, float}  # exact types, so booleans are not numbers
+
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+def _frames(raw_frames: list, j: int, role: str, joint_map) -> Optional[tuple[Frame, ...]]:
+    """The frames of a sequence file, checked and built with a few array
+    operations over all of its detections at once. None when any check fails;
+    _raise_first_error then names the first failure."""
+    if not _types(raw_frames) <= {dict}:
+        return None
+    try:
+        indices, labeled, per_frame = (list(map(operator.itemgetter(key), raw_frames))
+                                       for key in ("frame_index", "labeled", "detections"))
+    except KeyError:
+        return None
+    if not (_types(indices) <= {int} and _types(labeled) <= {bool} and _types(per_frame) <= {list}
+            and min(indices, default=0) >= 0):
+        return None
+    dets = list(chain.from_iterable(per_frame))
+    n = len(dets)
+    if not _types(dets) <= {dict}:
+        return None
+    try:
+        bboxes, scores, kps = (list(map(operator.itemgetter(key), dets))
+                               for key in ("bbox", "score", "keypoints"))
+    except KeyError:
+        return None
+    feats, ids, heads = (list(map(dict.get, dets, repeat(key)))
+                         for key in ("feature", "track_id", "head_box"))
+    has_feature = [f is not None for f in feats]
+    has_head = [h is not None for h in heads]
+    feats, heads = list(compress(feats, has_feature)), list(compress(heads, has_head))
+    given_ids = [t for t in ids if t is not None]
+
+    # structure and exact value types, one C-level pass per field
+    if not (_types(kps) <= {list} and set(map(len, kps)) <= {j}):
+        return None
+    rows, boxes_and_heads = list(chain.from_iterable(kps)), bboxes + heads
+    if not (_types(rows) <= {list} and set(map(len, rows)) <= {4}
+            and _types(boxes_and_heads) <= {list} and set(map(len, boxes_and_heads)) <= {4}
+            and _types(feats) <= {list} and len(set(map(len, feats))) <= 1):
+        return None
+    corners = list(chain.from_iterable(boxes_and_heads))
+    if not (_types(corners) <= _NUMBER and _types(chain.from_iterable(feats)) <= _NUMBER
+            and _types(scores) <= _NUMBER and _types(given_ids) <= {int}
+            and min(given_ids, default=0) >= 0):
+        return None
+    values = list(chain.from_iterable(rows))
+    kp_types = _types(values)
+    if not kp_types <= _NUMBER and not (  # only presence flags may be booleans
+        kp_types <= _NUMBER | {bool} and _types(chain.from_iterable(r[:3] for r in rows)) <= _NUMBER
+    ):
+        return None
+    if role == ROLE_GROUNDTRUTH and (len(given_ids) < n or len(heads) < n):
+        return None
+
+    try:  # float() of an integer beyond the float range overflows
+        corners = np.array(corners, dtype=float).reshape(-1, 4)
+        score_arr = np.array(scores, dtype=float)
+        block = np.fromiter(values, dtype=float, count=len(values)).reshape(n, j, 4)
+        feat_arr = np.array(feats, dtype=float).reshape(len(feats), len(feats[0]) if feats else 0)
+    except OverflowError:
+        return None
+    flags = block[..., 3]
+    if not (np.isfinite(corners).all() and np.isfinite(score_arr).all() and np.isfinite(block).all()
+            and np.isfinite(feat_arr).all() and ((flags == 0.0) | (flags == 1.0)).all()
+            and (corners[:, :2] <= corners[:, 2:]).all()):
+        return None
+    head_arr = corners[n:]
+    if role == ROLE_GROUNDTRUTH and ((head_arr[:, :2] == head_arr[:, 2:]).all(axis=1)).any():
+        return None  # a zero-size head box; it normalizes every PCKh distance
+
+    if joint_map is not None:
+        block = block[:, joint_map]
+    features = np.full((n, feat_arr.shape[1]), math.nan)
+    features[has_feature] = feat_arr
+    head_boxes = np.full((n, 4), math.nan)
+    head_boxes[has_head] = head_arr
+    columns = {
+        "boxes": corners[:n],
+        "scores": np.clip(score_arr, 0.0, 1.0) + 0.0,  # + 0.0 turns -0.0 into 0.0
+        "xy": block[..., :2],
+        "kp_score": block[..., 2],
+        "present": block[..., 3] == 1.0,
+        "features": features,
+        "has_feature": np.array(has_feature, dtype=bool),
+        "head_boxes": head_boxes,
+    }
+    for arr in columns.values():
+        arr.setflags(write=False)
+    names, arrays, ids = tuple(columns), tuple(columns.values()), tuple(ids)
+    bounds = np.cumsum([0] + list(map(len, per_frame))).tolist()
     frames = []
-    for fi, f in enumerate(raw["frames"]):
+    for index, is_labeled, lo, hi in zip(indices, labeled, bounds, bounds[1:]):
+        # a frame's rows are views of the read-only columns, so Detections'
+        # __post_init__ has nothing to freeze; skipping it halves this loop
+        dets = object.__new__(Detections)
+        dets.__dict__.update(zip(names, [arr[lo:hi] for arr in arrays]), track_ids=ids[lo:hi])
+        frames.append(Frame(index, is_labeled, dets))
+    return tuple(frames)
+
+
+def _raise_first_error(raw_frames: list, j: int, role: str) -> None:
+    """Raise the ValueError of the first check, in file order, that raw_frames fails."""
+    for fi, f in enumerate(raw_frames):
         if not isinstance(f, dict):
             raise ValueError(f"frame {fi}: must be an object")
         for key in ("frame_index", "labeled", "detections"):
@@ -279,78 +548,69 @@ def load_sequence(
             raise ValueError(f"frame {fi}: labeled must be a boolean")
         if not isinstance(f["detections"], list):
             raise ValueError(f"frame {fi}: detections must be a list")
-        detections = []
         for di, d in enumerate(f["detections"]):
-            where = f"frame {fi} detection {di}"
-            if not isinstance(d, dict):
-                raise ValueError(f"{where}: must be an object")
-            for key in ("bbox", "score", "keypoints"):
-                if key not in d:
-                    raise ValueError(f"{where}: missing field {key!r}")
-            try:  # float() of an integer beyond the float range overflows
-                box = _as_box(d["bbox"], f"{where} bbox")
-                score = d["score"]
-                if not _is_number(score):
-                    raise ValueError(f"{where}: score must be a number")
-                score = float(score)
-                if not math.isfinite(score):
-                    raise ValueError(f"{where}: score must be finite")
-                score = min(1.0, max(0.0, score))
-                kps = d["keypoints"]
-                if not isinstance(kps, list) or len(kps) != j:
-                    raise ValueError(f"{where}: keypoints must have length {j}")
-                if not all(isinstance(kp, list) and len(kp) == 4 for kp in kps):
-                    raise ValueError(f"{where} keypoint must be [x, y, score, present]")
-                if not {type(v) for kp in kps for v in kp[:3]} <= {int, float}:  # not bool
-                    raise ValueError(f"{where} keypoint has a non-numeric entry")
-                if not all(kp[3] in (0, 1) for kp in kps):
-                    raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
-                block = np.array(kps, dtype=float).reshape(j, 4)
-                if not np.isfinite(block).all():  # absent joints too
-                    raise ValueError(f"{where} keypoint has a non-finite entry")
-                if joint_map is not None:
-                    block = block[list(joint_map)]
-                feature = d.get("feature")
-                if feature is not None:
-                    if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
-                        raise ValueError(f"{where}: feature must be a list of numbers")
-                    feature = tuple(float(v) for v in feature)
-                    if not all(math.isfinite(v) for v in feature):
-                        raise ValueError(f"{where}: feature has a non-finite entry")
-                head_box = d.get("head_box")
-                if head_box is not None:
-                    head_box = _as_box(head_box, f"{where} head_box")
-            except OverflowError as exc:
-                raise ValueError(f"{where}: number out of the float range") from exc
-            track_id = d.get("track_id")
-            if track_id is not None and (not isinstance(track_id, int) or isinstance(track_id, bool)):
-                raise ValueError(f"{where}: track_id must be an integer")
-            if role == ROLE_GROUNDTRUTH:
-                if track_id is None:
-                    raise ValueError(f"{where}: ground truth requires track_id")
-                if head_box is None:
-                    raise ValueError(f"{where}: ground truth requires head_box")
-                if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
-                    raise ValueError(f"{where}: ground truth head_box has zero size")
-            detections.append(
-                Detection(
-                    box=box,
-                    score=score,
-                    pose=Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0),
-                    feature=feature,
-                    track_id=track_id,
-                    head_box=head_box,
-                )
-            )
-        frames.append(Frame(f["frame_index"], f["labeled"], tuple(detections)))
+            _check_detection(d, f"frame {fi} detection {di}", j, role)
+        if f["frame_index"] < 0:
+            raise ValueError("frame_index must be non-negative")
+    last_index, feature_dims = -1, set()
+    for f in raw_frames:
+        if f["frame_index"] <= last_index:
+            raise ValueError(f"non-monotone frames: index {f['frame_index']} after {last_index}")
+        last_index = f["frame_index"]
+        feature_dims.update(len(d["feature"]) for d in f["detections"] if d.get("feature") is not None)
+        if len(feature_dims) > 1:
+            raise ValueError("feature vectors must share one dimensionality")
+    raise AssertionError("the sequence checks disagree: a file failed none of the named checks")
 
-    return VideoSequence(
-        video_id=raw["video_id"],
-        image_width=int(size[0]),
-        image_height=int(size[1]),
-        joint_names=tuple(joint_names),
-        frames=tuple(frames),
-    )
+
+def _check_detection(d, where: str, j: int, role: str) -> None:
+    """Raise the ValueError of the first check that detection d fails."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: must be an object")
+    for key in ("bbox", "score", "keypoints"):
+        if key not in d:
+            raise ValueError(f"{where}: missing field {key!r}")
+    try:  # float() of an integer beyond the float range overflows
+        _as_box(d["bbox"], f"{where} bbox")
+        score = d["score"]
+        if not _is_number(score):
+            raise ValueError(f"{where}: score must be a number")
+        if not math.isfinite(float(score)):
+            raise ValueError(f"{where}: score must be finite")
+        kps = d["keypoints"]
+        if not isinstance(kps, list) or len(kps) != j:
+            raise ValueError(f"{where}: keypoints must have length {j}")
+        if not all(isinstance(kp, list) and len(kp) == 4 for kp in kps):
+            raise ValueError(f"{where} keypoint must be [x, y, score, present]")
+        if not {type(v) for kp in kps for v in kp[:3]} <= _NUMBER:  # not bool
+            raise ValueError(f"{where} keypoint has a non-numeric entry")
+        if not all(kp[3] in (0, 1) for kp in kps):
+            raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
+        if not np.isfinite(np.array(kps, dtype=float)).all():  # absent joints too
+            raise ValueError(f"{where} keypoint has a non-finite entry")
+        feature = d.get("feature")
+        if feature is not None:
+            if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
+                raise ValueError(f"{where}: feature must be a list of numbers")
+            if not all(math.isfinite(v) for v in [float(v) for v in feature]):
+                raise ValueError(f"{where}: feature has a non-finite entry")
+        head_box = d.get("head_box")
+        if head_box is not None:
+            head_box = _as_box(head_box, f"{where} head_box")
+    except OverflowError as exc:
+        raise ValueError(f"{where}: number out of the float range") from exc
+    track_id = d.get("track_id")
+    if track_id is not None and (not isinstance(track_id, int) or isinstance(track_id, bool)):
+        raise ValueError(f"{where}: track_id must be an integer")
+    if role == ROLE_GROUNDTRUTH:
+        if track_id is None:
+            raise ValueError(f"{where}: ground truth requires track_id")
+        if head_box is None:
+            raise ValueError(f"{where}: ground truth requires head_box")
+        if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
+            raise ValueError(f"{where}: ground truth head_box has zero size")
+    if track_id is not None and track_id < 0:
+        raise ValueError("track_id must be non-negative")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -378,7 +638,7 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
             {
                 "frame_index": int(frame.frame_index),
                 "labeled": bool(frame.labeled),
-                "detections": [_detection_doc(det) for det in frame.detections],
+                "detections": _detection_docs(frame.detections),
             }
             for frame in seq.frames
         ],
@@ -386,24 +646,28 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
     write_text_atomic(path, json.dumps(doc))
 
 
-def _detection_doc(det: Detection) -> dict:
-    pose = det.pose
-    doc = {
-        "bbox": [float(det.box.x_min), float(det.box.y_min), float(det.box.x_max), float(det.box.y_max)],
-        "score": float(det.score),
-        "keypoints": [
-            [x, y, s, 1 if p else 0]
-            for (x, y), s, p in zip(pose.xy.tolist(), pose.score.tolist(), pose.present.tolist())
-        ],
-    }
-    if det.feature is not None:
-        doc["feature"] = [float(v) for v in det.feature]
-    if det.track_id is not None:
-        doc["track_id"] = int(det.track_id)
-    if det.head_box is not None:
-        hb = det.head_box
-        doc["head_box"] = [float(hb.x_min), float(hb.y_min), float(hb.x_max), float(hb.y_max)]
-    return doc
+def _detection_docs(dets: Detections) -> list[dict]:
+    """The file objects of a frame's detections, from a few tolist() calls."""
+    if not len(dets):
+        return []
+    keypoints = np.empty(dets.present.shape + (4,), dtype=object)  # Python floats, int flags
+    keypoints[..., :2] = dets.xy
+    keypoints[..., 2] = dets.kp_score
+    keypoints[..., 3] = dets.present.astype(int)
+    docs = []
+    for box, score, kps, feature, has_feature, track_id, head_box in zip(
+        dets.boxes.tolist(), dets.scores.tolist(), keypoints.tolist(), dets.features.tolist(),
+        dets.has_feature.tolist(), dets.track_ids, dets.head_boxes.tolist(),
+    ):
+        doc = {"bbox": box, "score": score, "keypoints": kps}
+        if has_feature:
+            doc["feature"] = feature
+        if track_id is not None:
+            doc["track_id"] = int(track_id)
+        if head_box[0] == head_box[0]:  # not NaN
+            doc["head_box"] = head_box
+        docs.append(doc)
+    return docs
 
 
 def derive_box_from_pose(pose: Pose, dilation: float = 0.20) -> Box:
@@ -429,14 +693,12 @@ def filter_detections(seq: VideoSequence, det_threshold: float, kp_threshold: fl
         raise ValueError("thresholds must not be NaN")
     frames = []
     for frame in seq.frames:
-        kept = []
-        for det in frame.detections:
-            if det.score < det_threshold:
-                continue
-            pose = det.pose
-            dropped = pose.present & (pose.score < kp_threshold)
-            if dropped.any():
-                det = replace(det, pose=Pose(pose.xy, pose.score, pose.present & ~dropped))
-            kept.append(det)
-        frames.append(replace(frame, detections=tuple(kept)))
+        dets = frame.detections
+        dropped = dets.present & (dets.kp_score < kp_threshold)
+        if dropped.any():
+            dets = replace(dets, present=dets.present & ~dropped)
+        kept = ~(dets.scores < det_threshold)
+        if not kept.all():
+            dets = dets.take(kept)
+        frames.append(Frame(frame.frame_index, frame.labeled, dets))
     return seq.with_frames(frames)

@@ -15,9 +15,9 @@ from dataclasses import replace
 
 from scipy.optimize import linear_sum_assignment
 
-from .model import Pose, VideoSequence
+from .model import Frame, VideoSequence
 from .metrics import _check_pair, match_sequence
-from .similarity import box_array, pairwise_iou
+from .similarity import pairwise_iou
 
 ORACLE_MODES = ("perfect_association", "perfect_keypoints", "both")
 
@@ -31,18 +31,18 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
     transform twice yields the same sequence.
     """
     _check_pair(gt, pred, require_track_ids=True)
-    gt_ids = [d.track_id for f in gt.frames for d in f.detections]
-    if any(tid is None for tid in gt_ids):
+    gt_ids = [tid for f in gt.frames for tid in f.detections.track_ids]
+    if None in gt_ids:
         raise ValueError("ground truth must carry track ids")
     offset = (max(gt_ids) + 1) if gt_ids else 0
 
     # matched[(frame_index, pred det index)] -> gt track id
     matched = {
-        (f.frame_index, pi): f.gt[gi].track_id
+        (f.frame_index, pi): f.gt.track_ids[gi]
         for f in match_sequence(gt, pred, alpha).frames for gi, pi in f.result.pairs
     }
     unmatched_ids = {
-        det.track_id for frame in pred.frames for i, det in enumerate(frame.detections)
+        tid for frame in pred.frames for i, tid in enumerate(frame.detections.track_ids)
         if (frame.frame_index, i) not in matched
     }
 
@@ -50,11 +50,12 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
 
     out_frames = []
     for frame in pred.frames:
-        dets = tuple(
-            det.with_track_id(matched.get((frame.frame_index, i), remap.get(det.track_id)))
-            for i, det in enumerate(frame.detections)
-        )
-        out_frames.append(replace(frame, detections=dets))
+        ids = [
+            matched.get((frame.frame_index, i), remap.get(tid))
+            for i, tid in enumerate(frame.detections.track_ids)
+        ]
+        dets = replace(frame.detections, track_ids=tuple(ids))
+        out_frames.append(Frame(frame.frame_index, frame.labeled, dets))
     return pred.with_frames(out_frames)
 
 
@@ -70,25 +71,19 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
     out_frames = []
     for frame in pred.frames:
         gt_frame = gt_by_index.get(frame.frame_index)
-        if gt_frame is None or not gt_frame.labeled or not gt_frame.detections or not frame.detections:
+        dets = frame.detections
+        if gt_frame is None or not gt_frame.labeled or not len(gt_frame.detections) or not len(dets):
             out_frames.append(frame)
             continue
-        overlaps = pairwise_iou(box_array(gt_frame.detections), box_array(frame.detections))
+        labels = gt_frame.detections
+        overlaps = pairwise_iou(labels.boxes, dets.boxes)
         rows, cols = linear_sum_assignment(-overlaps)
-        replacement = {
-            int(pi): gt_frame.detections[int(gi)]
-            for gi, pi in zip(rows, cols)
-            if overlaps[gi, pi] > 0
-        }
-        dets = []
-        for pi, det in enumerate(frame.detections):
-            g_det = replacement.get(pi)
-            if g_det is None:
-                dets.append(det)
-            else:
-                g = g_det.pose
-                dets.append(replace(det, pose=Pose(g.xy, [1.0] * len(g), g.present)))
-        out_frames.append(replace(frame, detections=tuple(dets)))
+        linked = overlaps[rows, cols] > 0
+        gi, pi = rows[linked], cols[linked]
+        xy, kp_score, present = dets.xy.copy(), dets.kp_score.copy(), dets.present.copy()
+        xy[pi], kp_score[pi], present[pi] = labels.xy[gi], 1.0, labels.present[gi]
+        dets = replace(dets, xy=xy, kp_score=kp_score, present=present)
+        out_frames.append(Frame(frame.frame_index, frame.labeled, dets))
     return pred.with_frames(out_frames)
 
 

@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import Box, Detection
+from .model import Box, Detection, Detections, box_diagonals
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -168,32 +168,24 @@ def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
     return table
 
 
-def _require_features(dets: Sequence[Detection], side: str) -> None:
-    for i, det in enumerate(dets):
-        if det.feature is None:
-            raise ValueError(
-                f"criterion requires a feature vector on every detection; "
-                f"{side} detection {i} has none"
-            )
+def _require_features(dets: Detections, side: str) -> None:
+    missing = np.flatnonzero(~dets.has_feature)
+    if len(missing):
+        raise ValueError(
+            f"criterion requires a feature vector on every detection; "
+            f"{side} detection {missing[0]} has none"
+        )
 
 
-def box_array(dets: Sequence[Detection]) -> np.ndarray:
-    """(N, 4) corners [x_min, y_min, x_max, y_max] of the detections' boxes."""
-    return np.array(
-        [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets], dtype=float
-    ).reshape(-1, 4)
-
-
-def keypoint_array(dets: Sequence[Detection]) -> np.ndarray:
-    """(N, J, 2) joint coordinates of non-empty dets; absent joints are NaN.
+def keypoint_array(dets: Detections | Sequence[Detection]) -> np.ndarray:
+    """(N, J, 2) joint coordinates of dets; absent joints are NaN.
 
     Present joints are always finite, so ~isnan(out[..., 0]) is the presence
     mask. Absent joints may hold any coordinates, and NaN keeps them out of
     every comparison.
     """
-    xy = np.stack([d.pose.xy for d in dets])
-    present = np.stack([d.pose.present for d in dets])
-    return np.where(present[..., None], xy, math.nan)
+    dets = Detections.of(dets)
+    return np.where(dets.present[..., None], dets.xy, math.nan)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,13 +225,11 @@ def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.n
     return within
 
 
-def pairwise_pckh(
-    prev: Sequence[Detection], curr: Sequence[Detection], alpha: float, norm_scale: float
-) -> np.ndarray:
+def pairwise_pckh(prev: Detections, curr: Detections, alpha: float, norm_scale: float) -> np.ndarray:
     """`pose_pckh_similarity` of every prev x curr pair of non-empty sides."""
-    a, b = keypoint_array(prev), keypoint_array(curr)
-    within = joints_within(a, b, [alpha * norm_scale * p.box.diagonal for p in prev])
-    shared = (~np.isnan(a[:, None, :, 0]) & ~np.isnan(b[None, :, :, 0])).sum(axis=2)
+    limits = [alpha * norm_scale * diagonal for diagonal in box_diagonals(prev.boxes)]
+    within = joints_within(keypoint_array(prev), keypoint_array(curr), limits)
+    shared = (prev.present[:, None, :] & curr.present[None, :, :]).sum(axis=2)
     correct = within.sum(axis=2)
     return np.where(shared > 0, correct / np.maximum(shared, 1), 0.0)
 
@@ -261,21 +251,18 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.0, (a @ b.T) / denom)
 
 
-def _feature_array(dets: Sequence[Detection]) -> np.ndarray:
-    return np.array([d.feature for d in dets], dtype=float).reshape(len(dets), -1)
-
-
 def build_cost_matrix(
-    prev: Sequence[Detection],
-    curr: Sequence[Detection],
+    prev: Detections | Sequence[Detection],
+    curr: Detections | Sequence[Detection],
     criterion: SimilarityCriterion,
     frame_index: Optional[int] = None,
 ) -> CostMatrix:
     """Similarity (and negated cost) for every prev x curr pair.
 
     frame_index keys the lookup for the external criterion and is ignored
-    otherwise. Each criterion is one array kernel over the whole matrix.
+    otherwise. Each criterion is one array kernel over the sides' columns.
     """
+    prev, curr = Detections.of(prev), Detections.of(curr)
     rows, cols = len(prev), len(curr)
     kind = criterion.kind
 
@@ -295,24 +282,24 @@ def build_cost_matrix(
 
     alpha, norm_scale = criterion.pckh_alpha, criterion.pckh_norm_scale
     if kind == "bbox_iou":
-        return CostMatrix(pairwise_iou(box_array(prev), box_array(curr)))
+        return CostMatrix(pairwise_iou(prev.boxes, curr.boxes))
     if kind == "pose_pckh":
         return CostMatrix(pairwise_pckh(prev, curr, alpha, norm_scale))
     if kind == "feature_cosine":
         _require_features(prev, "previous")
         _require_features(curr, "current")
-        return CostMatrix(pairwise_cosine(_feature_array(prev), _feature_array(curr)))
+        return CostMatrix(pairwise_cosine(prev.features, curr.features))
 
     # combined, summed in the scalar order: s = 0.0, s += w * term, s / total
     w_iou, w_pckh, w_cos = criterion.weights
     sim = np.zeros((rows, cols), dtype=float)
     if w_iou > 0:
-        sim += w_iou * pairwise_iou(box_array(prev), box_array(curr))
+        sim += w_iou * pairwise_iou(prev.boxes, curr.boxes)
     if w_pckh > 0:
         sim += w_pckh * pairwise_pckh(prev, curr, alpha, norm_scale)
     if w_cos > 0:
         _require_features(prev, "previous")
         _require_features(curr, "current")
-        cosine = pairwise_cosine(_feature_array(prev), _feature_array(curr))
+        cosine = pairwise_cosine(prev.features, curr.features)
         sim += w_cos * 0.5 * (cosine + 1.0)
     return CostMatrix(sim / (w_iou + w_pckh + w_cos))

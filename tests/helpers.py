@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from poselink.model import Box, Detection, Frame, Pose, VideoSequence
+from poselink.model import (
+    ROLE_GROUNDTRUTH,
+    ROLE_PREDICTION,
+    Box,
+    Detection,
+    Frame,
+    Pose,
+    VideoSequence,
+)
 
 JOINTS3 = ("head", "left", "right")
 
@@ -153,3 +163,147 @@ def correlate3d_multi(clip: np.ndarray, weights: np.ndarray, t_pad: int) -> np.n
         for i in range(clip.shape[0]):
             out[o] += correlate(padded[i], weights[o, i], mode="valid")
     return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_box(raw, what: str) -> Box:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise ValueError(f"{what} must be a list of 4 numbers")
+    vals = []
+    for v in raw:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"{what} has a non-numeric entry")
+        vals.append(float(v))
+    return Box(*vals)
+
+
+def reference_load_sequence(path, role=ROLE_PREDICTION):
+    """The per-detection loader that the columnar one replaced, kept as its
+    oracle: every check, in the same order and with the same message, then one
+    Detection object per person and the sequence checks frame by frame."""
+    if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
+        raise ValueError(f"unknown role {role!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a sequence file holds a JSON object")
+    for key in ("video_id", "image_size", "joint_names", "frames"):
+        if key not in raw:
+            raise ValueError(f"{path}: missing field {key!r}")
+    if not isinstance(raw["video_id"], str):
+        raise ValueError("video_id must be a string")
+    size = raw["image_size"]
+    if not isinstance(size, list) or len(size) != 2 or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in size
+    ):
+        raise ValueError("image_size must be [width, height] integers")
+    joint_names = raw["joint_names"]
+    if not isinstance(joint_names, list) or not all(isinstance(n, str) for n in joint_names):
+        raise ValueError("joint_names must be a list of strings")
+    j = len(joint_names)
+
+    if not isinstance(raw["frames"], list):
+        raise ValueError("frames must be a list")
+    frames = []
+    for fi, f in enumerate(raw["frames"]):
+        if not isinstance(f, dict):
+            raise ValueError(f"frame {fi}: must be an object")
+        for key in ("frame_index", "labeled", "detections"):
+            if key not in f:
+                raise ValueError(f"frame {fi}: missing field {key!r}")
+        if not isinstance(f["frame_index"], int) or isinstance(f["frame_index"], bool):
+            raise ValueError(f"frame {fi}: frame_index must be an integer")
+        if not isinstance(f["labeled"], bool):
+            raise ValueError(f"frame {fi}: labeled must be a boolean")
+        if not isinstance(f["detections"], list):
+            raise ValueError(f"frame {fi}: detections must be a list")
+        detections = []
+        for di, d in enumerate(f["detections"]):
+            where = f"frame {fi} detection {di}"
+            if not isinstance(d, dict):
+                raise ValueError(f"{where}: must be an object")
+            for key in ("bbox", "score", "keypoints"):
+                if key not in d:
+                    raise ValueError(f"{where}: missing field {key!r}")
+            try:  # float() of an integer beyond the float range overflows
+                box = _as_box(d["bbox"], f"{where} bbox")
+                score = d["score"]
+                if not _is_number(score):
+                    raise ValueError(f"{where}: score must be a number")
+                score = float(score)
+                if not math.isfinite(score):
+                    raise ValueError(f"{where}: score must be finite")
+                score = min(1.0, max(0.0, score))
+                kps = d["keypoints"]
+                if not isinstance(kps, list) or len(kps) != j:
+                    raise ValueError(f"{where}: keypoints must have length {j}")
+                if not all(isinstance(kp, list) and len(kp) == 4 for kp in kps):
+                    raise ValueError(f"{where} keypoint must be [x, y, score, present]")
+                if not {type(v) for kp in kps for v in kp[:3]} <= {int, float}:  # not bool
+                    raise ValueError(f"{where} keypoint has a non-numeric entry")
+                if not all(kp[3] in (0, 1) for kp in kps):
+                    raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
+                block = np.array(kps, dtype=float).reshape(j, 4)
+                if not np.isfinite(block).all():  # absent joints too
+                    raise ValueError(f"{where} keypoint has a non-finite entry")
+                feature = d.get("feature")
+                if feature is not None:
+                    if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
+                        raise ValueError(f"{where}: feature must be a list of numbers")
+                    feature = tuple(float(v) for v in feature)
+                    if not all(math.isfinite(v) for v in feature):
+                        raise ValueError(f"{where}: feature has a non-finite entry")
+                head_box = d.get("head_box")
+                if head_box is not None:
+                    head_box = _as_box(head_box, f"{where} head_box")
+            except OverflowError as exc:
+                raise ValueError(f"{where}: number out of the float range") from exc
+            track_id = d.get("track_id")
+            if track_id is not None and (not isinstance(track_id, int) or isinstance(track_id, bool)):
+                raise ValueError(f"{where}: track_id must be an integer")
+            if role == ROLE_GROUNDTRUTH:
+                if track_id is None:
+                    raise ValueError(f"{where}: ground truth requires track_id")
+                if head_box is None:
+                    raise ValueError(f"{where}: ground truth requires head_box")
+                if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
+                    raise ValueError(f"{where}: ground truth head_box has zero size")
+            detections.append(
+                Detection(
+                    box=box,
+                    score=score,
+                    pose=Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0),
+                    feature=feature,
+                    track_id=track_id,
+                    head_box=head_box,
+                )
+            )
+        if f["frame_index"] < 0:
+            raise ValueError("frame_index must be non-negative")
+        frames.append((f["frame_index"], f["labeled"], detections))
+
+    last_index, feature_dim = -1, None
+    for index, _, detections in frames:
+        if index <= last_index:
+            raise ValueError(f"non-monotone frames: index {index} after {last_index}")
+        last_index = index
+        for det in detections:
+            if det.feature is not None:
+                if feature_dim is None:
+                    feature_dim = len(det.feature)
+                elif len(det.feature) != feature_dim:
+                    raise ValueError("feature vectors must share one dimensionality")
+    return VideoSequence(
+        video_id=raw["video_id"],
+        image_width=int(size[0]),
+        image_height=int(size[1]),
+        joint_names=tuple(joint_names),
+        frames=tuple(Frame(index, labeled, tuple(dets)) for index, labeled, dets in frames),
+    )

@@ -31,11 +31,10 @@ from poselink.metrics import (
     mot_report,
     pckh_correct,
 )
-from poselink.model import Box, Detection, Pose
+from poselink.model import Box, Detection, Detections, Pose
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
-    box_array,
     build_cost_matrix,
     feature_cosine,
     iou,
@@ -141,7 +140,7 @@ class TestCostMatrixKernels:
     @settings(max_examples=75)
     @given(sides, sides)
     def test_iou_is_bit_exact(self, prev, curr):
-        sim = pairwise_iou(box_array(prev), box_array(curr))
+        sim = pairwise_iou(Detections.of(prev).boxes, Detections.of(curr).boxes)
         expected, _ = scalar_matrix(prev, curr, SimilarityCriterion("bbox_iou"))
         assert sim.shape == expected.shape
         assert np.array_equal(sim, expected)
@@ -292,7 +291,8 @@ def scalar_map(gt, pred, alpha=0.5):
                     )
                     scored[j].append((p.score, hit))
     return tuple(
-        100.0 * _average_precision(scored[j], n_gt[j]) if n_gt[j] else None for j in range(J)
+        100.0 * _average_precision([s for s, _ in scored[j]], [h for _, h in scored[j]], n_gt[j])
+        if n_gt[j] else None for j in range(J)
     )
 
 
@@ -393,8 +393,9 @@ def tracked_sequences(draw):
         if draw(st.integers(0, 4)) == 0:
             continue  # no prediction frame
         dets = draw(st.permutations([draw(near_copy(g)) for g in gts] + draw(sides)))
-        pred_frames.append((t, True, [d.with_track_id(draw(track_ids)) for d in dets]))
-        retracked_frames.append((t, True, [d.with_track_id(draw(track_ids)) for d in dets]))
+        pred_frames.append((t, True, [dataclasses.replace(d, track_id=draw(track_ids)) for d in dets]))
+        retracked_frames.append(
+            (t, True, [dataclasses.replace(d, track_id=draw(track_ids)) for d in dets]))
     return (sequence(gt_frames, joint_names=names), sequence(pred_frames, joint_names=names),
             sequence(retracked_frames, joint_names=names))
 
@@ -441,7 +442,8 @@ def loop_average_precision(scored, n_gt):
     st.integers(1, 40),
 )
 def test_average_precision_envelope_equals_loop(scored, n_gt):
-    assert _average_precision(scored, n_gt) == loop_average_precision(scored, n_gt)
+    scores, hits = [s for s, _ in scored], [h for _, h in scored]
+    assert _average_precision(scores, hits, n_gt) == loop_average_precision(scored, n_gt)
 
 
 def scalar_anchors(grid, image_w, image_h, length):

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 import math
 
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 from poselink.model import (
     Box,
     Detection,
+    Detections,
     Frame,
     Pose,
     VideoSequence,
@@ -18,7 +21,9 @@ from poselink.model import (
     save_sequence,
 )
 
-from helpers import person, pose_at, pose_from_rows, sequence
+from poselink.cli import main as cli_main
+
+from helpers import person, pose_at, pose_from_rows, reference_load_sequence, sequence
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -116,6 +121,48 @@ class TestTypes:
             sequence([(0, True, [a, b])])
 
 
+class TestDetections:
+    def _dets(self):
+        return Detections.of([
+            person([(0, 0), (1, 1), (2, 2)], score=0.5, track_id=2**70, feature=(1.0, 2.0)),
+            person([(5, 5), (6, 6), (7, 7)], present=[True, False, True], head_box=None),
+            person([(9, 9), (8, 8), (7, 7)], track_id=3, feature=(0.0, -1.0)),
+        ])
+
+    def test_views_equal_the_detections_they_were_built_from(self):
+        items = list(self._dets())
+        assert [d.track_id for d in items] == [2**70, None, 3]
+        assert items[1].feature is None and items[1].head_box is None
+        assert Detections.of(items) == self._dets()
+        assert self._dets()[-1] == items[2]
+        with pytest.raises(IndexError):
+            self._dets()[3]
+
+    def test_columns_are_read_only(self):
+        dets = self._dets()
+        for arr in (dets.boxes, dets.xy, dets.present, dets.features, dets.take([2, 0]).xy):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_take_keeps_ids_of_any_size_in_row_order(self):
+        dets = self._dets()
+        assert dets.take([2, 0]).track_ids == (3, 2**70)
+        assert dets.take(np.array([True, False, True])) == Detections.of([dets[0], dets[2]])
+        assert dets[1:] == Detections.of(list(dets)[1:])
+
+    def test_concat_widens_a_part_without_features(self):
+        plain = Detections.of([person([(0, 0), (1, 1), (2, 2)])])
+        both = Detections.concat([plain, self._dets()])
+        assert both.features.shape == (4, 2)
+        assert both.has_feature.tolist() == [False, True, False, True]
+        assert list(both) == list(plain) + list(self._dets())
+
+    def test_empty_columns_are_equal_whatever_their_joint_count(self):
+        empty = Detections.of(())
+        loaded = self._dets().take(np.zeros(3, dtype=bool))
+        assert empty == loaded and hash(empty) == hash(loaded)
+
+
 class TestRoundTrip:
     def test_minimal_file_round_trip(self, tmp_path):
         seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)], track_id=0)])])
@@ -145,6 +192,35 @@ class TestRoundTrip:
         save_sequence(seq, str(path))
         assert load_sequence(str(path)) == seq
 
+
+    def test_synth_files_round_trip_byte_for_byte(self, tmp_path):
+        gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+        assert cli_main(["synth", "--out-gt", str(gt), "--out-pred", str(pred), "--frames", "6",
+                         "--actors", "3", "--feature-dim", "4", "--fp-rate", "1", "--miss-prob", "0.2",
+                         "--occlusion-prob", "0.2", "--kp-jitter", "2"]) == 0
+        out = tmp_path / "out.json"
+        for path, role in ((gt, "groundtruth"), (pred, "prediction")):
+            save_sequence(load_sequence(str(path), role), str(out))
+            assert out.read_bytes() == path.read_bytes()
+
+    def test_optional_fields_and_large_ids_round_trip_byte_for_byte(self, tmp_path):
+        pred = tmp_path / "pred.json"
+        assert cli_main(["synth", "--out-gt", str(tmp_path / "gt.json"), "--out-pred", str(pred),
+                         "--frames", "4", "--actors", "3", "--feature-dim", "3"]) == 0
+        doc = json.loads(pred.read_text())
+        dets = [d for f in doc["frames"] for d in f["detections"]]
+        for k, det in enumerate(dets):
+            if k % 3 == 0:
+                del det["feature"]
+            if k % 2 == 0:
+                det["track_id"] = 2**64 + k if k % 4 == 0 else k
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        seq = load_sequence(str(path))
+        save_sequence(seq, str(out))
+        assert out.read_bytes() == path.read_bytes()
+        assert seq.frames[0].detections[0].track_id == 2**64
 
     def test_save_onto_directory_fails_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
@@ -302,12 +378,13 @@ class TestLoadValidation:
         assert load_sequence(str(path), joint_map=[0, 1, 2]) == seq
 
     def test_joint_map_permutes_names_and_joints_together(self, tmp_path):
-        seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)])])])
+        seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)], present=[True, False, True])])])
         path = tmp_path / "seq.json"
         save_sequence(seq, str(path))
         loaded = load_sequence(str(path), joint_map=[2, 0, 1])
         assert loaded.joint_names == ("right", "head", "left")
         assert loaded.frames[0].detections[0].pose.xy[0, 0] == 5
+        assert loaded.frames[0].detections[0].pose.present.tolist() == [True, True, False]
 
     def test_bad_joint_map_rejected(self, tmp_path):
         seq = sequence([(0, True, [])])
@@ -315,6 +392,132 @@ class TestLoadValidation:
         save_sequence(seq, str(path))
         with pytest.raises(ValueError, match="permutation"):
             load_sequence(str(path), joint_map=[0, 0, 2])
+        save_sequence(sequence([(0, True, [])], joint_names=("a", "b")), str(path))
+        for joint_map in ([1.0, 0.0], [False, True]):
+            with pytest.raises(ValueError, match=r"^joint_map must be a permutation of range\(2\)$"):
+                load_sequence(str(path), joint_map=joint_map)
+
+    def _multi_doc(self):
+        """3 frames x 3 detections, each with a feature, a track id and a head box."""
+        doc = self._doc()
+        doc["frames"] = [
+            {
+                "frame_index": 2 * t,
+                "labeled": t != 1,
+                "detections": [
+                    {
+                        "bbox": [k, t, 10 + k, 10.5 + t],
+                        "score": 0.25 * (k + 1),
+                        "keypoints": [[1 + k, 1, 2.0, 1], [2, 2 + t, 1.5, k % 2]],
+                        "feature": [0.5 * k, -1.0],
+                        "track_id": k,
+                        "head_box": [0, 0, 3 + t, 4],
+                    }
+                    for k in range(3)
+                ],
+            }
+            for t in range(3)
+        ]
+        return doc
+
+    def _agrees_with_reference(self, path, doc, role):
+        """load_sequence gives the reference's sequence or its ValueError message."""
+        path.write_text(json.dumps(doc))
+        try:
+            want = reference_load_sequence(str(path), role)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_sequence(str(path), role)
+            assert str(got.value) == str(exc)
+        else:
+            assert load_sequence(str(path), role) == want
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_loader_equals_the_per_detection_reference(self, tmp_path_factory, data):
+        doc = self._multi_doc()
+        for _ in range(data.draw(st.integers(1, 4))):
+            doc = _mutate(doc, data, data.draw(st.sampled_from([json_values, edge_values])))
+        role = data.draw(st.sampled_from(["prediction", "groundtruth"]))
+        self._agrees_with_reference(tmp_path_factory.mktemp("diff") / "doc.json", doc, role)
+
+    # (path, value): one defect each, or an unusual valid value
+    CHANGES = [
+        (("frames", 1, "frame_index"), -1),
+        (("frames", 1, "frame_index"), 0),
+        (("frames", 2, "labeled"), 1),
+        (("frames", 1, "detections", 1, "score"), "0.5"),
+        (("frames", 1, "detections", 2, "keypoints", 0, 1), True),
+        (("frames", 1, "detections", 0, "keypoints", 1, 3), 2),
+        (("frames", 0, "detections", 2, "keypoints", 1, 0), 10**400),
+        (("frames", 1, "detections", 0, "feature"), [1.0]),
+        (("frames", 0, "detections", 1, "feature"), None),
+        (("frames", 2, "detections", 1, "track_id"), -3),
+        (("frames", 2, "detections", 2, "track_id"), 2**70),
+        (("frames", 0, "detections", 2, "head_box"), [1, 1, 1, 1]),
+        (("frames", 2, "detections", 0, "bbox"), [5, 0, 1, 1]),
+        (("frames", 1, "detections", 1, "head_box"), None),
+        (("frames", 0, "detections", 0, "keypoints", 0, 3), False),
+    ]
+
+    def test_every_pair_of_changes_agrees_with_the_reference(self, tmp_path):
+        for first, second in itertools.combinations(self.CHANGES, 2):
+            doc = self._multi_doc()
+            for path, value in (first, second):
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+            for role in ("prediction", "groundtruth"):
+                self._agrees_with_reference(tmp_path / "doc.json", doc, role)
+
+    def test_negative_zero_score_loads_and_saves_as_zero(self, tmp_path):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["score"] = -0.0
+        seq = load_sequence(self._write(tmp_path, doc))
+        assert math.copysign(1.0, seq.frames[0].detections[0].score) == 1.0
+        out = tmp_path / "out.json"
+        save_sequence(seq, str(out))
+        assert '"score": 0.0' in out.read_text() and "-0.0" not in out.read_text()
+
+    @pytest.mark.parametrize("value", [True, "1.5"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_bool_or_string_keypoint_value_rejected(self, tmp_path, slot, value):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["keypoints"][1][slot] = value
+        with pytest.raises(ValueError, match="^frame 0 detection 0 keypoint has a non-numeric entry"):
+            load_sequence(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", [True, "1.5"])
+    def test_bool_or_string_score_rejected(self, tmp_path, value):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["score"] = value
+        with pytest.raises(ValueError, match="^frame 0 detection 0: score must be a number"):
+            load_sequence(self._write(tmp_path, doc))
+
+    def test_boolean_and_float_presence_flags_accepted(self, tmp_path):
+        doc = self._doc()
+        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 1, 2.0, True], [2, 2, 2.0, False]]
+        doc["frames"][0]["detections"].append(
+            {"bbox": [0, 0, 1, 1], "score": 1, "keypoints": [[1, 1, 2.0, 0.0], [2, 2, 2.0, 1.0]]}
+        )
+        dets = load_sequence(self._write(tmp_path, doc)).frames[0].detections
+        assert [d.pose.present.tolist() for d in dets] == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("keypoints", [[1, 1, 2.0, 1], [2, None, 2.0, 1]], "keypoint has a non-numeric entry"),
+        ("keypoints", [[1, 1, 2.0, 1], [2, 2, 2.0, 3]], "keypoint presence flag must be 0 or 1"),
+        ("keypoints", [[1, 1, 2.0, 1], [2, 2, math.inf, 1]], "keypoint has a non-finite entry"),
+        ("bbox", [0, 0, "10", 10], "bbox has a non-numeric entry"),
+        ("bbox", [0, 0, 10], "bbox must be a list of 4 numbers"),
+        ("score", math.nan, ": score must be finite"),
+        ("score", None, ": score must be a number"),
+    ])
+    def test_bad_value_in_a_later_frame_names_it(self, tmp_path, field, value, message):
+        doc = self._multi_doc()
+        doc["frames"][2]["detections"][1][field] = value
+        with pytest.raises(ValueError, match=f"^frame 2 detection 1:? ?{message}"):
+            load_sequence(self._write(tmp_path, doc), role="groundtruth")
 
 
 json_values = st.one_of(
@@ -337,10 +540,18 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _mutate(doc, data):
+# values a vectorised check can get wrong: signed zeros and negatives, booleans
+# and numeric strings, integers beyond int64 or the float range, zero-size boxes
+edge_values = st.sampled_from([
+    -1, 0, 1, -0.0, 1.0, 0.5, True, False, "1.5", 2**64, 10**400, math.nan, math.inf,
+    [], [0, 0, 0, 0], [1, 1, 1, 1], [5, 0, 1, 1], [1.0], [1, 1, 2.0, True],
+]).map(copy.deepcopy)  # a later mutation may edit an inserted list in place
+
+
+def _mutate(doc, data, values=json_values):
     """doc with one value replaced by an arbitrary JSON value, or deleted."""
     path = data.draw(st.sampled_from(list(_paths(doc))))
-    value = data.draw(json_values)
+    value = data.draw(values)
     if not path:
         return value
     parent = doc
