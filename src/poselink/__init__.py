@@ -4,12 +4,10 @@ __version__ = "0.1.0"
 
 from .model import (
     Box,
-    Detection,
     Detections,
     Frame,
     Pose,
     VideoSequence,
-    derive_box_from_pose,
     filter_detections,
     load_sequence,
     save_sequence,

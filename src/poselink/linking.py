@@ -13,12 +13,12 @@ including the random-id baseline mode under a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Detection, Detections, Frame, VideoSequence
+from .model import NO_DETECTIONS, Detections, Frame, VideoSequence
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -98,8 +98,8 @@ def _assign(cost: CostMatrix, algorithm: str) -> Assignment:
 
 
 def link_frame_pair(
-    prev: Detections | Sequence[Detection],
-    curr: Detections | Sequence[Detection],
+    prev: Detections,
+    curr: Detections,
     cfg: LinkerConfig,
     next_id: int,
     frame_index: Optional[int] = None,
@@ -109,7 +109,6 @@ def link_frame_pair(
     Returns (curr with every detection carrying a track id, next unused id,
     summed cost of the frame's assignment).
     """
-    prev, curr = Detections.of(prev), Detections.of(curr)
     if None in prev.track_ids:
         raise ValueError(f"previous detection {prev.track_ids.index(None)} carries no track_id")
 
@@ -142,7 +141,7 @@ def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[Video
     links = 0
     # the candidate pool: the latest detection of every live track, oldest
     # frame first, then by detection index; pool_pos holds each row's frame position
-    pool, pool_pos = Detections.of(()), np.empty(0, dtype=int)
+    pool, pool_pos = NO_DETECTIONS, np.empty(0, dtype=int)
     out_frames = []
     for pos, frame in enumerate(seq.frames):
         minted_from = next_id

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Box, Detection, Detections, VideoSequence, box_diagonals, write_text_atomic
+from .model import NO_DETECTIONS, Box, Detections, Pose, VideoSequence, box_diagonals, write_text_atomic
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
@@ -65,9 +65,8 @@ def pckh_correct(gt_xy, pred_xy, head: float, alpha: float = 0.5) -> bool:
     return math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1]) <= alpha * head
 
 
-def _correct_joint_count(gt: Detection, pred: Detection, alpha: float) -> int:
-    head = head_size(gt.head_box)
-    g, p = gt.pose, pred.pose
+def _correct_joint_count(g: Pose, p: Pose, gt_head_box: Box, alpha: float) -> int:
+    head = head_size(gt_head_box)
     count = 0
     for j in range(len(g)):
         if g.present[j] and p.present[j] and pckh_correct(g.xy[j], p.xy[j], head, alpha):
@@ -95,8 +94,8 @@ def _present_counts(frames: Sequence[Detections], j_count: int) -> np.ndarray:
 
 
 def correct_joint_mask(
-    gt_persons: Detections | Sequence[Detection],
-    pred_persons: Detections | Sequence[Detection],
+    gt_persons: Detections,
+    pred_persons: Detections,
     alpha: float = 0.5,
 ) -> np.ndarray:
     """(n_gt, n_pred, J) mask of PCKh-correct joints for every gt x pred pair.
@@ -105,9 +104,8 @@ def correct_joint_mask(
     poses; summed over the last axis it is the matrix of correct joint
     counts. Both sides must be non-empty.
     """
-    gt = Detections.of(gt_persons)
-    limits = [alpha * size for size in _head_sizes(gt)]
-    return joints_within(keypoint_array(gt), keypoint_array(pred_persons), limits)
+    limits = [alpha * size for size in _head_sizes(gt_persons)]
+    return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)
 
 
 @dataclass(frozen=True)
@@ -122,15 +120,15 @@ class PoseMatchResult:
 
 
 def match_poses_frame(
-    gt_persons: Detections | Sequence[Detection],
-    pred_persons: Detections | Sequence[Detection],
+    gt_persons: Detections,
+    pred_persons: Detections,
     alpha: float = 0.5,
 ) -> PoseMatchResult:
     """Match poses by maximizing the total count of PCKh-correct joints.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
-    gt, pred = Detections.of(gt_persons), Detections.of(pred_persons)
+    gt, pred = gt_persons, pred_persons
     n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 or n_pred == 0:
         empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
@@ -342,11 +340,10 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     same frame_index, which holds no predictions when it is missing."""
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
-    no_predictions = Detections.of(())
     frames = []
     for frame in gt.frames:
         if frame.labeled:
-            dets = pred_by_index.get(frame.frame_index, no_predictions)
+            dets = pred_by_index.get(frame.frame_index, NO_DETECTIONS)
             result = match_poses_frame(frame.detections, dets, alpha)
             frames.append(FrameMatch(frame.frame_index, frame.detections, dets, result))
     return SequenceMatch(gt, alpha, tuple(frames))

@@ -43,11 +43,11 @@ one row per detection, in file order.
     track_ids    N Python ints or None, so that ids of any size survive
     head_boxes   (N, 4)     head-box corners; NaN rows where there is none
 
-Loading, filtering, linking, scoring and saving work on these columns.
-Indexing or iterating a `Detections` yields `Detection` views, built on
-demand, and a frame built from `Detection` objects stores them as columns.
-Every type is frozen and every array read-only, so each value is immutable
-after construction and safe to share.
+Loading, synthesis, filtering, linking, scoring and saving work on these
+columns; `Detections.from_columns` builds a checked one and `load_sequence`
+checks a whole file at once. `Pose` and `Box` hold one pose or box for the
+scalar functions and the tube kernels. Every type is frozen and every array
+read-only, so each value is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -154,29 +154,9 @@ class Box:
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
 
-def _corners(box: Box) -> tuple[float, float, float, float]:
-    return (box.x_min, box.y_min, box.x_max, box.y_max)
-
-
 def box_diagonals(corners: np.ndarray) -> list[float]:
     """`Box.diagonal` of each (x_min, y_min, x_max, y_max) row, bit for bit."""
     return [math.hypot(x2 - x1, y2 - y1) for x1, y1, x2, y2 in corners.tolist()]
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One person hypothesis in one frame."""
-
-    box: Box
-    score: float
-    pose: Pose
-    feature: Optional[tuple[float, ...]] = None
-    track_id: Optional[int] = None
-    head_box: Optional[Box] = None
-
-    def __post_init__(self):
-        if self.track_id is not None and self.track_id < 0:
-            raise ValueError("track_id must be non-negative")
 
 
 _ARRAYS = ("boxes", "scores", "xy", "kp_score", "present", "features", "has_feature", "head_boxes")
@@ -187,10 +167,9 @@ class Detections:
     """The detections of one frame as read-only columns (see the module docstring).
 
     The constructor makes the arrays it is given read-only and checks
-    nothing: its columns must already hold what Box, Pose and Detection
-    check. `Detections.of` and `load_sequence` build checked ones. len, iteration and integer indexing
-    give `Detection` views; a slice gives the `Detections` of those rows.
-    Equal when every row is, NaN equal to NaN.
+    nothing: its columns must already hold what `from_columns` checks.
+    `from_columns` and `load_sequence` build checked ones. Equal when every
+    row is, NaN equal to NaN.
     """
 
     boxes: np.ndarray
@@ -208,34 +187,42 @@ class Detections:
             getattr(self, name).setflags(write=False)
 
     @classmethod
-    def of(cls, items) -> "Detections":
-        """`Detection` objects as columns; a `Detections` is returned as it is."""
-        if isinstance(items, Detections):
-            return items
-        items = tuple(items)
-        n, j = len(items), len(items[0].pose) if items else 0
-        if any(len(d.pose) != j for d in items):
-            raise ValueError("joint count mismatch: the poses of one frame differ in length")
-        feats = [d.feature for d in items if d.feature is not None]
-        if len({len(f) for f in feats}) > 1:
-            raise ValueError("feature vectors must share one dimensionality")
-        has_feature = np.array([d.feature is not None for d in items], dtype=bool)
-        features = np.full((n, len(feats[0]) if feats else 0), math.nan)
-        if feats:
-            features[has_feature] = feats
-        no_box = (math.nan,) * 4
-        return cls(
-            boxes=np.array([_corners(d.box) for d in items], dtype=float).reshape(n, 4),
-            scores=np.array([d.score for d in items], dtype=float),
-            xy=np.array([d.pose.xy for d in items], dtype=float).reshape(n, j, 2),
-            kp_score=np.array([d.pose.score for d in items], dtype=float).reshape(n, j),
-            present=np.array([d.pose.present for d in items], dtype=bool).reshape(n, j),
-            features=features,
-            has_feature=has_feature,
-            track_ids=tuple(d.track_id for d in items),
-            head_boxes=np.array([no_box if d.head_box is None else _corners(d.head_box) for d in items],
-                                dtype=float).reshape(n, 4),
-        )
+    def from_columns(cls, boxes, scores, xy, kp_score, present, features=None, track_ids=None,
+                     head_boxes=None) -> "Detections":
+        """N checked detections from their columns, with the checks and messages
+        of `Box` and `Pose`; a track id must be non-negative.
+
+        features (N, D) gives every row an embedding, and None gives none.
+        track_ids defaults to None on every row and head_boxes to NaN rows,
+        which mean no head box. With N = 0 this is the empty value.
+        """
+        boxes, scores, xy, kp_score = (_frozen(a, np.float64) for a in (boxes, scores, xy, kp_score))
+        present = _frozen(present, np.bool_)
+        n = len(scores) if scores.ndim == 1 else 0
+        head_boxes = np.full((n, 4), math.nan) if head_boxes is None else _frozen(head_boxes, np.float64)
+        if features is None:
+            features, has_feature = np.full((n, 0), math.nan), np.zeros(n, dtype=bool)
+        else:
+            features, has_feature = _frozen(features, np.float64), np.ones(n, dtype=bool)
+        if scores.ndim != 1 or boxes.shape != (n, 4) or head_boxes.shape != (n, 4) \
+                or features.ndim != 2 or len(features) != n:
+            raise ValueError("boxes, scores, head boxes and features must have shapes "
+                             "(N, 4), (N,), (N, 4) and (N, D)")
+        if xy.ndim != 3 or len(xy) != n or xy.shape[2] != 2 or kp_score.shape != xy.shape[:2] \
+                or present.shape != xy.shape[:2]:
+            raise ValueError("pose arrays must have shapes (N, J, 2), (N, J) and (N, J)")
+        for corners, none in ((boxes, False), (head_boxes, np.isnan(head_boxes).all(axis=1))):
+            ok = none | (np.isfinite(corners).all(axis=1) & (corners[:, :2] <= corners[:, 2:]).all(axis=1))
+            if not ok.all():
+                Box(*corners[ok.argmin()].tolist())  # raises the error of the first bad box
+        if not ((np.isfinite(xy).all(axis=2) & np.isfinite(kp_score)) | ~present).all():
+            raise ValueError("present keypoint has non-finite coordinates or score")
+        track_ids = (None,) * n if track_ids is None else tuple(track_ids)
+        if len(track_ids) != n:
+            raise ValueError("track_ids must hold one entry per detection")
+        if any(t is not None and t < 0 for t in track_ids):
+            raise ValueError("track_id must be non-negative")
+        return cls(boxes, scores, xy, kp_score, present, features, has_feature, track_ids, head_boxes)
 
     def take(self, rows) -> "Detections":
         """The rows picked by a slice, a boolean mask or an index sequence, in that order."""
@@ -244,12 +231,17 @@ class Detections:
 
     @staticmethod
     def concat(parts: Sequence["Detections"]) -> "Detections":
-        """The rows of every part in order. A part with no features at all
-        takes the feature width of the others."""
+        """The rows of every part in order. The parts must share a joint count,
+        and those with features a feature width; the others take that width."""
         parts = [p for p in parts if len(p)]
         if len(parts) <= 1:
-            return parts[0] if parts else Detections.of(())
-        width = max(p.features.shape[1] for p in parts)
+            return parts[0] if parts else NO_DETECTIONS
+        if len({p.xy.shape[1] for p in parts}) > 1:
+            raise ValueError("joint count mismatch: the poses of one frame differ in length")
+        widths = {p.features.shape[1] for p in parts if p.has_feature.any()}
+        if len(widths) > 1:
+            raise ValueError("feature vectors must share one dimensionality")
+        width = max(widths or {p.features.shape[1] for p in parts})
         features = [p.features if p.features.shape[1] == width else np.full((len(p), width), math.nan)
                     for p in parts]
         columns = {name: np.concatenate([getattr(p, name) for p in parts])
@@ -259,23 +251,6 @@ class Detections:
 
     def __len__(self) -> int:
         return len(self.track_ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(index)
-        i = range(len(self))[operator.index(index)]  # IndexError when out of range
-        head = self.head_boxes[i]
-        return Detection(
-            box=Box(*self.boxes[i].tolist()),
-            score=float(self.scores[i]),
-            pose=Pose(self.xy[i], self.kp_score[i], self.present[i]),
-            feature=tuple(self.features[i].tolist()) if self.has_feature[i] else None,
-            track_id=self.track_ids[i],
-            head_box=None if np.isnan(head[0]) else Box(*head.tolist()),
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Detections):
@@ -299,17 +274,23 @@ class Detections:
         return hash((len(self), self.present.tobytes()))
 
 
+# a frame without detections; its joint count and feature width are 0
+NO_DETECTIONS = Detections.from_columns(
+    np.zeros((0, 4)), np.zeros(0), np.zeros((0, 0, 2)), np.zeros((0, 0)), np.zeros((0, 0))
+)
+
+
 @dataclass(frozen=True)
 class Frame:
     frame_index: int
     labeled: bool
-    detections: Detections  # a sequence of Detection objects is stored as columns
+    detections: Detections
 
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
         if not isinstance(self.detections, Detections):
-            object.__setattr__(self, "detections", Detections.of(self.detections))
+            raise TypeError(f"frame detections must be a Detections, not {type(self.detections).__name__}")
 
 
 @dataclass(frozen=True)
@@ -367,7 +348,10 @@ def _as_box(raw, what: str) -> Box:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"{what} has a non-numeric entry")
         vals.append(float(v))
-    return Box(*vals)
+    try:
+        return Box(*vals)
+    except ValueError as exc:  # non-finite or out of order
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def load_sequence(
@@ -551,7 +535,7 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> None:
         for di, d in enumerate(f["detections"]):
             _check_detection(d, f"frame {fi} detection {di}", j, role)
         if f["frame_index"] < 0:
-            raise ValueError("frame_index must be non-negative")
+            raise ValueError(f"frame {fi}: frame_index must be non-negative")
     last_index, feature_dims = -1, set()
     for f in raw_frames:
         if f["frame_index"] <= last_index:
@@ -610,7 +594,7 @@ def _check_detection(d, where: str, j: int, role: str) -> None:
         if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
             raise ValueError(f"{where}: ground truth head_box has zero size")
     if track_id is not None and track_id < 0:
-        raise ValueError("track_id must be non-negative")
+        raise ValueError(f"{where}: track_id must be non-negative")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -668,22 +652,6 @@ def _detection_docs(dets: Detections) -> list[dict]:
             doc["head_box"] = head_box
         docs.append(doc)
     return docs
-
-
-def derive_box_from_pose(pose: Pose, dilation: float = 0.20) -> Box:
-    """Bounding box of present joints, each side length grown by `dilation` in total.
-
-    Growth is split evenly between the two sides (dilation/2 each), so a
-    zero-span dimension stays zero-span.
-    """
-    points = pose.xy[pose.present]
-    if not len(points):
-        raise ValueError("cannot derive a box from a pose with no present joints")
-    x_min, y_min = points.min(axis=0).tolist()
-    x_max, y_max = points.max(axis=0).tolist()
-    gx = 0.5 * dilation * (x_max - x_min)
-    gy = 0.5 * dilation * (y_max - y_min)
-    return Box(x_min - gx, y_min - gy, x_max + gx, y_max + gy)
 
 
 def filter_detections(seq: VideoSequence, det_threshold: float, kp_threshold: float) -> VideoSequence:

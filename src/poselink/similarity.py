@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import Box, Detection, Detections, box_diagonals
+from .model import Box, Detections, Pose, box_diagonals
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -100,17 +100,18 @@ def iou(a: Box, b: Box) -> float:
 
 
 def pose_pckh_similarity(
-    a: Detection, b: Detection, alpha: float = 0.5, norm_scale: float = 0.1
+    a: Pose, b: Pose, a_box: Box, alpha: float = 0.5, norm_scale: float = 0.1
 ) -> float:
-    """Fraction of jointly present joints within alpha * (norm_scale * diag of a.box).
+    """Fraction of jointly present joints within alpha * (norm_scale * diag of a_box),
+    where a_box is the box of the detection that pose a belongs to.
 
     Returns 0 when the poses share no present joints.
     """
-    threshold = alpha * norm_scale * a.box.diagonal
+    threshold = alpha * norm_scale * a_box.diagonal
     shared = 0
     correct = 0
     for (xa, ya), (xb, yb), present_a, present_b in zip(
-        a.pose.xy.tolist(), b.pose.xy.tolist(), a.pose.present.tolist(), b.pose.present.tolist()
+        a.xy.tolist(), b.xy.tolist(), a.present.tolist(), b.present.tolist()
     ):
         if not (present_a and present_b):
             continue
@@ -177,14 +178,13 @@ def _require_features(dets: Detections, side: str) -> None:
         )
 
 
-def keypoint_array(dets: Detections | Sequence[Detection]) -> np.ndarray:
+def keypoint_array(dets: Detections) -> np.ndarray:
     """(N, J, 2) joint coordinates of dets; absent joints are NaN.
 
     Present joints are always finite, so ~isnan(out[..., 0]) is the presence
     mask. Absent joints may hold any coordinates, and NaN keeps them out of
     every comparison.
     """
-    dets = Detections.of(dets)
     return np.where(dets.present[..., None], dets.xy, math.nan)
 
 
@@ -252,8 +252,8 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_cost_matrix(
-    prev: Detections | Sequence[Detection],
-    curr: Detections | Sequence[Detection],
+    prev: Detections,
+    curr: Detections,
     criterion: SimilarityCriterion,
     frame_index: Optional[int] = None,
 ) -> CostMatrix:
@@ -262,7 +262,6 @@ def build_cost_matrix(
     frame_index keys the lookup for the external criterion and is ignored
     otherwise. Each criterion is one array kernel over the sides' columns.
     """
-    prev, curr = Detections.of(prev), Detections.of(curr)
     rows, cols = len(prev), len(curr)
     kind = criterion.kind
 

@@ -14,6 +14,11 @@ stripped. When the noise model's feature_dim is positive, each actor gets a
 stable unit embedding and detections carry a jittered copy, so appearance
 based linking can run on synthetic data.
 
+Both stages build each frame's columns directly: the ground truth places the
+template joints of every actor in every frame with one broadcast and derives
+person and head boxes with dilated_boxes; corruption edits rows of those
+columns and appends the false positives as rows.
+
 Randomness comes from numpy's seeded PCG64 generator, one stream per stage:
 ground truth uses seed (cfg.seed, 0) and corruption (cfg.seed, 1). Draws
 happen in a fixed documented order (per actor: height, start, heading, speed,
@@ -30,14 +35,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .model import (
-    Box,
-    Detection,
-    Frame,
-    Pose,
-    VideoSequence,
-    derive_box_from_pose,
-)
+from .model import Detections, Frame, VideoSequence
 
 JOINT_NAMES = (
     "head_top",
@@ -170,32 +168,40 @@ class ScenarioConfig:
             )
 
 
-def _bounce(value: float, lo: float, hi: float) -> float:
-    """Reflect a coordinate into [lo, hi] (triangle-wave fold)."""
+def _bounce(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Reflect coordinates into [lo, hi] (triangle-wave fold)."""
     if hi <= lo:
-        return lo
+        return np.full_like(value, lo)
     span = hi - lo
     phase = (value - lo) % (2.0 * span)
-    return lo + (phase if phase <= span else 2.0 * span - phase)
+    return lo + np.where(phase <= span, phase, 2.0 * span - phase)
 
 
-def _pose_at(cx: float, cy: float, height: float) -> Pose:
-    j = len(_TEMPLATE)
-    return Pose((cx, cy) + _TEMPLATE * height, np.ones(j), np.ones(j, dtype=bool))
+def _poses_at(centers: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """(..., J, 2) template joints of figures with these (..., 2) centers and (...) heights."""
+    return centers[..., None, :] + _TEMPLATE * heights[..., None, None]
 
 
-def _head_box(pose: Pose) -> Box:
-    k = HEAD_JOINT_COUNT
-    head = Pose(pose.xy[:k], pose.score[:k], pose.present[:k])
-    return derive_box_from_pose(head, BOX_DILATION)
+def dilated_boxes(xy: np.ndarray, dilation: float = BOX_DILATION) -> np.ndarray:
+    """(..., 4) bounding box of each (..., J, 2) joint set, each side length grown
+    by `dilation` in total.
+
+    Growth is split evenly between the two sides (dilation/2 each), so a
+    zero-span dimension stays zero-span.
+    """
+    lo, hi = xy.min(axis=-2), xy.max(axis=-2)
+    grow = 0.5 * dilation * (hi - lo)
+    return np.concatenate([lo - grow, hi + grow], axis=-1)
 
 
 def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
     """Deterministic labeled sequence for the given scenario."""
     rng = np.random.default_rng([cfg.seed, 0])
     w, h = float(cfg.image_width), float(cfg.image_height)
+    t = np.arange(cfg.frames, dtype=float)
 
-    actors = []
+    # per actor, then per frame: centers (A, T, 2), heights (A,), occlusion flags (A, T)
+    centers, heights, occluded = [], [], []
     for _ in range(cfg.actors):
         height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * h
         margin_x = 0.25 * height
@@ -204,55 +210,44 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
         cy = float(rng.uniform(margin_y, h - margin_y))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         speed = float(rng.uniform(*cfg.motion.speed_range))
+        dx = math.cos(angle) * speed * t
+        dy = math.sin(angle) * speed * t
         if cfg.motion.kind == "sinusoidal":
             amp = float(rng.uniform(10.0, 40.0))
             period = float(rng.uniform(20.0, 60.0))
             phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        else:
-            amp = period = phase = 0.0
-        occluded = np.zeros(cfg.frames, dtype=bool)
+            lateral = amp * np.array([math.sin(v) for v in (2.0 * math.pi * t / period + phase).tolist()])
+            dx += -math.sin(angle) * lateral
+            dy += math.cos(angle) * lateral
+        hidden = np.zeros(cfg.frames, dtype=bool)
         remaining = 0
-        for t in range(cfg.frames):
+        for k in range(cfg.frames):
             if remaining == 0 and cfg.occlusion.probability > 0:
                 if float(rng.random()) < cfg.occlusion.probability:
                     lo, hi = cfg.occlusion.duration_range
                     remaining = int(rng.integers(lo, hi + 1))
             if remaining > 0:
-                occluded[t] = True
+                hidden[k] = True
                 remaining -= 1
-        actors.append(
-            dict(
-                height=height, cx=cx, cy=cy, angle=angle, speed=speed,
-                amp=amp, period=period, phase=phase,
-                margin_x=margin_x, margin_y=margin_y, occluded=occluded,
-            )
-        )
+        centers.append(np.stack([_bounce(cx + dx, margin_x, w - margin_x),
+                                 _bounce(cy + dy, margin_y, h - margin_y)], axis=-1))
+        heights.append(height)
+        occluded.append(hidden)
 
+    # every actor in every frame, frame-major: (T, A, J, 2) joints and (T, A, 4) boxes
+    xy = _poses_at(np.array(centers).reshape(cfg.actors, cfg.frames, 2),
+                   np.array(heights).reshape(cfg.actors, 1)).swapaxes(0, 1)
+    boxes, head_boxes = dilated_boxes(xy), dilated_boxes(xy[..., :HEAD_JOINT_COUNT, :])
+    visible = ~np.array(occluded, dtype=bool).reshape(cfg.actors, cfg.frames).T
     frames = []
-    for t in range(cfg.frames):
-        detections = []
-        for track_id, a in enumerate(actors):
-            if a["occluded"][t]:
-                continue
-            dx = math.cos(a["angle"]) * a["speed"] * t
-            dy = math.sin(a["angle"]) * a["speed"] * t
-            if cfg.motion.kind == "sinusoidal" and a["period"] > 0:
-                lateral = a["amp"] * math.sin(2.0 * math.pi * t / a["period"] + a["phase"])
-                dx += -math.sin(a["angle"]) * lateral
-                dy += math.cos(a["angle"]) * lateral
-            cx = _bounce(a["cx"] + dx, a["margin_x"], w - a["margin_x"])
-            cy = _bounce(a["cy"] + dy, a["margin_y"], h - a["margin_y"])
-            pose = _pose_at(cx, cy, a["height"])
-            detections.append(
-                Detection(
-                    box=derive_box_from_pose(pose, BOX_DILATION),
-                    score=1.0,
-                    pose=pose,
-                    track_id=track_id,
-                    head_box=_head_box(pose),
-                )
-            )
-        frames.append(Frame(t, t % cfg.label_every == 0, tuple(detections)))
+    for k, rows in enumerate(visible):
+        n = int(rows.sum())
+        detections = Detections.from_columns(
+            boxes[k, rows], np.ones(n), xy[k, rows], np.ones((n, len(_TEMPLATE))),
+            np.ones((n, len(_TEMPLATE)), dtype=bool),
+            track_ids=np.flatnonzero(rows).tolist(), head_boxes=head_boxes[k, rows],
+        )
+        frames.append(Frame(k, k % cfg.label_every == 0, detections))
 
     return VideoSequence(
         video_id=f"synth-{cfg.seed}",
@@ -267,66 +262,64 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
     """Detector-style corruption of a ground-truth sequence."""
     noise = cfg.noise
     rng = np.random.default_rng([cfg.seed, 1])
+    dim = noise.feature_dim
 
     embeddings: dict[int, np.ndarray] = {}
-    if noise.feature_dim > 0:
-        track_ids = sorted({d.track_id for f in gt.frames for d in f.detections})
-        for tid in track_ids:
-            vec = rng.normal(size=noise.feature_dim)
+    if dim > 0:
+        for tid in sorted({tid for f in gt.frames for tid in f.detections.track_ids}):
+            vec = rng.normal(size=dim)
             embeddings[tid] = vec / np.linalg.norm(vec)
 
     frames = []
     for frame in gt.frames:
-        detections = []
-        for det in frame.detections:
+        dets = frame.detections
+        boxes, xy, kp_score = dets.boxes.copy(), dets.xy.copy(), dets.kp_score.copy()
+        scores, features, kept = np.empty(len(dets)), np.empty((len(dets), dim)), []
+        for i, (present, track_id) in enumerate(zip(dets.present, dets.track_ids)):
             if noise.miss_probability > 0 and float(rng.random()) < noise.miss_probability:
                 continue
-            box = det.box
+            kept.append(i)
             if noise.box_jitter > 0:
+                x_min, y_min, x_max, y_max = boxes[i].tolist()
                 n = rng.normal(0.0, noise.box_jitter, size=4)
-                x1, x2 = sorted((box.x_min + n[0], box.x_max + n[1]))
-                y1, y2 = sorted((box.y_min + n[2], box.y_max + n[3]))
-                box = Box(x1, y1, x2, y2)
-            xy, kp_score = det.pose.xy.copy(), det.pose.score.copy()
-            for j in np.flatnonzero(det.pose.present).tolist():
+                x1, x2 = sorted((x_min + n[0], x_max + n[1]))
+                y1, y2 = sorted((y_min + n[2], y_max + n[3]))
+                boxes[i] = (x1, y1, x2, y2)
+            for j in np.flatnonzero(present).tolist():
                 if noise.keypoint_jitter > 0:
-                    xy[j, 0] += float(rng.normal(0.0, noise.keypoint_jitter))
-                    xy[j, 1] += float(rng.normal(0.0, noise.keypoint_jitter))
-                kp_score[j] = float(rng.uniform(*noise.keypoint_score_range))
-            pose = Pose(xy, kp_score, det.pose.present)
-            score = float(rng.uniform(*noise.tp_score_range))
-            feature = None
-            if noise.feature_dim > 0:
-                vec = embeddings[det.track_id] + rng.normal(
-                    0.0, noise.feature_noise, size=noise.feature_dim
-                )
-                feature = tuple(float(v) for v in vec)
-            detections.append(
-                Detection(box=box, score=score, pose=pose, feature=feature)
-            )
-        if noise.false_positive_rate > 0:
-            for _ in range(int(rng.poisson(noise.false_positive_rate))):
-                height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * gt.image_height
-                cx = float(rng.uniform(0.25 * height, gt.image_width - 0.25 * height))
-                cy = float(rng.uniform(0.55 * height, gt.image_height - 0.55 * height))
-                pose = _pose_at(cx, cy, height)
-                kp_score = [
-                    float(rng.uniform(*noise.keypoint_score_range)) for _ in range(len(pose))
-                ]
-                feature = None
-                if noise.feature_dim > 0:
-                    vec = rng.normal(size=noise.feature_dim)
-                    vec = vec / np.linalg.norm(vec)
-                    feature = tuple(float(v) for v in vec)
-                detections.append(
-                    Detection(
-                        box=derive_box_from_pose(pose, BOX_DILATION),
-                        score=float(rng.uniform(*noise.fp_score_range)),
-                        pose=Pose(pose.xy, kp_score, pose.present),
-                        feature=feature,
-                    )
-                )
-        frames.append(replace(frame, detections=tuple(detections)))
+                    xy[i, j, 0] += float(rng.normal(0.0, noise.keypoint_jitter))
+                    xy[i, j, 1] += float(rng.normal(0.0, noise.keypoint_jitter))
+                kp_score[i, j] = float(rng.uniform(*noise.keypoint_score_range))
+            scores[i] = float(rng.uniform(*noise.tp_score_range))
+            if dim > 0:
+                features[i] = embeddings[track_id] + rng.normal(0.0, noise.feature_noise, size=dim)
+
+        # false positives: (F, 2) centers, heights, joint scores, features and scores
+        fp_centers, fp_heights, fp_kp_score, fp_features, fp_scores = [], [], [], [], []
+        for _ in range(int(rng.poisson(noise.false_positive_rate)) if noise.false_positive_rate > 0 else 0):
+            height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * gt.image_height
+            cx = float(rng.uniform(0.25 * height, gt.image_width - 0.25 * height))
+            cy = float(rng.uniform(0.55 * height, gt.image_height - 0.55 * height))
+            fp_centers.append((cx, cy))
+            fp_heights.append(height)
+            fp_kp_score.append([float(rng.uniform(*noise.keypoint_score_range))
+                                for _ in range(len(_TEMPLATE))])
+            if dim > 0:
+                vec = rng.normal(size=dim)
+                fp_features.append(vec / np.linalg.norm(vec))
+            fp_scores.append(float(rng.uniform(*noise.fp_score_range)))
+        # the kept detections, then the false positives
+        parts = [Detections.from_columns(
+            boxes[kept], scores[kept], xy[kept], kp_score[kept], dets.present[kept],
+            features=features[kept] if dim > 0 else None,
+        )]
+        if fp_scores:
+            fp_xy = _poses_at(np.array(fp_centers), np.array(fp_heights))
+            parts.append(Detections.from_columns(
+                dilated_boxes(fp_xy), fp_scores, fp_xy, fp_kp_score, np.ones(fp_xy.shape[:2], dtype=bool),
+                features=fp_features if dim > 0 else None,
+            ))
+        frames.append(replace(frame, detections=Detections.concat(parts)))
     return gt.with_frames(frames)
 
 

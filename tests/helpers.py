@@ -13,7 +13,7 @@ from poselink.model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
     Box,
-    Detection,
+    Detections,
     Frame,
     Pose,
     VideoSequence,
@@ -39,24 +39,49 @@ def pose_at(coords, score=2.5, present=None) -> Pose:
     )
 
 
-def person(coords, score=1.0, track_id=None, head_box=HEAD_BOX, feature=None, present=None) -> Detection:
+def corners(box: Box | None) -> tuple[float, float, float, float]:
+    """The corner row of a box; NaN for none."""
+    return (math.nan,) * 4 if box is None else (box.x_min, box.y_min, box.x_max, box.y_max)
+
+
+def detection(box: Box, score: float, pose: Pose, feature=None, track_id=None, head_box=None) -> Detections:
+    """One checked detection row."""
+    return Detections.from_columns(
+        [corners(box)], [score], [pose.xy], [pose.score], [pose.present],
+        features=None if feature is None else [feature], track_ids=[track_id],
+        head_boxes=[corners(head_box)],
+    )
+
+
+def box_of(dets: Detections, i: int = 0) -> Box:
+    return Box(*dets.boxes[i].tolist())
+
+
+def head_box_of(dets: Detections, i: int = 0) -> Box:
+    return Box(*dets.head_boxes[i].tolist())
+
+
+def pose_of(dets: Detections, i: int = 0) -> Pose:
+    return Pose(dets.xy[i], dets.kp_score[i], dets.present[i])
+
+
+def person(coords, score=1.0, track_id=None, head_box=HEAD_BOX, feature=None, present=None) -> Detections:
+    """One detection row: a pose at coords, its joint span grown by 5 as the box."""
     pose = pose_at(coords, present=present)
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]
     box = Box(min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0)
-    return Detection(
-        box=box, score=score, pose=pose, track_id=track_id, head_box=head_box, feature=feature
-    )
+    return detection(box, score, pose, feature=feature, track_id=track_id, head_box=head_box)
 
 
 def sequence(frames, joint_names=JOINTS3, video_id="fixture", size=(640, 480)) -> VideoSequence:
-    """frames: list of (frame_index, labeled, [Detection, ...])."""
+    """frames: list of (frame_index, labeled, [detection rows, ...])."""
     return VideoSequence(
         video_id=video_id,
         image_width=size[0],
         image_height=size[1],
         joint_names=tuple(joint_names),
-        frames=tuple(Frame(i, labeled, tuple(dets)) for i, labeled, dets in frames),
+        frames=tuple(Frame(i, labeled, Detections.concat(dets)) for i, labeled, dets in frames),
     )
 
 
@@ -77,20 +102,10 @@ def three_frame_pair(pred_track_ids=(0, 0, 0), extra_fp_per_frame=0):
 
 
 def scale_sequence(seq: VideoSequence, s: float) -> VideoSequence:
-    def scale_box(box):
-        return None if box is None else Box(box.x_min * s, box.y_min * s, box.x_max * s, box.y_max * s)
-
     frames = []
     for frame in seq.frames:
-        dets = tuple(
-            replace(
-                det,
-                box=scale_box(det.box),
-                head_box=scale_box(det.head_box),
-                pose=Pose(det.pose.xy * s, det.pose.score, det.pose.present),
-            )
-            for det in frame.detections
-        )
+        d = frame.detections
+        dets = replace(d, boxes=d.boxes * s, head_boxes=d.head_boxes * s, xy=d.xy * s)
         frames.append(replace(frame, detections=dets))
     return seq.with_frames(frames)
 
@@ -177,13 +192,16 @@ def _as_box(raw, what: str) -> Box:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"{what} has a non-numeric entry")
         vals.append(float(v))
-    return Box(*vals)
+    try:
+        return Box(*vals)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def reference_load_sequence(path, role=ROLE_PREDICTION):
     """The per-detection loader that the columnar one replaced, kept as its
     oracle: every check, in the same order and with the same message, then one
-    Detection object per person and the sequence checks frame by frame."""
+    detection row per person and the sequence checks frame by frame."""
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -275,18 +293,12 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     raise ValueError(f"{where}: ground truth requires head_box")
                 if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
                     raise ValueError(f"{where}: ground truth head_box has zero size")
-            detections.append(
-                Detection(
-                    box=box,
-                    score=score,
-                    pose=Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0),
-                    feature=feature,
-                    track_id=track_id,
-                    head_box=head_box,
-                )
-            )
+            if track_id is not None and track_id < 0:
+                raise ValueError(f"{where}: track_id must be non-negative")
+            pose = Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0)
+            detections.append(detection(box, score, pose, feature, track_id, head_box))
         if f["frame_index"] < 0:
-            raise ValueError("frame_index must be non-negative")
+            raise ValueError(f"frame {fi}: frame_index must be non-negative")
         frames.append((f["frame_index"], f["labeled"], detections))
 
     last_index, feature_dim = -1, None
@@ -295,15 +307,15 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
             raise ValueError(f"non-monotone frames: index {index} after {last_index}")
         last_index = index
         for det in detections:
-            if det.feature is not None:
+            if det.has_feature[0]:
                 if feature_dim is None:
-                    feature_dim = len(det.feature)
-                elif len(det.feature) != feature_dim:
+                    feature_dim = det.features.shape[1]
+                elif det.features.shape[1] != feature_dim:
                     raise ValueError("feature vectors must share one dimensionality")
     return VideoSequence(
         video_id=raw["video_id"],
         image_width=int(size[0]),
         image_height=int(size[1]),
         joint_names=tuple(joint_names),
-        frames=tuple(Frame(index, labeled, tuple(dets)) for index, labeled, dets in frames),
+        frames=tuple(Frame(index, labeled, Detections.concat(dets)) for index, labeled, dets in frames),
     )

@@ -167,14 +167,14 @@ def test_criterion_6_cost_criterion_suite():
         for name, crit in criteria.items():
             tracked = track_video(filtered, LinkerConfig(criterion=crit))
             outputs[name] = [
-                [d.track_id for d in f.detections] for f in tracked.frames
+                list(f.detections.track_ids) for f in tracked.frames
             ]
             assert evaluate_mot(gt, tracked).mota_total is not None
         iou_weighted = track_video(
             filtered,
             LinkerConfig(criterion=SimilarityCriterion("combined", weights=(1.0, 0.0, 0.0))),
         )
-        ids = [[d.track_id for d in f.detections] for f in iou_weighted.frames]
+        ids = [list(f.detections.track_ids) for f in iou_weighted.frames]
         assert ids == outputs["iou"]
 
 
@@ -226,7 +226,7 @@ def test_criterion_8_lookback_gap_fixture():
         seq = frames_with_gap()
         for lookback, expected in ((1, 2), (2, 1)):
             tracked = track_video(seq, LinkerConfig(lookback=lookback))
-            distinct = {d.track_id for f in tracked.frames for d in f.detections}
+            distinct = {tid for f in tracked.frames for tid in f.detections.track_ids}
             assert len(distinct) == expected, (lookback, distinct)
 
 

@@ -118,7 +118,7 @@ class TestTrack:
         out = tmp_path / "tracked.json"
         assert run("track", "--pred", pred, "--out", out) == 0
         seq = load_sequence(str(out))
-        assert all(d.track_id is not None for f in seq.frames for d in f.detections)
+        assert all(None not in f.detections.track_ids for f in seq.frames)
         assert (tmp_path / "tracked.json.manifest.json").exists()
 
     def test_random_algo_deterministic(self, synth_pair, tmp_path):

@@ -31,7 +31,7 @@ from poselink.metrics import (
     mot_report,
     pckh_correct,
 )
-from poselink.model import Box, Detection, Detections, Pose
+from poselink.model import NO_DETECTIONS, Box, Detections, Pose
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
@@ -57,7 +57,7 @@ from poselink.tube import (
     tube_overlap,
 )
 
-from helpers import pose_from_rows, sequence
+from helpers import box_of, detection, head_box_of, pose_from_rows, pose_of, sequence
 
 J = 4
 # a coarse grid makes shared edges, zero-area boxes and exact PCKh ties common
@@ -91,8 +91,9 @@ features = st.one_of(
 
 @st.composite
 def detections(draw, gt=False):
+    """One detection row."""
     head = draw(boxes().filter(lambda b: b.diagonal > 0)) if gt else None
-    return Detection(
+    return detection(
         box=draw(boxes()),
         score=draw(st.sampled_from([0.5, 0.75, 1.0])),
         pose=pose_from_rows(draw(keypoints()) for _ in range(J)),
@@ -106,23 +107,35 @@ sides = st.lists(detections(), max_size=4)
 gt_sides = st.lists(detections(gt=True), max_size=4)
 
 
+def rows(dets):
+    """Each row of dets as a one-row Detections."""
+    return [dets.take([i]) for i in range(len(dets))]
+
+
+def correct_count(g, p, alpha):
+    """_correct_joint_count of one-row ground truth g and prediction p."""
+    return _correct_joint_count(pose_of(g), pose_of(p), head_box_of(g), alpha)
+
+
 def scalar_similarity(p, c, crit):
     """One entry of the cost matrix, the way the scalar criteria define it."""
-    pckh = lambda: pose_pckh_similarity(p, c, crit.pckh_alpha, crit.pckh_norm_scale)
+    pckh = lambda: pose_pckh_similarity(
+        pose_of(p), pose_of(c), box_of(p), crit.pckh_alpha, crit.pckh_norm_scale
+    )
     if crit.kind == "bbox_iou":
-        return iou(p.box, c.box)
+        return iou(box_of(p), box_of(c))
     if crit.kind == "pose_pckh":
         return pckh()
     if crit.kind == "feature_cosine":
-        return feature_cosine(p.feature, c.feature)
+        return feature_cosine(p.features[0], c.features[0])
     w_iou, w_pckh, w_cos = crit.weights
     s = 0.0
     if w_iou > 0:
-        s += w_iou * iou(p.box, c.box)
+        s += w_iou * iou(box_of(p), box_of(c))
     if w_pckh > 0:
         s += w_pckh * pckh()
     if w_cos > 0:
-        s += w_cos * 0.5 * (feature_cosine(p.feature, c.feature) + 1.0)
+        s += w_cos * 0.5 * (feature_cosine(p.features[0], c.features[0]) + 1.0)
     return s / (w_iou + w_pckh + w_cos)
 
 
@@ -140,7 +153,7 @@ class TestCostMatrixKernels:
     @settings(max_examples=75)
     @given(sides, sides)
     def test_iou_is_bit_exact(self, prev, curr):
-        sim = pairwise_iou(Detections.of(prev).boxes, Detections.of(curr).boxes)
+        sim = pairwise_iou(Detections.concat(prev).boxes, Detections.concat(curr).boxes)
         expected, _ = scalar_matrix(prev, curr, SimilarityCriterion("bbox_iou"))
         assert sim.shape == expected.shape
         assert np.array_equal(sim, expected)
@@ -149,7 +162,7 @@ class TestCostMatrixKernels:
     @given(sides, sides, st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.1, 0.25]))
     def test_pckh_is_exact(self, prev, curr, alpha, norm_scale):
         crit = SimilarityCriterion("pose_pckh", pckh_alpha=alpha, pckh_norm_scale=norm_scale)
-        sim = build_cost_matrix(prev, curr, crit).similarity
+        sim = build_cost_matrix(Detections.concat(prev), Detections.concat(curr), crit).similarity
         expected, _ = scalar_matrix(prev, curr, crit)
         assert np.array_equal(sim, expected)
 
@@ -169,7 +182,7 @@ class TestCostMatrixKernels:
         crit = SimilarityCriterion(kind, weights=weights)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sim = build_cost_matrix(prev, curr, crit).similarity
+            sim = build_cost_matrix(Detections.concat(prev), Detections.concat(curr), crit).similarity
         expected, scalar_warned = scalar_matrix(prev, curr, crit)
         assert sim.shape == expected.shape
         assert np.allclose(sim, expected, rtol=0.0, atol=1e-12)
@@ -178,12 +191,13 @@ class TestCostMatrixKernels:
         assert all("zero-norm" in str(w.message) for w in caught)
 
     def test_empty_sides(self):
-        det = Detection(Box(0, 0, 1, 1), 1.0, pose_from_rows([(0, 0, 1.0, True)] * J), feature=(1.0, 0, 0))
+        det = detection(Box(0, 0, 1, 1), 1.0, pose_from_rows([(0, 0, 1.0, True)] * J), feature=(1.0, 0, 0))
+        two = Detections.concat([det, det])
         for kind in ("bbox_iou", "pose_pckh", "feature_cosine", "combined"):
             crit = SimilarityCriterion(kind)
-            assert build_cost_matrix([], [det], crit).similarity.shape == (0, 1)
-            assert build_cost_matrix([det, det], [], crit).similarity.shape == (2, 0)
-            assert build_cost_matrix([], [], crit).similarity.shape == (0, 0)
+            assert build_cost_matrix(NO_DETECTIONS, det, crit).similarity.shape == (0, 1)
+            assert build_cost_matrix(two, NO_DETECTIONS, crit).similarity.shape == (2, 0)
+            assert build_cost_matrix(NO_DETECTIONS, NO_DETECTIONS, crit).similarity.shape == (0, 0)
 
 
 class TestNearThreshold:
@@ -209,28 +223,28 @@ class TestMetricKernels:
     @settings(max_examples=75)
     @given(gt_sides.filter(bool), sides.filter(bool), st.sampled_from([0.2, 0.5, 1.0]))
     def test_correct_joint_mask_is_exact(self, gt, pred, alpha):
-        mask = correct_joint_mask(gt, pred, alpha)
+        mask = correct_joint_mask(Detections.concat(gt), Detections.concat(pred), alpha)
         assert mask.shape == (len(gt), len(pred), J)
         for i, g in enumerate(gt):
-            head = head_size(g.head_box)
+            head = head_size(head_box_of(g))
             for k, p in enumerate(pred):
-                assert mask[i, k].sum() == _correct_joint_count(g, p, alpha)
+                assert mask[i, k].sum() == correct_count(g, p, alpha)
                 for j in range(J):
-                    expected = g.pose.present[j] and p.pose.present[j] and pckh_correct(
-                        g.pose.xy[j], p.pose.xy[j], head, alpha
+                    expected = g.present[0, j] and p.present[0, j] and pckh_correct(
+                        g.xy[0, j], p.xy[0, j], head, alpha
                     )
                     assert mask[i, k, j] == expected
 
     @settings(max_examples=75)
     @given(gt_sides, sides)
     def test_match_poses_frame_equals_scalar_counts(self, gt, pred):
-        result = match_poses_frame(gt, pred)
+        result = match_poses_frame(Detections.concat(gt), Detections.concat(pred))
         if not gt or not pred:
             assert result.pairs == ()
             assert result.unmatched_gt == tuple(range(len(gt)))
             assert result.unmatched_pred == tuple(range(len(pred)))
             return
-        counts = np.array([[_correct_joint_count(g, p, 0.5) for p in pred] for g in gt], dtype=float)
+        counts = np.array([[correct_count(g, p, 0.5) for p in pred] for g in gt], dtype=float)
         rows, cols = linear_sum_assignment(-counts)
         expected = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
         assert result.pairs == expected
@@ -251,15 +265,17 @@ class TestMetricKernels:
             sequence([(0, True, gt)], joint_names=names),
             sequence([(0, True, pred)], joint_names=names),
         )
-        overlaps = np.array([[iou(g.box, p.box) for p in pred] for g in gt])
-        rows, cols = linear_sum_assignment(-overlaps)
-        replaced = {int(k): gt[int(i)] for i, k in zip(rows, cols) if overlaps[i, k] > 0}
-        for k, det in enumerate(out.frames[0].detections):
+        overlaps = np.array([[iou(box_of(g), box_of(p)) for p in pred] for g in gt])
+        gi, pi = linear_sum_assignment(-overlaps)
+        replaced = {int(k): gt[int(i)] for i, k in zip(gi, pi) if overlaps[i, k] > 0}
+        got = out.frames[0].detections
+        assert len(got) == len(pred)
+        for k in range(len(pred)):
             source = replaced.get(k)
-            expected = pred[k].pose if source is None else Pose(
-                source.pose.xy, np.ones(J), source.pose.present
+            expected = pose_of(pred[k]) if source is None else Pose(
+                source.xy[0], np.ones(J), source.present[0]
             )
-            assert det.pose == expected
+            assert pose_of(got, k) == expected
 
 
 def scalar_map(gt, pred, alpha=0.5):
@@ -268,15 +284,15 @@ def scalar_map(gt, pred, alpha=0.5):
     scored = [[] for _ in range(J)]
     n_gt = [0] * J
     for g_frame, p_frame in zip(gt.frames, pred.frames):
-        gts, preds = g_frame.detections, p_frame.detections
+        gts, preds = rows(g_frame.detections), rows(p_frame.detections)
         for g in gts:
             for j in range(J):
-                n_gt[j] += g.pose.present[j]
+                n_gt[j] += g.present[0, j]
         claimed, taken = {}, set()
-        for pi in sorted(range(len(preds)), key=lambda k: (-preds[k].score, k)):
+        for pi in sorted(range(len(preds)), key=lambda k: (-preds[k].scores[0], k)):
             best, best_overlap = None, 0
             for gi, g in enumerate(gts):
-                overlap = 0 if gi in taken else _correct_joint_count(g, preds[pi], alpha)
+                overlap = 0 if gi in taken else correct_count(g, preds[pi], alpha)
                 if overlap > best_overlap:
                     best, best_overlap = gi, overlap
             if best is not None:
@@ -285,11 +301,11 @@ def scalar_map(gt, pred, alpha=0.5):
         for pi, p in enumerate(preds):
             g = gts[claimed[pi]] if pi in claimed else None
             for j in range(J):
-                if p.pose.present[j]:
-                    hit = g is not None and g.pose.present[j] and pckh_correct(
-                        g.pose.xy[j], p.pose.xy[j], head_size(g.head_box), alpha
+                if p.present[0, j]:
+                    hit = g is not None and g.present[0, j] and pckh_correct(
+                        g.xy[0, j], p.xy[0, j], head_size(head_box_of(g)), alpha
                     )
-                    scored[j].append((p.score, hit))
+                    scored[j].append((p.scores[0], hit))
     return tuple(
         100.0 * _average_precision([s for s, _ in scored[j]], [h for _, h in scored[j]], n_gt[j])
         if n_gt[j] else None for j in range(J)
@@ -313,22 +329,22 @@ def loop_evaluate_mot(gt, pred, alpha=0.5):
         if not frame.labeled:
             continue
         pf = pred_by_index.get(frame.frame_index)
-        pred_dets = pf.detections if pf is not None else ()
+        pred_dets = pf.detections if pf is not None else NO_DETECTIONS
         result = match_poses_frame(frame.detections, pred_dets, alpha)
         for dets, count in ((frame.detections, gt_count), (pred_dets, pred_count)):
-            count += np.array([d.pose.present for d in dets], dtype=bool).reshape(
+            count += np.array([d.present[0] for d in rows(dets)], dtype=bool).reshape(
                 len(dets), j_count).sum(axis=0)
         for gi, pi in result.pairs:
-            g_det, p_det = frame.detections[gi], pred_dets[pi]
-            present, hit = g_det.pose.present, result.correct[gi, pi]
+            g_det, p_det = frame.detections.take([gi]), pred_dets.take([pi])
+            present, hit = g_det.present[0], result.correct[gi, pi]
             tp += hit
-            ids = last_id.get(g_det.track_id)
+            ids = last_id.get(g_det.track_ids[0])
             if ids is None:
-                ids = last_id[g_det.track_id] = np.full(j_count, -1, dtype=object)
-            idsw += present & (ids != -1) & (ids != p_det.track_id)
-            ids[present] = p_det.track_id
-            limit = alpha * head_size(g_det.head_box)
-            g_xy, p_xy = g_det.pose.xy.tolist(), p_det.pose.xy.tolist()
+                ids = last_id[g_det.track_ids[0]] = np.full(j_count, -1, dtype=object)
+            idsw += present & (ids != -1) & (ids != p_det.track_ids[0])
+            ids[present] = p_det.track_ids[0]
+            limit = alpha * head_size(head_box_of(g_det))
+            g_xy, p_xy = g_det.xy[0].tolist(), p_det.xy[0].tolist()
             for j in np.flatnonzero(hit).tolist():
                 d = math.hypot(g_xy[j][0] - p_xy[j][0], g_xy[j][1] - p_xy[j][1])
                 motp_sum += 1.0 - (d / limit if limit > 0 else 0.0)
@@ -375,9 +391,9 @@ def near_copy(draw, g):
     """A prediction of labeled pose g: each joint shifted by up to a few
     PCKh limits, some joints dropped."""
     shifts = st.sampled_from([0.0, 1.0, 4.0, 60.0])
-    xy = [(x + draw(shifts), y + draw(shifts)) for x, y in g.pose.xy.tolist()]
-    present = [p and draw(st.integers(0, 4)) > 0 for p in g.pose.present.tolist()]
-    return Detection(g.box, draw(st.sampled_from([0.5, 1.0])), Pose(xy, np.full(J, 2.0), present))
+    xy = [(x + draw(shifts), y + draw(shifts)) for x, y in g.xy[0].tolist()]
+    present = [p and draw(st.integers(0, 4)) > 0 for p in g.present[0].tolist()]
+    return detection(box_of(g), draw(st.sampled_from([0.5, 1.0])), Pose(xy, np.full(J, 2.0), present))
 
 
 @st.composite
@@ -393,9 +409,9 @@ def tracked_sequences(draw):
         if draw(st.integers(0, 4)) == 0:
             continue  # no prediction frame
         dets = draw(st.permutations([draw(near_copy(g)) for g in gts] + draw(sides)))
-        pred_frames.append((t, True, [dataclasses.replace(d, track_id=draw(track_ids)) for d in dets]))
+        pred_frames.append((t, True, [dataclasses.replace(d, track_ids=(draw(track_ids),)) for d in dets]))
         retracked_frames.append(
-            (t, True, [dataclasses.replace(d, track_id=draw(track_ids)) for d in dets]))
+            (t, True, [dataclasses.replace(d, track_ids=(draw(track_ids),)) for d in dets]))
     return (sequence(gt_frames, joint_names=names), sequence(pred_frames, joint_names=names),
             sequence(retracked_frames, joint_names=names))
 
@@ -414,7 +430,7 @@ class TestSequenceMatch:
 
 def test_keypoint_array_masks_absent_joints():
     pose = pose_from_rows([(1.0, 2.0, 1.0, True), (math.inf, math.nan, 0.0, False)])
-    arr = keypoint_array([Detection(Box(0, 0, 1, 1), 1.0, pose)])
+    arr = keypoint_array(detection(Box(0, 0, 1, 1), 1.0, pose))
     assert arr.shape == (1, 2, 2)
     assert arr[0, 0].tolist() == [1.0, 2.0]
     assert np.isnan(arr[0, 1]).all()

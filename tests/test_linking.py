@@ -14,6 +14,7 @@ from poselink.linking import (
     track_video,
     track_video_with_stats,
 )
+from poselink.model import Detections
 from poselink.similarity import CostMatrix, SimilarityCriterion, load_external_scores
 from poselink.synth import NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
 
@@ -90,35 +91,35 @@ def _drifting_box_frames(offsets, start=0):
 
 class TestLinkFramePair:
     def test_single_obvious_match_inherits_id(self):
-        prev = [person([(0, 0), (5, 5), (10, 10)], track_id=7)]
-        curr = [person([(1, 0), (6, 5), (11, 10)])]
+        prev = person([(0, 0), (5, 5), (10, 10)], track_id=7)
+        curr = person([(1, 0), (6, 5), (11, 10)])
         out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=8)
-        assert out[0].track_id == 7
+        assert out.track_ids == (7,)
         assert next_id == 8
 
     def test_zero_similarity_never_links(self):
-        prev = [person([(0, 0), (5, 5), (10, 10)], track_id=0)]
-        curr = [person([(500, 500), (505, 505), (510, 510)])]
+        prev = person([(0, 0), (5, 5), (10, 10)], track_id=0)
+        curr = person([(500, 500), (505, 505), (510, 510)])
         out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=1)
-        assert out[0].track_id == 1
+        assert out.track_ids == (1,)
         assert next_id == 2
 
     def test_unmatched_detection_gets_next_id(self):
-        prev = [
+        prev = Detections.concat([
             person([(0, 0), (5, 5), (10, 10)], track_id=0),
             person([(100, 0), (105, 5), (110, 10)], track_id=1),
-        ]
-        curr = [
+        ])
+        curr = Detections.concat([
             person([(1, 0), (6, 5), (11, 10)]),
             person([(101, 0), (106, 5), (111, 10)]),
             person([(300, 300), (305, 305), (310, 310)]),
-        ]
+        ])
         out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=2)
-        assert [d.track_id for d in out] == [0, 1, 2]
+        assert out.track_ids == (0, 1, 2)
         assert next_id == 3
 
     def test_requires_prev_track_ids(self):
-        prev = [person([(0, 0), (5, 5), (10, 10)])]
+        prev = person([(0, 0), (5, 5), (10, 10)])
         with pytest.raises(ValueError, match="track_id"):
             link_frame_pair(prev, prev, LinkerConfig(), next_id=0)
 
@@ -127,7 +128,7 @@ class TestTrackVideo:
     def test_drifting_box_stays_one_track(self):
         seq = sequence(_drifting_box_frames([0, 2, 4, 6, 8]))
         tracked = track_video(seq, LinkerConfig())
-        ids = {f.detections[0].track_id for f in tracked.frames}
+        ids = {f.detections.track_ids[0] for f in tracked.frames}
         assert ids == {0}
 
     def test_gap_bridged_only_with_lookback(self):
@@ -136,14 +137,14 @@ class TestTrackVideo:
         )
         seq = sequence(frames)
         ids_k1 = {
-            d.track_id
+            tid
             for f in track_video(seq, LinkerConfig(lookback=1)).frames
-            for d in f.detections
+            for tid in f.detections.track_ids
         }
         ids_k2 = {
-            d.track_id
+            tid
             for f in track_video(seq, LinkerConfig(lookback=2)).frames
-            for d in f.detections
+            for tid in f.detections.track_ids
         }
         assert len(ids_k1) == 2
         assert len(ids_k2) == 1
@@ -162,7 +163,7 @@ class TestTrackVideo:
         tracked = track_video(pred, LinkerConfig())
         seen = []
         for frame in tracked.frames:
-            frame_ids = [d.track_id for d in frame.detections]
+            frame_ids = list(frame.detections.track_ids)
             assert len(frame_ids) == len(set(frame_ids))  # unique within a frame
             for tid in frame_ids:
                 if tid not in seen:
@@ -181,7 +182,7 @@ class TestTrackVideo:
         cfg = ScenarioConfig(seed=2, frames=10, actors=3)
         _, pred = generate_scenario(cfg)
         tracked = track_video(pred, LinkerConfig(algorithm="random", random_max_id=50, rng_seed=1))
-        ids = [d.track_id for f in tracked.frames for d in f.detections]
+        ids = [tid for f in tracked.frames for tid in f.detections.track_ids]
         assert all(0 <= tid <= 50 for tid in ids)
         assert len(set(ids)) > 1
 
@@ -195,7 +196,7 @@ class TestTrackVideo:
             counts = []
             for k in (1, 2, 3, 4):
                 tracked = track_video(gt, LinkerConfig(lookback=k))
-                counts.append(len({d.track_id for f in tracked.frames for d in f.detections}))
+                counts.append(len({tid for f in tracked.frames for tid in f.detections.track_ids}))
             assert counts == sorted(counts, reverse=True)
 
     def test_external_scores_drive_linking(self):
@@ -208,8 +209,7 @@ class TestTrackVideo:
         # force the link onto the far detection despite zero overlap
         crit = SimilarityCriterion("external", external_scores={(1, 0, 1): 0.9})
         tracked = track_video(seq, LinkerConfig(criterion=crit))
-        assert tracked.frames[1].detections[1].track_id == 0
-        assert tracked.frames[1].detections[0].track_id == 1
+        assert tracked.frames[1].detections.track_ids == (1, 0)
 
     def test_external_prev_index_counts_the_pool_oldest_frame_first(self, tmp_path):
         # lookback 2; track B skips frame 1, so frame 2's pool holds B from
@@ -225,7 +225,7 @@ class TestTrackVideo:
         ]))
         crit = SimilarityCriterion("external", external_scores=load_external_scores(str(path)))
         tracked = track_video(seq, LinkerConfig(criterion=crit, lookback=2))
-        ids = [[d.track_id for d in f.detections] for f in tracked.frames]
+        ids = [list(f.detections.track_ids) for f in tracked.frames]
         assert ids == [[0, 1], [0], [0, 1]]
 
     def test_stats_accumulate_costs(self):
@@ -259,7 +259,7 @@ class TestTrackVideo:
         assert stats.links + stats.new_tracks == detections
         seen, reused = set(), 0
         for frame in tracked.frames:
-            ids = [d.track_id for d in frame.detections]
+            ids = frame.detections.track_ids
             reused += sum(tid in seen for tid in ids)
             seen.update(ids)
         assert stats.links == reused

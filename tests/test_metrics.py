@@ -11,7 +11,7 @@ from poselink.metrics import (
     mot_report,
     pckh_correct,
 )
-from poselink.model import Box, filter_detections
+from poselink.model import Box, Detections, filter_detections
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
 
 from helpers import person, scale_sequence, sequence, three_frame_pair
@@ -47,27 +47,27 @@ class TestPckhCorrect:
 
 class TestMatchPoses:
     def test_perfect_prediction_matches(self):
-        gt = [person([(0, 0), (5, 5), (10, 10)], track_id=0)]
-        pred = [person([(0, 0), (5, 5), (10, 10)])]
+        gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
+        pred = person([(0, 0), (5, 5), (10, 10)])
         result = match_poses_frame(gt, pred)
         assert result.pairs == ((0, 0),)
         assert result.unmatched_gt == () and result.unmatched_pred == ()
 
     def test_two_people_matched_to_nearest(self):
-        gt = [
+        gt = Detections.concat([
             person([(0, 0), (5, 5), (10, 10)], track_id=0),
             person([(100, 100), (105, 105), (110, 110)], track_id=1),
-        ]
-        pred = [
+        ])
+        pred = Detections.concat([
             person([(101, 101), (106, 106), (111, 111)]),
             person([(1, 1), (6, 6), (11, 11)]),
-        ]
+        ])
         result = match_poses_frame(gt, pred)
         assert set(result.pairs) == {(0, 1), (1, 0)}
 
     def test_zero_correct_joints_discarded(self):
-        gt = [person([(0, 0), (5, 5), (10, 10)], track_id=0)]
-        pred = [person([(500, 500), (505, 505), (510, 510)])]
+        gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
+        pred = person([(500, 500), (505, 505), (510, 510)])
         result = match_poses_frame(gt, pred)
         assert result.pairs == ()
         assert result.unmatched_gt == (0,) and result.unmatched_pred == (0,)
@@ -150,12 +150,12 @@ class TestEvaluateMot:
     def test_unlabeled_frames_are_ignored(self):
         gt, pred = three_frame_pair()
         noisy_frames = [
-            (0, True, list(pred.frames[0].detections)),
-            (1, True, list(pred.frames[1].detections)),
-            (2, True, list(pred.frames[2].detections)),
+            (0, True, [pred.frames[0].detections]),
+            (1, True, [pred.frames[1].detections]),
+            (2, True, [pred.frames[2].detections]),
             (3, False, [person([(500, 0), (505, 5), (510, 10)], track_id=9, head_box=None)]),
         ]
-        gt_frames = [(f.frame_index, f.labeled, list(f.detections)) for f in gt.frames]
+        gt_frames = [(f.frame_index, f.labeled, [f.detections]) for f in gt.frames]
         gt_frames.append((3, False, []))
         report = evaluate_mot(sequence(gt_frames), sequence(noisy_frames))
         assert report.mota_total == 100.0
@@ -172,7 +172,7 @@ class TestEvaluateMot:
 
         gt, pred = three_frame_pair()
         frames = [
-            (f.frame_index, f.labeled, [replace(d, track_id=None) for d in f.detections])
+            (f.frame_index, f.labeled, [replace(f.detections, track_ids=(None,) * len(f.detections))])
             for f in pred.frames
         ]
         with pytest.raises(ValueError, match="track_id"):
@@ -188,7 +188,8 @@ class TestMotReport:
         gt, pred = three_frame_pair(extra_fp_per_frame=1)
         match = match_sequence(gt, pred)
         frames = [
-            (f.frame_index, f.labeled, list(f.detections[:kept] if f.frame_index == frame else f.detections))
+            (f.frame_index, f.labeled,
+             [f.detections.take(slice(kept)) if f.frame_index == frame else f.detections])
             for f in pred.frames
             if kept is not None or f.frame_index != frame
         ]

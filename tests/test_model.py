@@ -9,13 +9,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from poselink.model import (
+    NO_DETECTIONS,
     Box,
-    Detection,
     Detections,
     Frame,
     Pose,
     VideoSequence,
-    derive_box_from_pose,
     filter_detections,
     load_sequence,
     save_sequence,
@@ -23,7 +22,7 @@ from poselink.model import (
 
 from poselink.cli import main as cli_main
 
-from helpers import person, pose_at, pose_from_rows, reference_load_sequence, sequence
+from helpers import detection, person, pose_from_rows, head_box_of, reference_load_sequence, sequence
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -49,7 +48,7 @@ def random_sequences(draw):
             if feature_dim is not None:
                 feature = tuple(draw(coords) for _ in range(feature_dim))
             dets.append(
-                Detection(
+                detection(
                     box=Box(xs[0], ys[0], xs[1], ys[1]),
                     score=draw(st.floats(min_value=0, max_value=1, allow_nan=False)),
                     pose=pose,
@@ -57,7 +56,7 @@ def random_sequences(draw):
                     track_id=draw(st.one_of(st.none(), st.integers(0, 50))),
                 )
             )
-        frames.append(Frame(index, draw(st.booleans()), tuple(dets)))
+        frames.append(Frame(index, draw(st.booleans()), Detections.concat(dets)))
     return VideoSequence(
         video_id="prop",
         image_width=640,
@@ -123,20 +122,72 @@ class TestTypes:
 
 class TestDetections:
     def _dets(self):
-        return Detections.of([
+        return Detections.concat([
             person([(0, 0), (1, 1), (2, 2)], score=0.5, track_id=2**70, feature=(1.0, 2.0)),
             person([(5, 5), (6, 6), (7, 7)], present=[True, False, True], head_box=None),
             person([(9, 9), (8, 8), (7, 7)], track_id=3, feature=(0.0, -1.0)),
         ])
 
-    def test_views_equal_the_detections_they_were_built_from(self):
-        items = list(self._dets())
-        assert [d.track_id for d in items] == [2**70, None, 3]
-        assert items[1].feature is None and items[1].head_box is None
-        assert Detections.of(items) == self._dets()
-        assert self._dets()[-1] == items[2]
-        with pytest.raises(IndexError):
-            self._dets()[3]
+    def _columns(self, n=2, j=3):
+        """Valid column arguments of n detections with j joints each."""
+        return dict(
+            boxes=np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), scores=np.full(n, 0.5),
+            xy=np.ones((n, j, 2)), kp_score=np.full((n, j), 2.0), present=np.ones((n, j), dtype=bool),
+        )
+
+    def test_joined_rows_keep_their_optional_columns(self):
+        dets = self._dets()
+        assert dets.track_ids == (2**70, None, 3)
+        assert dets.has_feature.tolist() == [True, False, True]
+        assert np.isnan(dets.head_boxes[1]).all() and not np.isnan(dets.head_boxes[[0, 2]]).any()
+
+    def test_from_columns_defaults_to_no_optional_columns(self):
+        dets = Detections.from_columns(**self._columns())
+        assert dets.track_ids == (None, None)
+        assert dets.features.shape == (2, 0) and not dets.has_feature.any()
+        assert np.isnan(dets.head_boxes).all()
+        with_features = Detections.from_columns(**self._columns(), features=[[1.0, 2.0], [3.0, 4.0]])
+        assert with_features.has_feature.all() and with_features.features.shape == (2, 2)
+
+    def test_from_columns_copies_and_freezes_its_arrays(self):
+        columns = self._columns()
+        dets = Detections.from_columns(**columns)
+        columns["xy"][0, 0, 0] = 99.0
+        assert dets.xy[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dets.boxes[0, 0] = 5.0
+
+    SHAPES = "boxes, scores, head boxes and features must have shapes (N, 4), (N,), (N, 4) and (N, D)"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"boxes": [[5.0, 0.0, 1.0, 1.0]] * 2},
+         r"box corners out of order: Box(x_min=5.0, y_min=0.0, x_max=1.0, y_max=1.0)"),
+        ({"boxes": [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, math.inf, 1.0]]}, "box coordinate is not finite"),
+        ({"head_boxes": [[0.0, 0.0, 1.0, math.nan], [math.nan] * 4]}, "box coordinate is not finite"),
+        ({"head_boxes": [[math.nan] * 4, [0.0, 3.0, 1.0, 1.0]]},
+         r"box corners out of order: Box(x_min=0.0, y_min=3.0, x_max=1.0, y_max=1.0)"),
+        ({"xy": [[[1.0, 1.0]] * 3, [[1.0, math.nan], [1.0, 1.0], [1.0, 1.0]]]},
+         "present keypoint has non-finite coordinates or score"),
+        ({"kp_score": [[2.0, math.inf, 2.0], [2.0] * 3]}, "present keypoint has non-finite coordinates or score"),
+        ({"track_ids": [0, -1]}, "track_id must be non-negative"),
+        ({"track_ids": [0]}, "track_ids must hold one entry per detection"),
+        ({"kp_score": np.ones((2, 2))}, "pose arrays must have shapes (N, J, 2), (N, J) and (N, J)"),
+        ({"xy": np.ones((2, 3, 3))}, "pose arrays must have shapes (N, J, 2), (N, J) and (N, J)"),
+        ({"scores": [0.5]}, SHAPES),
+        ({"scores": 0.5}, SHAPES),
+        ({"features": [1.0, 2.0]}, SHAPES),
+    ])
+    def test_from_columns_checks_name_what_is_wrong(self, change, message):
+        with pytest.raises(ValueError) as exc:
+            Detections.from_columns(**{**self._columns(), **change})
+        assert str(exc.value) == message
+
+    def test_absent_joints_may_hold_any_values(self):
+        columns = self._columns()
+        columns["xy"][1, 2] = math.nan
+        columns["kp_score"][1, 2] = math.inf
+        columns["present"][1, 2] = False
+        assert Detections.from_columns(**columns).present.sum() == 5
 
     def test_columns_are_read_only(self):
         dets = self._dets()
@@ -147,18 +198,28 @@ class TestDetections:
     def test_take_keeps_ids_of_any_size_in_row_order(self):
         dets = self._dets()
         assert dets.take([2, 0]).track_ids == (3, 2**70)
-        assert dets.take(np.array([True, False, True])) == Detections.of([dets[0], dets[2]])
-        assert dets[1:] == Detections.of(list(dets)[1:])
+        assert dets.take(np.array([True, False, True])) == dets.take([0, 2])
+        assert dets.take(slice(1, None)) == Detections.concat([dets.take([1]), dets.take([2])])
 
     def test_concat_widens_a_part_without_features(self):
-        plain = Detections.of([person([(0, 0), (1, 1), (2, 2)])])
+        plain = person([(0, 0), (1, 1), (2, 2)])
         both = Detections.concat([plain, self._dets()])
         assert both.features.shape == (4, 2)
         assert both.has_feature.tolist() == [False, True, False, True]
-        assert list(both) == list(plain) + list(self._dets())
+        assert both.take([0]) == plain and both.take([1, 2, 3]) == self._dets()
+
+    def test_concat_rejects_mixed_joint_counts_and_feature_widths(self):
+        with pytest.raises(ValueError, match="^joint count mismatch: the poses of one frame differ in length$"):
+            Detections.concat([person([(0, 0), (1, 1)]), person([(0, 0), (1, 1), (2, 2)])])
+        with pytest.raises(ValueError, match="^feature vectors must share one dimensionality$"):
+            Detections.concat([person([(0, 0)], feature=(1.0,)), person([(0, 0)], feature=(1.0, 2.0))])
+
+    def test_frame_takes_only_detections(self):
+        with pytest.raises(TypeError, match="Detections"):
+            Frame(0, True, (person([(0, 0)]),))
 
     def test_empty_columns_are_equal_whatever_their_joint_count(self):
-        empty = Detections.of(())
+        empty = NO_DETECTIONS
         loaded = self._dets().take(np.zeros(3, dtype=bool))
         assert empty == loaded and hash(empty) == hash(loaded)
 
@@ -183,7 +244,7 @@ class TestRoundTrip:
         seq = sequence([(0, True, [person([(0, 0), (1, 1), (2, 2)], feature=feature)])])
         path = tmp_path / "feat.json"
         save_sequence(seq, str(path))
-        assert load_sequence(str(path)).frames[0].detections[0].feature == feature
+        assert tuple(load_sequence(str(path)).frames[0].detections.features[0].tolist()) == feature
 
     @settings(max_examples=50)
     @given(random_sequences())
@@ -220,7 +281,7 @@ class TestRoundTrip:
         seq = load_sequence(str(path))
         save_sequence(seq, str(out))
         assert out.read_bytes() == path.read_bytes()
-        assert seq.frames[0].detections[0].track_id == 2**64
+        assert seq.frames[0].detections.track_ids[0] == 2**64
 
     def test_save_onto_directory_fails_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
@@ -289,10 +350,10 @@ class TestLoadValidation:
     def test_keypoint_block_loads_as_arrays(self, tmp_path):
         doc = self._doc()
         doc["frames"][0]["detections"][0]["keypoints"] = [[1, 2, 2.5, 1], [3.5, 4, 0, False]]
-        pose = load_sequence(self._write(tmp_path, doc)).frames[0].detections[0].pose
-        assert pose.xy.tolist() == [[1.0, 2.0], [3.5, 4.0]]
-        assert pose.score.tolist() == [2.5, 0.0]
-        assert pose.present.tolist() == [True, False]
+        dets = load_sequence(self._write(tmp_path, doc)).frames[0].detections
+        assert dets.xy.tolist() == [[[1.0, 2.0], [3.5, 4.0]]]
+        assert dets.kp_score.tolist() == [[2.5, 0.0]]
+        assert dets.present.tolist() == [[True, False]]
 
     def test_non_monotone_frame_indices(self, tmp_path):
         doc = self._doc()
@@ -318,13 +379,13 @@ class TestLoadValidation:
         path = self._write(tmp_path, doc)
         with pytest.raises(ValueError, match="frame 0 detection 0: .*head_box"):
             load_sequence(path, role="groundtruth")
-        assert load_sequence(path).frames[0].detections[0].head_box.diagonal == 0.0
+        assert head_box_of(load_sequence(path).frames[0].detections).diagonal == 0.0
 
     def test_detection_score_clamped(self, tmp_path):
         doc = self._doc()
         doc["frames"][0]["detections"][0]["score"] = 7.5
         seq = load_sequence(self._write(tmp_path, doc))
-        assert seq.frames[0].detections[0].score == 1.0
+        assert seq.frames[0].detections.scores[0] == 1.0
 
     @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
     def test_non_finite_score_rejected(self, tmp_path, score):
@@ -383,8 +444,8 @@ class TestLoadValidation:
         save_sequence(seq, str(path))
         loaded = load_sequence(str(path), joint_map=[2, 0, 1])
         assert loaded.joint_names == ("right", "head", "left")
-        assert loaded.frames[0].detections[0].pose.xy[0, 0] == 5
-        assert loaded.frames[0].detections[0].pose.present.tolist() == [True, True, False]
+        assert loaded.frames[0].detections.xy[0, 0, 0] == 5
+        assert loaded.frames[0].detections.present[0].tolist() == [True, True, False]
 
     def test_bad_joint_map_rejected(self, tmp_path):
         seq = sequence([(0, True, [])])
@@ -471,11 +532,33 @@ class TestLoadValidation:
             for role in ("prediction", "groundtruth"):
                 self._agrees_with_reference(tmp_path / "doc.json", doc, role)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("frames", 2, "detections", 0, "bbox"), [5, 0, 1, 1],
+         "frame 2 detection 0 bbox: box corners out of order: Box(x_min=5.0, y_min=0.0, x_max=1.0, y_max=1.0)"),
+        (("frames", 0, "detections", 1, "bbox"), [0, 0, math.inf, 1],
+         "frame 0 detection 1 bbox: box coordinate is not finite"),
+        (("frames", 1, "detections", 2, "head_box"), [0, -math.inf, 1, 1],
+         "frame 1 detection 2 head_box: box coordinate is not finite"),
+        (("frames", 2, "detections", 1, "track_id"), -3, "frame 2 detection 1: track_id must be non-negative"),
+        (("frames", 1, "frame_index"), -1, "frame 1: frame_index must be non-negative"),
+    ])
+    def test_box_id_and_index_checks_name_the_frame_and_detection(self, tmp_path, path, value, message):
+        doc = self._multi_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        path = self._write(tmp_path, doc)
+        for load in (load_sequence, reference_load_sequence):
+            with pytest.raises(ValueError) as exc:
+                load(path)
+            assert str(exc.value) == message
+
     def test_negative_zero_score_loads_and_saves_as_zero(self, tmp_path):
         doc = self._doc()
         doc["frames"][0]["detections"][0]["score"] = -0.0
         seq = load_sequence(self._write(tmp_path, doc))
-        assert math.copysign(1.0, seq.frames[0].detections[0].score) == 1.0
+        assert math.copysign(1.0, seq.frames[0].detections.scores[0]) == 1.0
         out = tmp_path / "out.json"
         save_sequence(seq, str(out))
         assert '"score": 0.0' in out.read_text() and "-0.0" not in out.read_text()
@@ -502,7 +585,7 @@ class TestLoadValidation:
             {"bbox": [0, 0, 1, 1], "score": 1, "keypoints": [[1, 1, 2.0, 0.0], [2, 2, 2.0, 1.0]]}
         )
         dets = load_sequence(self._write(tmp_path, doc)).frames[0].detections
-        assert [d.pose.present.tolist() for d in dets] == [[True, False], [False, True]]
+        assert dets.present.tolist() == [[True, False], [False, True]]
 
     @pytest.mark.parametrize("field, value, message", [
         ("keypoints", [[1, 1, 2.0, 1], [2, None, 2.0, 1]], "keypoint has a non-numeric entry"),
@@ -564,38 +647,6 @@ def _mutate(doc, data, values=json_values):
     return doc
 
 
-class TestDeriveBox:
-    def test_two_joint_span_dilated(self):
-        box = derive_box_from_pose(pose_at([(10, 10), (20, 20)]), dilation=0.2)
-        assert box == Box(9.0, 9.0, 21.0, 21.0)
-
-    def test_zero_dilation_is_exact_span(self):
-        box = derive_box_from_pose(pose_at([(10, 10), (20, 20)]), dilation=0.0)
-        assert box == Box(10.0, 10.0, 20.0, 20.0)
-
-    def test_single_joint_stays_a_point(self):
-        assert derive_box_from_pose(pose_at([(5, 5)])) == Box(5.0, 5.0, 5.0, 5.0)
-
-    def test_absent_joints_are_ignored(self):
-        pose = pose_at([(10, 10), (999, 999), (20, 20)], present=[True, False, True])
-        assert derive_box_from_pose(pose, dilation=0.0) == Box(10.0, 10.0, 20.0, 20.0)
-
-    def test_no_present_joints_raises(self):
-        with pytest.raises(ValueError, match="present"):
-            derive_box_from_pose(pose_at([(1, 1)], present=[False]))
-
-    @given(
-        st.lists(st.tuples(coords, coords), min_size=1, max_size=6),
-        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-    )
-    def test_translation_equivariance(self, pts, dx, dy):
-        base = derive_box_from_pose(pose_at(pts))
-        shifted = derive_box_from_pose(pose_at([(x + dx, y + dy) for x, y in pts]))
-        assert shifted.x_min == pytest.approx(base.x_min + dx, abs=1e-6)
-        assert shifted.y_max == pytest.approx(base.y_max + dy, abs=1e-6)
-
-
 class TestFilter:
     def _seq(self, scores):
         dets = [person([(1, 1), (2, 2), (3, 3)], score=s) for s in scores]
@@ -610,14 +661,14 @@ class TestFilter:
         assert filter_detections(seq, 0.0, -math.inf) == seq
 
     def test_keypoint_threshold_marks_absent(self):
-        det = Detection(
+        det = detection(
             box=Box(0, 0, 10, 10),
             score=1.0,
             pose=Pose([(1, 1), (2, 2), (3, 3)], [1.0, 2.3, 2.0], [True, True, True]),
         )
         seq = sequence([(0, True, [det])])
         out = filter_detections(seq, 0.0, 1.95)
-        flags = out.frames[0].detections[0].pose.present.tolist()
+        flags = out.frames[0].detections.present[0].tolist()
         assert flags == [False, True, True]
 
     def test_rejects_nan_threshold(self):

@@ -33,7 +33,7 @@ class TestPerfectAssociation:
         after = evaluate_mot(gt, fixed)
         assert after.mota_total == before.mota_total == 100.0
         assert all(
-            d.track_id == 0 for f in fixed.frames for d in f.detections
+            tid == 0 for f in fixed.frames for tid in f.detections.track_ids
         )  # relabeled onto the gt id
 
     def test_id_switch_repaired(self):
@@ -46,9 +46,9 @@ class TestPerfectAssociation:
     def test_unmatched_ids_moved_above_gt_range(self):
         gt, pred = three_frame_pair(extra_fp_per_frame=2)
         fixed = perfect_association(gt, pred)
-        max_gt = max(d.track_id for f in gt.frames for d in f.detections)
-        matched_ids = {f.detections[0].track_id for f in fixed.frames}
-        fp_ids = {d.track_id for f in fixed.frames for d in f.detections[1:]}
+        max_gt = max(tid for f in gt.frames for tid in f.detections.track_ids)
+        matched_ids = {f.detections.track_ids[0] for f in fixed.frames}
+        fp_ids = {tid for f in fixed.frames for tid in f.detections.track_ids[1:]}
         assert matched_ids == {0}
         assert all(tid > max_gt for tid in fp_ids)
 
@@ -63,7 +63,7 @@ class TestPerfectAssociation:
         from dataclasses import replace
 
         frames = [
-            (f.frame_index, f.labeled, [replace(d, track_id=None) for d in f.detections])
+            (f.frame_index, f.labeled, [replace(f.detections, track_ids=(None,) * len(f.detections))])
             for f in pred.frames
         ]
         with pytest.raises(ValueError, match="track_id"):
@@ -76,23 +76,18 @@ class TestPerfectKeypoints:
         # skew the predicted keypoints, keep boxes identical
         from dataclasses import replace
 
-        from poselink.model import Pose
-
         frames = []
         for f in pred.frames:
-            dets = []
-            for d in f.detections:
-                xy = d.pose.xy + (3.0, 0.0)
-                dets.append(replace(d, pose=Pose(xy, d.pose.score, d.pose.present)))
-            frames.append((f.frame_index, f.labeled, dets))
+            dets = replace(f.detections, xy=f.detections.xy + (3.0, 0.0))
+            frames.append((f.frame_index, f.labeled, [dets]))
         skewed = sequence(frames)
         fixed = perfect_keypoints(gt, skewed)
         for gf, pf in zip(gt.frames, fixed.frames):
-            for gd, pd in zip(gf.detections, pf.detections):
-                for j in range(len(gd.pose)):
-                    assert (pd.pose.xy[j].tolist(), pd.pose.score[j], pd.pose.present[j]) == (
-                        gd.pose.xy[j].tolist(), 1.0, gd.pose.present[j]
-                    )
+            gd, pd = gf.detections, pf.detections
+            assert len(gd) == len(pd)
+            assert pd.xy.tolist() == gd.xy.tolist()
+            assert (pd.kp_score == 1.0).all()
+            assert pd.present.tolist() == gd.present.tolist()
 
     def test_zero_overlap_leaves_predictions_untouched(self):
         gt, _ = three_frame_pair()
@@ -110,7 +105,7 @@ class TestPerfectKeypoints:
         gt = sequence([(0, True, [person(coords, track_id=0, present=[True, False, True])])])
         pred = sequence([(0, True, [person(coords, track_id=0, head_box=None)])])
         fixed = perfect_keypoints(gt, pred)
-        assert not fixed.frames[0].detections[0].pose.present[1]
+        assert not fixed.frames[0].detections.present[0, 1]
 
 
 class TestOrderingAndComposition:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from poselink.model import Box
+from poselink.model import Box, Detections
 from poselink.similarity import (
     CostMatrix,
     SimilarityCriterion,
@@ -15,7 +15,12 @@ from poselink.similarity import (
     pose_pckh_similarity,
 )
 
-from helpers import person
+from helpers import box_of, person, pose_of
+
+
+def pckh(a: Detections, b: Detections) -> float:
+    """pose_pckh_similarity of two one-row detections."""
+    return pose_pckh_similarity(pose_of(a), pose_of(b), box_of(a))
 
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -69,35 +74,35 @@ class TestIou:
 class TestPckhSimilarity:
     def test_identical_poses(self):
         a = person([(0, 0), (10, 10), (20, 20)])
-        assert pose_pckh_similarity(a, a) == 1.0
+        assert pckh(a, a) == 1.0
 
     def test_all_joints_far(self):
         a = person([(0, 0), (10, 10), (20, 20)])
         # threshold = 0.5 * 0.1 * diag; move everything 10x past it
-        shift = 10 * 0.5 * 0.1 * a.box.diagonal + 1
+        shift = 10 * 0.5 * 0.1 * box_of(a).diagonal + 1
         b = person([(x + shift, y) for x, y in [(0, 0), (10, 10), (20, 20)]])
-        assert pose_pckh_similarity(a, b) == 0.0
+        assert pckh(a, b) == 0.0
 
     def test_fraction_of_correct_joints(self):
         coords = [(float(10 * i), 0.0) for i in range(15)]
         a = person(coords)
-        threshold = 0.5 * 0.1 * a.box.diagonal
+        threshold = 0.5 * 0.1 * box_of(a).diagonal
         moved = [
             (x, y) if i < 9 else (x, y + 2 * threshold) for i, (x, y) in enumerate(coords)
         ]
         b = person(moved)
-        assert pose_pckh_similarity(a, b) == pytest.approx(0.6)
+        assert pckh(a, b) == pytest.approx(0.6)
 
     def test_no_shared_joints_gives_zero(self):
         a = person([(0, 0), (1, 1)], present=[True, False])
         b = person([(0, 0), (1, 1)], present=[False, True])
-        assert pose_pckh_similarity(a, b) == 0.0
+        assert pckh(a, b) == 0.0
 
     @given(st.integers(1, 6), st.data())
     def test_value_is_a_joint_count_fraction(self, n, data):
         coords_a = [(data.draw(finite), data.draw(finite)) for _ in range(n)]
         coords_b = [(data.draw(finite), data.draw(finite)) for _ in range(n)]
-        sim = pose_pckh_similarity(person(coords_a), person(coords_b))
+        sim = pckh(person(coords_a), person(coords_b))
         assert any(math.isclose(sim, k / n) for k in range(n + 1))
 
 
@@ -123,19 +128,19 @@ class TestFeatureCosine:
 class TestCostMatrix:
     def test_single_identical_detection(self):
         det = person([(0, 0), (5, 5), (10, 10)])
-        m = build_cost_matrix([det], [det], SimilarityCriterion("bbox_iou"))
+        m = build_cost_matrix(det, det, SimilarityCriterion("bbox_iou"))
         assert m.similarity[0, 0] == 1.0
         assert m.cost[0, 0] == -1.0
 
     def test_cost_is_negated_similarity(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])]
-        curr = [person([(1, 1), (6, 6), (10, 10)])]
+        prev = Detections.concat([person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])])
+        curr = person([(1, 1), (6, 6), (10, 10)])
         m = build_cost_matrix(prev, curr, SimilarityCriterion("bbox_iou"))
         assert np.array_equal(m.cost, -m.similarity)
 
     def test_combined_degenerate_weights_equal_iou(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])]
-        curr = [person([(1, 1), (6, 6), (10, 10)]), person([(48, 50), (56, 54), (61, 59)])]
+        prev = Detections.concat([person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])])
+        curr = Detections.concat([person([(1, 1), (6, 6), (10, 10)]), person([(48, 50), (56, 54), (61, 59)])])
         a = build_cost_matrix(prev, curr, SimilarityCriterion("bbox_iou"))
         b = build_cost_matrix(prev, curr, SimilarityCriterion("combined", weights=(1, 0, 0)))
         assert np.array_equal(a.similarity, b.similarity)
@@ -150,16 +155,17 @@ class TestCostMatrix:
             person([(48, 50), (56, 54), (61, 59)], feature=(0.4, -0.3)),
             person([(100, 0), (105, 5), (110, 10)], feature=(-1.0, 0.2)),
         ]
-        m_iou = build_cost_matrix(prev, curr, SimilarityCriterion("bbox_iou"))
-        m_pckh = build_cost_matrix(prev, curr, SimilarityCriterion("pose_pckh"))
-        m_cos = build_cost_matrix(prev, curr, SimilarityCriterion("feature_cosine"))
-        m_comb = build_cost_matrix(prev, curr, SimilarityCriterion("combined", weights=(2, 1, 1)))
+        both = Detections.concat(prev), Detections.concat(curr)
+        m_iou = build_cost_matrix(*both, SimilarityCriterion("bbox_iou"))
+        m_pckh = build_cost_matrix(*both, SimilarityCriterion("pose_pckh"))
+        m_cos = build_cost_matrix(*both, SimilarityCriterion("feature_cosine"))
+        m_comb = build_cost_matrix(*both, SimilarityCriterion("combined", weights=(2, 1, 1)))
         assert m_iou.rows == 2 and m_iou.cols == 3
         for i, p in enumerate(prev):
             for j, c in enumerate(curr):
-                s_iou = iou(p.box, c.box)
-                s_pckh = pose_pckh_similarity(p, c)
-                s_cos = feature_cosine(p.feature, c.feature)
+                s_iou = iou(box_of(p), box_of(c))
+                s_pckh = pckh(p, c)
+                s_cos = feature_cosine(p.features[0], c.features[0])
                 assert m_iou.similarity[i, j] == s_iou
                 assert m_pckh.similarity[i, j] == s_pckh
                 assert m_cos.similarity[i, j] == s_cos
@@ -167,11 +173,11 @@ class TestCostMatrix:
                 assert m_comb.similarity[i, j] == pytest.approx(expected)
 
     def test_iou_and_cosine_matrices_are_exact_transposes(self):
-        a = [person([(0, 0), (5, 5), (9, 9)], feature=(1.0, 0.5))]
-        b = [
+        a = person([(0, 0), (5, 5), (9, 9)], feature=(1.0, 0.5))
+        b = Detections.concat([
             person([(1, 1), (6, 6), (10, 10)], feature=(0.2, 0.9)),
             person([(3, 3), (8, 8), (12, 12)], feature=(-0.5, 0.1)),
-        ]
+        ])
         for kind in ("bbox_iou", "feature_cosine"):
             fwd = build_cost_matrix(a, b, SimilarityCriterion(kind))
             rev = build_cost_matrix(b, a, SimilarityCriterion(kind))
@@ -182,32 +188,32 @@ class TestCostMatrix:
         near = person([(1, 1), (6, 6), (10, 10)])
         far = person([(30, 30), (35, 35), (39, 39)])
         crit = SimilarityCriterion("combined", weights=(1, 1, 0))
-        s_near = build_cost_matrix([base], [near], crit).similarity[0, 0]
-        s_far = build_cost_matrix([base], [far], crit).similarity[0, 0]
+        s_near = build_cost_matrix(base, near, crit).similarity[0, 0]
+        s_far = build_cost_matrix(base, far, crit).similarity[0, 0]
         assert s_near > s_far
 
     def test_missing_features_rejected(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)])]
+        prev = person([(0, 0), (5, 5), (9, 9)])
         with pytest.raises(ValueError, match="feature"):
             build_cost_matrix(prev, prev, SimilarityCriterion("feature_cosine"))
         with pytest.raises(ValueError, match="feature"):
             build_cost_matrix(prev, prev, SimilarityCriterion("combined"))
 
     def test_zero_weight_skips_missing_features(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)])]
+        prev = person([(0, 0), (5, 5), (9, 9)])
         m = build_cost_matrix(prev, prev, SimilarityCriterion("combined", weights=(1, 1, 0)))
         assert m.similarity[0, 0] == 1.0
 
     def test_external_lookup_and_default(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)])]
-        curr = [person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])]
+        prev = person([(0, 0), (5, 5), (9, 9)])
+        curr = Detections.concat([person([(0, 0), (5, 5), (9, 9)]), person([(50, 50), (55, 55), (60, 60)])])
         crit = SimilarityCriterion("external", external_scores={(7, 0, 1): 0.25})
         m = build_cost_matrix(prev, curr, crit, frame_index=7)
         assert m.similarity[0, 1] == 0.25
         assert m.similarity[0, 0] == 0.0  # absent entries default to 0
 
     def test_external_requires_table_and_frame(self):
-        prev = [person([(0, 0), (5, 5), (9, 9)])]
+        prev = person([(0, 0), (5, 5), (9, 9)])
         with pytest.raises(ValueError, match="score table"):
             build_cost_matrix(prev, prev, SimilarityCriterion("external"), frame_index=0)
         crit = SimilarityCriterion("external", external_scores={})
