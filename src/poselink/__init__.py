@@ -6,7 +6,6 @@ from .model import (
     Box,
     Detections,
     Frame,
-    Pose,
     VideoSequence,
     filter_detections,
     load_sequence,

@@ -46,6 +46,12 @@ class LinkerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.lookback < 1:
             raise ValueError("lookback must be >= 1")
+        if np.isnan(self.min_similarity):
+            raise ValueError(f"min_similarity must not be NaN, got {self.min_similarity!r}")
+        for name in ("random_max_id", "rng_seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import NO_DETECTIONS, Box, Detections, Pose, VideoSequence, box_diagonals, write_text_atomic
+from .model import NO_DETECTIONS, Box, Detections, VideoSequence, box_diagonals, write_text_atomic
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
@@ -65,11 +65,16 @@ def pckh_correct(gt_xy, pred_xy, head: float, alpha: float = 0.5) -> bool:
     return math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1]) <= alpha * head
 
 
-def _correct_joint_count(g: Pose, p: Pose, gt_head_box: Box, alpha: float) -> int:
+def _correct_joint_count(
+    g_xy: np.ndarray, g_present: np.ndarray, p_xy: np.ndarray, p_present: np.ndarray,
+    gt_head_box: Box, alpha: float,
+) -> int:
+    """Number of joints present in both poses, each one `Detections` row, that
+    are PCKh-correct for the labeled pose g."""
     head = head_size(gt_head_box)
     count = 0
-    for j in range(len(g)):
-        if g.present[j] and p.present[j] and pckh_correct(g.xy[j], p.xy[j], head, alpha):
+    for j in range(len(g_present)):
+        if g_present[j] and p_present[j] and pckh_correct(g_xy[j], p_xy[j], head, alpha):
             count += 1
     return count
 
@@ -113,8 +118,6 @@ class PoseMatchResult:
     """One-to-one pose matching for a single labeled frame."""
 
     pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
-    unmatched_gt: tuple[int, ...]
-    unmatched_pred: tuple[int, ...]
     # (n_gt, n_pred, J) PCKh-correct joints of every pair, from correct_joint_mask
     correct: np.ndarray = field(compare=False, repr=False)
 
@@ -132,19 +135,12 @@ def match_poses_frame(
     n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 or n_pred == 0:
         empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
-        return PoseMatchResult((), tuple(range(n_gt)), tuple(range(n_pred)), empty)
+        return PoseMatchResult((), empty)
     correct = correct_joint_mask(gt, pred, alpha)
     counts = correct.sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
-    matched_gt = {i for i, _ in pairs}
-    matched_pred = {j for _, j in pairs}
-    return PoseMatchResult(
-        pairs,
-        tuple(i for i in range(n_gt) if i not in matched_gt),
-        tuple(j for j in range(n_pred) if j not in matched_pred),
-        correct,
-    )
+    return PoseMatchResult(pairs, correct)
 
 
 @dataclass(frozen=True)
@@ -337,7 +333,10 @@ def _id_codes(ids: Sequence[int]) -> np.ndarray:
 
 def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> SequenceMatch:
     """Match the poses of every labeled frame with the prediction frame of the
-    same frame_index, which holds no predictions when it is missing."""
+    same frame_index, which holds no predictions when it is missing. alpha,
+    the PCKh threshold in head sizes, must be finite and positive."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
     frames = []

@@ -45,9 +45,9 @@ one row per detection, in file order.
 
 Loading, synthesis, filtering, linking, scoring and saving work on these
 columns; `Detections.from_columns` builds a checked one and `load_sequence`
-checks a whole file at once. `Pose` and `Box` hold one pose or box for the
-scalar functions and the tube kernels. Every type is frozen and every array
-read-only, so each value is immutable after construction and safe to share.
+checks a whole file at once. A `Box` holds one box for the scalar functions
+and the tube kernels. Every type is frozen and every array read-only, so each
+value is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -71,46 +71,6 @@ def _frozen(value, dtype) -> np.ndarray:
     arr = np.array(value, dtype=dtype)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """J joints as read-only arrays: xy (J, 2), score (J,) and present (J,) flags.
-
-    A present joint is finite; an absent one may hold any values. Poses are
-    equal when their arrays are, NaN equal to NaN.
-    """
-
-    xy: np.ndarray
-    score: np.ndarray
-    present: np.ndarray
-
-    def __post_init__(self):
-        xy = _frozen(self.xy, np.float64).reshape(-1, 2)
-        score, present = _frozen(self.score, np.float64), _frozen(self.present, np.bool_)
-        if score.ndim != 1 or present.shape != score.shape or len(xy) != len(score):
-            raise ValueError("pose arrays must have shapes (J, 2), (J,) and (J,)")
-        # a sum of squares is finite unless an entry is NaN or inf, or it overflows
-        if not math.isfinite(np.vdot(xy, xy) + np.vdot(score, score)) and not (
-            np.isfinite(xy[present]).all() and np.isfinite(score[present]).all()
-        ):
-            raise ValueError("present keypoint has non-finite coordinates or score")
-        for name, arr in (("xy", xy), ("score", score), ("present", present)):
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.score)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Pose)
-            and np.array_equal(self.present, other.present)
-            and np.array_equal(self.xy, other.xy, equal_nan=True)
-            and np.array_equal(self.score, other.score, equal_nan=True)
-        )
-
-    def __hash__(self) -> int:  # equal poses have equal presence flags
-        return hash(self.present.tobytes())
 
 
 @dataclass(frozen=True)
@@ -190,7 +150,7 @@ class Detections:
     def from_columns(cls, boxes, scores, xy, kp_score, present, features=None, track_ids=None,
                      head_boxes=None) -> "Detections":
         """N checked detections from their columns, with the checks and messages
-        of `Box` and `Pose`; a track id must be non-negative.
+        of `Box`; a present joint must be finite and a track id non-negative.
 
         features (N, D) gives every row an embedding, and None gives none.
         track_ids defaults to None on every row and head_boxes to NaN rows,
@@ -354,17 +314,11 @@ def _as_box(raw, what: str) -> Box:
         raise ValueError(f"{what}: {exc}") from None
 
 
-def load_sequence(
-    path: str,
-    role: str = ROLE_PREDICTION,
-    joint_map: Optional[Sequence[int]] = None,
-) -> VideoSequence:
+def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """Load and validate a sequence file.
 
     role="groundtruth" additionally requires track_id and a head_box of
-    non-zero size on every person. joint_map, when given, is a permutation of range(J); output joint
-    slot i is taken from input slot joint_map[i], and joint_names are permuted
-    the same way.
+    non-zero size on every person.
     """
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
@@ -391,16 +345,9 @@ def load_sequence(
         raise ValueError("joint_names must be a list of strings")
     j = len(joint_names)
 
-    if joint_map is not None:
-        joint_map = list(joint_map)
-        integers = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in joint_map)
-        if not integers or sorted(joint_map) != list(range(j)):
-            raise ValueError(f"joint_map must be a permutation of range({j})")
-        joint_names = [joint_names[k] for k in joint_map]
-
     if not isinstance(raw["frames"], list):
         raise ValueError("frames must be a list")
-    frames = _frames(raw["frames"], j, role, joint_map)
+    frames = _frames(raw["frames"], j, role)
     if frames is None:
         _raise_first_error(raw["frames"], j, role)
 
@@ -420,7 +367,7 @@ def _types(values) -> set:
     return set(map(type, values))
 
 
-def _frames(raw_frames: list, j: int, role: str, joint_map) -> Optional[tuple[Frame, ...]]:
+def _frames(raw_frames: list, j: int, role: str) -> Optional[tuple[Frame, ...]]:
     """The frames of a sequence file, checked and built with a few array
     operations over all of its detections at once. None when any check fails;
     _raise_first_error then names the first failure."""
@@ -488,8 +435,6 @@ def _frames(raw_frames: list, j: int, role: str, joint_map) -> Optional[tuple[Fr
     if role == ROLE_GROUNDTRUTH and ((head_arr[:, :2] == head_arr[:, 2:]).all(axis=1)).any():
         return None  # a zero-size head box; it normalizes every PCKh distance
 
-    if joint_map is not None:
-        block = block[:, joint_map]
     features = np.full((n, feat_arr.shape[1]), math.nan)
     features[has_feature] = feat_arr
     head_boxes = np.full((n, 4), math.nan)

@@ -19,8 +19,6 @@ from .model import Frame, VideoSequence
 from .metrics import _check_pair, match_sequence
 from .similarity import pairwise_iou
 
-ORACLE_MODES = ("perfect_association", "perfect_keypoints", "both")
-
 
 def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> VideoSequence:
     """Copy ground-truth track ids onto pose-matched predictions.

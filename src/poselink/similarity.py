@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import Box, Detections, Pose, box_diagonals
+from .model import Box, Detections, box_diagonals
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -53,6 +53,12 @@ class SimilarityCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        for name in ("pckh_alpha", "pckh_norm_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError(f"weights must be finite, got {self.weights!r}")
         if self.kind == "combined":
             if any(w < 0 for w in self.weights):
                 raise ValueError("combined weights must be non-negative")
@@ -100,18 +106,20 @@ def iou(a: Box, b: Box) -> float:
 
 
 def pose_pckh_similarity(
-    a: Pose, b: Pose, a_box: Box, alpha: float = 0.5, norm_scale: float = 0.1
+    a_xy: np.ndarray, a_present: np.ndarray, b_xy: np.ndarray, b_present: np.ndarray,
+    a_box: Box, alpha: float = 0.5, norm_scale: float = 0.1,
 ) -> float:
     """Fraction of jointly present joints within alpha * (norm_scale * diag of a_box),
     where a_box is the box of the detection that pose a belongs to.
 
-    Returns 0 when the poses share no present joints.
+    Each pose is one `Detections` row: joint coordinates xy (J, 2) and
+    presence flags (J,). Returns 0 when the poses share no present joints.
     """
     threshold = alpha * norm_scale * a_box.diagonal
     shared = 0
     correct = 0
     for (xa, ya), (xb, yb), present_a, present_b in zip(
-        a.xy.tolist(), b.xy.tolist(), a.present.tolist(), b.present.tolist()
+        a_xy.tolist(), b_xy.tolist(), a_present.tolist(), b_present.tolist()
     ):
         if not (present_a and present_b):
             continue

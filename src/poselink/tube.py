@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Box, Pose
+from .model import Box
 from .similarity import iou, pairwise_iou
 
 LABEL_BG = -1
@@ -239,33 +239,25 @@ def tube_overlap(a: Tube, b: Tube) -> float:
     return sum(iou(x, y) for x, y in zip(a.boxes, b.boxes)) / a.length
 
 
-def pairwise_tube_overlap(anchors: Sequence[TubeAnchor], gt_tubes: Sequence[Tube]) -> np.ndarray:
+def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.ndarray:
     """(A, G) tube overlap of every anchor with every ground-truth tube.
 
     The float operations of tube_overlap in the same order (per-frame IoU,
     summed in frame order from 0, divided by T), so every entry equals
-    tube_overlap(anchor.as_tube(), gt) bit for bit. Anchors come as a
-    TubeAnchors or as any sequence of TubeAnchor.
+    tube_overlap(anchor.as_tube(), gt) bit for bit.
     """
-    if isinstance(anchors, TubeAnchors):
-        corners, lengths = anchors.corners, (anchors.length,)
-    else:
-        corners = _corners([a.base for a in anchors])
-        # in order of first appearance, so the mismatch reported is tube_overlap's first
-        lengths = dict.fromkeys(a.length for a in anchors)
-    for length in lengths:
-        for gt in gt_tubes:
-            if gt.length != length:
-                raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
+    corners, length = anchors.corners, anchors.length
+    for gt in gt_tubes:
+        if gt.length != length:
+            raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
     if not gt_tubes or len(corners) == 0:
         return np.zeros((len(corners), len(gt_tubes)))
     gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes])  # (G, T, 4)
-    length = gt_corners.shape[1]
     return sum(pairwise_iou(corners, gt_corners[:, t]) for t in range(length)) / length
 
 
 def assign_anchors(
-    anchors: Sequence[TubeAnchor],
+    anchors: TubeAnchors,
     gt_tubes: Sequence[Tube],
     fg_thresh: float = 0.7,
     bg_thresh: float = 0.3,
@@ -412,8 +404,9 @@ def spatiotemporal_roi_align(
     return out
 
 
-def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> Pose:
-    """Peak-decode a (J, R, R) heatmap into a pose inside the given box.
+def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Peak-decode a (J, R, R) heatmap into a pose inside the given box: the
+    joint coordinates xy (J, 2) and scores (J,); every joint is present.
 
     Each joint takes the argmax bin (ties resolve to the lowest row-major
     index), placed at that bin's center within the box; the score is the
@@ -434,7 +427,7 @@ def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> Pose:
         box.x_min + (col + 0.5) * (box.width / r),
         box.y_min + (row + 0.5) * (box.height / r),
     ))
-    return Pose(xy, prob, np.ones(len(flat), dtype=bool))
+    return xy, prob
 
 
 def inflate_2d_filter(weights2d: np.ndarray, k_t: int, mode: str) -> np.ndarray:

@@ -15,7 +15,6 @@ from poselink.model import (
     Box,
     Detections,
     Frame,
-    Pose,
     VideoSequence,
 )
 
@@ -26,28 +25,17 @@ HEAD_BOX = Box(0.0, 0.0, 30.0, 40.0)
 PCKH_LIMIT = 15.0
 
 
-def pose_from_rows(rows) -> Pose:
-    """Pose of (x, y, score, present) rows, one per joint."""
-    rows = list(rows)
-    return Pose([r[:2] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
-
-
-def pose_at(coords, score=2.5, present=None) -> Pose:
-    present = present or [True] * len(coords)
-    return pose_from_rows(
-        (float(x), float(y), score, flag) for (x, y), flag in zip(coords, present)
-    )
-
-
 def corners(box: Box | None) -> tuple[float, float, float, float]:
     """The corner row of a box; NaN for none."""
     return (math.nan,) * 4 if box is None else (box.x_min, box.y_min, box.x_max, box.y_max)
 
 
-def detection(box: Box, score: float, pose: Pose, feature=None, track_id=None, head_box=None) -> Detections:
-    """One checked detection row."""
+def detection(box: Box, score: float, keypoints, feature=None, track_id=None, head_box=None) -> Detections:
+    """One checked detection row; keypoints are (x, y, score, present) rows,
+    one per joint, as in a sequence file."""
+    block = np.array(list(keypoints), dtype=float).reshape(-1, 4)
     return Detections.from_columns(
-        [corners(box)], [score], [pose.xy], [pose.score], [pose.present],
+        [corners(box)], [score], [block[:, :2]], [block[:, 2]], [block[:, 3] == 1.0],
         features=None if feature is None else [feature], track_ids=[track_id],
         head_boxes=[corners(head_box)],
     )
@@ -61,17 +49,26 @@ def head_box_of(dets: Detections, i: int = 0) -> Box:
     return Box(*dets.head_boxes[i].tolist())
 
 
-def pose_of(dets: Detections, i: int = 0) -> Pose:
-    return Pose(dets.xy[i], dets.kp_score[i], dets.present[i])
+def pose_of(dets: Detections, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The joint coordinates (J, 2) and presence flags (J,) of row i."""
+    return dets.xy[i], dets.present[i]
+
+
+def unmatched(pairs, n_gt: int, n_pred: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ground-truth and prediction indices that no (gt, pred) pair holds."""
+    gt, pred = {g for g, _ in pairs}, {p for _, p in pairs}
+    return tuple(i for i in range(n_gt) if i not in gt), tuple(k for k in range(n_pred) if k not in pred)
 
 
 def person(coords, score=1.0, track_id=None, head_box=HEAD_BOX, feature=None, present=None) -> Detections:
-    """One detection row: a pose at coords, its joint span grown by 5 as the box."""
-    pose = pose_at(coords, present=present)
+    """One detection row: a pose at coords with joint score 2.5, its joint
+    span grown by 5 as the box."""
+    present = present or [True] * len(coords)
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]
     box = Box(min(xs) - 5.0, min(ys) - 5.0, max(xs) + 5.0, max(ys) + 5.0)
-    return detection(box, score, pose, feature=feature, track_id=track_id, head_box=head_box)
+    keypoints = [(x, y, 2.5, flag) for (x, y), flag in zip(coords, present)]
+    return detection(box, score, keypoints, feature=feature, track_id=track_id, head_box=head_box)
 
 
 def sequence(frames, joint_names=JOINTS3, video_id="fixture", size=(640, 480)) -> VideoSequence:
@@ -295,8 +292,7 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     raise ValueError(f"{where}: ground truth head_box has zero size")
             if track_id is not None and track_id < 0:
                 raise ValueError(f"{where}: track_id must be non-negative")
-            pose = Pose(block[:, :2], block[:, 2], block[:, 3] == 1.0)
-            detections.append(detection(box, score, pose, feature, track_id, head_box))
+            detections.append(detection(box, score, block, feature, track_id, head_box))
         if f["frame_index"] < 0:
             raise ValueError(f"frame {fi}: frame_index must be non-negative")
         frames.append((f["frame_index"], f["labeled"], detections))

@@ -385,6 +385,42 @@ class TestOracle:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("eval", ["--alpha", "nan"], "alpha must be finite and positive, got nan"),
+    ("eval", ["--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
+    ("eval", ["--alpha", "inf"], "alpha must be finite and positive, got inf"),
+    ("oracle", ["--mode", "assoc", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
+    ("sweep", ["--costs", "iou", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
+    ("track", ["--min-sim", "nan"], "min_similarity must not be NaN, got nan"),
+    ("track", ["--cost", "pckh", "--pckh-alpha", "-1"], "pckh_alpha must be finite and positive, got -1.0"),
+    ("track", ["--cost", "pckh", "--pckh-norm-scale", "0"],
+     "pckh_norm_scale must be finite and positive, got 0.0"),
+    ("track", ["--cost", "pckh", "--pckh-norm-scale", "nan"],
+     "pckh_norm_scale must be finite and positive, got nan"),
+    ("track", ["--cost", "combined", "--weights", "nan,1,1"], "weights must be finite, got (nan, 1.0, 1.0)"),
+    ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
+    ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
+    ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
+])
+def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, capsys, command, flags,
+                                                        message):
+    gt, pred = synth_pair
+    tracked = tmp_path / "tracked.json"
+    assert run("track", "--pred", pred, "--out", tracked) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    inputs = {
+        "track": ["--pred", pred, "--out", out],
+        "eval": ["--gt", gt, "--pred", tracked, "--report", out],
+        "oracle": ["--gt", gt, "--pred", tracked, "--out", out],
+        "sweep": ["--gt", gt, "--pred", pred, "--out", out],
+    }[command]
+    # pyproject.toml turns warnings into errors, so a warning fails this test too
+    assert run(command, *inputs, *flags) == 1
+    assert capsys.readouterr().err == f"poselink {command}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["eval", "--pred", "p.json", "--report", "r.json"], id="eval-without-gt"),
     pytest.param(["bench", "--frames", "20,40"], id="unknown-command-bench"),

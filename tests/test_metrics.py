@@ -14,7 +14,7 @@ from poselink.metrics import (
 from poselink.model import Box, Detections, filter_detections
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
 
-from helpers import person, scale_sequence, sequence, three_frame_pair
+from helpers import person, scale_sequence, sequence, three_frame_pair, unmatched
 
 
 class TestHeadSize:
@@ -51,7 +51,7 @@ class TestMatchPoses:
         pred = person([(0, 0), (5, 5), (10, 10)])
         result = match_poses_frame(gt, pred)
         assert result.pairs == ((0, 0),)
-        assert result.unmatched_gt == () and result.unmatched_pred == ()
+        assert unmatched(result.pairs, 1, 1) == ((), ())
 
     def test_two_people_matched_to_nearest(self):
         gt = Detections.concat([
@@ -70,7 +70,7 @@ class TestMatchPoses:
         pred = person([(500, 500), (505, 505), (510, 510)])
         result = match_poses_frame(gt, pred)
         assert result.pairs == ()
-        assert result.unmatched_gt == (0,) and result.unmatched_pred == (0,)
+        assert unmatched(result.pairs, 1, 1) == ((0,), (0,))
 
 
 class TestEvaluateMot:

@@ -13,7 +13,6 @@ from poselink.model import (
     Box,
     Detections,
     Frame,
-    Pose,
     VideoSequence,
     filter_detections,
     load_sequence,
@@ -22,7 +21,7 @@ from poselink.model import (
 
 from poselink.cli import main as cli_main
 
-from helpers import detection, person, pose_from_rows, head_box_of, reference_load_sequence, sequence
+from helpers import detection, person, head_box_of, reference_load_sequence, sequence
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -38,10 +37,9 @@ def random_sequences(draw):
         index += draw(st.integers(min_value=1, max_value=3))
         dets = []
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            pose = pose_from_rows(
-                (draw(coords), draw(coords), draw(coords), draw(st.booleans()))
-                for _ in range(j)
-            )
+            keypoints = [
+                (draw(coords), draw(coords), draw(coords), draw(st.booleans())) for _ in range(j)
+            ]
             xs = sorted([draw(coords), draw(coords)])
             ys = sorted([draw(coords), draw(coords)])
             feature = None
@@ -51,7 +49,7 @@ def random_sequences(draw):
                 detection(
                     box=Box(xs[0], ys[0], xs[1], ys[1]),
                     score=draw(st.floats(min_value=0, max_value=1, allow_nan=False)),
-                    pose=pose,
+                    keypoints=keypoints,
                     feature=feature,
                     track_id=draw(st.one_of(st.none(), st.integers(0, 50))),
                 )
@@ -74,35 +72,6 @@ class TestTypes:
     def test_box_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Box(0, 0, math.inf, 1)
-
-    def test_present_keypoint_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Pose([(math.nan, 0.0)], [1.0], [True])
-        Pose([(math.nan, 0.0)], [1.0], [False])  # absent joints are unconstrained
-
-    def test_pose_arrays_are_read_only_copies(self):
-        xy = np.array([[1.0, 2.0], [3.0, 4.0]])
-        pose = Pose(xy, [1.0, 2.0], [True, False])
-        xy[0, 0] = 99.0
-        assert pose.xy[0, 0] == 1.0
-        for arr in (pose.xy, pose.score, pose.present):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        assert len(pose) == 2 and pose.present.dtype == bool
-
-    def test_pose_equality_treats_nan_as_equal(self):
-        pose = Pose([(1.0, 2.0), (math.nan, math.inf)], [1.0, math.nan], [True, False])
-        assert pose == pose
-        assert pose == Pose(pose.xy.copy(), pose.score.copy(), pose.present.copy())
-        assert hash(pose) == hash(Pose(pose.xy, pose.score, pose.present))
-        assert pose != Pose(pose.xy, pose.score, [False, False])
-        assert pose != Pose([(1.0, 2.5), (math.nan, math.inf)], [1.0, math.nan], [True, False])
-
-    def test_pose_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="shapes"):
-            Pose([(1.0, 2.0)], [1.0, 2.0], [True, True])
-        with pytest.raises(ValueError, match="shapes"):
-            Pose([(1.0, 2.0)], [1.0], [True, False])
 
     def test_sequence_rejects_non_monotone_frames(self):
         with pytest.raises(ValueError, match="non-monotone"):
@@ -432,32 +401,6 @@ class TestLoadValidation:
         except ValueError:
             pass
 
-    def test_identity_joint_map_is_noop(self, tmp_path):
-        seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)])])])
-        path = tmp_path / "seq.json"
-        save_sequence(seq, str(path))
-        assert load_sequence(str(path), joint_map=[0, 1, 2]) == seq
-
-    def test_joint_map_permutes_names_and_joints_together(self, tmp_path):
-        seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)], present=[True, False, True])])])
-        path = tmp_path / "seq.json"
-        save_sequence(seq, str(path))
-        loaded = load_sequence(str(path), joint_map=[2, 0, 1])
-        assert loaded.joint_names == ("right", "head", "left")
-        assert loaded.frames[0].detections.xy[0, 0, 0] == 5
-        assert loaded.frames[0].detections.present[0].tolist() == [True, True, False]
-
-    def test_bad_joint_map_rejected(self, tmp_path):
-        seq = sequence([(0, True, [])])
-        path = tmp_path / "seq.json"
-        save_sequence(seq, str(path))
-        with pytest.raises(ValueError, match="permutation"):
-            load_sequence(str(path), joint_map=[0, 0, 2])
-        save_sequence(sequence([(0, True, [])], joint_names=("a", "b")), str(path))
-        for joint_map in ([1.0, 0.0], [False, True]):
-            with pytest.raises(ValueError, match=r"^joint_map must be a permutation of range\(2\)$"):
-                load_sequence(str(path), joint_map=joint_map)
-
     def _multi_doc(self):
         """3 frames x 3 detections, each with a feature, a track id and a head box."""
         doc = self._doc()
@@ -664,7 +607,7 @@ class TestFilter:
         det = detection(
             box=Box(0, 0, 10, 10),
             score=1.0,
-            pose=Pose([(1, 1), (2, 2), (3, 3)], [1.0, 2.3, 2.0], [True, True, True]),
+            keypoints=[(1, 1, 1.0, True), (2, 2, 2.3, True), (3, 3, 2.0, True)],
         )
         seq = sequence([(0, True, [det])])
         out = filter_detections(seq, 0.0, 1.95)

@@ -20,7 +20,7 @@ from helpers import box_of, person, pose_of
 
 def pckh(a: Detections, b: Detections) -> float:
     """pose_pckh_similarity of two one-row detections."""
-    return pose_pckh_similarity(pose_of(a), pose_of(b), box_of(a))
+    return pose_pckh_similarity(*pose_of(a), *pose_of(b), box_of(a))
 
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)

@@ -15,6 +15,7 @@ from poselink.tube import (
     FeatureVolume,
     Tube,
     TubeAnchor,
+    TubeAnchors,
     TubeDeltas,
     assign_anchors,
     decode_keypoint_heatmap,
@@ -27,7 +28,7 @@ from poselink.tube import (
     tube_overlap,
 )
 
-from helpers import correlate2d_multi, correlate3d_multi, roi_align_oracle
+from helpers import corners, correlate2d_multi, correlate3d_multi, roi_align_oracle
 
 
 def box_from_center(cx, cy, w, h):
@@ -202,10 +203,10 @@ class TestAssignAnchors:
     def _anchors_with_overlaps(self):
         gt = Tube((box_from_center(0, 0, 10, 10),))
         # overlaps with gt: 1.0, ~0.5 (ignore band), small (bg)
-        a_fg = TubeAnchor(box_from_center(0, 0, 10, 10), 1)
-        a_mid = TubeAnchor(box_from_center(0, 2.9, 10, 10), 1)
-        a_bg = TubeAnchor(box_from_center(30, 0, 10, 10), 1)
-        return [a_fg, a_mid, a_bg], [gt]
+        a_fg = box_from_center(0, 0, 10, 10)
+        a_mid = box_from_center(0, 2.9, 10, 10)
+        a_bg = box_from_center(30, 0, 10, 10)
+        return TubeAnchors([corners(b) for b in (a_fg, a_mid, a_bg)], 1), [gt]
 
     def test_threshold_bands(self):
         anchors, gts = self._anchors_with_overlaps()
@@ -216,8 +217,8 @@ class TestAssignAnchors:
 
     def test_best_anchor_per_gt_forced_foreground(self):
         gt = Tube((box_from_center(0, 0, 10, 10),))
-        weak = TubeAnchor(box_from_center(6, 0, 10, 10), 1)  # overlap well below fg
-        labels = assign_anchors([weak], [gt])
+        weak = box_from_center(6, 0, 10, 10)  # overlap well below fg
+        labels = assign_anchors(TubeAnchors([corners(weak)], 1), [gt])
         assert labels[0] == 0
 
     def test_no_ground_truth_means_all_background(self):
@@ -361,27 +362,28 @@ class TestHeatmapDecode:
     def test_one_hot_peak_maps_to_bin_center(self):
         maps = np.zeros((1, 4, 4))
         maps[0, 1, 1] = 10.0
-        pose = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
-        assert tuple(pose.xy[0]) == (3.0, 3.0)
+        xy, _ = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
+        assert tuple(xy[0]) == (3.0, 3.0)
 
     def test_uniform_heatmap_tie_rule_and_score(self):
         maps = np.zeros((1, 4, 4))
-        pose = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
-        assert tuple(pose.xy[0]) == (1.0, 1.0)  # bin (0, 0)
-        assert pose.score[0] == pytest.approx(1 / 16)
+        xy, score = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))
+        assert tuple(xy[0]) == (1.0, 1.0)  # bin (0, 0)
+        assert score[0] == pytest.approx(1 / 16)
 
     def test_box_scaling_scales_coordinates(self):
         maps = np.zeros((1, 4, 4))
         maps[0, 2, 3] = 1.0
-        small = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8)).xy[0]
-        big = decode_keypoint_heatmap(maps, Box(0, 0, 16, 16)).xy[0]
+        small = decode_keypoint_heatmap(maps, Box(0, 0, 8, 8))[0][0]
+        big = decode_keypoint_heatmap(maps, Box(0, 0, 16, 16))[0][0]
         assert (big[0], big[1]) == (2 * small[0], 2 * small[1])
 
     def test_scores_are_softmax_probabilities(self):
         rng = np.random.default_rng(3)
         maps = rng.normal(size=(5, 6, 6))
-        pose = decode_keypoint_heatmap(maps, Box(0, 0, 12, 12))
-        for j, joint_score in enumerate(pose.score):
+        xy, score = decode_keypoint_heatmap(maps, Box(0, 0, 12, 12))
+        assert xy.shape == (5, 2)
+        for j, joint_score in enumerate(score):
             flat = maps[j].reshape(-1)
             probs = np.exp(flat - flat.max())
             probs /= probs.sum()
