@@ -35,6 +35,7 @@ from .metrics import (
     evaluate_mot,
     head_size,
     match_poses_frame,
+    match_sequence,
     pckh_correct,
 )
 from .oracles import apply_oracle, perfect_association, perfect_keypoints

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import typing
@@ -16,7 +17,7 @@ from dataclasses import asdict, is_dataclass, replace
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
-from .metrics import csv_header, csv_row, evaluate, map_report, match_sequence, mot_report, write_csv
+from .metrics import csv_header, csv_row, evaluate, evaluate_map, evaluate_mot, match_sequence, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -44,17 +45,29 @@ ORACLE_MODES = {
 }
 
 
+def _strict_json_value(value):
+    """value with each non-finite float spelled as a string, such as "inf",
+    since strict JSON has no token for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _strict_json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json_value(v) for v in value]
+    return value
+
+
 def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str],
                     outputs: list[str], timings: dict[str, float]) -> None:
     manifest = {
         "command": command,
-        "config": config,
+        "config": _strict_json_value(config),
         "inputs": inputs,
         "outputs": outputs,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "version": __version__,
     }
-    write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
 def _float_list(text: str) -> list[float]:
@@ -188,12 +201,12 @@ def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
     """
     filtered = filter_detections(pred, threshold, args.kp_thresh)
     match = match_sequence(gt, filtered, args.alpha)
-    shared_map = map_report(match)
+    shared_map = evaluate_map(match)
     rows = []
     for algo in algos:
         for cost_name in costs:
             tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name))
-            report = mot_report(match, tracked).merged_with(shared_map)
+            report = evaluate_mot(match, tracked).merged_with(shared_map)
             rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
     return rows
 
@@ -293,26 +306,26 @@ def _config_value(hint, value, where: str):
     return value
 
 
-# (config section, field, synth flag); "" is the top level
+# (config section, field, synth flag, argparse keywords); "" is the top level
 _SYNTH_FLAGS = (
-    ("", "seed", "seed"),
-    ("", "frames", "frames"),
-    ("", "actors", "actors"),
-    ("", "label_every", "label_every"),
-    ("", "image_width", "width"),
-    ("", "image_height", "height"),
-    ("motion", "kind", "motion"),
-    ("motion", "speed_range", "speed"),
-    ("occlusion", "probability", "occlusion_prob"),
-    ("occlusion", "duration_range", "occlusion_dur"),
-    ("noise", "keypoint_jitter", "kp_jitter"),
-    ("noise", "box_jitter", "box_jitter"),
-    ("noise", "miss_probability", "miss_prob"),
-    ("noise", "false_positive_rate", "fp_rate"),
-    ("noise", "feature_dim", "feature_dim"),
-    ("noise", "tp_score_range", "tp_score"),
-    ("noise", "fp_score_range", "fp_score"),
-    ("noise", "keypoint_score_range", "kp_score"),
+    ("", "seed", "seed", {"type": int}),
+    ("", "frames", "frames", {"type": int}),
+    ("", "actors", "actors", {"type": int}),
+    ("", "image_width", "width", {"type": int}),
+    ("", "image_height", "height", {"type": int}),
+    ("motion", "kind", "motion", {"choices": ("linear", "sinusoidal")}),
+    ("motion", "speed_range", "speed", {"type": _float_list, "help": "min,max px per frame"}),
+    ("occlusion", "probability", "occlusion_prob", {"type": float}),
+    ("occlusion", "duration_range", "occlusion_dur", {"type": _int_list, "help": "min,max frames"}),
+    ("noise", "keypoint_jitter", "kp_jitter", {"type": float}),
+    ("noise", "box_jitter", "box_jitter", {"type": float}),
+    ("noise", "miss_probability", "miss_prob", {"type": float}),
+    ("noise", "false_positive_rate", "fp_rate", {"type": float}),
+    ("noise", "tp_score_range", "tp_score", {"type": _float_list, "help": "lo,hi"}),
+    ("noise", "fp_score_range", "fp_score", {"type": _float_list, "help": "lo,hi"}),
+    ("noise", "keypoint_score_range", "kp_score", {"type": _float_list, "help": "lo,hi"}),
+    ("noise", "feature_dim", "feature_dim", {"type": int}),
+    ("", "label_every", "label_every", {"type": int}),
 )
 
 
@@ -322,7 +335,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = _dataclass_from_doc(ScenarioConfig, json.load(fh), "config")
     overrides: dict[str, dict] = {"": {}, "motion": {}, "occlusion": {}, "noise": {}}
-    for section, name, flag in _SYNTH_FLAGS:
+    for section, name, flag, _ in _SYNTH_FLAGS:
         value = getattr(args, flag)
         if value is not None:
             overrides[section][name] = tuple(value) if isinstance(value, list) else value
@@ -393,24 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-pred", default=None)
     p.add_argument("--config", default=None, help="scenario config JSON; flags override")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--actors", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--motion", choices=("linear", "sinusoidal"), default=None)
-    p.add_argument("--speed", type=_float_list, default=None, help="min,max px per frame")
-    p.add_argument("--occlusion-prob", type=float, default=None)
-    p.add_argument("--occlusion-dur", type=_int_list, default=None, help="min,max frames")
-    p.add_argument("--kp-jitter", type=float, default=None)
-    p.add_argument("--box-jitter", type=float, default=None)
-    p.add_argument("--miss-prob", type=float, default=None)
-    p.add_argument("--fp-rate", type=float, default=None)
-    p.add_argument("--tp-score", type=_float_list, default=None, help="lo,hi")
-    p.add_argument("--fp-score", type=_float_list, default=None, help="lo,hi")
-    p.add_argument("--kp-score", type=_float_list, default=None, help="lo,hi")
-    p.add_argument("--feature-dim", type=int, default=None)
-    p.add_argument("--label-every", type=int, default=None)
+    for _, _, flag, keywords in _SYNTH_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), default=None, **keywords)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -14,9 +14,9 @@ joints are discarded). Joint pairs of matched poses count TP when correct;
 a present predicted joint that is incorrect or has no labeled counterpart
 counts FP, a present labeled joint without a correct prediction counts FN,
 and unmatched persons contribute FP or FN for each present joint. Identity
-switches are bookkept per ground-truth track and joint: whenever the track is
-matched and the joint is labeled, a predicted track id that differs from the
-most recent previously recorded id counts one IDSW_j. MOTP is the mean
+switches are bookkept per ground-truth track and joint, as CLEAR-MOT counts
+mismatches: a TP joint whose predicted track id differs from the id of the
+previous TP of the same track and joint counts one IDSW_j. MOTP is the mean
 localization quality 100 * mean(1 - d / (alpha * head)) over TP joints.
 
 Average precision ranks predicted joints by detection score over the whole
@@ -27,8 +27,10 @@ envelope, and mAP averages AP over joints that have at least one labeled
 instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
-same frame_index and matched once, by match_sequence; that one SequenceMatch
-serves the MOT report, the mAP report and the perfect-association oracle.
+same frame_index and matched once, by match_sequence. That one SequenceMatch
+serves evaluate_mot(match, pred), which scores it with the track ids of any
+retracking of the matched predictions, evaluate_map(match) and the
+perfect-association oracle; evaluate(gt, pred, alpha) runs all three steps.
 """
 
 from __future__ import annotations
@@ -113,21 +115,13 @@ def correct_joint_mask(
     return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)
 
 
-@dataclass(frozen=True)
-class PoseMatchResult:
-    """One-to-one pose matching for a single labeled frame."""
-
-    pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
-    # (n_gt, n_pred, J) PCKh-correct joints of every pair, from correct_joint_mask
-    correct: np.ndarray = field(compare=False, repr=False)
-
-
 def match_poses_frame(
     gt_persons: Detections,
     pred_persons: Detections,
     alpha: float = 0.5,
-) -> PoseMatchResult:
-    """Match poses by maximizing the total count of PCKh-correct joints.
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """(pairs, correct): the (gt index, pred index) pairs that maximize the
+    total count of PCKh-correct joints, and the correct_joint_mask of every pair.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
@@ -135,12 +129,12 @@ def match_poses_frame(
     n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 or n_pred == 0:
         empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
-        return PoseMatchResult((), empty)
+        return (), empty
     correct = correct_joint_mask(gt, pred, alpha)
     counts = correct.sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
-    return PoseMatchResult(pairs, correct)
+    return pairs, correct
 
 
 @dataclass(frozen=True)
@@ -263,6 +257,12 @@ def _check_pair(gt: VideoSequence, pred: VideoSequence, require_track_ids: bool)
                 )
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a PCKh threshold that is not finite and positive."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class FrameMatch:
     """One labeled frame: the detections of both sides and their pose matching."""
@@ -270,7 +270,9 @@ class FrameMatch:
     frame_index: int
     gt: Detections
     pred: Detections
-    result: PoseMatchResult
+    pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
+    # (n_gt, n_pred, J) PCKh-correct joints of every pair, from correct_joint_mask
+    correct: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,24 +293,23 @@ class SequenceMatch:
     @cached_property
     def _mot_terms(self) -> tuple:
         """(tp, pred_count, motp_sum, entry_pair, follows, next_joint), the MOT terms
-        that ignore predicted ids. An entry is a present joint of a matched
-        ground-truth pose; entries run by track and joint, then by frame and pair.
-        entry_pair numbers the pair of each entry over the sequence; follows[k]
-        says entry k + 1, of joint next_joint[k], has the track and joint of entry k."""
+        that ignore predicted ids. An entry is a TP joint; entries run by track
+        and joint, then by frame and pair. entry_pair numbers the pair of each
+        entry over the sequence; follows[k] says entry k + 1, of joint
+        next_joint[k], has the track and joint of entry k."""
         j_count = self.gt.joint_count
-        tp = np.zeros(j_count, dtype=int)
-        tracks, present = [], [np.zeros((0, j_count), dtype=bool)]
+        no_entries = np.zeros(0, dtype=np.intp)
+        tracks, entry_pair, entry_joint = [], [no_entries], [no_entries]
         # the gt - pred offset and PCKh limit of every TP joint, by frame, pair and joint
         deltas, limits = [np.zeros((0, 2))], [np.zeros(0)]
         for f in self.frames:
-            if not f.result.pairs:
+            if not f.pairs:
                 continue
-            gi, pi = (np.array(side) for side in zip(*f.result.pairs))
-            hit = f.result.correct[gi, pi]
-            tp += hit.sum(axis=0)
+            gi, pi = (np.array(side) for side in zip(*f.pairs))
+            pair, joint = np.nonzero(f.correct[gi, pi])  # the TP joints
+            entry_pair.append(len(tracks) + pair)
+            entry_joint.append(joint)
             tracks += [f.gt.track_ids[g] for g in gi.tolist()]
-            present.append(f.gt.present[gi])
-            pair, joint = np.nonzero(hit)
             deltas.append(f.gt.xy[gi[pair], joint] - f.pred.xy[pi[pair], joint])
             limits.append(self.alpha * np.array(_head_sizes(f.gt))[gi[pair]])
         deltas, limits = np.concatenate(deltas), np.concatenate(limits)
@@ -318,7 +319,8 @@ class SequenceMatch:
         scaled = np.divide(distance, limits, out=np.zeros_like(distance), where=limits > 0)
         motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
         pred_count = _present_counts([f.pred for f in self.frames], j_count)
-        pair, joint = np.nonzero(np.concatenate(present))
+        pair, joint = np.concatenate(entry_pair), np.concatenate(entry_joint)
+        tp = np.bincount(joint, minlength=j_count)
         key = _id_codes(tracks)[pair] * j_count + joint
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -335,20 +337,19 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     """Match the poses of every labeled frame with the prediction frame of the
     same frame_index, which holds no predictions when it is missing. alpha,
     the PCKh threshold in head sizes, must be finite and positive."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
     frames = []
     for frame in gt.frames:
         if frame.labeled:
             dets = pred_by_index.get(frame.frame_index, NO_DETECTIONS)
-            result = match_poses_frame(frame.detections, dets, alpha)
-            frames.append(FrameMatch(frame.frame_index, frame.detections, dets, result))
+            pairs, correct = match_poses_frame(frame.detections, dets, alpha)
+            frames.append(FrameMatch(frame.frame_index, frame.detections, dets, pairs, correct))
     return SequenceMatch(gt, alpha, tuple(frames))
 
 
-def mot_report(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
+def evaluate_mot(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
     """Per-joint CLEAR-MOT counts and rates of `match`, with the track ids of
     `pred`: the matched predictions under any ids, in the same frames and order."""
     _check_pair(match.gt, pred, require_track_ids=True)
@@ -360,9 +361,9 @@ def mot_report(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
         if len(frame_ids) != len(f.pred):
             raise ValueError(f"prediction frame {f.frame_index} has {len(frame_ids)} detections, "
                              f"the match has {len(f.pred)}")
-        ids += [frame_ids[pi] for _, pi in f.result.pairs]
+        ids += [frame_ids[pi] for _, pi in f.pairs]
     tp, pred_count, motp_sum, entry_pair, follows, next_joint = match._mot_terms
-    # a switch is an entry whose id differs from the entry before of its track and joint
+    # a switch is a TP whose id differs from the previous TP of its track and joint
     entry_ids = _id_codes(ids)[entry_pair]
     idsw = np.bincount(next_joint[follows & (entry_ids[1:] != entry_ids[:-1])], minlength=j_count)
     gt_count = match.gt_count
@@ -421,7 +422,7 @@ def _average_precision(scores, hits, n_gt: int) -> float:
     return float(np.sum((mtp[change + 1] - mtp[change]) * mpre[change + 1]) / n_gt)
 
 
-def map_report(match: SequenceMatch) -> EvalReport:
+def evaluate_map(match: SequenceMatch) -> EvalReport:
     """Per-joint average precision of the scored keypoint predictions of `match`."""
     j_count = match.gt.joint_count
     # one row per prediction, in frame and prediction order
@@ -433,11 +434,11 @@ def map_report(match: SequenceMatch) -> EvalReport:
         # frame_hits[k, j]: joint j of prediction k is correct for the pose it claimed
         frame_hits = np.zeros((len(f.pred), j_count), dtype=bool)
         if len(f.gt):
-            overlap = f.result.correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
+            overlap = f.correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
             for pi in np.argsort(-f.pred.scores, kind="stable").tolist():
                 gi = int(overlap[:, pi].argmax())  # the first largest overlap
                 if overlap[gi, pi] > 0:
-                    frame_hits[pi] = f.result.correct[gi, pi]
+                    frame_hits[pi] = f.correct[gi, pi]
                     overlap[gi] = 0
         scores.append(f.pred.scores)
         hits.append(frame_hits)
@@ -455,17 +456,7 @@ def map_report(match: SequenceMatch) -> EvalReport:
     return EvalReport(joint_names=match.gt.joint_names, map_per_joint=ap, map_total=map_total)
 
 
-def evaluate_mot(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Per-joint CLEAR-MOT counts and rates over the labeled frames."""
-    return mot_report(match_sequence(gt, pred, alpha), pred)
-
-
-def evaluate_map(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Per-joint average precision of scored keypoint predictions."""
-    return map_report(match_sequence(gt, pred, alpha))
-
-
 def evaluate(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
     """Full report: MOT fields and mAP fields together, from one match."""
     match = match_sequence(gt, pred, alpha)
-    return mot_report(match, pred).merged_with(map_report(match))
+    return evaluate_mot(match, pred).merged_with(evaluate_map(match))

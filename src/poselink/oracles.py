@@ -16,7 +16,7 @@ from dataclasses import replace
 from scipy.optimize import linear_sum_assignment
 
 from .model import Frame, VideoSequence
-from .metrics import _check_pair, match_sequence
+from .metrics import _check_alpha, _check_pair, match_sequence
 from .similarity import pairwise_iou
 
 
@@ -37,7 +37,7 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
     # matched[(frame_index, pred det index)] -> gt track id
     matched = {
         (f.frame_index, pi): f.gt.track_ids[gi]
-        for f in match_sequence(gt, pred, alpha).frames for gi, pi in f.result.pairs
+        for f in match_sequence(gt, pred, alpha).frames for gi, pi in f.pairs
     }
     unmatched_ids = {
         tid for frame in pred.frames for i, tid in enumerate(frame.detections.track_ids)
@@ -88,7 +88,9 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
 def apply_oracle(
     gt: VideoSequence, pred: VideoSequence, mode: str, alpha: float = 0.5
 ) -> VideoSequence:
-    """Dispatch on mode; "both" runs association first, then keypoints."""
+    """Dispatch on mode; "both" runs association first, then keypoints. alpha
+    must be finite and positive in every mode."""
+    _check_alpha(alpha)
     if mode == "perfect_association":
         return perfect_association(gt, pred, alpha)
     if mode == "perfect_keypoints":

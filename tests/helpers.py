@@ -98,6 +98,35 @@ def three_frame_pair(pred_track_ids=(0, 0, 0), extra_fp_per_frame=0):
     return sequence(gt_frames), sequence(pred_frames)
 
 
+def clear_mot_counts(frames, j_count: int) -> dict[str, tuple[int, ...]]:
+    """Per-joint CLEAR-MOT counts (Bernardin & Stiefelhagen 2008) with every
+    joint of every ground-truth track its own target, as the PoseTrack
+    protocol scores pose tracks (Andriluka et al. 2018).
+
+    frames holds, in time order, one (labeled, predicted, matches) entry per
+    labeled frame: labeled[j] and predicted[j] count the present joints j of
+    each side, and matches lists the frame's TP correspondences as
+    (ground-truth track, joint, predicted id). Every labeled joint without a
+    correspondence is a miss (FN), every predicted one a false positive, and a
+    TP whose predicted id differs from the id of the previous TP of the same
+    target is a mismatch (IDSW).
+    """
+    tp, fp, fn, idsw = ([0] * j_count for _ in range(4))
+    previous = {}  # (track, joint) -> predicted id of its last TP
+    for labeled, predicted, matches in frames:
+        matched = [0] * j_count
+        for track, joint, pred_id in matches:
+            matched[joint] += 1
+            if previous.get((track, joint), pred_id) != pred_id:
+                idsw[joint] += 1
+            previous[(track, joint)] = pred_id
+        for j in range(j_count):
+            tp[j] += matched[j]
+            fn[j] += labeled[j] - matched[j]
+            fp[j] += predicted[j] - matched[j]
+    return {"tp": tuple(tp), "fp": tuple(fp), "fn": tuple(fn), "idsw": tuple(idsw)}
+
+
 def scale_sequence(seq: VideoSequence, s: float) -> VideoSequence:
     frames = []
     for frame in seq.frames:

@@ -15,7 +15,7 @@ from poselink.linking import (
     hungarian_assign,
     track_video,
 )
-from poselink.metrics import evaluate, evaluate_mot
+from poselink.metrics import evaluate
 from poselink.model import Box, filter_detections
 from poselink.oracles import apply_oracle
 from poselink.similarity import CostMatrix, SimilarityCriterion
@@ -99,11 +99,11 @@ def test_criterion_2_greedy_dominance():
 def test_criterion_3_mot_hand_fixtures():
     with criterion(3, "hand fixtures score MOTA 100 / 66.7 / negative"):
         gt, perfect = three_frame_pair()
-        assert evaluate_mot(gt, perfect).mota_total == 100.0
+        assert evaluate(gt, perfect).mota_total == 100.0
         gt, switched = three_frame_pair(pred_track_ids=(0, 0, 1))
-        assert evaluate_mot(gt, switched).mota_total == pytest.approx(66.7, abs=0.05)
+        assert evaluate(gt, switched).mota_total == pytest.approx(66.7, abs=0.05)
         gt, crowded = three_frame_pair(extra_fp_per_frame=3)
-        assert evaluate_mot(gt, crowded).mota_total < 0.0
+        assert evaluate(gt, crowded).mota_total < 0.0
 
 
 def _sweep_metrics(seed):
@@ -136,10 +136,10 @@ def test_criterion_5_oracle_ordering():
             cfg = ScenarioConfig(seed=seed, frames=30, actors=4, noise=ORACLE_NOISE)
             gt, pred = generate_scenario(cfg)
             tracked = track_video(filter_detections(pred, 0.95, 1.95), LinkerConfig())
-            raw = evaluate_mot(gt, tracked)
-            assoc = evaluate_mot(gt, apply_oracle(gt, tracked, "perfect_association"))
-            kpts = evaluate_mot(gt, apply_oracle(gt, tracked, "perfect_keypoints"))
-            both = evaluate_mot(gt, apply_oracle(gt, tracked, "both"))
+            raw = evaluate(gt, tracked)
+            assoc = evaluate(gt, apply_oracle(gt, tracked, "perfect_association"))
+            kpts = evaluate(gt, apply_oracle(gt, tracked, "perfect_keypoints"))
+            both = evaluate(gt, apply_oracle(gt, tracked, "both"))
             assert raw.mota_total <= assoc.mota_total + 1e-9
             assert raw.mota_total <= kpts.mota_total + 1e-9
             assert kpts.mota_total <= both.mota_total + 1e-9
@@ -169,7 +169,7 @@ def test_criterion_6_cost_criterion_suite():
             outputs[name] = [
                 list(f.detections.track_ids) for f in tracked.frames
             ]
-            assert evaluate_mot(gt, tracked).mota_total is not None
+            assert evaluate(gt, tracked).mota_total is not None
         iou_weighted = track_video(
             filtered,
             LinkerConfig(criterion=SimilarityCriterion("combined", weights=(1.0, 0.0, 0.0))),

@@ -390,6 +390,8 @@ class TestOracle:
     ("eval", ["--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
     ("eval", ["--alpha", "inf"], "alpha must be finite and positive, got inf"),
     ("oracle", ["--mode", "assoc", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
+    ("oracle", ["--mode", "kpts", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
+    ("oracle", ["--mode", "kpts", "--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
     ("sweep", ["--costs", "iou", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
     ("track", ["--min-sim", "nan"], "min_similarity must not be NaN, got nan"),
     ("track", ["--cost", "pckh", "--pckh-alpha", "-1"], "pckh_alpha must be finite and positive, got -1.0"),
@@ -419,6 +421,24 @@ def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, ca
     assert run(command, *inputs, *flags) == 1
     assert capsys.readouterr().err == f"poselink {command}: {message}\n"
     assert not out.exists()
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_manifests_are_strict_json(synth_pair, tmp_path):
+    gt, pred = synth_pair
+    tracked, fixed = tmp_path / "t.json", tmp_path / "o.json"
+    assert run("track", "--pred", pred, "--out", tracked, "--min-sim", "inf", "--det-thresh=-inf") == 0
+    assert run("oracle", "--mode", "kpts", "--gt", gt, "--pred", tracked, "--out", fixed) == 0
+    config = strict_json((tmp_path / "t.json.manifest.json").read_text())["config"]
+    assert config["min_sim"] == "inf" and config["det_thresh"] == "-inf"
+    assert strict_json((tmp_path / "o.json.manifest.json").read_text())["config"]["alpha"] == 0.5
+    strict_json((tmp_path / "gt.json.manifest.json").read_text())
 
 
 @pytest.mark.parametrize("argv", [

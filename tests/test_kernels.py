@@ -7,7 +7,8 @@ IoU, tube overlaps, anchor corners and every PCKh decision must agree
 exactly; cosine terms agree to 1e-12. Loops that no longer exist in the
 package (the anchor grid, anchor assignment and the AP envelope) are kept
 here as the reference, and so is the per-pair evaluate_mot loop that the
-shared sequence match replaced.
+shared sequence match replaced. evaluate_mot's counts are also checked
+against clear_mot_counts, the CLEAR-MOT accumulator in helpers.
 """
 
 import dataclasses
@@ -26,10 +27,10 @@ from poselink.metrics import (
     _correct_joint_count,
     correct_joint_mask,
     evaluate_map,
+    evaluate_mot,
     head_size,
     match_poses_frame,
     match_sequence,
-    mot_report,
     pckh_correct,
 )
 from poselink.model import NO_DETECTIONS, Box, Detections
@@ -58,7 +59,7 @@ from poselink.tube import (
     tube_overlap,
 )
 
-from helpers import box_of, corners, detection, head_box_of, pose_of, sequence, unmatched
+from helpers import box_of, clear_mot_counts, corners, detection, head_box_of, pose_of, sequence, unmatched
 
 J = 4
 # a coarse grid makes shared edges, zero-area boxes and exact PCKh ties common
@@ -239,16 +240,16 @@ class TestMetricKernels:
     @settings(max_examples=75)
     @given(gt_sides, sides)
     def test_match_poses_frame_equals_scalar_counts(self, gt, pred):
-        result = match_poses_frame(Detections.concat(gt), Detections.concat(pred))
+        pairs, _ = match_poses_frame(Detections.concat(gt), Detections.concat(pred))
         if not gt or not pred:
-            assert result.pairs == ()
+            assert pairs == ()
             everyone = (tuple(range(len(gt))), tuple(range(len(pred))))
-            assert unmatched(result.pairs, len(gt), len(pred)) == everyone
+            assert unmatched(pairs, len(gt), len(pred)) == everyone
             return
         counts = np.array([[correct_count(g, p, 0.5) for p in pred] for g in gt], dtype=float)
         rows, cols = linear_sum_assignment(-counts)
         expected = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
-        assert result.pairs == expected
+        assert pairs == expected
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(gt_sides, sides), min_size=1, max_size=3))
@@ -256,7 +257,7 @@ class TestMetricKernels:
         names = tuple(f"j{k}" for k in range(J))
         gt = sequence([(t, True, g) for t, (g, _) in enumerate(frames)], joint_names=names)
         pred = sequence([(t, True, p) for t, (_, p) in enumerate(frames)], joint_names=names)
-        assert evaluate_map(gt, pred).map_per_joint == scalar_map(gt, pred)
+        assert evaluate_map(match_sequence(gt, pred)).map_per_joint == scalar_map(gt, pred)
 
     @settings(max_examples=40)
     @given(gt_sides.filter(bool), sides.filter(bool))
@@ -320,7 +321,7 @@ def loop_evaluate_mot(gt, pred, alpha=0.5):
     gt_count = np.zeros(j_count, dtype=int)
     pred_count = np.zeros(j_count, dtype=int)
     motp_sum = 0.0
-    # gt track -> per joint, the last matched pred id (-1 before any); object
+    # gt track -> per joint, the pred id of its last TP (-1 before any); object
     # entries hold track ids of any size
     last_id = {}
     pred_by_index = {f.frame_index: f for f in pred.frames}
@@ -330,19 +331,19 @@ def loop_evaluate_mot(gt, pred, alpha=0.5):
             continue
         pf = pred_by_index.get(frame.frame_index)
         pred_dets = pf.detections if pf is not None else NO_DETECTIONS
-        result = match_poses_frame(frame.detections, pred_dets, alpha)
+        pairs, correct = match_poses_frame(frame.detections, pred_dets, alpha)
         for dets, count in ((frame.detections, gt_count), (pred_dets, pred_count)):
             count += np.array([d.present[0] for d in rows(dets)], dtype=bool).reshape(
                 len(dets), j_count).sum(axis=0)
-        for gi, pi in result.pairs:
+        for gi, pi in pairs:
             g_det, p_det = frame.detections.take([gi]), pred_dets.take([pi])
-            present, hit = g_det.present[0], result.correct[gi, pi]
+            hit = correct[gi, pi]
             tp += hit
             ids = last_id.get(g_det.track_ids[0])
             if ids is None:
                 ids = last_id[g_det.track_ids[0]] = np.full(j_count, -1, dtype=object)
-            idsw += present & (ids != -1) & (ids != p_det.track_ids[0])
-            ids[present] = p_det.track_ids[0]
+            idsw += hit & (ids != -1) & (ids != p_det.track_ids[0])
+            ids[hit] = p_det.track_ids[0]
             limit = alpha * head_size(head_box_of(g_det))
             g_xy, p_xy = g_det.xy[0].tolist(), p_det.xy[0].tolist()
             for j in np.flatnonzero(hit).tolist():
@@ -417,12 +418,50 @@ def tracked_sequences(draw):
             sequence(retracked_frames, joint_names=names))
 
 
+def clear_mot_frames(gt, pred, alpha):
+    """The clear_mot_counts frames of gt and pred: per labeled frame, the poses
+    matched by the scalar correct-joint counts, and their PCKh-correct joints
+    as the TP correspondences."""
+    pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    frames = []
+    for frame in gt.frames:
+        if not frame.labeled:
+            continue
+        gts = rows(frame.detections)
+        preds = rows(pred_by_index.get(frame.frame_index, NO_DETECTIONS))
+        matches = []
+        if gts and preds:
+            counts = np.array([[correct_count(g, p, alpha) for p in preds] for g in gts], dtype=float)
+            for gi, pi in zip(*linear_sum_assignment(-counts)):
+                if counts[gi, pi] == 0:
+                    continue
+                g, p = gts[gi], preds[pi]
+                head = head_size(head_box_of(g))
+                matches += [
+                    (g.track_ids[0], j, p.track_ids[0]) for j in range(J)
+                    if g.present[0, j] and p.present[0, j]
+                    and pckh_correct(g.xy[0, j], p.xy[0, j], head, alpha)
+                ]
+        labeled = [sum(int(g.present[0, j]) for g in gts) for j in range(J)]
+        predicted = [sum(int(p.present[0, j]) for p in preds) for j in range(J)]
+        frames.append((labeled, predicted, matches))
+    return frames
+
+
 class TestSequenceMatch:
     @settings(max_examples=100)
     @given(tracked_sequences(), st.sampled_from([0.2, 0.5, 1.0]))
-    def test_mot_report_of_a_retracking_equals_the_loop(self, seqs, alpha):
+    def test_evaluate_mot_counts_as_clear_mot(self, seqs, alpha):
         gt, pred, retracked = seqs
-        got = mot_report(match_sequence(gt, pred, alpha), retracked)
+        got = evaluate_mot(match_sequence(gt, pred, alpha), retracked)
+        want = clear_mot_counts(clear_mot_frames(gt, retracked, alpha), J)
+        assert {name: getattr(got, name) for name in want} == want
+
+    @settings(max_examples=100)
+    @given(tracked_sequences(), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_evaluate_mot_of_a_retracking_equals_the_loop(self, seqs, alpha):
+        gt, pred, retracked = seqs
+        got = evaluate_mot(match_sequence(gt, pred, alpha), retracked)
         want = loop_evaluate_mot(gt, retracked, alpha)
         for f in dataclasses.fields(EvalReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name

@@ -8,13 +8,12 @@ from poselink.metrics import (
     head_size,
     match_poses_frame,
     match_sequence,
-    mot_report,
     pckh_correct,
 )
 from poselink.model import Box, Detections, filter_detections
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
 
-from helpers import person, scale_sequence, sequence, three_frame_pair, unmatched
+from helpers import PCKH_LIMIT, clear_mot_counts, person, scale_sequence, sequence, three_frame_pair, unmatched
 
 
 class TestHeadSize:
@@ -49,9 +48,9 @@ class TestMatchPoses:
     def test_perfect_prediction_matches(self):
         gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
         pred = person([(0, 0), (5, 5), (10, 10)])
-        result = match_poses_frame(gt, pred)
-        assert result.pairs == ((0, 0),)
-        assert unmatched(result.pairs, 1, 1) == ((), ())
+        pairs, _ = match_poses_frame(gt, pred)
+        assert pairs == ((0, 0),)
+        assert unmatched(pairs, 1, 1) == ((), ())
 
     def test_two_people_matched_to_nearest(self):
         gt = Detections.concat([
@@ -62,21 +61,21 @@ class TestMatchPoses:
             person([(101, 101), (106, 106), (111, 111)]),
             person([(1, 1), (6, 6), (11, 11)]),
         ])
-        result = match_poses_frame(gt, pred)
-        assert set(result.pairs) == {(0, 1), (1, 0)}
+        pairs, _ = match_poses_frame(gt, pred)
+        assert set(pairs) == {(0, 1), (1, 0)}
 
     def test_zero_correct_joints_discarded(self):
         gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
         pred = person([(500, 500), (505, 505), (510, 510)])
-        result = match_poses_frame(gt, pred)
-        assert result.pairs == ()
-        assert unmatched(result.pairs, 1, 1) == ((0,), (0,))
+        pairs, _ = match_poses_frame(gt, pred)
+        assert pairs == ()
+        assert unmatched(pairs, 1, 1) == ((0,), (0,))
 
 
 class TestEvaluateMot:
     def test_perfect_tracking_scores_100(self):
         gt, pred = three_frame_pair()
-        report = evaluate_mot(gt, pred)
+        report = evaluate(gt, pred)
         assert report.mota_total == 100.0
         assert report.motp_total == 100.0
         assert all(v == 100.0 for v in report.mota_per_joint)
@@ -84,7 +83,7 @@ class TestEvaluateMot:
 
     def test_single_id_switch(self):
         gt, pred = three_frame_pair(pred_track_ids=(0, 0, 1))
-        report = evaluate_mot(gt, pred)
+        report = evaluate(gt, pred)
         assert sum(report.idsw) == 3  # one switch per joint
         for value in report.mota_per_joint:
             assert value == pytest.approx(100 * (1 - 1 / 3), abs=1e-9)
@@ -92,7 +91,7 @@ class TestEvaluateMot:
 
     def test_fp_heavy_scene_goes_negative(self):
         gt, pred = three_frame_pair(extra_fp_per_frame=3)
-        report = evaluate_mot(gt, pred)
+        report = evaluate(gt, pred)
         assert report.mota_total < 0
 
     def test_id_switch_tracked_per_joint_presence(self):
@@ -104,9 +103,27 @@ class TestEvaluateMot:
             present = [True, True, t != 1]
             gt_frames.append((t, True, [person(base, track_id=0, present=present)]))
             pred_frames.append((t, True, [person(base, track_id=pid, head_box=None, present=present)]))
-        report = evaluate_mot(sequence(gt_frames), sequence(pred_frames))
+        report = evaluate(sequence(gt_frames), sequence(pred_frames))
         assert report.idsw[0] == 2 and report.idsw[1] == 2
         assert report.idsw[2] == 0
+
+    @pytest.mark.parametrize("pred_ids, idsw", [((0, 1), (1, 1, 0)), ((0, 1, 0), (2, 2, 0))])
+    def test_id_switch_counted_on_tp_joints_only(self, pred_ids, idsw):
+        # frame 1 brings a new id and misses joint 2 by more than the PCKh limit:
+        # joint 2 is FN there, so it neither switches nor takes the new id, and
+        # its TP at frame 2 has the id of its previous TP again
+        base = [(10.0, 10.0), (20.0, 30.0), (30.0, 10.0)]
+        off = base[:2] + [(30.0 + 3 * PCKH_LIMIT, 10.0)]
+        gt = sequence([(t, True, [person(base, track_id=0)]) for t in range(len(pred_ids))])
+        pred = sequence([(t, True, [person(off if t == 1 else base, track_id=pid, head_box=None)])
+                         for t, pid in enumerate(pred_ids)])
+        report = evaluate(gt, pred)
+        assert report.fn == report.fp == (0, 0, 1)
+        assert report.idsw == idsw
+        frames = [([1, 1, 1], [1, 1, 1], [(0, j, pid) for j in range(3) if t != 1 or j != 2])
+                  for t, pid in enumerate(pred_ids)]
+        reference = clear_mot_counts(frames, 3)
+        assert reference == {"tp": report.tp, "fp": report.fp, "fn": report.fn, "idsw": idsw}
 
     def test_counts_rederive_rates(self):
         cfg = ScenarioConfig(
@@ -116,7 +133,7 @@ class TestEvaluateMot:
         )
         gt, pred = generate_scenario(cfg)
         tracked = track_video(filter_detections(pred, 0.0, 0.0), LinkerConfig())
-        report = evaluate_mot(gt, tracked)
+        report = evaluate(gt, tracked)
         for j in range(len(report.joint_names)):
             if report.gt[j] > 0:
                 expected = 100 * (1 - (report.fn[j] + report.fp[j] + report.idsw[j]) / report.gt[j])
@@ -157,7 +174,7 @@ class TestEvaluateMot:
         ]
         gt_frames = [(f.frame_index, f.labeled, [f.detections]) for f in gt.frames]
         gt_frames.append((3, False, []))
-        report = evaluate_mot(sequence(gt_frames), sequence(noisy_frames))
+        report = evaluate(sequence(gt_frames), sequence(noisy_frames))
         assert report.mota_total == 100.0
 
     def test_video_id_mismatch_rejected(self):
@@ -165,7 +182,7 @@ class TestEvaluateMot:
 
         gt, pred = three_frame_pair()
         with pytest.raises(ValueError, match="video id"):
-            evaluate_mot(gt, replace(pred, video_id="other"))
+            evaluate(gt, replace(pred, video_id="other"))
 
     def test_untracked_predictions_rejected(self):
         from dataclasses import replace
@@ -176,10 +193,10 @@ class TestEvaluateMot:
             for f in pred.frames
         ]
         with pytest.raises(ValueError, match="track_id"):
-            evaluate_mot(gt, sequence(frames))
+            evaluate(gt, sequence(frames))
 
 
-class TestMotReport:
+class TestEvaluateMotOfAMatch:
     @pytest.mark.parametrize("frame, kept, message", [
         (1, 1, "prediction frame 1 has 1 detections, the match has 2"),
         (2, None, "prediction frame 2 has 0 detections, the match has 2"),
@@ -194,27 +211,27 @@ class TestMotReport:
             if kept is not None or f.frame_index != frame
         ]
         with pytest.raises(ValueError, match=f"^{message}$"):
-            mot_report(match, sequence(frames))
+            evaluate_mot(match, sequence(frames))
 
 
 class TestEvaluateMap:
     def test_perfect_predictions(self):
         gt, pred = three_frame_pair()
-        report = evaluate_map(gt, pred)
+        report = evaluate_map(match_sequence(gt, pred))
         assert report.map_total == 100.0
         assert all(v == 100.0 for v in report.map_per_joint)
 
     def test_no_predictions(self):
         gt, _ = three_frame_pair()
         empty = sequence([(t, True, []) for t in range(3)])
-        assert evaluate_map(gt, empty).map_total == 0.0
+        assert evaluate_map(match_sequence(gt, empty)).map_total == 0.0
 
     def test_duplicate_below_correct_does_not_hurt(self):
         gt_seq = sequence([(0, True, [person([(10, 10), (20, 30), (30, 10)], track_id=0)])])
         correct = person([(10, 10), (20, 30), (30, 10)], score=0.9, head_box=None)
         duplicate = person([(11, 10), (21, 30), (31, 10)], score=0.8, head_box=None)
         pred_seq = sequence([(0, True, [correct, duplicate])])
-        report = evaluate_map(gt_seq, pred_seq)
+        report = evaluate_map(match_sequence(gt_seq, pred_seq))
         assert all(v == pytest.approx(100.0) for v in report.map_per_joint)
 
     def test_half_recall_gives_half_ap(self):
@@ -223,7 +240,7 @@ class TestEvaluateMap:
                            (1, True, [person(coords, track_id=0)])])
         pred_seq = sequence([(0, True, [person(coords, score=0.9, head_box=None)]),
                              (1, True, [])])
-        report = evaluate_map(gt_seq, pred_seq)
+        report = evaluate_map(match_sequence(gt_seq, pred_seq))
         assert all(v == pytest.approx(50.0) for v in report.map_per_joint)
 
     def test_joints_without_labels_are_excluded_from_mean(self):
@@ -231,7 +248,7 @@ class TestEvaluateMap:
         gt_seq = sequence([(0, True, [person(coords, track_id=0, present=[True, True, False])])])
         pred_seq = sequence([(0, True, [person(coords, score=1.0, head_box=None,
                                                present=[True, True, False])])])
-        report = evaluate_map(gt_seq, pred_seq)
+        report = evaluate_map(match_sequence(gt_seq, pred_seq))
         assert report.map_per_joint[2] is None
         assert report.map_total == 100.0
 

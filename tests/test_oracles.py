@@ -1,7 +1,7 @@
 import pytest
 
 from poselink.linking import LinkerConfig, track_video
-from poselink.metrics import evaluate_mot
+from poselink.metrics import evaluate
 from poselink.model import filter_detections
 from poselink.oracles import apply_oracle, perfect_association, perfect_keypoints
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario
@@ -29,8 +29,8 @@ class TestPerfectAssociation:
     def test_consistent_ids_keep_their_mota(self):
         gt, pred = three_frame_pair(pred_track_ids=(5, 5, 5))
         fixed = perfect_association(gt, pred)
-        before = evaluate_mot(gt, pred)
-        after = evaluate_mot(gt, fixed)
+        before = evaluate(gt, pred)
+        after = evaluate(gt, fixed)
         assert after.mota_total == before.mota_total == 100.0
         assert all(
             tid == 0 for f in fixed.frames for tid in f.detections.track_ids
@@ -39,7 +39,7 @@ class TestPerfectAssociation:
     def test_id_switch_repaired(self):
         gt, pred = three_frame_pair(pred_track_ids=(0, 0, 1))
         fixed = perfect_association(gt, pred)
-        report = evaluate_mot(gt, fixed)
+        report = evaluate(gt, fixed)
         assert sum(report.idsw) == 0
         assert report.mota_total == 100.0
 
@@ -55,7 +55,7 @@ class TestPerfectAssociation:
     def test_zero_idsw_on_noisy_suite(self):
         for seed in range(3):
             gt, tracked = _tracked_scenario(seed)
-            report = evaluate_mot(gt, perfect_association(gt, tracked))
+            report = evaluate(gt, perfect_association(gt, tracked))
             assert sum(report.idsw) == 0
 
     def test_requires_tracked_predictions(self):
@@ -112,10 +112,10 @@ class TestOrderingAndComposition:
     def test_mota_ordering_on_noisy_suite(self):
         for seed in range(4):
             gt, tracked = _tracked_scenario(seed)
-            raw = evaluate_mot(gt, tracked).mota_total
-            pa = evaluate_mot(gt, apply_oracle(gt, tracked, "perfect_association")).mota_total
-            pk = evaluate_mot(gt, apply_oracle(gt, tracked, "perfect_keypoints")).mota_total
-            both = evaluate_mot(gt, apply_oracle(gt, tracked, "both")).mota_total
+            raw = evaluate(gt, tracked).mota_total
+            pa = evaluate(gt, apply_oracle(gt, tracked, "perfect_association")).mota_total
+            pk = evaluate(gt, apply_oracle(gt, tracked, "perfect_keypoints")).mota_total
+            both = evaluate(gt, apply_oracle(gt, tracked, "both")).mota_total
             assert raw <= pa + 1e-9
             assert raw <= pk + 1e-9
             assert pk <= both + 1e-9
@@ -136,3 +136,10 @@ class TestOrderingAndComposition:
         gt, tracked = _tracked_scenario(1, frames=5, actors=2)
         with pytest.raises(ValueError, match="mode"):
             apply_oracle(gt, tracked, "psychic")
+
+    @pytest.mark.parametrize("mode", ["perfect_association", "perfect_keypoints", "both"])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_every_mode_rejects_a_bad_alpha(self, mode, alpha):
+        gt, pred = three_frame_pair()
+        with pytest.raises(ValueError, match=f"^alpha must be finite and positive, got {alpha!r}$"):
+            apply_oracle(gt, pred, mode, alpha)

@@ -62,6 +62,6 @@ def test_a_traced_run_counts_every_layer(spans, tmp_path):
     assert codes == [0, 0, 0, 0]
     assert tracer.absent == []
     metrics = spans.layer_metrics(tracer.take())
-    for name in ("similarity.cells", "metrics.pose_pairs", "linking.link_ratio",
-                 "tube.anchor_count", "tube.overlaps"):
+    for name in ("similarity.cells", "metrics.pose_pairs", "metrics.mot_s", "metrics.map_s",
+                 "metrics.map_calls", "linking.link_ratio", "tube.anchor_count", "tube.overlaps"):
         assert metrics[name] > 0, name

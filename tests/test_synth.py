@@ -7,7 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from poselink.linking import LinkerConfig, track_video
-from poselink.metrics import evaluate, evaluate_map, evaluate_mot
+from poselink.metrics import evaluate, evaluate_map, match_sequence
 from poselink.model import filter_detections, save_sequence
 from poselink.synth import (
     HEAD_JOINT_COUNT,
@@ -151,7 +151,7 @@ class TestCorruption:
         gt, pred = generate_scenario(cfg)
         assert all(len(f.detections) == 0 for f in pred.frames)
         empty_tracked = track_video(pred, LinkerConfig())
-        assert evaluate_mot(gt, empty_tracked).recall_total == 0.0
+        assert evaluate(gt, empty_tracked).recall_total == 0.0
 
     def test_false_positives_appear_with_low_scores(self):
         cfg = ScenarioConfig(seed=2, frames=20, actors=1,
@@ -184,7 +184,7 @@ class TestCorruption:
                 cfg = ScenarioConfig(seed=seed, frames=8, actors=2,
                                      noise=NoiseModel(keypoint_jitter=jitter))
                 gt, pred = generate_scenario(cfg)
-                totals.append(evaluate_map(gt, pred).map_total)
+                totals.append(evaluate_map(match_sequence(gt, pred)).map_total)
             return float(np.mean(totals))
 
         assert mean_map(0.0) >= mean_map(6.0) >= mean_map(20.0)
