@@ -214,22 +214,39 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
 
 
+_SQUARE_BAND = 1e-9  # relative half-width, around limit**2, of the math.hypot band
+_SQUARED_LIMITS = (1e-150, 1e150)  # limits whose squares, band included, are normal floats
+
+
 def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.ndarray:
     """(N, M, J) mask: joint j is present in a[i] and b[k] and their distance
     is at most limits[i].
 
     a (N, J, 2) and b (M, J, 2) come from keypoint_array. The decisions equal
-    the scalar test math.hypot(dx, dy) <= limit: np.hypot may round the last
-    bit differently, so distances that close to their limit are settled with
-    math.hypot.
+    the scalar test math.hypot(dx, dy) <= limit, and are made on squares:
+    dx*dx + dy*dy <= limit*limit. Both squares are within a few ulps of the
+    exact ones, so a square more than 1e-9 (relative) from limit*limit
+    decides as math.hypot does, and every entry inside that band is settled
+    with math.hypot. Squaring is safe for a limit in [1e-150, 1e150]; for any
+    other, where limit*limit may be zero, subnormal or overflow, every entry
+    of the row present on both sides is settled with math.hypot. Squares of
+    far-apart joints may overflow to inf, which decides them correctly, so
+    that overflow raises no warning.
     """
     dx = a[:, None, :, 0] - b[None, :, :, 0]
     dy = a[:, None, :, 1] - b[None, :, :, 1]
-    lim = np.asarray(limits, dtype=float)[:, None, None]
-    dist = np.hypot(dx, dy)
-    within = dist <= lim
-    for i, k, j in np.argwhere(np.abs(dist - lim) <= 1e-12 * np.abs(lim)):
-        within[i, k, j] = math.hypot(dx[i, k, j], dy[i, k, j]) <= limits[i]
+    lim = np.asarray(limits, dtype=float)
+    safe = (lim >= _SQUARED_LIMITS[0]) & (lim <= _SQUARED_LIMITS[1])
+    with np.errstate(over="ignore"):
+        lim2 = (lim * lim)[:, None, None]
+        d2 = dx * dx + dy * dy
+    within = d2 < lim2 * (1.0 - _SQUARE_BAND)
+    band = (d2 <= lim2 * (1.0 + _SQUARE_BAND)) ^ within
+    if not safe.all():
+        band[~safe] = ~np.isnan(d2[~safe])  # absent joints are NaN
+    if band.any():
+        for i, k, j in np.argwhere(band):
+            within[i, k, j] = math.hypot(dx[i, k, j], dy[i, k, j]) <= limits[i]
     return within
 
 
@@ -237,8 +254,8 @@ def pairwise_pckh(prev: Detections, curr: Detections, alpha: float, norm_scale: 
     """`pose_pckh_similarity` of every prev x curr pair of non-empty sides."""
     limits = [alpha * norm_scale * diagonal for diagonal in box_diagonals(prev.boxes)]
     within = joints_within(keypoint_array(prev), keypoint_array(curr), limits)
-    shared = (prev.present[:, None, :] & curr.present[None, :, :]).sum(axis=2)
-    correct = within.sum(axis=2)
+    shared = prev.present.astype(float) @ curr.present.T.astype(float)  # exact counts
+    correct = np.count_nonzero(within, axis=2)
     return np.where(shared > 0, correct / np.maximum(shared, 1), 0.0)
 
 

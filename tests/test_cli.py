@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -439,6 +440,32 @@ def test_manifests_are_strict_json(synth_pair, tmp_path):
     assert config["min_sim"] == "inf" and config["det_thresh"] == "-inf"
     assert strict_json((tmp_path / "o.json.manifest.json").read_text())["config"]["alpha"] == 0.5
     strict_json((tmp_path / "gt.json.manifest.json").read_text())
+
+
+def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, capsys):
+    # squared distances of joints at x = +-1e160 overflow; they decide as beyond
+    # every limit, exactly as joints at x = +-1e6 do
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    assert run("synth", "--out-gt", gt, "--out-pred", pred, "--frames", 3, "--tp-score", "0.95,1") == 0
+    doc = json.loads(pred.read_text())
+    ids, reports = {}, {}
+    for x in (1e6, 1e160):
+        for t, frame in enumerate(doc["frames"]):
+            for det in frame["detections"]:
+                if det["keypoints"][0][3]:
+                    det["keypoints"][0][0] = (-1) ** t * x
+        far, tracked, report = (tmp_path / f"{name}-{x:g}.json" for name in ("far", "tracked", "report"))
+        far.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("track", "--pred", far, "--out", tracked, "--cost", "pckh") == 0
+            assert run("eval", "--gt", gt, "--pred", tracked, "--report", report) == 0
+        assert capsys.readouterr().err == ""
+        ids[x] = [f.detections.track_ids for f in load_sequence(str(tracked)).frames]
+        reports[x] = report.read_bytes()
+    assert ids[1e160] == ids[1e6]
+    assert reports[1e160] == reports[1e6]
 
 
 @pytest.mark.parametrize("argv", [
