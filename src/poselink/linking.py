@@ -68,9 +68,10 @@ def hungarian_assign(cost: CostMatrix) -> Assignment:
     """Exact minimum-total-cost assignment of min(rows, cols) pairs."""
     if cost.rows == 0 or cost.cols == 0:
         return Assignment((), 0.0)
-    rows, cols = linear_sum_assignment(cost.cost)
+    costs = cost.cost
+    rows, cols = linear_sum_assignment(costs)
     pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    total = float(cost.cost[rows, cols].sum())
+    total = float(costs[rows, cols].sum())
     return Assignment(pairs, total)
 
 
@@ -81,7 +82,7 @@ def greedy_assign(cost: CostMatrix) -> Assignment:
     """
     if cost.rows == 0 or cost.cols == 0:
         return Assignment((), 0.0)
-    work = cost.cost.copy()
+    work = cost.cost  # a new array on every access; retired rows and columns turn inf
     n_pairs = min(cost.rows, cost.cols)
     pairs = []
     total = 0.0
@@ -89,7 +90,7 @@ def greedy_assign(cost: CostMatrix) -> Assignment:
         flat = int(np.argmin(work))  # first minimum in row-major order
         i, j = divmod(flat, cost.cols)
         pairs.append((i, j))
-        total += float(cost.cost[i, j])
+        total += float(work[i, j])  # not retired yet, so still the cost
         work[i, :] = np.inf
         work[:, j] = np.inf
     return Assignment(tuple(pairs), total)

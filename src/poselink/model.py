@@ -44,10 +44,11 @@ one row per detection, in file order.
     head_boxes   (N, 4)     head-box corners; NaN rows where there is none
 
 Loading, synthesis, filtering, linking, scoring and saving work on these
-columns; `Detections.from_columns` builds a checked one and `load_sequence`
-checks a whole file at once. A `Box` holds one box for the scalar functions
-and the tube kernels. Every type is frozen and every array read-only, so each
-value is immutable after construction and safe to share.
+columns; `Detections.from_columns` builds a checked one. One set of array
+checks in `load_sequence` both accepts a whole file and names its first
+error, run on one frame and one detection at a time. Every type is frozen,
+and every array read-only, so values are immutable and safe to share; a
+`Box` holds one box for the scalar functions and the tube kernels.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class Box:
 
     def translate(self, dx: float, dy: float) -> "Box":
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
+
+
+def _check_boxes(corners: np.ndarray) -> None:
+    """Raise the error of `Box` for the first (x_min, y_min, x_max, y_max) row it rejects."""
+    ok = np.isfinite(corners).all(axis=1) & (corners[:, :2] <= corners[:, 2:]).all(axis=1)
+    if not ok.all():
+        Box(*corners[ok.argmin()].tolist())
 
 
 def box_diagonals(corners: np.ndarray) -> list[float]:
@@ -171,10 +179,8 @@ class Detections:
         if xy.ndim != 3 or len(xy) != n or xy.shape[2] != 2 or kp_score.shape != xy.shape[:2] \
                 or present.shape != xy.shape[:2]:
             raise ValueError("pose arrays must have shapes (N, J, 2), (N, J) and (N, J)")
-        for corners, none in ((boxes, False), (head_boxes, np.isnan(head_boxes).all(axis=1))):
-            ok = none | (np.isfinite(corners).all(axis=1) & (corners[:, :2] <= corners[:, 2:]).all(axis=1))
-            if not ok.all():
-                Box(*corners[ok.argmin()].tolist())  # raises the error of the first bad box
+        _check_boxes(boxes)
+        _check_boxes(head_boxes[~np.isnan(head_boxes).all(axis=1)])  # NaN rows mean no head box
         if not ((np.isfinite(xy).all(axis=2) & np.isfinite(kp_score)) | ~present).all():
             raise ValueError("present keypoint has non-finite coordinates or score")
         track_ids = (None,) * n if track_ids is None else tuple(track_ids)
@@ -296,24 +302,6 @@ ROLE_PREDICTION = "prediction"
 ROLE_GROUNDTRUTH = "groundtruth"
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _as_box(raw, what: str) -> Box:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ValueError(f"{what} must be a list of 4 numbers")
-    vals = []
-    for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{what} has a non-numeric entry")
-        vals.append(float(v))
-    try:
-        return Box(*vals)
-    except ValueError as exc:  # non-finite or out of order
-        raise ValueError(f"{what}: {exc}") from None
-
-
 def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """Load and validate a sequence file.
 
@@ -347,8 +335,9 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
 
     if not isinstance(raw["frames"], list):
         raise ValueError("frames must be a list")
-    frames = _frames(raw["frames"], j, role)
-    if frames is None:
+    try:
+        frames = _frames(raw["frames"], j, role)
+    except ValueError:  # the checks of all frames at once; rerun them to name the first failure
         _raise_first_error(raw["frames"], j, role)
 
     return VideoSequence(
@@ -367,118 +356,152 @@ def _types(values) -> set:
     return set(map(type, values))
 
 
-def _frames(raw_frames: list, j: int, role: str) -> Optional[tuple[Frame, ...]]:
-    """The frames of a sequence file, checked and built with a few array
-    operations over all of its detections at once. None when any check fails;
-    _raise_first_error then names the first failure."""
-    if not _types(raw_frames) <= {dict}:
-        return None
+def _floats(values: list) -> np.ndarray:
+    """values, all numbers, as a float array; an integer beyond the float range overflows."""
     try:
-        indices, labeled, per_frame = (list(map(operator.itemgetter(key), raw_frames))
-                                       for key in ("frame_index", "labeled", "detections"))
-    except KeyError:
-        return None
-    if not (_types(indices) <= {int} and _types(labeled) <= {bool} and _types(per_frame) <= {list}
-            and min(indices, default=0) >= 0):
-        return None
-    dets = list(chain.from_iterable(per_frame))
-    n = len(dets)
-    if not _types(dets) <= {dict}:
-        return None
+        return np.fromiter(values, dtype=float, count=len(values))
+    except OverflowError:
+        raise ValueError(": number out of the float range") from None
+
+
+def _corners(boxes: list, what: str) -> np.ndarray:
+    """The (len(boxes), 4) corners of the boxes, checked as `Box` checks one."""
+    if not (_types(boxes) <= {list} and set(map(len, boxes)) <= {4}):
+        raise ValueError(f" {what} must be a list of 4 numbers")
+    values = list(chain.from_iterable(boxes))
+    if not _types(values) <= _NUMBER:
+        # a box converts corner by corner, so an overflow before its first non-number comes first
+        bad = next(i for i, v in enumerate(values) if type(v) not in _NUMBER)
+        _floats(values[bad - bad % 4:bad])
+        raise ValueError(f" {what} has a non-numeric entry")
+    corners = _floats(values).reshape(-1, 4)
     try:
-        bboxes, scores, kps = (list(map(operator.itemgetter(key), dets))
-                               for key in ("bbox", "score", "keypoints"))
-    except KeyError:
-        return None
+        _check_boxes(corners)
+    except ValueError as exc:
+        raise ValueError(f" {what}: {exc}") from None
+    return corners
+
+
+def _fields(objects: list, keys: tuple) -> list[list]:
+    """The value of each key in every one of objects, which must be JSON objects holding them."""
+    if not _types(objects) <= {dict}:
+        raise ValueError(": must be an object")
+    try:
+        return [list(map(operator.itemgetter(key), objects)) for key in keys]
+    except KeyError as exc:
+        raise ValueError(f": missing field {exc.args[0]!r}") from None
+
+
+def _frame_fields(raw_frames: list) -> tuple[list, list, list]:
+    """The frame_index, labeled and detections of every frame, checked in that
+    order. A failed check raises the tail of its message; see _raise_first_error."""
+    indices, labeled, per_frame = _fields(raw_frames, ("frame_index", "labeled", "detections"))
+    if not _types(indices) <= {int}:
+        raise ValueError(": frame_index must be an integer")
+    if not _types(labeled) <= {bool}:
+        raise ValueError(": labeled must be a boolean")
+    if not _types(per_frame) <= {list}:
+        raise ValueError(": detections must be a list")
+    return indices, labeled, per_frame
+
+
+def _columns(dets: list, j: int, role: str) -> dict:
+    """The `Detections` columns, track_ids included, of the raw detections,
+    each check one C-level pass over all of them, in the order one detection
+    is checked. A failed check raises the tail of its message; see _raise_first_error."""
+    bboxes, scores, kps = _fields(dets, ("bbox", "score", "keypoints"))
     feats, ids, heads = (list(map(dict.get, dets, repeat(key)))
                          for key in ("feature", "track_id", "head_box"))
-    has_feature = [f is not None for f in feats]
-    has_head = [h is not None for h in heads]
+    has_feature, has_head = ([v is not None for v in col] for col in (feats, heads))
     feats, heads = list(compress(feats, has_feature)), list(compress(heads, has_head))
     given_ids = [t for t in ids if t is not None]
+    n = len(dets)
 
-    # structure and exact value types, one C-level pass per field
+    boxes = _corners(bboxes, "bbox")
+    if not _types(scores) <= _NUMBER:
+        raise ValueError(": score must be a number")
+    score_arr = _floats(scores)
+    if not np.isfinite(score_arr).all():
+        raise ValueError(": score must be finite")
     if not (_types(kps) <= {list} and set(map(len, kps)) <= {j}):
-        return None
-    rows, boxes_and_heads = list(chain.from_iterable(kps)), bboxes + heads
-    if not (_types(rows) <= {list} and set(map(len, rows)) <= {4}
-            and _types(boxes_and_heads) <= {list} and set(map(len, boxes_and_heads)) <= {4}
-            and _types(feats) <= {list} and len(set(map(len, feats))) <= 1):
-        return None
-    corners = list(chain.from_iterable(boxes_and_heads))
-    if not (_types(corners) <= _NUMBER and _types(chain.from_iterable(feats)) <= _NUMBER
-            and _types(scores) <= _NUMBER and _types(given_ids) <= {int}
-            and min(given_ids, default=0) >= 0):
-        return None
+        raise ValueError(f": keypoints must have length {j}")
+    rows = list(chain.from_iterable(kps))
+    if not (_types(rows) <= {list} and set(map(len, rows)) <= {4}):
+        raise ValueError(" keypoint must be [x, y, score, present]")
     values = list(chain.from_iterable(rows))
-    kp_types = _types(values)
-    if not kp_types <= _NUMBER and not (  # only presence flags may be booleans
-        kp_types <= _NUMBER | {bool} and _types(chain.from_iterable(r[:3] for r in rows)) <= _NUMBER
-    ):
-        return None
-    if role == ROLE_GROUNDTRUTH and (len(given_ids) < n or len(heads) < n):
-        return None
-
-    try:  # float() of an integer beyond the float range overflows
-        corners = np.array(corners, dtype=float).reshape(-1, 4)
-        score_arr = np.array(scores, dtype=float)
-        block = np.fromiter(values, dtype=float, count=len(values)).reshape(n, j, 4)
-        feat_arr = np.array(feats, dtype=float).reshape(len(feats), len(feats[0]) if feats else 0)
-    except OverflowError:
-        return None
-    flags = block[..., 3]
-    if not (np.isfinite(corners).all() and np.isfinite(score_arr).all() and np.isfinite(block).all()
-            and np.isfinite(feat_arr).all() and ((flags == 0.0) | (flags == 1.0)).all()
-            and (corners[:, :2] <= corners[:, 2:]).all()):
-        return None
-    head_arr = corners[n:]
-    if role == ROLE_GROUNDTRUTH and ((head_arr[:, :2] == head_arr[:, 2:]).all(axis=1)).any():
-        return None  # a zero-size head box; it normalizes every PCKh distance
+    coords = values.copy()
+    del coords[3::4]
+    if not _types(coords) <= _NUMBER:
+        raise ValueError(" keypoint has a non-numeric entry")
+    flags = values[3::4]  # each must be `in (0, 1)`, checked before a flag can overflow
+    if flags.count(0) + flags.count(1) < len(flags):
+        raise ValueError(" keypoint presence flag must be 0 or 1")
+    block = _floats(values).reshape(n, j, 4)
+    if not np.isfinite(block).all():  # absent joints too
+        raise ValueError(" keypoint has a non-finite entry")
+    if not (_types(feats) <= {list} and _types(chain.from_iterable(feats)) <= _NUMBER):
+        raise ValueError(": feature must be a list of numbers")
+    widths = set(map(len, feats))
+    if len(widths) > 1:  # a check across detections, which _raise_first_error makes last
+        raise ValueError("feature vectors must share one dimensionality")
+    feat_arr = _floats(list(chain.from_iterable(feats))).reshape(len(feats), max(widths, default=0))
+    if not np.isfinite(feat_arr).all():
+        raise ValueError(": feature has a non-finite entry")
+    head_arr = _corners(heads, "head_box")
+    if not _types(given_ids) <= {int}:
+        raise ValueError(": track_id must be an integer")
+    if role == ROLE_GROUNDTRUTH:
+        if len(given_ids) < n:
+            raise ValueError(": ground truth requires track_id")
+        if len(heads) < n:
+            raise ValueError(": ground truth requires head_box")
+        if (head_arr[:, :2] == head_arr[:, 2:]).all(axis=1).any():  # it normalizes every PCKh distance
+            raise ValueError(": ground truth head_box has zero size")
+    if min(given_ids, default=0) < 0:
+        raise ValueError(": track_id must be non-negative")
 
     features = np.full((n, feat_arr.shape[1]), math.nan)
     features[has_feature] = feat_arr
     head_boxes = np.full((n, 4), math.nan)
     head_boxes[has_head] = head_arr
-    columns = {
-        "boxes": corners[:n],
-        "scores": np.clip(score_arr, 0.0, 1.0) + 0.0,  # + 0.0 turns -0.0 into 0.0
-        "xy": block[..., :2],
-        "kp_score": block[..., 2],
-        "present": block[..., 3] == 1.0,
-        "features": features,
-        "has_feature": np.array(has_feature, dtype=bool),
-        "head_boxes": head_boxes,
-    }
+    columns = dict(boxes=boxes, scores=np.clip(score_arr, 0.0, 1.0) + 0.0,  # + 0.0 turns -0.0 into 0.0
+                   xy=block[..., :2], kp_score=block[..., 2], present=block[..., 3] == 1.0,
+                   features=features, has_feature=np.array(has_feature, dtype=bool), head_boxes=head_boxes)
     for arr in columns.values():
         arr.setflags(write=False)
-    names, arrays, ids = tuple(columns), tuple(columns.values()), tuple(ids)
+    return {**columns, "track_ids": tuple(ids)}
+
+
+def _frames(raw_frames: list, j: int, role: str) -> tuple[Frame, ...]:
+    """The frames of a sequence file, checked and built with a few array operations
+    over all of its detections at once; a failed check names no frame or detection."""
+    indices, labeled, per_frame = _frame_fields(raw_frames)
+    columns = _columns(list(chain.from_iterable(per_frame)), j, role)
+    names, cols = tuple(columns), tuple(columns.values())
     bounds = np.cumsum([0] + list(map(len, per_frame))).tolist()
     frames = []
     for index, is_labeled, lo, hi in zip(indices, labeled, bounds, bounds[1:]):
         # a frame's rows are views of the read-only columns, so Detections'
         # __post_init__ has nothing to freeze; skipping it halves this loop
         dets = object.__new__(Detections)
-        dets.__dict__.update(zip(names, [arr[lo:hi] for arr in arrays]), track_ids=ids[lo:hi])
-        frames.append(Frame(index, is_labeled, dets))
+        dets.__dict__.update(zip(names, [col[lo:hi] for col in cols]))
+        frames.append(Frame(index, is_labeled, dets))  # rejects a negative frame_index
     return tuple(frames)
 
 
-def _raise_first_error(raw_frames: list, j: int, role: str) -> None:
-    """Raise the ValueError of the first check, in file order, that raw_frames fails."""
+def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
+    """Raise the ValueError of the first check, in file order, that raw_frames
+    fails: the checks of _frame_fields and _columns, run on one frame and one
+    detection at a time, then those across frames."""
     for fi, f in enumerate(raw_frames):
-        if not isinstance(f, dict):
-            raise ValueError(f"frame {fi}: must be an object")
-        for key in ("frame_index", "labeled", "detections"):
-            if key not in f:
-                raise ValueError(f"frame {fi}: missing field {key!r}")
-        if not isinstance(f["frame_index"], int) or isinstance(f["frame_index"], bool):
-            raise ValueError(f"frame {fi}: frame_index must be an integer")
-        if not isinstance(f["labeled"], bool):
-            raise ValueError(f"frame {fi}: labeled must be a boolean")
-        if not isinstance(f["detections"], list):
-            raise ValueError(f"frame {fi}: detections must be a list")
-        for di, d in enumerate(f["detections"]):
-            _check_detection(d, f"frame {fi} detection {di}", j, role)
+        where = f"frame {fi}"
+        try:
+            _frame_fields([f])
+            for di, d in enumerate(f["detections"]):
+                where = f"frame {fi} detection {di}"
+                _columns([d], j, role)
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from None
         if f["frame_index"] < 0:
             raise ValueError(f"frame {fi}: frame_index must be non-negative")
     last_index, feature_dims = -1, set()
@@ -490,56 +513,6 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> None:
         if len(feature_dims) > 1:
             raise ValueError("feature vectors must share one dimensionality")
     raise AssertionError("the sequence checks disagree: a file failed none of the named checks")
-
-
-def _check_detection(d, where: str, j: int, role: str) -> None:
-    """Raise the ValueError of the first check that detection d fails."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: must be an object")
-    for key in ("bbox", "score", "keypoints"):
-        if key not in d:
-            raise ValueError(f"{where}: missing field {key!r}")
-    try:  # float() of an integer beyond the float range overflows
-        _as_box(d["bbox"], f"{where} bbox")
-        score = d["score"]
-        if not _is_number(score):
-            raise ValueError(f"{where}: score must be a number")
-        if not math.isfinite(float(score)):
-            raise ValueError(f"{where}: score must be finite")
-        kps = d["keypoints"]
-        if not isinstance(kps, list) or len(kps) != j:
-            raise ValueError(f"{where}: keypoints must have length {j}")
-        if not all(isinstance(kp, list) and len(kp) == 4 for kp in kps):
-            raise ValueError(f"{where} keypoint must be [x, y, score, present]")
-        if not {type(v) for kp in kps for v in kp[:3]} <= _NUMBER:  # not bool
-            raise ValueError(f"{where} keypoint has a non-numeric entry")
-        if not all(kp[3] in (0, 1) for kp in kps):
-            raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
-        if not np.isfinite(np.array(kps, dtype=float)).all():  # absent joints too
-            raise ValueError(f"{where} keypoint has a non-finite entry")
-        feature = d.get("feature")
-        if feature is not None:
-            if not isinstance(feature, list) or not all(_is_number(v) for v in feature):
-                raise ValueError(f"{where}: feature must be a list of numbers")
-            if not all(math.isfinite(v) for v in [float(v) for v in feature]):
-                raise ValueError(f"{where}: feature has a non-finite entry")
-        head_box = d.get("head_box")
-        if head_box is not None:
-            head_box = _as_box(head_box, f"{where} head_box")
-    except OverflowError as exc:
-        raise ValueError(f"{where}: number out of the float range") from exc
-    track_id = d.get("track_id")
-    if track_id is not None and (not isinstance(track_id, int) or isinstance(track_id, bool)):
-        raise ValueError(f"{where}: track_id must be an integer")
-    if role == ROLE_GROUNDTRUTH:
-        if track_id is None:
-            raise ValueError(f"{where}: ground truth requires track_id")
-        if head_box is None:
-            raise ValueError(f"{where}: ground truth requires head_box")
-        if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
-            raise ValueError(f"{where}: ground truth head_box has zero size")
-    if track_id is not None and track_id < 0:
-        raise ValueError(f"{where}: track_id must be non-negative")
 
 
 def write_text_atomic(path: str, text: str) -> None:

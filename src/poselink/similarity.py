@@ -200,18 +200,21 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box in a (N, 4) against every box in b (M, 4).
 
     The same float operations in the same order as `iou`, so every entry
-    equals the scalar value bit for bit.
+    equals the scalar value bit for bit. Sides beyond about 1e154 overflow
+    without a warning, as Python floats do; an infinite area may then make
+    the union and the entry NaN, as in `iou`.
     """
     a = a[:, None, :]
     b = b[None, :, :]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    positive = union > 0.0
-    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = area_a + area_b - inter
+        empty = union <= 0.0
+        return np.where(empty, 0.0, inter / np.where(empty, 1.0, union))
 
 
 _SQUARE_BAND = 1e-9  # relative half-width, around limit**2, of the math.hypot band
@@ -264,16 +267,19 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The sums run in another order, so entries agree with the scalar function
     to within 1e-12; a pair with a zero-norm vector is 0, with the same warning.
+    Features so large that the products overflow give inf or NaN entries,
+    without a numpy warning.
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    zero = (na == 0.0)[:, None] | (nb == 0.0)[None, :]
-    if zero.any():
-        warnings.warn("zero-norm feature vector; cosine similarity set to 0")
-    denom = np.where(zero, 1.0, na[:, None] * nb[None, :])
-    return np.where(zero, 0.0, (a @ b.T) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        zero = (na == 0.0)[:, None] | (nb == 0.0)[None, :]
+        if zero.any():
+            warnings.warn("zero-norm feature vector; cosine similarity set to 0")
+        denom = np.where(zero, 1.0, na[:, None] * nb[None, :])
+        return np.where(zero, 0.0, (a @ b.T) / denom)
 
 
 def build_cost_matrix(

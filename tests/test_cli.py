@@ -469,6 +469,33 @@ def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, caps
 
 
 @pytest.mark.parametrize("argv", [
+    ["track", "--cost", "iou"],
+    ["track", "--cost", "combined"],
+    ["track", "--cost", "feat"],
+    ["oracle", "--mode", "kpts", "--gt", "gt.json"],
+])
+def test_huge_boxes_and_features_are_one_line_errors_under_warnings_as_errors(tmp_path, monkeypatch, capsys,
+                                                                              argv):
+    # box areas and feature norms overflow; IoU and cosine then read NaN, as
+    # the scalar functions do, and the cost or overlap check names it
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out-gt", "gt.json", "--out-pred", "pred.json", "--frames", 3, "--tp-score", "0.95,1") == 0
+    for path in (tmp_path / "gt.json", tmp_path / "pred.json"):
+        doc = json.loads(path.read_text())
+        for frame in doc["frames"]:
+            for det in frame["detections"]:
+                det["bbox"] = [0, 0, 1e160, 1e160]
+                det["feature"] = [1e200] * 4
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--pred", "pred.json", "--out", "out.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"poselink {argv[0]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     pytest.param(["eval", "--pred", "p.json", "--report", "r.json"], id="eval-without-gt"),
     pytest.param(["bench", "--frames", "20,40"], id="unknown-command-bench"),
 ])

@@ -42,6 +42,7 @@ from poselink.similarity import (
     iou,
     joints_within,
     keypoint_array,
+    pairwise_cosine,
     pairwise_iou,
     pose_pckh_similarity,
 )
@@ -350,6 +351,21 @@ class TestBoundaryAndExtremes:
         pckh = SimilarityCriterion("pose_pckh")
         assert build_cost_matrix(prev, curr, pckh).similarity[0, 0] == 1 / 3
         assert build_cost_matrix(origin, tiny, pckh).similarity[0, 0] == 1 / 3
+
+    @pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e160, 1e200, 1e300])
+    def test_iou_and_cosine_at_huge_magnitudes_equal_the_scalar(self, scale):
+        # areas overflow from sides of about 1.3e154 and squared norms from
+        # entries of about 1e154; the kernels then give the scalar functions'
+        # values, NaN included, without a numpy warning
+        corners = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [0.5, 0, 2, 1], [-1, -1, 0, 0]]) * scale
+        corners = np.vstack([corners, [[0.0, 0.0, 1.0, 1.0]]])
+        feats = np.array([[1, 0, 0], [1, 1, 0], [-1, 0, 0], [0, 0, 1], [0, 1e-300, 0]]) * scale
+        with np.errstate(over="ignore", invalid="ignore"):  # feature_cosine's norms overflow
+            want_iou = np.array([[iou(Box(*p), Box(*c)) for c in corners.tolist()] for p in corners.tolist()])
+            want_cos = np.array([[feature_cosine(p, c) for c in feats] for p in feats])
+        assert np.array_equal(pairwise_iou(corners, corners), want_iou, equal_nan=True)
+        assert np.isnan(want_iou[0, 1]) == (scale > 1.4e154)
+        assert np.allclose(pairwise_cosine(feats, feats), want_cos, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
 class TestMetricKernels:

@@ -486,16 +486,48 @@ class TestLoadValidation:
         (("frames", 1, "frame_index"), -1, "frame 1: frame_index must be non-negative"),
     ])
     def test_box_id_and_index_checks_name_the_frame_and_detection(self, tmp_path, path, value, message):
+        self._assert_both_loaders_raise(tmp_path, [(path, value)], "prediction", message)
+
+    def _assert_both_loaders_raise(self, tmp_path, changes, role, message):
+        """_multi_doc with each (path, value) of changes set fails both loaders with message."""
         doc = self._multi_doc()
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        path = self._write(tmp_path, doc)
+        for path, value in changes:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        written = self._write(tmp_path, doc)
         for load in (load_sequence, reference_load_sequence):
             with pytest.raises(ValueError) as exc:
-                load(path)
+                load(written, role)
             assert str(exc.value) == message
+
+    FLAG = ("frames", 1, "detections", 0, "keypoints", 1)
+    DET = ("frames", 2, "detections", 1)
+    GT_DET = ("frames", 0, "detections", 2)
+    FLAG_MESSAGE = "frame 1 detection 0 keypoint presence flag must be 0 or 1"
+
+    # the order of the checks: the first failing one names the file's error
+    @pytest.mark.parametrize("changes, role, message", [
+        ([(FLAG + (3,), 10**400)], "prediction", FLAG_MESSAGE),
+        ([(FLAG, [10**400, 2, 1.5, 2])], "prediction", FLAG_MESSAGE),
+        ([(FLAG + (0,), 10**400), (FLAG + (3,), 2)], "prediction", FLAG_MESSAGE),
+        ([(FLAG + (3,), math.nan)], "prediction", FLAG_MESSAGE),
+        ([(DET + ("bbox",), [5, 0, 1, 1]), (DET + ("score",), "0.5")], "prediction",
+         "frame 2 detection 1 bbox: box corners out of order: Box(x_min=5.0, y_min=0.0, x_max=1.0, y_max=1.0)"),
+        ([(DET + ("bbox",), [10**400, "1", 2, 2])], "prediction", "frame 2 detection 1: number out of the float range"),
+        ([(DET + ("bbox",), ["1", 10**400, 2, 2])], "prediction", "frame 2 detection 1 bbox has a non-numeric entry"),
+        ([(GT_DET + ("head_box",), [1, 1, 1, 1]), (GT_DET + ("track_id",), -3)], "groundtruth",
+         "frame 0 detection 2: ground truth head_box has zero size"),
+        ([(GT_DET + ("head_box",), [1, 1, 1, 1]), (GT_DET + ("track_id",), -3)], "prediction",
+         "frame 0 detection 2: track_id must be non-negative"),
+        ([(("frames", 1, "detections", 0, "feature"), [1.0]), (("frames", 2, "frame_index"), 0)], "prediction",
+         "feature vectors must share one dimensionality"),
+        ([(("frames", 1, "frame_index"), 0), (("frames", 2, "detections", 0, "feature"), [1.0])], "prediction",
+         "non-monotone frames: index 0 after 0"),
+    ])
+    def test_combined_defects_fail_on_the_first_check(self, tmp_path, changes, role, message):
+        self._assert_both_loaders_raise(tmp_path, changes, role, message)
 
     def test_negative_zero_score_loads_and_saves_as_zero(self, tmp_path):
         doc = self._doc()
