@@ -21,6 +21,7 @@ from .similarity import (
 )
 from .linking import (
     Assignment,
+    KernelMemo,
     LinkerConfig,
     greedy_assign,
     hungarian_assign,

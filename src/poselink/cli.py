@@ -16,7 +16,7 @@ import typing
 from dataclasses import asdict, is_dataclass, replace
 
 from . import __version__
-from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
+from .linking import ALGORITHMS, KernelMemo, LinkerConfig, track_video_with_stats
 from .metrics import csv_header, csv_row, evaluate, evaluate_map, evaluate_mot, match_sequence, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
@@ -197,15 +197,19 @@ def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
 
     Filtering, pose matching and mAP depend only on the threshold (tracking
     changes only track ids, which matching and mAP ignore), so they run once,
-    and each row runs only the id pass of its own MOT report.
+    and each row runs only the id pass of its own MOT report. The rows track
+    one after another, in row order, sharing one kernel memo: each frame
+    pair's IoU, PCKh and cosine matrices are computed once for all rows
+    whose candidate pool is the same.
     """
     filtered = filter_detections(pred, threshold, args.kp_thresh)
     match = match_sequence(gt, filtered, args.alpha)
     shared_map = evaluate_map(match)
+    memo = KernelMemo(filtered)
     rows = []
     for algo in algos:
         for cost_name in costs:
-            tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name))
+            tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name), memo)
             report = evaluate_mot(match, tracked).merged_with(shared_map)
             rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
     return rows

@@ -8,6 +8,15 @@ matching). Matched detections inherit the track id when their similarity
 strictly exceeds `min_similarity`; everything else starts a new track, with
 fresh ids handed out in detection order. The whole pass is deterministic,
 including the random-id baseline mode under a fixed seed.
+
+Passes over one sequence with other configurations (the rows of a sweep) can
+share a `KernelMemo`, so that each frame pair's IoU, PCKh and cosine matrices
+are computed once. Its entries are keyed on the current frame's position and
+the (frame position, detection index) of every candidate-pool row, so two
+passes share an entry exactly when their pools hold the same detections,
+whatever their algorithm, criterion or lookback. A memo is bound to the one
+`VideoSequence` it was made for, since the key names no detection values;
+passing it with another sequence is an error.
 """
 
 from __future__ import annotations
@@ -64,6 +73,23 @@ class TrackStats:
     new_tracks: int
 
 
+class KernelMemo:
+    """The kernel matrices of one sequence's frame pairs, for track passes to share.
+
+    `entry` gives the mapping that `build_cost_matrix` reads and fills (see
+    its `kernels` argument) for the frame at position pos and the candidate
+    pool whose rows come from frame positions pool_pos and detection indices
+    pool_det. Drop the memo when the passes are done.
+    """
+
+    def __init__(self, seq: VideoSequence):
+        self.seq = seq
+        self._entries: dict = {}
+
+    def entry(self, pos: int, pool_pos: np.ndarray, pool_det: np.ndarray) -> dict:
+        return self._entries.setdefault((pos, pool_pos.tobytes(), pool_det.tobytes()), {})
+
+
 def hungarian_assign(cost: CostMatrix) -> Assignment:
     """Exact minimum-total-cost assignment of min(rows, cols) pairs."""
     if cost.rows == 0 or cost.cols == 0:
@@ -78,21 +104,27 @@ def hungarian_assign(cost: CostMatrix) -> Assignment:
 def greedy_assign(cost: CostMatrix) -> Assignment:
     """Repeatedly take the lowest-cost remaining edge and retire its endpoints.
 
-    Ties break toward the lexicographically smallest (row, col).
+    Ties break toward the lexicographically smallest (row, col): one stable
+    sort of the row-major costs gives the order, and the walk along it takes
+    every edge whose row and column are both free until min(rows, cols) are
+    taken. total_cost sums the taken costs in that order.
     """
     if cost.rows == 0 or cost.cols == 0:
         return Assignment((), 0.0)
-    work = cost.cost  # a new array on every access; retired rows and columns turn inf
+    costs = cost.cost
+    order = np.argsort(costs, axis=None, kind="stable")  # row-major indices
     n_pairs = min(cost.rows, cost.cols)
+    row_free, col_free = [True] * cost.rows, [True] * cost.cols
     pairs = []
+    for i, j in zip(*(index.tolist() for index in np.divmod(order, cost.cols))):
+        if row_free[i] and col_free[j]:
+            row_free[i] = col_free[j] = False
+            pairs.append((i, j))
+            if len(pairs) == n_pairs:
+                break
     total = 0.0
-    for _ in range(n_pairs):
-        flat = int(np.argmin(work))  # first minimum in row-major order
-        i, j = divmod(flat, cost.cols)
-        pairs.append((i, j))
-        total += float(work[i, j])  # not retired yet, so still the cost
-        work[i, :] = np.inf
-        work[:, j] = np.inf
+    for value in costs[tuple(zip(*pairs))].tolist():
+        total += value
     return Assignment(tuple(pairs), total)
 
 
@@ -110,16 +142,18 @@ def link_frame_pair(
     cfg: LinkerConfig,
     next_id: int,
     frame_index: Optional[int] = None,
+    kernels: Optional[dict] = None,
 ) -> tuple[Detections, int, float]:
     """Propagate track ids from prev onto curr and mint ids for the rest.
 
-    Returns (curr with every detection carrying a track id, next unused id,
-    summed cost of the frame's assignment).
+    kernels is this frame pair's `KernelMemo` entry, passed on to
+    `build_cost_matrix`. Returns (curr with every detection carrying a track
+    id, next unused id, summed cost of the frame's assignment).
     """
     if None in prev.track_ids:
         raise ValueError(f"previous detection {prev.track_ids.index(None)} carries no track_id")
 
-    cost = build_cost_matrix(prev, curr, cfg.criterion, frame_index=frame_index)
+    cost = build_cost_matrix(prev, curr, cfg.criterion, frame_index=frame_index, kernels=kernels)
     assignment = _assign(cost, cfg.algorithm)
 
     ids: list[Optional[int]] = [None] * len(curr)
@@ -138,8 +172,16 @@ def track_video(seq: VideoSequence, cfg: LinkerConfig) -> VideoSequence:
     return track_video_with_stats(seq, cfg)[0]
 
 
-def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[VideoSequence, TrackStats]:
-    """Like track_video, also returning assignment-cost and track-count totals."""
+def track_video_with_stats(
+    seq: VideoSequence, cfg: LinkerConfig, memo: Optional[KernelMemo] = None
+) -> tuple[VideoSequence, TrackStats]:
+    """Like track_video, also returning assignment-cost and track-count totals.
+
+    memo, a `KernelMemo` made for seq, shares kernel matrices with the other
+    passes over seq that are given it.
+    """
+    if memo is not None and memo.seq is not seq:
+        raise ValueError("kernel memo was made for another sequence")
     if cfg.algorithm == "random":
         return _track_random(seq, cfg)
 
@@ -147,13 +189,15 @@ def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[Video
     total_cost = 0.0
     links = 0
     # the candidate pool: the latest detection of every live track, oldest
-    # frame first, then by detection index; pool_pos holds each row's frame position
-    pool, pool_pos = NO_DETECTIONS, np.empty(0, dtype=int)
+    # frame first, then by detection index; pool_pos and pool_det hold each
+    # row's frame position and detection index in that frame
+    pool, pool_pos, pool_det = NO_DETECTIONS, np.empty(0, dtype=int), np.empty(0, dtype=int)
     out_frames = []
     for pos, frame in enumerate(seq.frames):
         minted_from = next_id
+        kernels = None if memo is None else memo.entry(pos, pool_pos, pool_det)
         linked, next_id, cost = link_frame_pair(
-            pool, frame.detections, cfg, next_id, frame_index=frame.frame_index
+            pool, frame.detections, cfg, next_id, frame_index=frame.frame_index, kernels=kernels
         )
         total_cost += cost
         links += len(linked) - (next_id - minted_from)
@@ -166,8 +210,9 @@ def track_video_with_stats(seq: VideoSequence, cfg: LinkerConfig) -> tuple[Video
         if stays.any():
             pool = Detections.concat([pool.take(stays), linked])
             pool_pos = np.concatenate([pool_pos[stays], np.full(len(linked), pos)])
+            pool_det = np.concatenate([pool_det[stays], np.arange(len(linked))])
         else:
-            pool, pool_pos = linked, np.full(len(linked), pos)
+            pool, pool_pos, pool_det = linked, np.full(len(linked), pos), np.arange(len(linked))
 
     stats = TrackStats(
         frames=len(seq.frames),

@@ -46,7 +46,8 @@ one row per detection, in file order.
 Loading, synthesis, filtering, linking, scoring and saving work on these
 columns; `Detections.from_columns` builds a checked one. One set of array
 checks in `load_sequence` both accepts a whole file and names its first
-error, run on one frame and one detection at a time. Every type is frozen,
+error, run on one frame at a time, and on one detection at a time only
+within a frame that fails. Every type is frozen,
 and every array read-only, so values are immutable and safe to share; a
 `Box` holds one box for the scalar functions and the tube kernels.
 """
@@ -491,17 +492,24 @@ def _frames(raw_frames: list, j: int, role: str) -> tuple[Frame, ...]:
 
 def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
     """Raise the ValueError of the first check, in file order, that raw_frames
-    fails: the checks of _frame_fields and _columns, run on one frame and one
-    detection at a time, then those across frames."""
+    fails: the checks of _frame_fields and _columns, run on one frame at a
+    time, and on one detection at a time only within a frame whose detections
+    fail them, then those across frames."""
     for fi, f in enumerate(raw_frames):
-        where = f"frame {fi}"
         try:
             _frame_fields([f])
-            for di, d in enumerate(f["detections"]):
-                where = f"frame {fi} detection {di}"
-                _columns([d], j, role)
         except ValueError as exc:
-            raise ValueError(f"{where}{exc}") from None
+            raise ValueError(f"frame {fi}{exc}") from None
+        try:
+            _columns(f["detections"], j, role)
+        except ValueError:
+            # when no detection fails alone, the frame failed the feature-width
+            # check across detections, which comes after every other check
+            for di, d in enumerate(f["detections"]):
+                try:
+                    _columns([d], j, role)
+                except ValueError as exc:
+                    raise ValueError(f"frame {fi} detection {di}{exc}") from None
         if f["frame_index"] < 0:
             raise ValueError(f"frame {fi}: frame_index must be non-negative")
     last_index, feature_dims = -1, set()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Frame, VideoSequence
@@ -62,7 +63,8 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
 
     Matching is Hungarian over box IoU per labeled frame; a link requires
     IoU > 0. Replaced joints keep the label's presence flags and get score 1.
-    Idempotent, since boxes are left untouched.
+    Idempotent, since boxes are left untouched. A non-finite IoU, from boxes
+    whose areas overflow, is an error that names the frame index.
     """
     _check_pair(gt, pred, require_track_ids=False)
     gt_by_index = {f.frame_index: f for f in gt.frames}
@@ -75,6 +77,8 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
             continue
         labels = gt_frame.detections
         overlaps = pairwise_iou(labels.boxes, dets.boxes)
+        if not np.isfinite(overlaps).all():  # boxes so large that their areas overflow
+            raise ValueError(f"frame {frame.frame_index}: cost matrix entries must be finite")
         rows, cols = linear_sum_assignment(-overlaps)
         linked = overlaps[rows, cols] > 0
         gi, pi = rows[linked], cols[linked]

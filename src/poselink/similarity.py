@@ -282,16 +282,43 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(zero, 0.0, (a @ b.T) / denom)
 
 
+def _kernel(prev: Detections, curr: Detections, key, kernels: Optional[dict]) -> np.ndarray:
+    """The kernel matrix named by key: "iou", ("pckh", alpha, norm_scale) or
+    "cos". One that kernels holds is returned, and one computed is stored there."""
+    if kernels is not None and key in kernels:
+        return kernels[key]
+    if key == "iou":
+        matrix = pairwise_iou(prev.boxes, curr.boxes)
+    elif key == "cos":
+        matrix = pairwise_cosine(prev.features, curr.features)
+    else:
+        matrix = pairwise_pckh(prev, curr, *key[1:])
+    if kernels is not None:
+        kernels[key] = matrix
+    return matrix
+
+
 def build_cost_matrix(
     prev: Detections,
     curr: Detections,
     criterion: SimilarityCriterion,
     frame_index: Optional[int] = None,
+    kernels: Optional[dict] = None,
 ) -> CostMatrix:
     """Similarity (and negated cost) for every prev x curr pair.
 
     frame_index keys the lookup for the external criterion and is ignored
     otherwise. Each criterion is one array kernel over the sides' columns.
+
+    kernels, when given, holds the kernel matrices of this one pair of sides
+    for every call over them, whatever its criterion: "iou", the IoU matrix,
+    ("pckh", alpha, norm_scale), the PCKh matrix at those settings, and "cos",
+    the cosine matrix. A matrix it holds is read, one it lacks is computed and
+    stored, so each is computed once. The caller keeps one such mapping per
+    pair of sides (`linking.KernelMemo` keys them on the frame and the rows of
+    its candidate pool). External scores and empty sides are never stored;
+    the feature check runs on every call, and the zero-norm warning only
+    when the cosine is computed.
     """
     rows, cols = len(prev), len(curr)
     kind = criterion.kind
@@ -310,26 +337,26 @@ def build_cost_matrix(
     if rows == 0 or cols == 0:
         return CostMatrix(np.zeros((rows, cols), dtype=float))
 
-    alpha, norm_scale = criterion.pckh_alpha, criterion.pckh_norm_scale
+    pckh = ("pckh", criterion.pckh_alpha, criterion.pckh_norm_scale)
     if kind == "bbox_iou":
-        return CostMatrix(pairwise_iou(prev.boxes, curr.boxes))
+        return CostMatrix(_kernel(prev, curr, "iou", kernels))
     if kind == "pose_pckh":
-        return CostMatrix(pairwise_pckh(prev, curr, alpha, norm_scale))
+        return CostMatrix(_kernel(prev, curr, pckh, kernels))
     if kind == "feature_cosine":
         _require_features(prev, "previous")
         _require_features(curr, "current")
-        return CostMatrix(pairwise_cosine(prev.features, curr.features))
+        return CostMatrix(_kernel(prev, curr, "cos", kernels))
 
     # combined, summed in the scalar order: s = 0.0, s += w * term, s / total
     w_iou, w_pckh, w_cos = criterion.weights
     sim = np.zeros((rows, cols), dtype=float)
     if w_iou > 0:
-        sim += w_iou * pairwise_iou(prev.boxes, curr.boxes)
+        sim += w_iou * _kernel(prev, curr, "iou", kernels)
     if w_pckh > 0:
-        sim += w_pckh * pairwise_pckh(prev, curr, alpha, norm_scale)
+        sim += w_pckh * _kernel(prev, curr, pckh, kernels)
     if w_cos > 0:
         _require_features(prev, "previous")
         _require_features(curr, "current")
-        cosine = pairwise_cosine(prev.features, curr.features)
+        cosine = _kernel(prev, curr, "cos", kernels)
         sim += w_cos * 0.5 * (cosine + 1.0)
     return CostMatrix(sim / (w_iou + w_pckh + w_cos))

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from poselink.linking import Assignment
 from poselink.model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -17,6 +18,7 @@ from poselink.model import (
     Frame,
     VideoSequence,
 )
+from poselink.similarity import CostMatrix
 
 JOINTS3 = ("head", "left", "right")
 
@@ -149,6 +151,24 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
         for perm in itertools.permutations(range(rows), cols):
             best = min(best, sum(cost[perm[j], j] for j in range(cols)))
     return float(best)
+
+
+def reference_greedy_assign(cost: CostMatrix) -> Assignment:
+    """The argmin-loop greedy matching that the sort-once one replaced, kept
+    as its oracle: take the first minimum in row-major order, retire its row
+    and column, repeat min(rows, cols) times."""
+    if cost.rows == 0 or cost.cols == 0:
+        return Assignment((), 0.0)
+    work = cost.cost  # a new array on every access; retired rows and columns turn inf
+    pairs = []
+    total = 0.0
+    for _ in range(min(cost.rows, cost.cols)):
+        i, j = divmod(int(np.argmin(work)), cost.cols)
+        pairs.append((i, j))
+        total += float(work[i, j])  # not retired yet, so still the cost
+        work[i, :] = np.inf
+        work[:, j] = np.inf
+    return Assignment(tuple(pairs), total)
 
 
 def roi_align_oracle(vol, tube, resolution, samples_per_bin):

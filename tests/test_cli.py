@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from poselink import metrics
+from poselink import metrics, similarity
 from poselink.cli import main
 from poselink.linking import LinkerConfig, track_video_with_stats
 from poselink.metrics import csv_row, evaluate
@@ -267,7 +267,12 @@ class TestSweep:
         gt, pred = synth_pair
         assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv") == 2
 
-    def test_rows_equal_each_configuration_run_alone(self, tmp_path):
+    @pytest.mark.parametrize("flags, lookback, min_sim, weights", [
+        pytest.param([], 1, 0.0, (1.0, 1.0, 1.0), id="defaults"),
+        pytest.param(["--lookback", "3", "--min-sim", "0.1", "--weights", "2,1,1"], 3, 0.1, (2.0, 1.0, 1.0),
+                     id="lookback3"),
+    ])
+    def test_rows_equal_each_configuration_run_alone(self, tmp_path, flags, lookback, min_sim, weights):
         gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
         assert run(
             "synth", "--out-gt", gt, "--out-pred", pred, "--seed", 3, "--frames", 8,
@@ -277,7 +282,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--gt", gt, "--pred", pred, "--out", out,
                    "--thresholds", "0.6,0.95", "--algos", "hungarian,greedy",
-                   "--costs", "iou,pckh,feat,combined") == 0
+                   "--costs", "iou,pckh,feat,combined", *flags) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         gt_seq = load_sequence(str(gt), "groundtruth")
@@ -288,7 +293,8 @@ class TestSweep:
         for t in (0.6, 0.95):
             for algo in ("hungarian", "greedy"):
                 for cost in ("iou", "pckh", "feat", "combined"):
-                    cfg = LinkerConfig(algorithm=algo, criterion=SimilarityCriterion(kinds[cost]))
+                    cfg = LinkerConfig(algorithm=algo, min_similarity=min_sim, lookback=lookback,
+                                       criterion=SimilarityCriterion(kinds[cost], weights=weights))
                     tracked, stats = track_video_with_stats(
                         filter_detections(pred_seq, t, 1.95), cfg
                     )
@@ -296,6 +302,27 @@ class TestSweep:
                                   stats.total_assignment_cost)
                     expected.append([str(v) for v in row])
         assert rows == expected
+
+    def test_each_kernel_runs_once_per_frame_pair(self, tmp_path, monkeypatch):
+        gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+        assert run("synth", "--out-gt", gt, "--out-pred", pred, "--seed", 4, "--frames", 10,
+                   "--actors", 3, "--kp-jitter", 2.0, "--fp-rate", 1.0, "--feature-dim", 4,
+                   "--miss-prob", 0.3, "--tp-score", "0.9,1.0") == 0
+        calls = {name: 0 for name in ("pairwise_iou", "pairwise_pckh", "pairwise_cosine")}
+
+        def counted(name):
+            kernel = getattr(similarity, name)
+            return lambda *a: calls.update({name: calls[name] + 1}) or kernel(*a)
+
+        for name in calls:
+            monkeypatch.setattr(similarity, name, counted(name))
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv",
+                   "--thresholds", "0.95", "--algos", "hungarian,greedy",
+                   "--costs", "iou,pckh,feat,combined") == 0
+        sizes = [len(f.detections) for f in filter_detections(load_sequence(str(pred)), 0.95, 1.95).frames]
+        pairs = sum(a > 0 and b > 0 for a, b in zip(sizes, sizes[1:]))
+        assert 0 < pairs < len(sizes) - 1
+        assert calls == {name: pairs for name in calls}
 
     @pytest.mark.parametrize("command, matches_per_frame", [
         pytest.param(["sweep", "--thresholds", "0.5,0.95", "--algos", "hungarian,greedy",
@@ -493,6 +520,9 @@ def test_huge_boxes_and_features_are_one_line_errors_under_warnings_as_errors(tm
         assert run(*argv, "--pred", "pred.json", "--out", "out.json") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"poselink {argv[0]}: ") and err.count("\n") == 1
+    assert err.endswith("cost matrix entries must be finite\n")
+    if argv[0] == "oracle":  # every labeled frame fails; the first is named
+        assert err == "poselink oracle: frame 0: cost matrix entries must be finite\n"
 
 
 @pytest.mark.parametrize("argv", [

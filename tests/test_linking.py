@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from hypothesis.extra import numpy as npst
 
 from poselink.linking import (
+    KernelMemo,
     LinkerConfig,
     greedy_assign,
     hungarian_assign,
@@ -18,13 +19,20 @@ from poselink.model import Detections
 from poselink.similarity import CostMatrix, SimilarityCriterion, load_external_scores
 from poselink.synth import NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
 
-from helpers import brute_force_min_cost, person, sequence
+from helpers import brute_force_min_cost, person, reference_greedy_assign, sequence
 
 
 cost_matrices = npst.arrays(
     np.float64,
     shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     elements=st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
+)
+
+# integer-valued similarities, full of ties, with zeros of both signs
+tied_matrices = npst.arrays(
+    np.float64,
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    elements=st.integers(-2, 2).map(float) | st.just(-0.0),
 )
 
 
@@ -73,6 +81,13 @@ class TestGreedy:
     def test_tie_break_is_lexicographic(self):
         sim = np.ones((3, 3))
         assert greedy_assign(CostMatrix(sim)).pairs == ((0, 0), (1, 1), (2, 2))
+
+    @settings(max_examples=300)
+    @given(tied_matrices | cost_matrices)
+    def test_equals_the_argmin_loop(self, sim):
+        got, want = greedy_assign(CostMatrix(sim)), reference_greedy_assign(CostMatrix(sim))
+        assert got.pairs == want.pairs
+        assert got.total_cost.hex() == want.total_cost.hex()
 
     @settings(max_examples=100)
     @given(cost_matrices)
@@ -235,6 +250,27 @@ class TestTrackVideo:
         assert stats.new_tracks == 1
         assert stats.links == 2
         assert stats.total_assignment_cost < 0  # all matched edges have high IoU
+
+    @pytest.mark.parametrize("algorithm", ["hungarian", "greedy", "random"])
+    def test_memo_of_another_sequence_is_an_error(self, algorithm):
+        seq = sequence(_drifting_box_frames([0, 2, 4]))
+        memo = KernelMemo(seq)
+        cfg = LinkerConfig(algorithm=algorithm)
+        assert track_video_with_stats(seq, cfg, memo) == track_video_with_stats(seq, cfg)
+        equal_but_another = sequence(_drifting_box_frames([0, 2, 4]))
+        with pytest.raises(ValueError, match="^kernel memo was made for another sequence$"):
+            track_video_with_stats(equal_but_another, cfg, memo)
+
+    def test_memo_entries_are_keyed_on_the_frame_and_every_pool_row(self):
+        memo = KernelMemo(sequence([]))
+
+        def entry(pos, pool_pos, pool_det):
+            return memo.entry(pos, np.array(pool_pos, dtype=int), np.array(pool_det, dtype=int))
+
+        shared = entry(2, [0, 1], [1, 0])
+        assert entry(2, [0, 1], [1, 0]) is shared
+        for other in [(3, [0, 1], [1, 0]), (2, [0, 1], [0, 0]), (2, [1, 1], [1, 0]), (2, [1], [0])]:
+            assert entry(*other) is not shared
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

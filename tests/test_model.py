@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from poselink import model
 from poselink.model import (
     NO_DETECTIONS,
     Box,
@@ -576,6 +577,26 @@ class TestLoadValidation:
         doc["frames"][2]["detections"][1][field] = value
         with pytest.raises(ValueError, match=f"^frame 2 detection 1:? ?{message}"):
             load_sequence(self._write(tmp_path, doc), role="groundtruth")
+
+    def test_a_long_file_is_checked_detection_by_detection_only_in_its_failing_frame(
+        self, tmp_path, monkeypatch
+    ):
+        doc = self._doc()
+        det = doc["frames"][0]["detections"][0]
+        doc["frames"] = [{"frame_index": t, "labeled": False, "detections": [dict(det), dict(det)]}
+                         for t in range(400)]
+        doc["frames"][-1]["detections"][-1]["score"] = "0.5"
+        path = self._write(tmp_path, doc)
+        sizes = []
+        columns = model._columns
+        monkeypatch.setattr(model, "_columns", lambda dets, *a: sizes.append(len(dets)) or columns(dets, *a))
+        message = "frame 399 detection 1: score must be a number"
+        for load in (load_sequence, reference_load_sequence):
+            with pytest.raises(ValueError) as exc:
+                load(path)
+            assert str(exc.value) == message
+        # the whole file, each frame, then each detection of the frame that fails
+        assert sizes == [800] + [2] * 400 + [1, 1]
 
 
 json_values = st.one_of(
