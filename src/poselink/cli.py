@@ -13,7 +13,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .linking import ALGORITHMS, KernelMemo, LinkerConfig, track_video_with_stats
@@ -23,6 +23,7 @@ from .model import (
     ROLE_PREDICTION,
     filter_detections,
     load_sequence,
+    read_json,
     save_sequence,
     write_text_atomic,
 )
@@ -37,6 +38,8 @@ COST_KINDS = {
     "combined": "combined",
     "external": "external",
 }
+
+DET_THRESH = 0.95  # `track`'s detection threshold, and `sweep`'s when it sweeps no thresholds
 
 ORACLE_MODES = {
     "assoc": "perfect_association",
@@ -70,70 +73,65 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
     write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _list_of(parse, names=None, empty=True):
+    """argparse type: a comma-separated list of `parse` values, each one of
+    `names` when names are given, and at least one value unless `empty`."""
+    def list_of(text: str) -> list:
+        values = [parse(v.strip()) for v in text.split(",") if v.strip() != ""]
+        unknown = [v for v in values if names is not None and v not in names]
+        if unknown:
+            raise argparse.ArgumentTypeError(f"invalid choice: {unknown[0]!r} (choose from {', '.join(names)})")
+        if not (values or empty):
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+    return list_of
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip() != ""]
-
-
-def _linker_from_args(args, algo: str, cost: str) -> LinkerConfig:
-    """The linker config of one algo x cost, with every other setting from the flags."""
-    kind = COST_KINDS[cost]
+def _linker_configs(args, algos, costs, flag: str) -> list[tuple[str, str, LinkerConfig]]:
+    """(algo, cost, linker config) of every algo x cost, with every other
+    setting from the flags; an external-scores file is read once."""
+    if len(args.weights) != 3:
+        raise ValueError("--weights needs exactly three comma-separated values")
     external = None
-    if kind == "external":
+    if "external" in costs:
         if not args.external_scores:
-            raise ValueError("--cost external requires --external-scores PATH")
+            raise ValueError(f"{flag} external requires --external-scores PATH")
         external = load_external_scores(args.external_scores)
-    criterion = SimilarityCriterion(
-        kind=kind,
-        weights=_weights(args),
+    criteria = {cost: SimilarityCriterion(
+        kind=COST_KINDS[cost],
+        weights=tuple(args.weights),
         pckh_alpha=args.pckh_alpha,
         pckh_norm_scale=args.pckh_norm_scale,
-        external_scores=external,
-    )
-    return LinkerConfig(
+        external_scores=external if cost == "external" else None,
+    ) for cost in costs}
+    return [(algo, cost, LinkerConfig(
         algorithm=algo,
-        criterion=criterion,
+        criterion=criteria[cost],
         min_similarity=args.min_sim,
         lookback=args.lookback,
         random_max_id=args.random_max_id,
         rng_seed=args.seed,
-    )
-
-
-def _weights(args) -> tuple[float, float, float]:
-    weights = tuple(args.weights or (1.0, 1.0, 1.0))
-    if len(weights) != 3:
-        raise ValueError("--weights needs exactly three comma-separated values")
-    return weights
+    )) for algo in algos for cost in costs]
 
 
 def _linker_manifest(args) -> dict:
     """The linker settings as the `track` and `sweep` manifests record them."""
     return {
         "min_sim": args.min_sim, "lookback": args.lookback, "seed": args.seed,
-        "weights": list(_weights(args)),
+        "weights": list(args.weights),
         "pckh_alpha": args.pckh_alpha, "pckh_norm_scale": args.pckh_norm_scale,
         "random_max_id": args.random_max_id,
         "external_scores": args.external_scores,
     }
 
 
-def _add_track_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cost", choices=sorted(COST_KINDS), default="iou")
-    parser.add_argument("--algo", choices=ALGORITHMS, default="hungarian")
-    parser.add_argument("--det-thresh", type=float, default=0.95)
+def _add_linker_flags(parser: argparse.ArgumentParser) -> None:
+    """The settings `track` and every `sweep` row share."""
     parser.add_argument("--kp-thresh", type=float, default=1.95)
     parser.add_argument("--min-sim", type=float, default=0.0)
     parser.add_argument("--lookback", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weights", type=_float_list, default=None,
+    parser.add_argument("--weights", type=_list_of(float), default=[1.0, 1.0, 1.0],
                         help="combined-cost weights iou,pckh,cosine")
     parser.add_argument("--external-scores", default=None)
     parser.add_argument("--pckh-alpha", type=float, default=0.5)
@@ -142,11 +140,11 @@ def _add_track_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_track(args) -> int:
+    [(_, _, cfg)] = _linker_configs(args, [args.algo], [args.cost], "--cost")
     t0 = time.perf_counter()
     pred = load_sequence(args.pred, ROLE_PREDICTION)
     t_load = time.perf_counter()
     filtered = filter_detections(pred, args.det_thresh, args.kp_thresh)
-    cfg = _linker_from_args(args, args.algo, args.cost)
     tracked, stats = track_video_with_stats(filtered, cfg)
     t_track = time.perf_counter()
     save_sequence(tracked, args.out)
@@ -192,8 +190,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
-    """CSV rows of every algo x cost at one detection threshold.
+def _sweep_threshold(gt, pred, threshold, configs, args) -> list[list]:
+    """CSV rows of every (algo, cost, linker config) at one detection threshold.
 
     Filtering, pose matching and mAP depend only on the threshold (tracking
     changes only track ids, which matching and mAP ignore), so they run once,
@@ -207,40 +205,33 @@ def _sweep_threshold(gt, pred, threshold, algos, costs, args) -> list[list]:
     shared_map = evaluate_map(match)
     memo = KernelMemo(filtered)
     rows = []
-    for algo in algos:
-        for cost_name in costs:
-            tracked, stats = track_video_with_stats(filtered, _linker_from_args(args, algo, cost_name), memo)
-            report = evaluate_mot(match, tracked).merged_with(shared_map)
-            rows.append(csv_row(report, (threshold, algo, cost_name), stats.total_assignment_cost))
+    for algo, cost, cfg in configs:
+        tracked, stats = track_video_with_stats(filtered, cfg, memo)
+        report = evaluate_mot(match, tracked).merged_with(shared_map)
+        rows.append(csv_row(report, (threshold, algo, cost), stats.total_assignment_cost))
     return rows
 
 
 def cmd_sweep(args) -> int:
-    thresholds = args.thresholds
-    algos = args.algos
-    costs = args.costs
-    if thresholds is None and algos is None and costs is None:
+    """One CSV row per threshold x algorithm x cost, thresholds outermost.
+
+    A dimension left out takes `track`'s default: DET_THRESH, hungarian or
+    iou; at least one must be given. The row configs do not depend on the
+    threshold, so they are built once, before any file is loaded: a bad
+    setting fails first, and an external-scores file is read once.
+    """
+    if args.thresholds is None and args.algos is None and args.costs is None:
         print("sweep: give at least one of --thresholds/--algos/--costs", file=sys.stderr)
         return 2
-    if thresholds == [] or algos == [] or costs == []:
-        print("sweep: empty sweep list", file=sys.stderr)
-        return 2
-    thresholds = thresholds if thresholds is not None else [args.det_thresh]
-    algos = algos if algos is not None else ["hungarian"]
-    costs = costs if costs is not None else ["iou"]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            print(f"sweep: unknown algorithm {algo!r}", file=sys.stderr)
-            return 2
-    for cost in costs:
-        if cost not in COST_KINDS:
-            print(f"sweep: unknown cost {cost!r}", file=sys.stderr)
-            return 2
+    thresholds = args.thresholds or [DET_THRESH]
+    algos = args.algos or ["hungarian"]
+    costs = args.costs or ["iou"]
 
     t0 = time.perf_counter()
+    configs = _linker_configs(args, algos, costs, "--costs")
     gt = load_sequence(args.gt, ROLE_GROUNDTRUTH)
     pred = load_sequence(args.pred, ROLE_PREDICTION)
-    rows = [row for t in thresholds for row in _sweep_threshold(gt, pred, t, algos, costs, args)]
+    rows = [row for t in thresholds for row in _sweep_threshold(gt, pred, t, configs, args)]
     header = csv_header(gt.joint_names, ("det_thresh", "algo", "cost"))
     write_csv(args.out, header, rows)
     _write_manifest(
@@ -318,37 +309,32 @@ _SYNTH_FLAGS = (
     ("", "image_width", "width", {"type": int}),
     ("", "image_height", "height", {"type": int}),
     ("motion", "kind", "motion", {"choices": ("linear", "sinusoidal")}),
-    ("motion", "speed_range", "speed", {"type": _float_list, "help": "min,max px per frame"}),
+    ("motion", "speed_range", "speed", {"type": _list_of(float), "help": "min,max px per frame"}),
     ("occlusion", "probability", "occlusion_prob", {"type": float}),
-    ("occlusion", "duration_range", "occlusion_dur", {"type": _int_list, "help": "min,max frames"}),
+    ("occlusion", "duration_range", "occlusion_dur", {"type": _list_of(int), "help": "min,max frames"}),
     ("noise", "keypoint_jitter", "kp_jitter", {"type": float}),
     ("noise", "box_jitter", "box_jitter", {"type": float}),
     ("noise", "miss_probability", "miss_prob", {"type": float}),
     ("noise", "false_positive_rate", "fp_rate", {"type": float}),
-    ("noise", "tp_score_range", "tp_score", {"type": _float_list, "help": "lo,hi"}),
-    ("noise", "fp_score_range", "fp_score", {"type": _float_list, "help": "lo,hi"}),
-    ("noise", "keypoint_score_range", "kp_score", {"type": _float_list, "help": "lo,hi"}),
+    ("noise", "tp_score_range", "tp_score", {"type": _list_of(float), "help": "lo,hi"}),
+    ("noise", "fp_score_range", "fp_score", {"type": _list_of(float), "help": "lo,hi"}),
+    ("noise", "keypoint_score_range", "kp_score", {"type": _list_of(float), "help": "lo,hi"}),
     ("noise", "feature_dim", "feature_dim", {"type": int}),
     ("", "label_every", "label_every", {"type": int}),
 )
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _dataclass_from_doc(ScenarioConfig, json.load(fh), "config")
-    overrides: dict[str, dict] = {"": {}, "motion": {}, "occlusion": {}, "noise": {}}
+    """The `--config` document, or {} without one, with each given flag's value
+    written over its field, built by the one set of config checks: a bad value
+    fails with the same message whether a flag or the file gave it. A document
+    or section that is no JSON object keeps no flag and fails as the file gave it."""
+    doc = read_json(args.config) if args.config else {}
     for section, name, flag, _ in _SYNTH_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[section][name] = tuple(value) if isinstance(value, list) else value
-    top = overrides.pop("")
-    try:
-        sections = {name: replace(getattr(cfg, name), **kw) for name, kw in overrides.items()}
-        return replace(cfg, **sections, **top)
-    except ValueError as exc:  # a flag set a value the config rejects
-        raise ValueError(f"config: {exc}") from exc
+        fields = doc.setdefault(section, {}) if section and isinstance(doc, dict) else doc
+        if getattr(args, flag) is not None and isinstance(fields, dict):
+            fields[name] = getattr(args, flag)
+    return _dataclass_from_doc(ScenarioConfig, doc, "config")
 
 
 def cmd_synth(args) -> int:
@@ -376,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="link detections into tracks")
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
-    _add_track_flags(p)
+    p.add_argument("--cost", choices=sorted(COST_KINDS), default="iou")
+    p.add_argument("--algo", choices=ALGORITHMS, default="hungarian")
+    p.add_argument("--det-thresh", type=float, default=DET_THRESH)
+    _add_linker_flags(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="score tracked predictions against ground truth")
@@ -387,15 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="track+eval over a configuration cross-product")
+    # no abbreviations: --cost and --algo, which are track's, would read as --costs and --algos
+    p = sub.add_parser("sweep", help="track+eval over a configuration cross-product", allow_abbrev=False)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True, help="CSV output, one row per configuration")
-    p.add_argument("--thresholds", type=_float_list, default=None)
-    p.add_argument("--algos", type=_str_list, default=None)
-    p.add_argument("--costs", type=_str_list, default=None)
+    p.add_argument("--thresholds", type=_list_of(float, empty=False), default=None)
+    p.add_argument("--algos", type=_list_of(str, ALGORITHMS, empty=False), default=None)
+    p.add_argument("--costs", type=_list_of(str, sorted(COST_KINDS), empty=False), default=None)
     p.add_argument("--alpha", type=float, default=0.5)
-    _add_track_flags(p)
+    _add_linker_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="apply an upper-bound transform to predictions")

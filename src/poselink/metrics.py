@@ -194,7 +194,7 @@ class EvalReport:
         doc = self.to_dict()
         if extra:
             doc.update(extra)
-        write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
+        write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
     def summary_line(self) -> str:
         def fmt(v):

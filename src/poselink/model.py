@@ -159,7 +159,8 @@ class Detections:
     def from_columns(cls, boxes, scores, xy, kp_score, present, features=None, track_ids=None,
                      head_boxes=None) -> "Detections":
         """N checked detections from their columns, with the checks and messages
-        of `Box`; a present joint must be finite and a track id non-negative.
+        of `Box`; scores, features and present joints must be finite and a
+        track id non-negative.
 
         features (N, D) gives every row an embedding, and None gives none.
         track_ids defaults to None on every row and head_boxes to NaN rows,
@@ -182,6 +183,10 @@ class Detections:
             raise ValueError("pose arrays must have shapes (N, J, 2), (N, J) and (N, J)")
         _check_boxes(boxes)
         _check_boxes(head_boxes[~np.isnan(head_boxes).all(axis=1)])  # NaN rows mean no head box
+        if not np.isfinite(scores).all():
+            raise ValueError("score must be finite")
+        if not np.isfinite(features[has_feature]).all():
+            raise ValueError("feature has a non-finite entry")
         if not ((np.isfinite(xy).all(axis=2) & np.isfinite(kp_score)) | ~present).all():
             raise ValueError("present keypoint has non-finite coordinates or score")
         track_ids = (None,) * n if track_ids is None else tuple(track_ids)
@@ -303,6 +308,15 @@ ROLE_PREDICTION = "prediction"
 ROLE_GROUNDTRUTH = "groundtruth"
 
 
+def read_json(path: str):
+    """The document of a UTF-8 JSON file; text that is not JSON is a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """Load and validate a sequence file.
 
@@ -311,12 +325,7 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a sequence file holds a JSON object")
     for key in ("video_id", "image_size", "joint_names", "frames"):
@@ -539,7 +548,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def save_sequence(seq: VideoSequence, path: str) -> None:
-    """Write a sequence file; atomic (temp file + rename)."""
+    """Write a sequence file as strict JSON, atomically (temp file + rename);
+    a non-finite value is a ValueError and writes nothing."""
     doc = {
         "video_id": seq.video_id,
         "image_size": [int(seq.image_width), int(seq.image_height)],
@@ -553,7 +563,7 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
             for frame in seq.frames
         ],
     }
-    write_text_atomic(path, json.dumps(doc))
+    write_text_atomic(path, json.dumps(doc, allow_nan=False))
 
 
 def _detection_docs(dets: Detections) -> list[dict]:

@@ -27,7 +27,6 @@ entries default to 0; a repeated key or a non-integer index is an error.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import Box, Detections, box_diagonals
+from .model import Box, Detections, box_diagonals, read_json
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -151,8 +150,7 @@ def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
     frame, prev_index and curr_index must be integers and similarity a finite
     number; a key may appear once.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise ValueError("external score file must hold a JSON list")
     index_keys = ("frame", "prev_index", "curr_index")

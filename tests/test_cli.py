@@ -5,12 +5,12 @@ import warnings
 
 import pytest
 
-from poselink import metrics, similarity
+from poselink import cli, metrics, similarity
 from poselink.cli import main
 from poselink.linking import LinkerConfig, track_video_with_stats
 from poselink.metrics import csv_row, evaluate
 from poselink.model import filter_detections, load_sequence, save_sequence
-from poselink.similarity import SimilarityCriterion
+from poselink.similarity import SimilarityCriterion, load_external_scores
 
 from helpers import three_frame_pair
 
@@ -74,7 +74,12 @@ class TestSynth:
             {"image_width": 10},
             {"noise": {"keypoint_jitter": math.inf}},
         ])
-    ] + [pytest.param({}, ["--kp-jitter", "nan"], id="kp-jitter-nan")])
+    ] + [
+        pytest.param({}, ["--kp-jitter", "nan"], id="kp-jitter-nan"),
+        pytest.param([1, 2], ["--kp-jitter", "1"], id="list-with-flag"),
+        pytest.param({"noise": None}, ["--kp-jitter", "1"], id="null-section-with-flag"),
+        pytest.param({"motion": [2.0, 6.0]}, ["--speed", "1,2"], id="list-section-with-flag"),
+    ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, doc, flags):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))
@@ -84,19 +89,61 @@ class TestSynth:
         assert err.startswith("poselink synth: config") and err.count("\n") == 1
         assert not (tmp_path / "gt.json").exists()
 
-    @pytest.mark.parametrize("field, flags", [
-        ("keypoint_jitter", ["--kp-jitter", "-1"]),
-        ("duration_range", ["--occlusion-dur", "5,1"]),
-        ("image_width", ["--width", "0"]),
-        ("speed_range", ["--speed", "6,2"]),
-        ("image_width", ["--width", "10"]),
-        ("keypoint_jitter", ["--kp-jitter", "inf"]),
+    @pytest.mark.parametrize("where, field, flags", [
+        ("config.noise", "keypoint_jitter", ["--kp-jitter", "-1"]),
+        ("config.occlusion", "duration_range", ["--occlusion-dur", "5,1"]),
+        ("config", "image_width", ["--width", "0"]),
+        ("config.motion", "speed_range", ["--speed", "6,2"]),
+        ("config", "image_width", ["--width", "10"]),
+        ("config.noise", "keypoint_jitter", ["--kp-jitter", "inf"]),
     ])
-    def test_bad_flag_value_names_the_field(self, tmp_path, capsys, field, flags):
+    def test_bad_flag_value_names_the_field(self, tmp_path, capsys, where, field, flags):
         assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"poselink synth: config: {field} ") and err.count("\n") == 1
+        assert err.startswith(f"poselink synth: {where}: {field} ") and err.count("\n") == 1
         assert not (tmp_path / "gt.json").exists()
+
+    @pytest.mark.parametrize("flags, doc", [
+        (["--kp-jitter", "-1"], {"noise": {"keypoint_jitter": -1.0}}),
+        (["--kp-jitter", "nan"], {"noise": {"keypoint_jitter": math.nan}}),
+        (["--box-jitter", "-0.5"], {"noise": {"box_jitter": -0.5}}),
+        (["--miss-prob", "1.5"], {"noise": {"miss_probability": 1.5}}),
+        (["--fp-rate", "-1"], {"noise": {"false_positive_rate": -1.0}}),
+        (["--feature-dim", "-4"], {"noise": {"feature_dim": -4}}),
+        (["--tp-score", "1.0,0.5"], {"noise": {"tp_score_range": [1.0, 0.5]}}),
+        (["--fp-score", "0.5"], {"noise": {"fp_score_range": [0.5]}}),
+        (["--kp-score", "3.0,nan"], {"noise": {"keypoint_score_range": [3.0, math.nan]}}),
+        (["--speed", "1"], {"motion": {"speed_range": [1.0]}}),
+        (["--speed", "1,2,3"], {"motion": {"speed_range": [1.0, 2.0, 3.0]}}),
+        (["--speed", "6,2"], {"motion": {"speed_range": [6.0, 2.0]}}),
+        (["--occlusion-prob", "2"], {"occlusion": {"probability": 2.0}}),
+        (["--occlusion-dur", "5,1"], {"occlusion": {"duration_range": [5, 1]}}),
+        (["--occlusion-dur=-2,1"], {"occlusion": {"duration_range": [-2, 1]}}),
+        (["--occlusion-dur", "3"], {"occlusion": {"duration_range": [3]}}),
+        (["--frames", "0"], {"frames": 0}),
+        (["--actors", "-1"], {"actors": -1}),
+        (["--width", "0"], {"image_width": 0}),
+        (["--height", "-3"], {"image_height": -3}),
+        (["--width", "10"], {"image_width": 10}),
+        (["--label-every", "0"], {"label_every": 0}),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_flag_and_config_give_one_message(self, tmp_path, capsys, flags, doc):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        errors = []
+        for argv in (flags, ["--config", cfg]):
+            assert run("synth", "--out-gt", tmp_path / "gt.json", *argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("poselink synth: config") and errors[0].count("\n") == 1
+        assert "unpack" not in errors[0]
+        assert not (tmp_path / "gt.json").exists()
+
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text("")
+        assert run("synth", "--out-gt", tmp_path / "gt.json", "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(f"poselink synth: {cfg}: not valid JSON: Expecting value")
 
     def test_non_integer_occlusion_duration_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +236,35 @@ class TestExternalScores:
         assert err.startswith("poselink track: external score entry 1: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_file_that_is_not_json_names_the_file(self, synth_pair, tmp_path, capsys):
+        _, pred = synth_pair
+        scores = _external_entries(tmp_path, "")
+        capsys.readouterr()
+        assert run("track", "--pred", pred, "--out", tmp_path / "t.json", "--cost", "external",
+                   "--external-scores", scores) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"poselink track: {scores}: not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag", [("track", "--cost"), ("sweep", "--costs")])
+    def test_missing_file_names_the_flag(self, synth_pair, tmp_path, capsys, command, flag):
+        gt, pred = synth_pair
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        inputs = ["--pred", pred, "--out", out] + (["--gt", gt] if command == "sweep" else [])
+        assert run(command, *inputs, flag, "external") == 1
+        assert capsys.readouterr().err == f"poselink {command}: {flag} external requires --external-scores PATH\n"
+        assert not out.exists()
+
+    def test_sweep_reads_the_file_once(self, synth_pair, tmp_path, monkeypatch):
+        gt, pred = synth_pair
+        scores = _external_entries(tmp_path, f"[{self.VALID}]")
+        reads = []
+        monkeypatch.setattr(cli, "load_external_scores", lambda path: reads.append(path) or load_external_scores(path))
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv", "--thresholds", "0.5,0.95",
+                   "--algos", "hungarian,greedy", "--costs", "external,iou,external",
+                   "--external-scores", scores) == 0
+        assert reads == [str(scores)]
+
     def test_valid_entries_track(self, synth_pair, tmp_path):
         _, pred = synth_pair
         scores = _external_entries(tmp_path, f"[{self.VALID}]")
@@ -252,16 +328,43 @@ class TestSweep:
         gt, pred = synth_pair
         out = tmp_path / "algos.csv"
         assert run("sweep", "--gt", gt, "--pred", pred, "--out", out,
-                   "--algos", "hungarian,greedy", "--det-thresh", 0.5) == 0
+                   "--algos", "hungarian,greedy", "--thresholds", 0.5) == 0
         rows = {r["algo"]: r for r in self._read_rows(out)}
         assert float(rows["hungarian"]["total_assignment_cost"]) <= (
             float(rows["greedy"]["total_assignment_cost"]) + 1e-9
         )
 
-    def test_empty_sweep_list_is_usage_error(self, synth_pair, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--thresholds", ""], id="empty-thresholds"),
+        pytest.param(["--algos", " , "], id="empty-algos"),
+        pytest.param(["--costs", ""], id="empty-costs"),
+        pytest.param(["--algos", "hungarian,quantum"], id="unknown-algo"),
+        pytest.param(["--costs", "iou,psychic"], id="unknown-cost"),
+        pytest.param(["--costs", "iou", "--cost", "pckh"], id="track-cost"),
+        pytest.param(["--algos", "hungarian", "--algo", "greedy"], id="track-algo"),
+        pytest.param(["--thresholds", "0.5", "--det-thresh", "0.5"], id="track-det-thresh"),
+        pytest.param(["--det-thresh", "0.5"], id="det-thresh-alone"),
+    ])
+    def test_usage_error_exits_2_and_writes_nothing(self, synth_pair, tmp_path, capsys, flags):
         gt, pred = synth_pair
-        assert run("sweep", "--gt", gt, "--pred", pred,
-                   "--out", tmp_path / "s.csv", "--thresholds", "") == 2
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv", *flags)
+        assert exc.value.code == 2
+        assert "usage: poselink" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_help_lists_no_track_only_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            run("sweep", "--help")
+        usage = capsys.readouterr().out
+        assert "--costs" in usage and "--algos" in usage and "--thresholds" in usage
+        assert not {"--cost", "--algo", "--det-thresh"} & set(usage.replace("[", " ").replace("]", " ").split())
+
+    def test_bad_setting_fails_before_the_inputs_load(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run("sweep", "--gt", missing, "--pred", missing, "--out", tmp_path / "s.csv",
+                   "--costs", "combined", "--weights", "nan,1,1") == 1
+        assert capsys.readouterr().err == "poselink sweep: weights must be finite, got (nan, 1.0, 1.0)\n"
 
     def test_no_sweep_dimension_is_usage_error(self, synth_pair, tmp_path):
         gt, pred = synth_pair
@@ -368,14 +471,6 @@ class TestSweep:
         assert {k: sweep[k] for k in linker} == {k: track[k] for k in linker}
         assert sweep["weights"] == [2.0, 1.0, 0.0]
 
-    def test_unknown_sweep_names_are_usage_errors(self, synth_pair, tmp_path):
-        gt, pred = synth_pair
-        out = tmp_path / "s.csv"
-        assert run("sweep", "--gt", gt, "--pred", pred, "--out", out,
-                   "--algos", "hungarian,quantum") == 2
-        assert run("sweep", "--gt", gt, "--pred", pred, "--out", out,
-                   "--costs", "iou,psychic") == 2
-
 
 class TestOracle:
     def test_keypoint_oracle_improves_mota(self, synth_pair, tmp_path):
@@ -431,6 +526,8 @@ class TestOracle:
     ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
     ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
     ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
+    ("track", ["--weights", ""], "--weights needs exactly three comma-separated values"),
+    ("sweep", ["--costs", "combined", "--weights", "1,2"], "--weights needs exactly three comma-separated values"),
 ])
 def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, capsys, command, flags,
                                                         message):

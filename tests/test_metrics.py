@@ -267,6 +267,12 @@ class TestReportPlumbing:
         assert doc["counts"]["tp"] == list(report.tp)
         assert doc["alpha"] == 0.5
 
+    def test_non_finite_value_is_not_saved(self, tmp_path):
+        gt, pred = three_frame_pair()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            evaluate(gt, pred).save_json(str(tmp_path / "report.json"), extra={"alpha": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
     def test_summary_line_format(self):
         gt, pred = three_frame_pair()
         line = evaluate(gt, pred).summary_line()

@@ -146,6 +146,10 @@ class TestDetections:
         ({"scores": [0.5]}, SHAPES),
         ({"scores": 0.5}, SHAPES),
         ({"features": [1.0, 2.0]}, SHAPES),
+        ({"scores": [0.5, math.nan]}, "score must be finite"),
+        ({"scores": [math.inf, 0.5]}, "score must be finite"),
+        ({"features": [[1.0, 2.0], [math.inf, 0.0]]}, "feature has a non-finite entry"),
+        ({"features": [[math.nan, 2.0], [1.0, 0.0]]}, "feature has a non-finite entry"),
     ])
     def test_from_columns_checks_name_what_is_wrong(self, change, message):
         with pytest.raises(ValueError) as exc:
@@ -252,6 +256,14 @@ class TestRoundTrip:
         save_sequence(seq, str(out))
         assert out.read_bytes() == path.read_bytes()
         assert seq.frames[0].detections.track_ids[0] == 2**64
+
+    def test_non_finite_absent_joint_is_not_saved(self, tmp_path):
+        # the loader rejects a non-finite entry of any joint, so no file may hold one
+        seq = sequence([(0, True, [person([(1, 2), (math.nan, math.nan), (5, 6)], present=[True, False, True])])])
+        with pytest.raises(ValueError) as exc:
+            save_sequence(seq, str(tmp_path / "seq.json"))
+        assert "\n" not in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_onto_directory_fails_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
