@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 data or validation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,11 +356,14 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="poselink", description=__doc__)
+    # no abbreviations anywhere, so that each setting has one spelling (in sweep,
+    # --cost and --algo would otherwise read as --costs and --algos)
+    parser = argparse.ArgumentParser(prog="poselink", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"poselink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("track", help="link detections into tracks")
+    p = add_parser("track", help="link detections into tracks")
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cost", choices=sorted(COST_KINDS), default="iou")
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_linker_flags(p)
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("eval", help="score tracked predictions against ground truth")
+    p = add_parser("eval", help="score tracked predictions against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--report", required=True)
@@ -376,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
-    # no abbreviations: --cost and --algo, which are track's, would read as --costs and --algos
-    p = sub.add_parser("sweep", help="track+eval over a configuration cross-product", allow_abbrev=False)
+    p = add_parser("sweep", help="track+eval over a configuration cross-product")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True, help="CSV output, one row per configuration")
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_linker_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("oracle", help="apply an upper-bound transform to predictions")
+    p = add_parser("oracle", help="apply an upper-bound transform to predictions")
     p.add_argument("--mode", choices=sorted(ORACLE_MODES), required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("synth", help="generate a synthetic ground-truth/prediction pair")
+    p = add_parser("synth", help="generate a synthetic ground-truth/prediction pair")
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-pred", default=None)
     p.add_argument("--config", default=None, help="scenario config JSON; flags override")

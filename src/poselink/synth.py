@@ -150,6 +150,8 @@ class ScenarioConfig:
     label_every: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.frames < 1:
             raise ValueError("a scenario needs at least one frame")
         if self.actors < 0:

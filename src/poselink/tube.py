@@ -13,14 +13,15 @@ The anchors of one image are one (A, 4) corner array with their clip length
 once (pairwise_tube_overlap), each overlap equal to the scalar tube_overlap
 bit for bit.
 
-Region features are pulled from a T x C x H x W volume by running 2D RoIAlign
-per temporal slice with that frame's box and concatenating along time.
+Region features are pulled from a T x C x H x W volume by RoIAlign on every
+temporal slice with that frame's box, all T slices sampled in one pass.
 Sampling uses the half-pixel convention (the feature cell (r, c) center sits
 at continuous (c + 0.5, r + 0.5)) with zero padding outside the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -339,35 +340,24 @@ def tracking_loss(
     return cls_loss, reg_loss
 
 
-def _bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Zero-padded bilinear lookup of a (C, H, W) plane at continuous points.
+def _bilinear_taps(lo: np.ndarray, hi: np.ndarray, n: int, size: int) -> list:
+    """The two bilinear taps along one feature axis of n samples spread evenly
+    over each row's [lo, hi] (lo and hi are (T, 1), in cell units).
 
-    xs/ys are broadcast grids in the half-pixel convention described in the
-    module docstring; returns (C,) + xs.shape.
+    Returns [(index, weight), (index + 1, weight)] for the lower and upper
+    neighbour, each (T, n): indices clamped into [0, size), weights zeroed
+    where the neighbour lies outside the grid. Sample points are clamped to
+    [-2, size + 1] first, where both neighbours are already outside, so that
+    far-away boxes floor to small integers.
     """
-    _, h, w = plane.shape
-    u = xs - 0.5
-    v = ys - 0.5
-    u0 = np.floor(u).astype(int)
-    v0 = np.floor(v).astype(int)
-    du = u - u0
-    dv = v - v0
-
-    out = None
-    for dy, dx, weight in (
-        (0, 0, (1 - dv) * (1 - du)),
-        (0, 1, (1 - dv) * du),
-        (1, 0, dv * (1 - du)),
-        (1, 1, dv * du),
-    ):
-        yy = v0 + dy
-        xx = u0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        yc = np.clip(yy, 0, h - 1)
-        xc = np.clip(xx, 0, w - 1)
-        vals = plane[:, yc, xc] * np.where(valid, weight, 0.0)
-        out = vals if out is None else out + vals
-    return out
+    p = np.minimum(np.maximum(lo + (np.arange(n) + 0.5) * (hi - lo) / n - 0.5, -2.0), size + 1.0)
+    p0 = np.floor(p)
+    frac = p - p0
+    i0 = p0.astype(int)
+    return [
+        (np.minimum(np.maximum(i, 0), size - 1), np.where((i >= 0) & (i < size), weight, 0.0))
+        for i, weight in ((i0, 1 - frac), (i0 + 1, frac))
+    ]
 
 
 def spatiotemporal_roi_align(
@@ -376,32 +366,35 @@ def spatiotemporal_roi_align(
     resolution: int,
     samples_per_bin: int = 2,
 ) -> np.ndarray:
-    """RoIAlign each temporal slice with its frame's box; concatenate in time.
+    """RoIAlign every frame of the volume with that frame's box of the tube.
 
     Boxes are given in image coordinates and divided by the volume stride.
     Each of the resolution x resolution bins averages samples_per_bin**2
-    bilinear samples; points outside the feature extent read as zero.
-    Returns an array of shape (T, C, resolution, resolution).
+    bilinear samples; points outside the feature extent read as zero. All T
+    frames are sampled together, one gather per bilinear corner, and every
+    output equals 2D RoIAlign of its frame alone bit for bit. Returns an
+    array of shape (T, C, resolution, resolution).
     """
     if resolution <= 0:
         raise ValueError("output resolution must be positive")
     if samples_per_bin <= 0:
         raise ValueError("samples_per_bin must be positive")
-    t_len, channels = vol.data.shape[0], vol.data.shape[1]
+    t_len, channels, h, w = vol.data.shape
     if tube.length != t_len:
         raise ValueError(f"tube length {tube.length} != volume length {t_len}")
 
     r, s = resolution, samples_per_bin
-    out = np.empty((t_len, channels, r, r), dtype=float)
-    for t, box in enumerate(tube.boxes):
-        x1, y1 = box.x_min / vol.stride, box.y_min / vol.stride
-        x2, y2 = box.x_max / vol.stride, box.y_max / vol.stride
-        xs = x1 + (np.arange(r * s) + 0.5) * (x2 - x1) / (r * s)
-        ys = y1 + (np.arange(r * s) + 0.5) * (y2 - y1) / (r * s)
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        samples = _bilinear_sample(vol.data[t], grid_x, grid_y)  # (C, r*s, r*s)
-        out[t] = samples.reshape(channels, r, s, r, s).mean(axis=(2, 4))
-    return out
+    x1, y1, x2, y2 = (_corners(tube.boxes) / vol.stride).T[:, :, None]
+    rows, cols = _bilinear_taps(y1, y2, r * s, h), _bilinear_taps(x1, x2, r * s, w)
+    frames = np.arange(t_len)[:, None, None]
+    out = None
+    for (yi, wy), (xi, wx) in itertools.product(rows, cols):  # corners 00, 01, 10, 11
+        # (T, r*s, r*s, C): channels last, the memory order of a one-frame
+        # gather, so that the mean below sums each bin in that frame's order
+        weight = wy[:, :, None] * wx[:, None, :]
+        vals = vol.data[frames, :, yi[:, :, None], xi[:, None, :]] * weight[..., None]
+        out = vals if out is None else out + vals
+    return np.moveaxis(out, 3, 1).reshape(t_len, channels, r, s, r, s).mean(axis=(3, 5))
 
 
 def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:

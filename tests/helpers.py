@@ -193,6 +193,58 @@ def roi_align_oracle(vol, tube, resolution, samples_per_bin):
     return out
 
 
+def _bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Zero-padded bilinear lookup of a (C, H, W) plane at continuous points.
+
+    xs/ys are broadcast grids in the half-pixel convention of poselink.tube;
+    returns (C,) + xs.shape.
+    """
+    _, h, w = plane.shape
+    u = xs - 0.5
+    v = ys - 0.5
+    u0 = np.floor(u).astype(int)
+    v0 = np.floor(v).astype(int)
+    du = u - u0
+    dv = v - v0
+
+    out = None
+    for dy, dx, weight in (
+        (0, 0, (1 - dv) * (1 - du)),
+        (0, 1, (1 - dv) * du),
+        (1, 0, dv * (1 - du)),
+        (1, 1, dv * du),
+    ):
+        yy = v0 + dy
+        xx = u0 + dx
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        yc = np.clip(yy, 0, h - 1)
+        xc = np.clip(xx, 0, w - 1)
+        vals = plane[:, yc, xc] * np.where(valid, weight, 0.0)
+        out = vals if out is None else out + vals
+    return out
+
+
+def roi_align_per_frame(vol, tube, resolution, samples_per_bin):
+    """2D RoIAlign of each frame alone with that frame's box, stacked in time:
+    the per-frame loop that spatiotemporal_roi_align must equal bit for bit.
+
+    Its sample points are floored to int, so boxes must lie within about 2**63
+    cells of the grid.
+    """
+    t_len, channels = vol.data.shape[0], vol.data.shape[1]
+    r, s = resolution, samples_per_bin
+    out = np.empty((t_len, channels, r, r), dtype=float)
+    for t, box in enumerate(tube.boxes):
+        x1, y1 = box.x_min / vol.stride, box.y_min / vol.stride
+        x2, y2 = box.x_max / vol.stride, box.y_max / vol.stride
+        xs = x1 + (np.arange(r * s) + 0.5) * (x2 - x1) / (r * s)
+        ys = y1 + (np.arange(r * s) + 0.5) * (y2 - y1) / (r * s)
+        grid_x, grid_y = np.meshgrid(xs, ys)
+        samples = _bilinear_sample(vol.data[t], grid_x, grid_y)  # (C, r*s, r*s)
+        out[t] = samples.reshape(channels, r, s, r, s).mean(axis=(2, 4))
+    return out
+
+
 def correlate2d_multi(frame: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Direct 2D cross-correlation, (C_in, H, W) x (C_out, C_in, K, K) -> valid."""
     from scipy.signal import correlate

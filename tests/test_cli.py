@@ -96,6 +96,7 @@ class TestSynth:
         ("config.motion", "speed_range", ["--speed", "6,2"]),
         ("config", "image_width", ["--width", "10"]),
         ("config.noise", "keypoint_jitter", ["--kp-jitter", "inf"]),
+        ("config", "seed", ["--seed", "-1"]),
     ])
     def test_bad_flag_value_names_the_field(self, tmp_path, capsys, where, field, flags):
         assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
@@ -120,6 +121,7 @@ class TestSynth:
         (["--occlusion-dur", "5,1"], {"occlusion": {"duration_range": [5, 1]}}),
         (["--occlusion-dur=-2,1"], {"occlusion": {"duration_range": [-2, 1]}}),
         (["--occlusion-dur", "3"], {"occlusion": {"duration_range": [3]}}),
+        (["--seed", "-1"], {"seed": -1}),
         (["--frames", "0"], {"frames": 0}),
         (["--actors", "-1"], {"actors": -1}),
         (["--width", "0"], {"image_width": 0}),
@@ -631,3 +633,21 @@ def test_usage_error_exits_2(capsys, argv):
         run(*argv)
     assert exc.value.code == 2
     assert "usage: poselink" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["track", "--pred", "{pred}", "--out", "{out}", "--det", "0.5", "--kp", "1.0"], id="track"),
+    pytest.param(["synth", "--out-gt", "{out}", "--fram", "4"], id="synth"),
+    pytest.param(["eval", "--gt", "{gt}", "--pred", "{pred}", "--rep", "{out}"], id="eval"),
+    pytest.param(["oracle", "--mo", "kpts", "--gt", "{gt}", "--pred", "{pred}", "--out", "{out}"], id="oracle"),
+    pytest.param(["sweep", "--gt", "{gt}", "--pred", "{pred}", "--out", "{out}", "--thr", "0.5"], id="sweep"),
+    pytest.param(["--vers"], id="version"),
+])
+def test_abbreviated_flag_exits_2(synth_pair, tmp_path, capsys, argv):
+    gt, pred = synth_pair
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(gt=gt, pred=pred, out=out) for a in argv))
+    assert exc.value.code == 2
+    assert "usage: poselink" in capsys.readouterr().err
+    assert not out.exists()

@@ -212,6 +212,7 @@ class TestCorruption:
         (OcclusionModel, {"duration_range": (5, 1)}, "duration_range"),
         (OcclusionModel, {"duration_range": (-1, 2)}, "duration_range"),
         (MotionModel, {"speed_range": (6.0, 2.0)}, "speed_range"),
+        (ScenarioConfig, {"seed": -1}, "seed"),
         (ScenarioConfig, {"image_width": 0}, "image_width"),
         (ScenarioConfig, {"image_height": 0}, "image_height"),
         (ScenarioConfig, {"image_width": 125, "image_height": 720}, "image_width"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from poselink.tube import (
     tube_overlap,
 )
 
-from helpers import corners, correlate2d_multi, correlate3d_multi, roi_align_oracle
+from helpers import corners, correlate2d_multi, correlate3d_multi, roi_align_oracle, roi_align_per_frame
 
 
 def box_from_center(cx, cy, w, h):
@@ -285,6 +286,37 @@ class TestTrackingLoss:
             tracking_loss(*args, np.array([0, LABEL_BG]), 1)
 
 
+ROI_BOX_KINDS = ("straddle", "outside", "degenerate", "centres")
+
+
+def roi_box(rng, kind: str, stride: int, h: int, w: int, n: int) -> Box:
+    """A random box in image coordinates for n x n samples on an h x w grid.
+
+    straddle: corners up to two cells outside the grid, so most boxes cross
+    its edge. outside: wholly beyond one edge, up to three cells out.
+    degenerate: zero width, zero height or both. centres: starts on a whole
+    cell and is n cells wide and high, so every sample sits on a cell centre.
+    """
+    def span(size):
+        if kind == "straddle":
+            return np.sort(rng.uniform(-2, size + 2, size=2))
+        if kind == "outside":
+            lo, hi = np.sort(rng.uniform(0, 3, size=2))
+            return (size + lo, size + hi) if rng.random() < 0.5 else (-hi, -lo)
+        if kind == "centres":
+            lo = float(rng.integers(-2, size + 1))
+            return lo, lo + n
+        lo = rng.uniform(-2, size + 2)
+        return lo, lo + rng.choice([0.0, rng.uniform(0, 3)])
+
+    (x1, x2), (y1, y2) = span(w), span(h)
+    if kind == "outside" and rng.random() < 0.5:
+        y1, y2 = rng.uniform(-2, 0), rng.uniform(h, h + 2)  # beyond one edge in x only
+    if kind == "degenerate" and x1 != x2 and y1 != y2:
+        y2 = y1
+    return Box(*(float(c) * stride for c in (x1, y1, x2, y2)))
+
+
 class TestRoiAlign:
     def test_constant_volume_preserved(self):
         vol = FeatureVolume(np.full((2, 3, 8, 8), 7.5), stride=1)
@@ -320,6 +352,38 @@ class TestRoiAlign:
             mine = spatiotemporal_roi_align(vol, tube, r, s)
             oracle = roi_align_oracle(vol, tube, r, s)
             assert np.max(np.abs(mine - oracle)) < 1e-6
+
+    @pytest.mark.parametrize("stride", [1, 2, 8])
+    @pytest.mark.parametrize("kind", ROI_BOX_KINDS)
+    def test_equals_per_frame_roialign_bit_for_bit(self, kind, stride):
+        rng = np.random.default_rng([ROI_BOX_KINDS.index(kind), stride])
+        for case in range(50):
+            t = 1 + case % 4
+            c, h, w = (int(v) for v in rng.integers(1, [9, 21, 31]))
+            r, s = (int(v) for v in rng.integers(1, [9, 4]))
+            vol = FeatureVolume(rng.normal(size=(t, c, h, w)), stride=stride)
+            tube = Tube(tuple(roi_box(rng, kind, stride, h, w, r * s) for _ in range(t)))
+            mine = spatiotemporal_roi_align(vol, tube, r, s)
+            assert mine.shape == (t, c, r, r)
+            assert np.array_equal(mine, roi_align_per_frame(vol, tube, r, s)), (case, tube)
+
+    @pytest.mark.parametrize("stride", [1, 8])
+    @pytest.mark.parametrize("far", [
+        Box(1e19, 1e19, 1e19, 1e19),
+        Box(1e300, 1e300, 1e300, 1e300),
+        Box(-1e300, -1e300, -1e300, -1e300),
+        Box(-1e300, -1e300, 1e300, 1e300),
+        Box(1e299, -1e300, 1e300, -1e299),
+    ])
+    def test_far_away_box_reads_zero_without_warning(self, far, stride):
+        rng = np.random.default_rng(3)
+        vol = FeatureVolume(rng.normal(size=(2, 3, 5, 6)), stride=stride)
+        near = Box(0.5 * stride, 0.0, 4.0 * stride, 3.5 * stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = spatiotemporal_roi_align(vol, Tube((far, near)), 2)
+        assert np.array_equal(out[0], np.zeros((3, 2, 2)))
+        assert np.array_equal(out[1], roi_align_per_frame(vol, Tube((near, near)), 2, 2)[1])
 
     def test_time_constant_input_gives_identical_slices(self):
         rng = np.random.default_rng(1)
