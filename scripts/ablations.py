@@ -18,14 +18,15 @@ Three tables, each with its own noise model:
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from poselink.linking import LinkerConfig, track_video_with_stats
-from poselink.metrics import evaluate
-from poselink.model import filter_detections
+from poselink.cli import _list_of
+from poselink.linking import LinkerConfig
+from poselink.metrics import evaluate, sweep_threshold
 from poselink.oracles import apply_oracle
 from poselink.similarity import SimilarityCriterion
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario
@@ -102,40 +103,63 @@ def tables(thresholds: list[float]) -> tuple[Table, ...]:
 
 
 def table_means(table: Table, seeds, frames: int, actors: int) -> list[np.ndarray]:
-    """Each row's column values, averaged over the seeds."""
+    """Each row's column values, averaged over the seeds.
+
+    Per seed, the rows of each threshold go through one sweep_threshold call,
+    one linker config per distinct (algorithm, criterion); an oracle row
+    applies its oracle to the output of the row with its settings.
+    """
     values = [[] for _ in table.rows]
     for seed in seeds:
         cfg = ScenarioConfig(seed=seed, frames=frames, actors=actors, noise=table.noise)
         gt, pred = generate_scenario(cfg)
+        by_threshold = {}
         for row, row_values in zip(table.rows, values):
             lcfg = LinkerConfig(algorithm=row.algorithm, criterion=row.criterion, rng_seed=seed)
-            tracked, stats = track_video_with_stats(filter_detections(pred, row.det_thresh, 1.95), lcfg)
-            if row.oracle is not None:
-                tracked = apply_oracle(gt, tracked, row.oracle)
-            report = evaluate(gt, tracked)
-            row_values.append([COLUMNS[c][0](report, stats) for c in table.columns])
+            by_threshold.setdefault(row.det_thresh, []).append((row, lcfg, row_values))
+        for threshold, rows in by_threshold.items():
+            configs = list(dict.fromkeys(lcfg for _, lcfg, _ in rows))
+            results = dict(zip(configs, sweep_threshold(gt, pred, threshold, 1.95, configs)))
+            for row, lcfg, row_values in rows:
+                tracked, report, stats = results[lcfg]
+                if row.oracle is not None:
+                    report = evaluate(gt, apply_oracle(gt, tracked, row.oracle))
+                row_values.append([COLUMNS[c][0](report, stats) for c in table.columns])
     return [np.mean(v, axis=0) for v in values]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--frames", type=int, default=40)
-    parser.add_argument("--actors", type=int, default=4)
-    parser.add_argument("--thresholds", default="0,0.5,0.95")
-    args = parser.parse_args(argv)
-    thresholds = [float(v) for v in args.thresholds.split(",")]
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
-    for k, table in enumerate(tables(thresholds)):
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
+    parser.add_argument("--seeds", type=_positive_int, default=5)
+    parser.add_argument("--frames", type=_positive_int, default=40)
+    parser.add_argument("--actors", type=_positive_int, default=4)
+    parser.add_argument("--thresholds", type=_list_of(float, empty=False), default="0,0.5,0.95")
+    args = parser.parse_args(argv)
+
+    try:
+        results = [(table, table_means(table, range(args.seeds), args.frames, args.actors))
+                   for table in tables(args.thresholds)]
+    except ValueError as exc:
+        print(f"ablations: {exc}", file=sys.stderr)
+        return 1
+    for k, (table, table_rows) in enumerate(results):
         if k:
             print()
         print(table.title)
         widths = [COLUMNS[c][1] for c in table.columns]
         print(f"{'configuration':>26} " + " ".join(f"{c:>{w}}" for c, w in zip(table.columns, widths)))
-        for row, means in zip(table.rows, table_means(table, range(args.seeds), args.frames, args.actors)):
+        for row, means in zip(table.rows, table_rows):
             cells = [f"{v:{COLUMNS[c][1]}{COLUMNS[c][2]}}" for c, v in zip(table.columns, means)]
             print(f"{row.label:>26} " + " ".join(cells))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

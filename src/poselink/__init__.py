@@ -38,6 +38,7 @@ from .metrics import (
     match_poses_frame,
     match_sequence,
     pckh_correct,
+    sweep_threshold,
 )
 from .oracles import apply_oracle, perfect_association, perfect_keypoints
 from .synth import (

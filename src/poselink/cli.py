@@ -17,8 +17,8 @@ import typing
 from dataclasses import asdict, is_dataclass
 
 from . import __version__
-from .linking import ALGORITHMS, KernelMemo, LinkerConfig, track_video_with_stats
-from .metrics import csv_header, csv_row, evaluate, evaluate_map, evaluate_mot, match_sequence, write_csv
+from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
+from .metrics import csv_header, csv_row, evaluate, sweep_threshold, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -191,28 +191,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_threshold(gt, pred, threshold, configs, args) -> list[list]:
-    """CSV rows of every (algo, cost, linker config) at one detection threshold.
-
-    Filtering, pose matching and mAP depend only on the threshold (tracking
-    changes only track ids, which matching and mAP ignore), so they run once,
-    and each row runs only the id pass of its own MOT report. The rows track
-    one after another, in row order, sharing one kernel memo: each frame
-    pair's IoU, PCKh and cosine matrices are computed once for all rows
-    whose candidate pool is the same.
-    """
-    filtered = filter_detections(pred, threshold, args.kp_thresh)
-    match = match_sequence(gt, filtered, args.alpha)
-    shared_map = evaluate_map(match)
-    memo = KernelMemo(filtered)
-    rows = []
-    for algo, cost, cfg in configs:
-        tracked, stats = track_video_with_stats(filtered, cfg, memo)
-        report = evaluate_mot(match, tracked).merged_with(shared_map)
-        rows.append(csv_row(report, (threshold, algo, cost), stats.total_assignment_cost))
-    return rows
-
-
 def cmd_sweep(args) -> int:
     """One CSV row per threshold x algorithm x cost, thresholds outermost.
 
@@ -232,9 +210,17 @@ def cmd_sweep(args) -> int:
     configs = _linker_configs(args, algos, costs, "--costs")
     gt = load_sequence(args.gt, ROLE_GROUNDTRUTH)
     pred = load_sequence(args.pred, ROLE_PREDICTION)
-    rows = [row for t in thresholds for row in _sweep_threshold(gt, pred, t, configs, args)]
+    t_load = time.perf_counter()
+    linkers = [cfg for _, _, cfg in configs]
+    rows = []
+    for t in thresholds:
+        results = sweep_threshold(gt, pred, t, args.kp_thresh, linkers, args.alpha)
+        rows += [csv_row(report, (t, algo, cost), stats.total_assignment_cost)
+                 for (algo, cost, _), (_, report, stats) in zip(configs, results)]
+    t_sweep = time.perf_counter()
     header = csv_header(gt.joint_names, ("det_thresh", "algo", "cost"))
     write_csv(args.out, header, rows)
+    t_save = time.perf_counter()
     _write_manifest(
         args.out,
         "sweep",
@@ -244,7 +230,7 @@ def cmd_sweep(args) -> int:
         },
         [args.gt, args.pred],
         [args.out],
-        {"total": time.perf_counter() - t0},
+        {"load": t_load - t0, "sweep": t_sweep - t_load, "save": t_save - t_sweep},
     )
     print(f"swept {len(rows)} configurations -> {args.out}")
     return 0
@@ -254,15 +240,18 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     gt = load_sequence(args.gt, ROLE_GROUNDTRUTH)
     pred = load_sequence(args.pred, ROLE_PREDICTION)
+    t_load = time.perf_counter()
     out = apply_oracle(gt, pred, ORACLE_MODES[args.mode], args.alpha)
+    t_oracle = time.perf_counter()
     save_sequence(out, args.out)
+    t_save = time.perf_counter()
     _write_manifest(
         args.out,
         "oracle",
         {"mode": args.mode, "alpha": args.alpha},
         [args.gt, args.pred],
         [args.out],
-        {"total": time.perf_counter() - t0},
+        {"load": t_load - t0, "oracle": t_oracle - t_load, "save": t_save - t_oracle},
     )
     print(f"oracle {args.mode} -> {args.out}")
     return 0
@@ -342,14 +331,16 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg = _scenario_from_args(args)
     gt, pred = generate_scenario(cfg)
+    t_generate = time.perf_counter()
     save_sequence(gt, args.out_gt)
     outputs = [args.out_gt]
     if args.out_pred:
         save_sequence(pred, args.out_pred)
         outputs.append(args.out_pred)
+    t_save = time.perf_counter()
     _write_manifest(
         args.out_gt, "synth", asdict(cfg), [], outputs,
-        {"total": time.perf_counter() - t0},
+        {"generate": t_generate - t0, "save": t_save - t_generate},
     )
     print(f"generated {cfg.frames} frames, {cfg.actors} actors -> {', '.join(outputs)}")
     return 0

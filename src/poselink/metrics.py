@@ -31,6 +31,11 @@ same frame_index and matched once, by match_sequence. That one SequenceMatch
 serves evaluate_mot(match, pred), which scores it with the track ids of any
 retracking of the matched predictions, evaluate_map(match) and the
 perfect-association oracle; evaluate(gt, pred, alpha) runs all three steps.
+
+sweep_threshold is the one sweep engine, behind both the `sweep` command and
+scripts/ablations.py: per detection threshold it filters and matches once,
+computes mAP once and shares one linking.KernelMemo, then tracks and runs
+the MOT id pass of every linker config.
 """
 
 from __future__ import annotations
@@ -46,7 +51,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import NO_DETECTIONS, Box, Detections, VideoSequence, box_diagonals, write_text_atomic
+from .linking import KernelMemo, LinkerConfig, TrackStats, track_video_with_stats
+from .model import (
+    NO_DETECTIONS,
+    Box,
+    Detections,
+    VideoSequence,
+    box_diagonals,
+    filter_detections,
+    write_text_atomic,
+)
 from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
@@ -460,3 +474,28 @@ def evaluate(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> Eval
     """Full report: MOT fields and mAP fields together, from one match."""
     match = match_sequence(gt, pred, alpha)
     return evaluate_mot(match, pred).merged_with(evaluate_map(match))
+
+
+def sweep_threshold(
+    gt: VideoSequence, pred: VideoSequence, threshold: float, kp_threshold: float,
+    configs: Sequence[LinkerConfig], alpha: float = 0.5,
+) -> list[tuple[VideoSequence, EvalReport, TrackStats]]:
+    """(tracked predictions, full report, tracking stats) of every linker
+    config in order, with pred filtered at threshold and kp_threshold.
+
+    Filtering, pose matching and mAP depend only on the thresholds (tracking
+    changes only track ids, which matching and mAP ignore), so they run once,
+    and each config runs only the id pass of its own MOT report. The configs
+    track one after another, in order, sharing one kernel memo: each frame
+    pair's IoU, PCKh and cosine matrices are computed once for all configs
+    whose candidate pool is the same.
+    """
+    filtered = filter_detections(pred, threshold, kp_threshold)
+    match = match_sequence(gt, filtered, alpha)
+    shared_map = evaluate_map(match)
+    memo = KernelMemo(filtered)
+    results = []
+    for cfg in configs:
+        tracked, stats = track_video_with_stats(filtered, cfg, memo)
+        results.append((tracked, evaluate_mot(match, tracked).merged_with(shared_map), stats))
+    return results

@@ -147,8 +147,8 @@ def feature_cosine(a: Sequence[float], b: Sequence[float]) -> float:
 def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
     """Read an external-score file into a lookup keyed (frame, prev, curr).
 
-    frame, prev_index and curr_index must be integers and similarity a finite
-    number; a key may appear once.
+    frame, prev_index and curr_index must be non-negative integers and
+    similarity a finite number; a key may appear once.
     """
     entries = read_json(path)
     if not isinstance(entries, list):
@@ -162,6 +162,8 @@ def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
         key = tuple(e[k] for k in index_keys)
         if not all(type(v) is int for v in key):
             raise ValueError(f"{where}: frame, prev_index and curr_index must be integers")
+        if min(key) < 0:
+            raise ValueError(f"{where}: frame, prev_index and curr_index must be non-negative")
         similarity = e["similarity"]
         try:
             finite = type(similarity) in (int, float) and math.isfinite(similarity)

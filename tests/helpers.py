@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from poselink.linking import Assignment
+from poselink.linking import Assignment, LinkerConfig, track_video_with_stats
+from poselink.metrics import evaluate
 from poselink.model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -17,8 +18,11 @@ from poselink.model import (
     Detections,
     Frame,
     VideoSequence,
+    filter_detections,
 )
+from poselink.oracles import apply_oracle
 from poselink.similarity import CostMatrix
+from poselink.synth import ScenarioConfig, generate_scenario
 
 JOINTS3 = ("head", "left", "right")
 
@@ -416,3 +420,21 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
         joint_names=tuple(joint_names),
         frames=tuple(Frame(index, labeled, Detections.concat(dets)) for index, labeled, dets in frames),
     )
+
+
+def table_means_row_by_row(table, seeds, frames: int, actors: int, columns) -> list[np.ndarray]:
+    """The means of scripts/ablations.py's table_means, with every row run on
+    its own: filter, track, apply the row's oracle, then evaluate. columns
+    maps each column name to (value from the report and stats, ...), as the
+    script's COLUMNS does."""
+    values = [[] for _ in table.rows]
+    for seed in seeds:
+        gt, pred = generate_scenario(ScenarioConfig(seed=seed, frames=frames, actors=actors, noise=table.noise))
+        for row, row_values in zip(table.rows, values):
+            cfg = LinkerConfig(algorithm=row.algorithm, criterion=row.criterion, rng_seed=seed)
+            tracked, stats = track_video_with_stats(filter_detections(pred, row.det_thresh, 1.95), cfg)
+            if row.oracle is not None:
+                tracked = apply_oracle(gt, tracked, row.oracle)
+            report = evaluate(gt, tracked)
+            row_values.append([columns[c][0](report, stats) for c in table.columns])
+    return [np.mean(v, axis=0) for v in values]

@@ -219,6 +219,8 @@ class TestExternalScores:
         '{"frame": 1.7, "prev_index": 0, "curr_index": 0, "similarity": 0.9}',
         '{"frame": 1, "prev_index": "0", "curr_index": 0, "similarity": 0.9}',
         '{"frame": 1, "prev_index": 0, "curr_index": true, "similarity": 0.9}',
+        '{"frame": 1, "prev_index": -1, "curr_index": 0, "similarity": 0.9}',
+        '{"frame": -1, "prev_index": 0, "curr_index": 0, "similarity": 0.9}',
         '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": "0.9"}',
         '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": NaN}',
         '{"frame": 1, "prev_index": 0, "curr_index": 1, "similarity": 1e400}',
@@ -562,10 +564,24 @@ def test_manifests_are_strict_json(synth_pair, tmp_path):
     tracked, fixed = tmp_path / "t.json", tmp_path / "o.json"
     assert run("track", "--pred", pred, "--out", tracked, "--min-sim", "inf", "--det-thresh=-inf") == 0
     assert run("oracle", "--mode", "kpts", "--gt", gt, "--pred", tracked, "--out", fixed) == 0
-    config = strict_json((tmp_path / "t.json.manifest.json").read_text())["config"]
+    assert run("eval", "--gt", gt, "--pred", fixed, "--report", tmp_path / "r.json") == 0
+    assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv", "--algos", "greedy") == 0
+    manifests = {name: strict_json((tmp_path / f"{name}.manifest.json").read_text())
+                 for name in ("t.json", "o.json", "r.json", "s.csv", "gt.json")}
+    config = manifests["t.json"]["config"]
     assert config["min_sim"] == "inf" and config["det_thresh"] == "-inf"
-    assert strict_json((tmp_path / "o.json.manifest.json").read_text())["config"]["alpha"] == 0.5
-    strict_json((tmp_path / "gt.json.manifest.json").read_text())
+    assert manifests["o.json"]["config"]["alpha"] == 0.5
+    stages = {
+        "t.json": ["load", "track", "save"],
+        "o.json": ["load", "oracle", "save"],
+        "r.json": ["load", "evaluate"],
+        "s.csv": ["load", "sweep", "save"],
+        "gt.json": ["generate", "save"],
+    }
+    for name, manifest in manifests.items():
+        timings = manifest["timings_s"]
+        assert list(timings) == stages[name]
+        assert all(t >= 0 for t in timings.values())
 
 
 def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, capsys):
