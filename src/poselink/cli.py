@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, track, eval, sweep, oracle.
 
 Every command writes a run manifest (<output>.manifest.json) capturing the
-effective configuration, input/output paths, stage timings, and tool version.
+effective configuration, input/output paths, stage timings, tool version, and
+the Python, numpy and scipy versions and CPU count it ran with.
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
 """
 
@@ -11,10 +12,15 @@ import argparse
 import functools
 import json
 import math
+import os
+import platform
 import sys
 import time
 import typing
 from dataclasses import asdict, is_dataclass
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
@@ -70,6 +76,12 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
         "outputs": outputs,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 

@@ -200,21 +200,29 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box in a (N, 4) against every box in b (M, 4).
 
     The same float operations in the same order as `iou`, so every entry
-    equals the scalar value bit for bit. Sides beyond about 1e154 overflow
-    without a warning, as Python floats do; an infinite area may then make
-    the union and the entry NaN, as in `iou`.
+    equals the scalar value bit for bit, and pairwise_iou(b, a) is the
+    transpose of pairwise_iou(a, b) bit for bit. The intersection is made
+    +0.0 where np.maximum(0.0, -0.0) kept a -0.0 (Python's max keeps the
+    0.0), so no entry is -0.0. Sides beyond about 1e154 overflow without a
+    warning, as Python floats do; an infinite area may then make the union
+    and the entry NaN, as in `iou`. Works on three (N, M) buffers in place.
     """
-    a = a[:, None, :]
-    b = b[None, :, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-        inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
-        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-        union = area_a + area_b - inter
-        empty = union <= 0.0
-        return np.where(empty, 0.0, inter / np.where(empty, 1.0, union))
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]
+    bx0, by0, bx1, by1 = b.T[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inter = np.minimum(ax1, bx1)
+        low = np.maximum(ax0, bx0)
+        inter -= low  # iw
+        np.maximum(0.0, inter, out=inter)
+        ih = np.minimum(ay1, by1)
+        ih -= np.maximum(ay0, by0, out=low)
+        inter *= np.maximum(0.0, ih, out=ih)
+        inter += 0.0  # -0.0 + 0.0 is +0.0; every other value stays
+        union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=ih)
+        union -= inter
+        inter /= union
+        np.copyto(inter, 0.0, where=union <= 0.0)
+        return inter
 
 
 _SQUARE_BAND = 1e-9  # relative half-width, around limit**2, of the math.hypot band

@@ -11,7 +11,9 @@ deltas, ordered frame-major as (tx, ty, tw, th):
 The anchors of one image are one (A, 4) corner array with their clip length
 (TubeAnchors), and assignment computes all anchor x ground-truth overlaps at
 once (pairwise_tube_overlap), each overlap equal to the scalar tube_overlap
-bit for bit.
+bit for bit. The overlaps are built ground-truth-major: one (G, A) IoU matrix
+per frame, summed in place, so that every pass over the A anchors reads
+contiguous rows; assign_anchors labels from those rows.
 
 Region features are pulled from a T x C x H x W volume by RoIAlign on every
 temporal slice with that frame's box, all T slices sampled in one pass.
@@ -87,7 +89,9 @@ class TubeAnchors(Sequence):
             raise ValueError("box coordinate is not finite")
         if self.length < 1:
             raise ValueError("anchor length must be >= 1")
-        if not ((arr[:, 2] - arr[:, 0] > 0) & (arr[:, 3] - arr[:, 1] > 0)).all():
+        with np.errstate(over="ignore"):  # a side of a huge box may overflow to inf, still positive
+            positive = ((arr[:, 2] - arr[:, 0] > 0) & (arr[:, 3] - arr[:, 1] > 0)).all()
+        if not positive:
             raise ValueError("anchor box must have positive width and height")
         arr.flags.writeable = False
         object.__setattr__(self, "corners", arr)
@@ -244,17 +248,26 @@ def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.
     """(A, G) tube overlap of every anchor with every ground-truth tube.
 
     The float operations of tube_overlap in the same order (per-frame IoU,
-    summed in frame order from 0, divided by T), so every entry equals
-    tube_overlap(anchor.as_tube(), gt) bit for bit.
+    summed in frame order, divided by T), so every entry equals
+    tube_overlap(anchor.as_tube(), gt) bit for bit. The sum is kept as one
+    (G, A) array: pairwise_iou(gt boxes of frame t, anchors) added in place
+    frame by frame. Its first frame stands in for tube_overlap's 0 + IoU,
+    which is the same value because pairwise_iou gives no -0.0. The result is
+    the (A, G) transpose of that array, a view; .T gives back its rows.
     """
-    corners, length = anchors.corners, anchors.length
+    length = anchors.length
     for gt in gt_tubes:
         if gt.length != length:
             raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
-    if not gt_tubes or len(corners) == 0:
-        return np.zeros((len(corners), len(gt_tubes)))
+    if not gt_tubes or len(anchors) == 0:
+        return np.zeros((len(anchors), len(gt_tubes)))
+    corners = np.asfortranarray(anchors.corners)  # contiguous columns, read once per frame
     gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes])  # (G, T, 4)
-    return sum(pairwise_iou(corners, gt_corners[:, t]) for t in range(length)) / length
+    total = pairwise_iou(gt_corners[:, 0], corners)  # (G, A)
+    for t in range(1, length):
+        total += pairwise_iou(gt_corners[:, t], corners)
+    total /= length
+    return total.T
 
 
 def assign_anchors(
@@ -267,9 +280,12 @@ def assign_anchors(
 
     Returns an int array: a matched ground-truth index for foreground, else
     LABEL_BG or LABEL_IGNORE. Anchors at or above fg_thresh overlap are
-    foreground, at or below bg_thresh background, in between ignored. The
-    best-overlapping anchor of each ground-truth tube is forced foreground
-    (ties to the lowest anchor index) as long as its overlap is positive.
+    foreground for their best tube (ties to the lowest tube index), at or
+    below bg_thresh background, in between ignored. The best-overlapping
+    anchor of each ground-truth tube is forced foreground (ties to the lowest
+    anchor index) as long as its overlap is positive. A NaN overlap, from
+    areas that overflow, wins every max and argmax: its anchor is background
+    and its tube forces nothing.
     """
     if not (0.0 <= bg_thresh < fg_thresh <= 1.0):
         raise ValueError("thresholds must satisfy 0 <= bg < fg <= 1")
@@ -277,15 +293,15 @@ def assign_anchors(
     labels = np.full(n, LABEL_BG, dtype=int)
     if not gt_tubes or n == 0:
         return labels
-    overlaps = pairwise_tube_overlap(anchors, gt_tubes)
-    best = overlaps.max(axis=1)
-    best_gt = overlaps.argmax(axis=1)
+    overlaps = pairwise_tube_overlap(anchors, gt_tubes).T  # (G, A) rows
+    best = overlaps.max(axis=0)
+    best_gt = overlaps.argmax(axis=0)
     labels[(best > bg_thresh) & (best < fg_thresh)] = LABEL_IGNORE
     fg = best >= fg_thresh
     labels[fg] = best_gt[fg]
     for k in range(len(gt_tubes)):
-        i = int(overlaps[:, k].argmax())
-        if overlaps[i, k] > 0:
+        i = int(overlaps[k].argmax())
+        if overlaps[k, i] > 0:
             labels[i] = k
     return labels
 

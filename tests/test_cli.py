@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import platform
 import warnings
 
+import numpy as np
 import pytest
+import scipy
 
 from poselink import cli, metrics, similarity
 from poselink.cli import main
@@ -578,10 +582,13 @@ def test_manifests_are_strict_json(synth_pair, tmp_path):
         "s.csv": ["load", "sweep", "save"],
         "gt.json": ["generate", "save"],
     }
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
     for name, manifest in manifests.items():
         timings = manifest["timings_s"]
         assert list(timings) == stages[name]
         assert all(t >= 0 for t in timings.values())
+        assert manifest["environment"] == environment
 
 
 def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, capsys):

@@ -12,6 +12,7 @@ against clear_mot_counts, the CLEAR-MOT accumulator in helpers.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -367,6 +368,25 @@ class TestBoundaryAndExtremes:
         assert np.isnan(want_iou[0, 1]) == (scale > 1.4e154)
         assert np.allclose(pairwise_cosine(feats, feats), want_cos, rtol=0.0, atol=1e-12, equal_nan=True)
 
+    def test_iou_of_signed_zero_and_huge_sides_is_bit_exact_in_both_orders(self):
+        # every side (lo, hi) with lo <= hi from the values, crossed with a few
+        # fixed sides on the other axis: intersections of width -0.0 - 0.0,
+        # infinite areas and NaN entries. Entry (i, j) and (j, i) are the two
+        # argument orders; both must carry the scalar's bits, signed zero and
+        # NaN included
+        values = (1e308, -1e308, 1e200, -1e200, -5.0, 0.0, -0.0, 3.0)
+        sides = [(lo, hi) for lo in values for hi in values if lo <= hi]
+        few = [(-0.0, 3.0), (0.0, 3.0), (-5.0, -0.0), (-1e308, 1e308)]
+        boxes = [Box(x0, y0, x1, y1) for (x0, x1), (y0, y1) in
+                 [*itertools.product(sides, few), *itertools.product(few, sides)]]
+        got = pairwise_iou(*[np.array([corners(b) for b in boxes])] * 2)
+        want = np.array([[iou(a, b) for b in boxes] for a in boxes])
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got), bits(got.T))
+        # np.maximum(0.0, -0.0) gives -0.0, Python's max(0.0, -0.0) gives 0.0
+        touching = np.array([[-5.0, 0.0, -0.0, 5.0]]), np.array([[0.0, 0.0, 5.0, 5.0]])
+        assert bits(pairwise_iou(*touching)).tolist() == bits(pairwise_iou(*touching[::-1])).tolist() == [[0]]
+
 
 class TestMetricKernels:
     @settings(max_examples=75)
@@ -710,12 +730,20 @@ anchor_grids = st.builds(
 # range puts some ground-truth tubes clear of every anchor
 tube_coord = st.integers(0, 12).map(float)
 far_coord = st.integers(0, 40).map(float)
+# sides at signed zeros and huge coordinates: intersections of width
+# -0.0 - 0.0, infinite widths and areas (NaN overlaps), and ties among them
+edge_sides = st.sampled_from([
+    (-5.0, -0.0), (0.0, 5.0), (-0.0, 3.0), (-1e308, 1e308), (-1e200, 1e200), (-1e308, 0.0), (-0.0, 1e200),
+])
 
 
 @st.composite
 def sized_boxes(draw, coord=tube_coord):
-    x, y = draw(coord), draw(coord)
-    return Box(x, y, x + draw(st.integers(1, 8)), y + draw(st.integers(1, 8)))
+    """A box of positive size: each side is sized on the coordinate grid, or,
+    one time in four, an edge side."""
+    sized = st.builds(lambda lo, size: (lo, lo + size), coord, st.integers(1, 8))
+    (x0, x1), (y0, y1) = (draw(st.one_of(sized, sized, sized, edge_sides)) for _ in "xy")
+    return Box(x0, y0, x1, y1)
 
 
 @st.composite
@@ -772,6 +800,7 @@ class TestTubeKernels:
         assert np.array_equal(got, expected)
         if len(anchors):  # without anchors, no tube length is compared
             overlaps = pairwise_tube_overlap(anchors, gts)
+            assert overlaps.shape == (len(anchors), len(gts))
             scalar = [[tube_overlap(a.as_tube(), g) for g in gts] for a in anchors]
             assert np.array_equal(bits(overlaps), bits(np.array(scalar).reshape(overlaps.shape)))
 
@@ -782,6 +811,15 @@ class TestTubeKernels:
         labels = assign_anchors(anchors, [gt])
         assert labels.tolist() == [LABEL_BG, 0, LABEL_BG]
         assert labels.tolist() == scalar_assign(anchors, [gt], 0.7, 0.3).tolist()
+
+    def test_tied_ground_truths_label_the_lowest_index(self):
+        gt = Tube((Box(0, 0, 10, 10),))
+        anchors = TubeAnchors([(0, 0, 10, 10), (0, 0, 10, 9), (0, 0, 10, 8)], 1)
+        labels = assign_anchors(anchors, [gt, gt])
+        # the best anchor is forced to each tube in turn, the last one winning;
+        # the others are foreground for the lower of two tied indices
+        assert labels.tolist() == [1, 0, 0]
+        assert labels.tolist() == scalar_assign(anchors, [gt, gt], 0.7, 0.3).tolist()
 
     def test_ground_truth_without_overlap_forces_nothing(self):
         anchors = generate_anchors(AnchorGrid(scales=(8.0,), aspects=(1.0,)), 16, 16, 1)
@@ -838,6 +876,13 @@ class TestTubeAnchors:
         assert anchors.corners[0, 0] != -99.0
         with pytest.raises(ValueError):
             anchors.corners[0, 0] = 0.0
+
+    def test_huge_boxes_pass_the_size_check_without_a_warning(self):
+        # the width 1e308 - (-1e308) overflows to inf, which is still positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            anchors = TubeAnchors([(-1e308, 0.0, 1e308, 5.0)], 1)
+        assert list(anchors) == [TubeAnchor(Box(-1e308, 0.0, 1e308, 5.0), 1)]
 
     @pytest.mark.parametrize("corners, length, message", [
         (np.zeros((2, 3)), 1, "anchor corners must have shape (A, 4)"),
