@@ -15,9 +15,6 @@ from .similarity import (
     CostMatrix,
     SimilarityCriterion,
     build_cost_matrix,
-    feature_cosine,
-    iou,
-    pose_pckh_similarity,
 )
 from .linking import (
     Assignment,
@@ -34,10 +31,8 @@ from .metrics import (
     evaluate,
     evaluate_map,
     evaluate_mot,
-    head_size,
     match_poses_frame,
     match_sequence,
-    pckh_correct,
     sweep_threshold,
 )
 from .oracles import apply_oracle, perfect_association, perfect_keypoints

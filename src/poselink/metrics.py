@@ -1,8 +1,8 @@
 """PCKh correctness, keypoint mAP, and per-joint CLEAR-MOT scoring.
 
-A predicted joint is correct when it lies within alpha * head_size of the
-labeled joint, where head_size is 0.6 times the annotated head-box diagonal
-(the MPII convention) and the threshold comparison is closed (<=).
+A predicted joint is correct when it lies within alpha * head size of the
+labeled joint, where the head size is 0.6 times the annotated head-box
+diagonal (the MPII convention) and the threshold comparison is closed (<=).
 
 Tracking metrics follow CLEAR-MOT with every joint treated as its own target:
 
@@ -54,7 +54,6 @@ from scipy.optimize import linear_sum_assignment
 from .linking import KernelMemo, LinkerConfig, TrackStats, track_video_with_stats
 from .model import (
     NO_DETECTIONS,
-    Box,
     Detections,
     VideoSequence,
     box_diagonals,
@@ -68,35 +67,8 @@ HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
 
 
-def head_size(gt_head_box: Box) -> float:
-    """PCKh normalizer: 0.6 times the head-box diagonal, in pixels."""
-    diag = gt_head_box.diagonal
-    if diag <= 0.0:
-        raise ValueError("degenerate head box")
-    return HEAD_SIZE_BIAS * diag
-
-
-def pckh_correct(gt_xy, pred_xy, head: float, alpha: float = 0.5) -> bool:
-    """True when the predicted (x, y) is within alpha * head of the label (closed)."""
-    return math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1]) <= alpha * head
-
-
-def _correct_joint_count(
-    g_xy: np.ndarray, g_present: np.ndarray, p_xy: np.ndarray, p_present: np.ndarray,
-    gt_head_box: Box, alpha: float,
-) -> int:
-    """Number of joints present in both poses, each one `Detections` row, that
-    are PCKh-correct for the labeled pose g."""
-    head = head_size(gt_head_box)
-    count = 0
-    for j in range(len(g_present)):
-        if g_present[j] and p_present[j] and pckh_correct(g_xy[j], p_xy[j], head, alpha):
-            count += 1
-    return count
-
-
 def _head_sizes(dets: Detections) -> list[float]:
-    """`head_size` of each detection's head box; every detection needs one."""
+    """0.6 times the head-box diagonal of each detection; every detection needs one."""
     if np.isnan(dets.head_boxes).any():
         raise ValueError("a ground-truth detection has no head box")
     diagonals = box_diagonals(dets.head_boxes)
@@ -121,9 +93,10 @@ def correct_joint_mask(
 ) -> np.ndarray:
     """(n_gt, n_pred, J) mask of PCKh-correct joints for every gt x pred pair.
 
-    Entry [i, k, j] is pckh_correct on joint j when it is present in both
-    poses; summed over the last axis it is the matrix of correct joint
-    counts. Both sides must be non-empty.
+    Entry [i, k, j] is True when joint j is present in both poses and lies
+    within alpha * head size of the label, and equals the scalar
+    `pckh_correct` of tests/helpers.py; summed over the last axis it is the
+    matrix of correct joint counts. Both sides must be non-empty.
     """
     limits = [alpha * size for size in _head_sizes(gt_persons)]
     return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)

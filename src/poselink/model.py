@@ -49,13 +49,14 @@ checks in `load_sequence` both accepts a whole file and names its first
 error, run on one frame at a time, and on one detection at a time only
 within a frame that fails. Every type is frozen,
 and every array read-only, so values are immutable and safe to share; a
-`Box` holds one box for the scalar functions and the tube kernels.
+`Box` holds one box for the tube kernels, and its checks word the box errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 import tempfile
@@ -100,20 +101,8 @@ class Box:
         return self.y_max - self.y_min
 
     @property
-    def area(self) -> float:
-        # continuous-coordinate convention, no +1
-        return self.width * self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
-    def translate(self, dx: float, dy: float) -> "Box":
-        return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
 
 
 def _check_boxes(corners: np.ndarray) -> None:
@@ -124,7 +113,7 @@ def _check_boxes(corners: np.ndarray) -> None:
 
 
 def box_diagonals(corners: np.ndarray) -> list[float]:
-    """`Box.diagonal` of each (x_min, y_min, x_max, y_max) row, bit for bit."""
+    """math.hypot(width, height) of each (x_min, y_min, x_max, y_max) row."""
     return [math.hypot(x2 - x1, y2 - y1) for x1, y1, x2, y2 in corners.tolist()]
 
 
@@ -160,7 +149,7 @@ class Detections:
                      head_boxes=None) -> "Detections":
         """N checked detections from their columns, with the checks and messages
         of `Box`; scores, features and present joints must be finite and a
-        track id non-negative.
+        track id a non-negative integer (Python or numpy, not a bool or float).
 
         features (N, D) gives every row an embedding, and None gives none.
         track_ids defaults to None on every row and head_boxes to NaN rows,
@@ -192,7 +181,10 @@ class Detections:
         track_ids = (None,) * n if track_ids is None else tuple(track_ids)
         if len(track_ids) != n:
             raise ValueError("track_ids must hold one entry per detection")
-        if any(t is not None and t < 0 for t in track_ids):
+        given = [t for t in track_ids if t is not None]
+        if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in given):
+            raise ValueError("track_id must be an integer")
+        if any(t < 0 for t in given):
             raise ValueError("track_id must be non-negative")
         return cls(boxes, scores, xy, kp_score, present, features, has_feature, track_ids, head_boxes)
 
@@ -309,11 +301,14 @@ ROLE_GROUNDTRUTH = "groundtruth"
 
 
 def read_json(path: str):
-    """The document of a UTF-8 JSON file; text that is not JSON is a ValueError naming the file."""
+    """The document of a UTF-8 JSON file. Bytes that are not UTF-8, text that
+    is not JSON, an integer too long to convert and nesting too deep to decode
+    are a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the integer digit limit's error are ValueErrors
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 

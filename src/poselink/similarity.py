@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import Box, Detections, box_diagonals, read_json
+from .model import Detections, box_diagonals, read_json
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -93,57 +93,6 @@ class CostMatrix:
         return self.similarity.shape[1]
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 when the union has zero area."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def pose_pckh_similarity(
-    a_xy: np.ndarray, a_present: np.ndarray, b_xy: np.ndarray, b_present: np.ndarray,
-    a_box: Box, alpha: float = 0.5, norm_scale: float = 0.1,
-) -> float:
-    """Fraction of jointly present joints within alpha * (norm_scale * diag of a_box),
-    where a_box is the box of the detection that pose a belongs to.
-
-    Each pose is one `Detections` row: joint coordinates xy (J, 2) and
-    presence flags (J,). Returns 0 when the poses share no present joints.
-    """
-    threshold = alpha * norm_scale * a_box.diagonal
-    shared = 0
-    correct = 0
-    for (xa, ya), (xb, yb), present_a, present_b in zip(
-        a_xy.tolist(), b_xy.tolist(), a_present.tolist(), b_present.tolist()
-    ):
-        if not (present_a and present_b):
-            continue
-        shared += 1
-        if math.hypot(xa - xb, ya - yb) <= threshold:
-            correct += 1
-    if shared == 0:
-        return 0.0
-    return correct / shared
-
-
-def feature_cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity in [-1, 1]; a zero vector yields 0 with a warning."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.shape != vb.shape:
-        raise ValueError(f"feature dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("zero-norm feature vector; cosine similarity set to 0")
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
-
-
 def load_external_scores(path: str) -> dict[tuple[int, int, int], float]:
     """Read an external-score file into a lookup keyed (frame, prev, curr).
 
@@ -199,13 +148,14 @@ def keypoint_array(dets: Detections) -> np.ndarray:
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box in a (N, 4) against every box in b (M, 4).
 
-    The same float operations in the same order as `iou`, so every entry
-    equals the scalar value bit for bit, and pairwise_iou(b, a) is the
-    transpose of pairwise_iou(a, b) bit for bit. The intersection is made
-    +0.0 where np.maximum(0.0, -0.0) kept a -0.0 (Python's max keeps the
-    0.0), so no entry is -0.0. Sides beyond about 1e154 overflow without a
-    warning, as Python floats do; an infinite area may then make the union
-    and the entry NaN, as in `iou`. Works on three (N, M) buffers in place.
+    The same float operations in the same order as the scalar reference
+    `iou` in tests/helpers.py, so every entry equals it bit for bit, and
+    pairwise_iou(b, a) is the transpose of pairwise_iou(a, b) bit for bit.
+    The intersection is made +0.0 where np.maximum(0.0, -0.0) kept a -0.0
+    (Python's max keeps the 0.0), so no entry is -0.0. Sides beyond about
+    1e154 overflow without a warning, as Python floats do; an infinite area
+    may then make the union and the entry NaN, as in `iou`. Works on three
+    (N, M) buffers in place.
     """
     ax0, ay0, ax1, ay1 = a.T[:, :, None]
     bx0, by0, bx1, by1 = b.T[:, None, :]
@@ -234,15 +184,16 @@ def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.n
     is at most limits[i].
 
     a (N, J, 2) and b (M, J, 2) come from keypoint_array. The decisions equal
-    the scalar test math.hypot(dx, dy) <= limit, and are made on squares:
-    dx*dx + dy*dy <= limit*limit. Both squares are within a few ulps of the
-    exact ones, so a square more than 1e-9 (relative) from limit*limit
-    decides as math.hypot does, and every entry inside that band is settled
-    with math.hypot. Squaring is safe for a limit in [1e-150, 1e150]; for any
-    other, where limit*limit may be zero, subnormal or overflow, every entry
-    of the row present on both sides is settled with math.hypot. Squares of
-    far-apart joints may overflow to inf, which decides them correctly, so
-    that overflow raises no warning.
+    the scalar test math.hypot(dx, dy) <= limit of the references
+    `pckh_correct` and `pose_pckh_similarity` in tests/helpers.py, and are
+    made on squares: dx*dx + dy*dy <= limit*limit. Both squares are within
+    a few ulps of the exact ones, so a square more than 1e-9 (relative) from
+    limit*limit decides as math.hypot does, and every entry inside that band
+    is settled with math.hypot. Squaring is safe for a limit in [1e-150,
+    1e150]; for any other, where limit*limit may be zero, subnormal or
+    overflow, every entry of the row present on both sides is settled with
+    math.hypot. Squares of far-apart joints may overflow to inf, which
+    decides them correctly, so that overflow raises no warning.
     """
     dx = a[:, None, :, 0] - b[None, :, :, 0]
     dy = a[:, None, :, 1] - b[None, :, :, 1]
@@ -262,7 +213,8 @@ def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.n
 
 
 def pairwise_pckh(prev: Detections, curr: Detections, alpha: float, norm_scale: float) -> np.ndarray:
-    """`pose_pckh_similarity` of every prev x curr pair of non-empty sides."""
+    """The scalar reference `pose_pckh_similarity` of tests/helpers.py, bit
+    for bit, of every prev x curr pair of non-empty sides."""
     limits = [alpha * norm_scale * diagonal for diagonal in box_diagonals(prev.boxes)]
     within = joints_within(keypoint_array(prev), keypoint_array(curr), limits)
     shared = prev.present.astype(float) @ curr.present.T.astype(float)  # exact counts
@@ -271,10 +223,11 @@ def pairwise_pckh(prev: Detections, curr: Detections, alpha: float, norm_scale: 
 
 
 def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`feature_cosine` of every row of a (N, D) against every row of b (M, D).
+    """Cosine similarity of every row of a (N, D) against every row of b (M, D).
 
-    The sums run in another order, so entries agree with the scalar function
-    to within 1e-12; a pair with a zero-norm vector is 0, with the same warning.
+    The sums run in another order than in the scalar reference
+    `feature_cosine` in tests/helpers.py, so entries agree with it to within
+    1e-12; a pair with a zero-norm vector is 0, with the same warning.
     Features so large that the products overflow give inf or NaN entries,
     without a numpy warning.
     """

@@ -10,10 +10,11 @@ deltas, ordered frame-major as (tx, ty, tw, th):
 
 The anchors of one image are one (A, 4) corner array with their clip length
 (TubeAnchors), and assignment computes all anchor x ground-truth overlaps at
-once (pairwise_tube_overlap), each overlap equal to the scalar tube_overlap
-bit for bit. The overlaps are built ground-truth-major: one (G, A) IoU matrix
-per frame, summed in place, so that every pass over the A anchors reads
-contiguous rows; assign_anchors labels from those rows.
+once (pairwise_tube_overlap), each overlap the mean per-frame IoU and equal
+to the scalar reference tube_overlap in tests/helpers.py bit for bit. The
+overlaps are built ground-truth-major: one (G, A) IoU matrix per frame,
+summed in place, so that every pass over the A anchors reads contiguous
+rows; assign_anchors labels from those rows.
 
 Region features are pulled from a T x C x H x W volume by RoIAlign on every
 temporal slice with that frame's box, all T slices sampled in one pass.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Box
-from .similarity import iou, pairwise_iou
+from .similarity import pairwise_iou
 
 LABEL_BG = -1
 LABEL_IGNORE = -2
@@ -64,9 +65,6 @@ class TubeAnchor:
             raise ValueError("anchor length must be >= 1")
         if self.base.width <= 0 or self.base.height <= 0:
             raise ValueError("anchor box must have positive width and height")
-
-    def as_tube(self) -> Tube:
-        return Tube((self.base,) * self.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,19 +235,13 @@ def _corners(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def tube_overlap(a: Tube, b: Tube) -> float:
-    """Mean per-frame IoU; equals plain IoU for single-frame tubes."""
-    if a.length != b.length:
-        raise ValueError(f"tube lengths differ: {a.length} vs {b.length}")
-    return sum(iou(x, y) for x, y in zip(a.boxes, b.boxes)) / a.length
-
-
 def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.ndarray:
     """(A, G) tube overlap of every anchor with every ground-truth tube.
 
-    The float operations of tube_overlap in the same order (per-frame IoU,
-    summed in frame order, divided by T), so every entry equals
-    tube_overlap(anchor.as_tube(), gt) bit for bit. The sum is kept as one
+    The float operations of the scalar reference tube_overlap in
+    tests/helpers.py in the same order (per-frame IoU, summed in frame order,
+    divided by T), so every entry equals tube_overlap of the anchor's box
+    replicated over T frames and gt, bit for bit. The sum is kept as one
     (G, A) array: pairwise_iou(gt boxes of frame t, anchors) added in place
     frame by frame. Its first frame stands in for tube_overlap's 0 + IoU,
     which is the same value because pairwise_iou gives no -0.0. The result is
@@ -329,7 +321,9 @@ def tracking_loss(
     target = np.asarray(target_deltas, dtype=float)
     logits = np.asarray(cls_logits, dtype=float)
     labels = np.asarray(cls_labels, dtype=int)
-    if pred.shape != target.shape or pred.shape[1] != 4 * length:
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length!r}")
+    if pred.ndim != 2 or pred.shape != target.shape or pred.shape[1] != 4 * length:
         raise ValueError("delta arrays must both have shape (N, 4T)")
     if logits.shape != (labels.shape[0], 2) or pred.shape[0] != labels.shape[0]:
         raise ValueError("logit/label shapes inconsistent with anchor count")

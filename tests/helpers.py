@@ -1,16 +1,23 @@
-"""Shared fixture builders and independent oracles used across the test suite."""
+"""Shared fixture builders and independent oracles used across the test suite.
+
+The oracles include the scalar references of the package's array kernels:
+iou, pose_pckh_similarity, feature_cosine, head_size, pckh_correct,
+_correct_joint_count and tube_overlap, each deciding one pair at a time.
+"""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from poselink.linking import Assignment, LinkerConfig, track_video_with_stats
-from poselink.metrics import evaluate
+from poselink.metrics import HEAD_SIZE_BIAS, evaluate
 from poselink.model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -23,6 +30,7 @@ from poselink.model import (
 from poselink.oracles import apply_oracle
 from poselink.similarity import CostMatrix
 from poselink.synth import ScenarioConfig, generate_scenario
+from poselink.tube import Tube, TubeAnchor
 
 JOINTS3 = ("head", "left", "right")
 
@@ -173,6 +181,101 @@ def reference_greedy_assign(cost: CostMatrix) -> Assignment:
         work[i, :] = np.inf
         work[:, j] = np.inf
     return Assignment(tuple(pairs), total)
+
+
+def translate(box: Box, dx: float, dy: float) -> Box:
+    return Box(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union; 0 when the union has zero area."""
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    inter = max(0.0, iw) * max(0.0, ih)
+    # continuous-coordinate areas, no +1
+    union = (a.x_max - a.x_min) * (a.y_max - a.y_min) + (b.x_max - b.x_min) * (b.y_max - b.y_min) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def pose_pckh_similarity(
+    a_xy: np.ndarray, a_present: np.ndarray, b_xy: np.ndarray, b_present: np.ndarray,
+    a_box: Box, alpha: float = 0.5, norm_scale: float = 0.1,
+) -> float:
+    """Fraction of jointly present joints within alpha * (norm_scale * diag of a_box),
+    where a_box is the box of the detection that pose a belongs to.
+
+    Each pose is one `Detections` row: joint coordinates xy (J, 2) and
+    presence flags (J,). Returns 0 when the poses share no present joints.
+    """
+    threshold = alpha * norm_scale * math.hypot(a_box.width, a_box.height)
+    shared = 0
+    correct = 0
+    for (xa, ya), (xb, yb), present_a, present_b in zip(
+        a_xy.tolist(), b_xy.tolist(), a_present.tolist(), b_present.tolist()
+    ):
+        if not (present_a and present_b):
+            continue
+        shared += 1
+        if math.hypot(xa - xb, ya - yb) <= threshold:
+            correct += 1
+    if shared == 0:
+        return 0.0
+    return correct / shared
+
+
+def feature_cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    """Cosine similarity in [-1, 1]; a zero vector yields 0 with a warning."""
+    va = np.asarray(a, dtype=float)
+    vb = np.asarray(b, dtype=float)
+    if va.shape != vb.shape:
+        raise ValueError(f"feature dimension mismatch: {va.shape} vs {vb.shape}")
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na == 0.0 or nb == 0.0:
+        warnings.warn("zero-norm feature vector; cosine similarity set to 0")
+        return 0.0
+    return float(np.dot(va, vb) / (na * nb))
+
+
+def head_size(gt_head_box: Box) -> float:
+    """PCKh normalizer: 0.6 times the head-box diagonal, in pixels."""
+    diag = math.hypot(gt_head_box.width, gt_head_box.height)
+    if diag <= 0.0:
+        raise ValueError("degenerate head box")
+    return HEAD_SIZE_BIAS * diag
+
+
+def pckh_correct(gt_xy, pred_xy, head: float, alpha: float = 0.5) -> bool:
+    """True when the predicted (x, y) is within alpha * head of the label (closed)."""
+    return math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1]) <= alpha * head
+
+
+def _correct_joint_count(
+    g_xy: np.ndarray, g_present: np.ndarray, p_xy: np.ndarray, p_present: np.ndarray,
+    gt_head_box: Box, alpha: float,
+) -> int:
+    """Number of joints present in both poses, each one `Detections` row, that
+    are PCKh-correct for the labeled pose g."""
+    head = head_size(gt_head_box)
+    count = 0
+    for j in range(len(g_present)):
+        if g_present[j] and p_present[j] and pckh_correct(g_xy[j], p_xy[j], head, alpha):
+            count += 1
+    return count
+
+
+def as_tube(anchor: TubeAnchor) -> Tube:
+    """The anchor's box replicated over its clip length."""
+    return Tube((anchor.base,) * anchor.length)
+
+
+def tube_overlap(a: Tube, b: Tube) -> float:
+    """Mean per-frame IoU; equals plain IoU for single-frame tubes."""
+    if a.length != b.length:
+        raise ValueError(f"tube lengths differ: {a.length} vs {b.length}")
+    return sum(iou(x, y) for x, y in zip(a.boxes, b.boxes)) / a.length
 
 
 def roi_align_oracle(vol, tube, resolution, samples_per_bin):
@@ -393,7 +496,7 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     raise ValueError(f"{where}: ground truth requires track_id")
                 if head_box is None:
                     raise ValueError(f"{where}: ground truth requires head_box")
-                if head_box.diagonal <= 0.0:  # it normalizes every PCKh distance
+                if math.hypot(head_box.width, head_box.height) <= 0.0:  # it normalizes every PCKh distance
                     raise ValueError(f"{where}: ground truth head_box has zero size")
             if track_id is not None and track_id < 0:
                 raise ValueError(f"{where}: track_id must be non-negative")

@@ -556,6 +556,31 @@ def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 200_000, id="deeply-nested"),
+    pytest.param(b'{"frames": "\xff"}', id="not-utf8"),
+    pytest.param(b"[" + b"1" * 5000 + b"]", id="integer-too-long"),
+])
+@pytest.mark.parametrize("flag", ["--pred", "--gt", "--config", "--external-scores"])
+def test_side_file_that_cannot_decode_is_one_line_error_naming_it(synth_pair, tmp_path, capsys, flag, content):
+    gt, pred = synth_pair
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    argv = {
+        "--pred": ["track", "--pred", bad, "--out", out],
+        "--gt": ["eval", "--gt", bad, "--pred", gt, "--report", out],
+        "--config": ["synth", "--out-gt", out, "--config", bad],
+        "--external-scores": ["track", "--pred", pred, "--out", out, "--cost", "external",
+                              "--external-scores", bad],
+    }[flag]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"poselink {argv[0]}: {bad}: not valid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def strict_json(text):
     """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
     def reject(token):

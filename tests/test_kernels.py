@@ -1,8 +1,9 @@
 """Differential tests: the array kernels against the scalar functions they replace.
 
-The scalar functions (iou, pose_pckh_similarity, feature_cosine, pckh_correct,
-_correct_joint_count and tube_overlap) stay in the package as the oracles; the
-two pose functions take each pose as one detection row's xy and present arrays.
+The scalar references (iou, pose_pckh_similarity, feature_cosine, head_size,
+pckh_correct, _correct_joint_count and tube_overlap) live in helpers, not in
+the package; the two pose functions take each pose as one detection row's xy
+and present arrays.
 IoU, tube overlaps, anchor corners and every PCKh decision must agree
 exactly; cosine terms agree to 1e-12. Loops that no longer exist in the
 package (the anchor grid, anchor assignment and the AP envelope) are kept
@@ -25,27 +26,21 @@ from scipy.optimize import linear_sum_assignment
 from poselink.metrics import (
     EvalReport,
     _average_precision,
-    _correct_joint_count,
     correct_joint_mask,
     evaluate_map,
     evaluate_mot,
-    head_size,
     match_poses_frame,
     match_sequence,
-    pckh_correct,
 )
 from poselink.model import NO_DETECTIONS, Box, Detections
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
     build_cost_matrix,
-    feature_cosine,
-    iou,
     joints_within,
     keypoint_array,
     pairwise_cosine,
     pairwise_iou,
-    pose_pckh_similarity,
 )
 from poselink.tube import (
     LABEL_BG,
@@ -58,10 +53,26 @@ from poselink.tube import (
     assign_anchors,
     generate_anchors,
     pairwise_tube_overlap,
-    tube_overlap,
 )
 
-from helpers import box_of, clear_mot_counts, corners, detection, head_box_of, pose_of, sequence, unmatched
+from helpers import (
+    _correct_joint_count,
+    as_tube,
+    box_of,
+    clear_mot_counts,
+    corners,
+    detection,
+    feature_cosine,
+    head_box_of,
+    head_size,
+    iou,
+    pckh_correct,
+    pose_of,
+    pose_pckh_similarity,
+    sequence,
+    tube_overlap,
+    unmatched,
+)
 
 J = 4
 # a coarse grid makes shared edges, zero-area boxes and exact PCKh ties common
@@ -96,7 +107,7 @@ features = st.one_of(
 @st.composite
 def detections(draw, gt=False):
     """One detection row."""
-    head = draw(boxes().filter(lambda b: b.diagonal > 0)) if gt else None
+    head = draw(boxes().filter(lambda b: math.hypot(b.width, b.height) > 0)) if gt else None
     return detection(
         box=draw(boxes()),
         score=draw(st.sampled_from([0.5, 0.75, 1.0])),
@@ -260,7 +271,7 @@ def boundary_limits(box):
     """The PCKh limits of a reference row with this box and head box:
     correct_joint_mask's at alpha 0.5, and pairwise_pckh's at its defaults
     (alpha 0.5, norm scale 0.1)."""
-    return 0.5 * head_size(box), 0.5 * 0.1 * box.diagonal
+    return 0.5 * head_size(box), 0.5 * 0.1 * math.hypot(box.width, box.height)
 
 
 ABSENT = [(1e300, -1e300), (math.nan, math.inf), (-math.inf, math.nan), (1e160, 0.0)]
@@ -690,7 +701,7 @@ def scalar_assign(anchors, gt_tubes, fg_thresh, bg_thresh):
     overlaps = np.zeros((len(anchors), len(gt_tubes)))
     for i, anchor in enumerate(anchors):
         for k, gt in enumerate(gt_tubes):
-            overlaps[i, k] = tube_overlap(anchor.as_tube(), gt)
+            overlaps[i, k] = tube_overlap(as_tube(anchor), gt)
     best = overlaps.max(axis=1)
     best_gt = overlaps.argmax(axis=1)
     labels[(best > bg_thresh) & (best < fg_thresh)] = LABEL_IGNORE
@@ -801,7 +812,7 @@ class TestTubeKernels:
         if len(anchors):  # without anchors, no tube length is compared
             overlaps = pairwise_tube_overlap(anchors, gts)
             assert overlaps.shape == (len(anchors), len(gts))
-            scalar = [[tube_overlap(a.as_tube(), g) for g in gts] for a in anchors]
+            scalar = [[tube_overlap(as_tube(a), g) for g in gts] for a in anchors]
             assert np.array_equal(bits(overlaps), bits(np.array(scalar).reshape(overlaps.shape)))
 
     def test_tied_anchors_force_the_lowest_index(self):
@@ -849,7 +860,7 @@ class TestTubeKernels:
         # every anchor that overlaps at all, plus a random sample of the rest
         rows = np.union1d(np.flatnonzero(overlaps.max(axis=1) > 0), rng.choice(len(anchors), 500))
         for i in rows:
-            tube = anchors[i].as_tube()
+            tube = as_tube(anchors[i])
             expected = [tube_overlap(tube, g) for g in gts]
             assert bits(overlaps[i]).tolist() == bits(np.array(expected)).tolist()
 

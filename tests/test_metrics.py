@@ -5,15 +5,23 @@ from poselink.metrics import (
     evaluate,
     evaluate_map,
     evaluate_mot,
-    head_size,
     match_poses_frame,
     match_sequence,
-    pckh_correct,
 )
 from poselink.model import Box, Detections, filter_detections
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
 
-from helpers import PCKH_LIMIT, clear_mot_counts, person, scale_sequence, sequence, three_frame_pair, unmatched
+from helpers import (
+    PCKH_LIMIT,
+    clear_mot_counts,
+    head_size,
+    pckh_correct,
+    person,
+    scale_sequence,
+    sequence,
+    three_frame_pair,
+    unmatched,
+)
 
 
 class TestHeadSize:
@@ -63,6 +71,23 @@ class TestMatchPoses:
         ])
         pairs, _ = match_poses_frame(gt, pred)
         assert set(pairs) == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize("head_box, message", [
+        (Box(5, 5, 5, 5), "degenerate head box"),
+        (None, "a ground-truth detection has no head box"),
+    ])
+    def test_bad_ground_truth_head_box_is_one_line_error(self, head_box, message):
+        coords = [(0, 0), (5, 5), (10, 10)]
+        gt = Detections.concat([person(coords, track_id=0), person(coords, track_id=1, head_box=head_box)])
+        with pytest.raises(ValueError) as exc:
+            match_poses_frame(gt, person(coords))
+        assert str(exc.value) == message
+
+    def test_zero_width_head_box_has_a_size(self):
+        coords = [(0, 0), (5, 5), (10, 10)]
+        gt = person(coords, track_id=0, head_box=Box(5, 5, 5, 45))
+        pairs, correct = match_poses_frame(gt, person(coords))
+        assert pairs == ((0, 0),) and correct.all()
 
     def test_zero_correct_joints_discarded(self):
         gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)

@@ -140,6 +140,12 @@ class TestDetections:
          "present keypoint has non-finite coordinates or score"),
         ({"kp_score": [[2.0, math.inf, 2.0], [2.0] * 3]}, "present keypoint has non-finite coordinates or score"),
         ({"track_ids": [0, -1]}, "track_id must be non-negative"),
+        ({"track_ids": [0, 1.5]}, "track_id must be an integer"),
+        ({"track_ids": [2.0, 0]}, "track_id must be an integer"),
+        ({"track_ids": [np.float64(3.0), None]}, "track_id must be an integer"),
+        ({"track_ids": [None, -1.5]}, "track_id must be an integer"),
+        ({"track_ids": [True, 0]}, "track_id must be an integer"),
+        ({"track_ids": [0, np.bool_(False)]}, "track_id must be an integer"),
         ({"track_ids": [0]}, "track_ids must hold one entry per detection"),
         ({"kp_score": np.ones((2, 2))}, "pose arrays must have shapes (N, J, 2), (N, J) and (N, J)"),
         ({"xy": np.ones((2, 3, 3))}, "pose arrays must have shapes (N, J, 2), (N, J) and (N, J)"),
@@ -155,6 +161,12 @@ class TestDetections:
         with pytest.raises(ValueError) as exc:
             Detections.from_columns(**{**self._columns(), **change})
         assert str(exc.value) == message
+
+    def test_from_columns_accepts_python_and_numpy_integer_track_ids(self):
+        ids = [np.int64(3), 2**70]
+        assert Detections.from_columns(**self._columns(), track_ids=ids).track_ids == (3, 2**70)
+        ids = [np.uint8(0), None]
+        assert Detections.from_columns(**self._columns(), track_ids=ids).track_ids == (0, None)
 
     def test_absent_joints_may_hold_any_values(self):
         columns = self._columns()
@@ -361,7 +373,8 @@ class TestLoadValidation:
         path = self._write(tmp_path, doc)
         with pytest.raises(ValueError, match="frame 0 detection 0: .*head_box"):
             load_sequence(path, role="groundtruth")
-        assert head_box_of(load_sequence(path).frames[0].detections).diagonal == 0.0
+        head = head_box_of(load_sequence(path).frames[0].detections)
+        assert (head.width, head.height) == (0.0, 0.0)
 
     def test_detection_score_clamped(self, tmp_path):
         doc = self._doc()

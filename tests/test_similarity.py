@@ -10,12 +10,9 @@ from poselink.similarity import (
     CostMatrix,
     SimilarityCriterion,
     build_cost_matrix,
-    feature_cosine,
-    iou,
-    pose_pckh_similarity,
 )
 
-from helpers import box_of, person, pose_of
+from helpers import box_of, feature_cosine, iou, person, pose_of, pose_pckh_similarity, translate
 
 
 def pckh(a: Detections, b: Detections) -> float:
@@ -56,7 +53,7 @@ class TestIou:
     @given(boxes(min_size=0.01), boxes(min_size=0.01), st.floats(-100, 100, allow_nan=False))
     def test_translation_invariant(self, a, b, d):
         # spans below float resolution would be absorbed by the offset
-        assert iou(a.translate(d, -d), b.translate(d, -d)) == pytest.approx(iou(a, b), abs=1e-6)
+        assert iou(translate(a, d, -d), translate(b, d, -d)) == pytest.approx(iou(a, b), abs=1e-6)
 
     @given(boxes(min_size=1.0), boxes(min_size=1.0), st.sampled_from([0.5, 2.0, 4.0]))
     def test_scale_invariant(self, a, b, s):
@@ -67,7 +64,7 @@ class TestIou:
 
     @given(boxes(min_size=0.5))
     def test_unity_only_for_identical(self, a):
-        shifted = a.translate(0.1 * (a.width + 1), 0.0)
+        shifted = translate(a, 0.1 * (a.width + 1), 0.0)
         assert iou(a, shifted) < 1.0
 
 
@@ -79,14 +76,14 @@ class TestPckhSimilarity:
     def test_all_joints_far(self):
         a = person([(0, 0), (10, 10), (20, 20)])
         # threshold = 0.5 * 0.1 * diag; move everything 10x past it
-        shift = 10 * 0.5 * 0.1 * box_of(a).diagonal + 1
+        shift = 10 * 0.5 * 0.1 * math.hypot(box_of(a).width, box_of(a).height) + 1
         b = person([(x + shift, y) for x, y in [(0, 0), (10, 10), (20, 20)]])
         assert pckh(a, b) == 0.0
 
     def test_fraction_of_correct_joints(self):
         coords = [(float(10 * i), 0.0) for i in range(15)]
         a = person(coords)
-        threshold = 0.5 * 0.1 * box_of(a).diagonal
+        threshold = 0.5 * 0.1 * math.hypot(box_of(a).width, box_of(a).height)
         moved = [
             (x, y) if i < 9 else (x, y + 2 * threshold) for i, (x, y) in enumerate(coords)
         ]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from poselink.model import Box
-from poselink.similarity import iou
 from poselink.tube import (
     LABEL_BG,
     LABEL_IGNORE,
@@ -26,10 +25,18 @@ from poselink.tube import (
     inflate_2d_filter,
     spatiotemporal_roi_align,
     tracking_loss,
-    tube_overlap,
 )
 
-from helpers import corners, correlate2d_multi, correlate3d_multi, roi_align_oracle, roi_align_per_frame
+from helpers import (
+    as_tube,
+    corners,
+    correlate2d_multi,
+    correlate3d_multi,
+    iou,
+    roi_align_oracle,
+    roi_align_per_frame,
+    tube_overlap,
+)
 
 
 def box_from_center(cx, cy, w, h):
@@ -73,7 +80,7 @@ class TestAnchors:
     def test_aspect_preserves_area(self):
         grid = AnchorGrid(scales=(64.0,), aspects=(0.5, 2.0), stride=8)
         for anchor in generate_anchors(grid, 8, 8, 1):
-            assert anchor.base.area == pytest.approx(64.0 ** 2)
+            assert anchor.base.width * anchor.base.height == pytest.approx(64.0 ** 2)
             ratio = anchor.base.width / anchor.base.height
             assert ratio in (pytest.approx(0.5), pytest.approx(2.0))
 
@@ -107,7 +114,7 @@ class TestAnchors:
 class TestDeltas:
     def test_anchor_encodes_to_zero(self):
         anchor = TubeAnchor(box_from_center(5, 5, 10, 10), 2)
-        deltas = encode_tube_deltas(anchor.as_tube(), anchor)
+        deltas = encode_tube_deltas(as_tube(anchor), anchor)
         assert deltas.values == (0.0,) * 8
 
     def test_hand_example(self):
@@ -118,7 +125,7 @@ class TestDeltas:
 
     def test_zero_deltas_decode_to_anchor(self):
         anchor = TubeAnchor(box_from_center(1, 2, 3, 4), 3)
-        assert decode_tube_deltas(TubeDeltas((0.0,) * 12), anchor) == anchor.as_tube()
+        assert decode_tube_deltas(TubeDeltas((0.0,) * 12), anchor) == as_tube(anchor)
 
     def test_hand_example_inverse(self):
         anchor = TubeAnchor(box_from_center(5, 5, 10, 10), 1)
@@ -192,7 +199,7 @@ class TestTubeOverlap:
     @given(tube_anchor_pairs())
     def test_symmetric(self, pair):
         tube, anchor = pair
-        other = anchor.as_tube()
+        other = as_tube(anchor)
         assert tube_overlap(tube, other) == pytest.approx(tube_overlap(other, tube))
 
     def test_length_mismatch(self):
@@ -284,6 +291,25 @@ class TestTrackingLoss:
         args[position][1, 1] = bad
         with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
             tracking_loss(*args, np.array([0, LABEL_BG]), 1)
+
+    @pytest.mark.parametrize("pred, target", [
+        (np.zeros(4), np.zeros(4)),
+        (np.zeros((2, 4)), np.zeros(8)),
+        (np.zeros(8), np.zeros((2, 4))),
+        (np.zeros((2, 4, 1)), np.zeros((2, 4, 1))),
+        (np.float64(0.0), np.float64(0.0)),
+    ])
+    def test_deltas_that_are_not_2d_are_one_line_errors(self, pred, target):
+        with pytest.raises(ValueError) as exc:
+            tracking_loss(pred, target, np.zeros((2, 2)), np.array([0, LABEL_BG]), 1)
+        assert str(exc.value) == "delta arrays must both have shape (N, 4T)"
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_is_rejected(self, length):
+        with pytest.raises(ValueError) as exc:
+            tracking_loss(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 2)), np.array([0, LABEL_BG]),
+                          length)
+        assert str(exc.value) == f"length must be >= 1, got {length}"
 
 
 ROI_BOX_KINDS = ("straddle", "outside", "degenerate", "centres")
