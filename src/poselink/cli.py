@@ -1,8 +1,10 @@
 """Command-line pipeline: synth, track, eval, sweep, oracle.
 
-Every command writes a run manifest (<output>.manifest.json) capturing the
-effective configuration, input/output paths, stage timings, tool version, and
-the Python, numpy and scipy versions and CPU count it ran with.
+Every command writes a run manifest (<output>.manifest.json), built from the
+parsed flags: `inputs` and `outputs` hold the files it read and wrote, and
+`config` every other setting, so a new flag is recorded without further edits.
+It also holds the stage timings, tool version, and the Python, numpy and
+scipy versions and CPU count it ran with.
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
 """
 
@@ -67,10 +69,29 @@ def _strict_json_value(value):
     return value
 
 
-def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str],
-                    outputs: list[str], timings: dict[str, float]) -> None:
+# the flags that name files a command reads or writes, in manifest order;
+# the first output given also names the manifest
+_INPUT_FLAGS = ("gt", "pred", "config", "external_scores")
+_OUTPUT_FLAGS = ("out", "report", "csv", "out_gt", "out_pred")
+
+
+def _write_manifest(args, timings: dict[str, float], config: dict | None = None, **results) -> None:
+    """Write the run manifest of the parsed flags `args`.
+
+    Each file flag that was given is listed under inputs or outputs, and every
+    other flag is a config setting, unless `config` (synth's scenario) stands
+    in for them. `results`, such as track's total assignment cost, are added to
+    config, each over the flag of the same name.
+    """
+    flags = vars(args)
+    inputs = [flags[name] for name in _INPUT_FLAGS if flags.get(name)]
+    outputs = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]
+    if config is None:
+        skip = {"command", "func", *_INPUT_FLAGS, *_OUTPUT_FLAGS}
+        config = {name: value for name, value in flags.items() if name not in skip}
+    config.update(results)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": _strict_json_value(config),
         "inputs": inputs,
         "outputs": outputs,
@@ -83,7 +104,7 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
             "cpu_count": os.cpu_count(),
         },
     }
-    write_text_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    write_text_atomic(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
 def _list_of(parse, names=None, empty=True):
@@ -127,17 +148,6 @@ def _linker_configs(args, algos, costs, flag: str) -> list[tuple[str, str, Linke
     )) for algo in algos for cost in costs]
 
 
-def _linker_manifest(args) -> dict:
-    """The linker settings as the `track` and `sweep` manifests record them."""
-    return {
-        "min_sim": args.min_sim, "lookback": args.lookback, "seed": args.seed,
-        "weights": list(args.weights),
-        "pckh_alpha": args.pckh_alpha, "pckh_norm_scale": args.pckh_norm_scale,
-        "random_max_id": args.random_max_id,
-        "external_scores": args.external_scores,
-    }
-
-
 def _add_linker_flags(parser: argparse.ArgumentParser) -> None:
     """The settings `track` and every `sweep` row share."""
     parser.add_argument("--kp-thresh", type=float, default=1.95)
@@ -163,18 +173,8 @@ def cmd_track(args) -> int:
     save_sequence(tracked, args.out)
     t_save = time.perf_counter()
     _write_manifest(
-        args.out,
-        "track",
-        {
-            "cost": args.cost, "algo": args.algo,
-            "det_thresh": args.det_thresh, "kp_thresh": args.kp_thresh,
-            **_linker_manifest(args),
-            "total_assignment_cost": stats.total_assignment_cost,
-            "new_tracks": stats.new_tracks,
-        },
-        [args.pred],
-        [args.out],
-        {"load": t_load - t0, "track": t_track - t_load, "save": t_save - t_track},
+        args, {"load": t_load - t0, "track": t_track - t_load, "save": t_save - t_track},
+        total_assignment_cost=stats.total_assignment_cost, new_tracks=stats.new_tracks,
     )
     print(f"tracked {stats.frames} frames, {stats.new_tracks} tracks -> {args.out}")
     return 0
@@ -191,14 +191,7 @@ def cmd_eval(args) -> int:
     if args.csv:
         header = csv_header(gt.joint_names, ("gt", "pred"))
         write_csv(args.csv, header, [csv_row(report, (args.gt, args.pred))])
-    _write_manifest(
-        args.report,
-        "eval",
-        {"alpha": args.alpha, "csv": args.csv},
-        [args.gt, args.pred],
-        [args.report] + ([args.csv] if args.csv else []),
-        {"load": t_load - t0, "evaluate": t_eval - t_load},
-    )
+    _write_manifest(args, {"load": t_load - t0, "evaluate": t_eval - t_load})
     print(report.summary_line())
     return 0
 
@@ -234,15 +227,8 @@ def cmd_sweep(args) -> int:
     write_csv(args.out, header, rows)
     t_save = time.perf_counter()
     _write_manifest(
-        args.out,
-        "sweep",
-        {
-            "thresholds": thresholds, "algos": algos, "costs": costs,
-            "kp_thresh": args.kp_thresh, **_linker_manifest(args), "alpha": args.alpha,
-        },
-        [args.gt, args.pred],
-        [args.out],
-        {"load": t_load - t0, "sweep": t_sweep - t_load, "save": t_save - t_sweep},
+        args, {"load": t_load - t0, "sweep": t_sweep - t_load, "save": t_save - t_sweep},
+        thresholds=thresholds, algos=algos, costs=costs,
     )
     print(f"swept {len(rows)} configurations -> {args.out}")
     return 0
@@ -257,14 +243,7 @@ def cmd_oracle(args) -> int:
     t_oracle = time.perf_counter()
     save_sequence(out, args.out)
     t_save = time.perf_counter()
-    _write_manifest(
-        args.out,
-        "oracle",
-        {"mode": args.mode, "alpha": args.alpha},
-        [args.gt, args.pred],
-        [args.out],
-        {"load": t_load - t0, "oracle": t_oracle - t_load, "save": t_save - t_oracle},
-    )
+    _write_manifest(args, {"load": t_load - t0, "oracle": t_oracle - t_load, "save": t_save - t_oracle})
     print(f"oracle {args.mode} -> {args.out}")
     return 0
 
@@ -345,16 +324,12 @@ def cmd_synth(args) -> int:
     gt, pred = generate_scenario(cfg)
     t_generate = time.perf_counter()
     save_sequence(gt, args.out_gt)
-    outputs = [args.out_gt]
     if args.out_pred:
         save_sequence(pred, args.out_pred)
-        outputs.append(args.out_pred)
     t_save = time.perf_counter()
-    _write_manifest(
-        args.out_gt, "synth", asdict(cfg), [], outputs,
-        {"generate": t_generate - t0, "save": t_save - t_generate},
-    )
-    print(f"generated {cfg.frames} frames, {cfg.actors} actors -> {', '.join(outputs)}")
+    _write_manifest(args, {"generate": t_generate - t0, "save": t_save - t_generate}, asdict(cfg))
+    outputs = ", ".join(filter(None, (args.out_gt, args.out_pred)))
+    print(f"generated {cfg.frames} frames, {cfg.actors} actors -> {outputs}")
     return 0
 
 

@@ -61,8 +61,7 @@ class TubeAnchor:
     length: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("anchor length must be >= 1")
+        _check_int("anchor length", self.length, below="anchor length must be >= 1")
         if self.base.width <= 0 or self.base.height <= 0:
             raise ValueError("anchor box must have positive width and height")
 
@@ -85,8 +84,7 @@ class TubeAnchors(Sequence):
             raise ValueError("anchor corners must have shape (A, 4)")
         if not np.isfinite(arr).all():
             raise ValueError("box coordinate is not finite")
-        if self.length < 1:
-            raise ValueError("anchor length must be >= 1")
+        _check_int("anchor length", self.length, below="anchor length must be >= 1")
         with np.errstate(over="ignore"):  # a side of a huge box may overflow to inf, still positive
             positive = ((arr[:, 2] - arr[:, 0] > 0) & (arr[:, 3] - arr[:, 1] > 0)).all()
         if not positive:
@@ -121,9 +119,14 @@ class TubeDeltas:
         return len(self.values) // 4
 
 
-def _check_stride(stride) -> None:
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+def _check_int(name: str, value, minimum: int = 1, below: str | None = None) -> None:
+    """A ValueError unless value is an integer (numpy's too, but no bool) of
+    at least minimum; `below` words the error of an integer under minimum."""
+    message = f"{name} must be an integer >= {minimum}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(message)
+    if value < minimum:
+        raise ValueError(below or message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +135,7 @@ class FeatureVolume:
     stride: int = 8
 
     def __post_init__(self):
-        _check_stride(self.stride)
+        _check_int("stride", self.stride)
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 4:
             raise ValueError("feature volume must have shape (T, C, H, W)")
@@ -150,10 +153,11 @@ class AnchorGrid:
     def __post_init__(self):
         if not self.scales or not self.aspects:
             raise ValueError("anchor grid needs at least one scale and one aspect")
-        _check_stride(self.stride)
+        _check_int("stride", self.stride)
         for name in ("scales", "aspects"):
             values = getattr(self, name)
-            if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in values):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+                       for v in values):
                 raise ValueError(f"{name} must be finite and positive, got {values!r}")
 
     @property
@@ -174,6 +178,8 @@ def generate_anchors(grid: AnchorGrid, image_w: int, image_h: int, length: int =
     one (A, 4) corner array in that order plus the clip length, whose items
     are TubeAnchor views.
     """
+    _check_int("image_w", image_w, 0)
+    _check_int("image_h", image_h, 0)
     cx = (np.arange(math.ceil(image_w / grid.stride)) + 0.5) * grid.stride
     cy = (np.arange(math.ceil(image_h / grid.stride)) + 0.5) * grid.stride
     root = np.sqrt(np.array(grid.aspects, dtype=float))
@@ -320,9 +326,13 @@ def tracking_loss(
     pred = np.asarray(pred_deltas, dtype=float)
     target = np.asarray(target_deltas, dtype=float)
     logits = np.asarray(cls_logits, dtype=float)
-    labels = np.asarray(cls_labels, dtype=int)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length!r}")
+    labels = np.asarray(cls_labels)
+    _check_int("length", length, below=f"length must be >= 1, got {length!r}")
+    if labels.ndim != 1 or not (labels.dtype.kind in "iu" or labels.size == 0):  # [] reads as floats
+        raise ValueError("cls_labels must be a 1-D integer array")
+    if labels.size and labels.min() < LABEL_IGNORE:
+        raise ValueError(f"cls_labels must be LABEL_IGNORE (-2), LABEL_BG (-1) or a tube index >= 0, "
+                         f"got {labels.min()}")
     if pred.ndim != 2 or pred.shape != target.shape or pred.shape[1] != 4 * length:
         raise ValueError("delta arrays must both have shape (N, 4T)")
     if logits.shape != (labels.shape[0], 2) or pred.shape[0] != labels.shape[0]:
@@ -385,10 +395,8 @@ def spatiotemporal_roi_align(
     output equals 2D RoIAlign of its frame alone bit for bit. Returns an
     array of shape (T, C, resolution, resolution).
     """
-    if resolution <= 0:
-        raise ValueError("output resolution must be positive")
-    if samples_per_bin <= 0:
-        raise ValueError("samples_per_bin must be positive")
+    _check_int("output resolution", resolution, below="output resolution must be positive")
+    _check_int("samples_per_bin", samples_per_bin, below="samples_per_bin must be positive")
     t_len, channels, h, w = vol.data.shape
     if tube.length != t_len:
         raise ValueError(f"tube length {tube.length} != volume length {t_len}")
@@ -443,8 +451,7 @@ def inflate_2d_filter(weights2d: np.ndarray, k_t: int, mode: str) -> np.ndarray:
     w = np.asarray(weights2d, dtype=float)
     if w.ndim != 4:
         raise ValueError("weights must have shape (C_out, C_in, K, K)")
-    if k_t < 1:
-        raise ValueError("temporal extent must be >= 1")
+    _check_int("temporal extent", k_t, below="temporal extent must be >= 1")
     if mode == "center":
         if k_t % 2 == 0:
             raise ValueError("center mode needs an odd temporal extent")

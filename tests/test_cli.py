@@ -1,9 +1,12 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import platform
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from poselink.linking import LinkerConfig, track_video_with_stats
 from poselink.metrics import csv_row, evaluate
 from poselink.model import filter_detections, load_sequence, save_sequence
 from poselink.similarity import SimilarityCriterion, load_external_scores
+from poselink.synth import ScenarioConfig
 
 from helpers import three_frame_pair
 
@@ -614,6 +618,71 @@ def test_manifests_are_strict_json(synth_pair, tmp_path):
         assert list(timings) == stages[name]
         assert all(t >= 0 for t in timings.values())
         assert manifest["environment"] == environment
+
+
+# the flags that name files, in the order a manifest lists them under inputs and outputs
+INPUT_FLAGS = ("--gt", "--pred", "--config", "--external-scores")
+OUTPUT_FLAGS = ("--out", "--report", "--csv", "--out-gt", "--out-pred")
+
+
+def setting_dests(command: str) -> set[str]:
+    """The dest of each option of a command's parser, help and file flags aside."""
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help" and a.option_strings[0] not in INPUT_FLAGS + OUTPUT_FLAGS}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["track", "--pred", "{pred}", "--out", "{tmp}/t.json", "--weights", "2,1,0"], id="track"),
+    pytest.param(["track", "--pred", "{pred}", "--out", "{tmp}/t.json", "--cost", "external",
+                  "--external-scores", "{scores}"], id="track-external-scores"),
+    pytest.param(["eval", "--gt", "{gt}", "--pred", "{tracked}", "--report", "{tmp}/r.json"], id="eval"),
+    pytest.param(["eval", "--gt", "{gt}", "--pred", "{tracked}", "--report", "{tmp}/r.json",
+                  "--csv", "{tmp}/r.csv"], id="eval-csv"),
+    pytest.param(["sweep", "--gt", "{gt}", "--pred", "{pred}", "--out", "{tmp}/s.csv", "--algos", "greedy"],
+                 id="sweep"),
+    pytest.param(["sweep", "--gt", "{gt}", "--pred", "{pred}", "--out", "{tmp}/s.csv",
+                  "--costs", "external,iou", "--external-scores", "{scores}"], id="sweep-external-scores"),
+    pytest.param(["oracle", "--mode", "both", "--gt", "{gt}", "--pred", "{tracked}", "--out", "{tmp}/o.json"],
+                 id="oracle"),
+    pytest.param(["synth", "--out-gt", "{tmp}/g.json", "--out-pred", "{tmp}/p.json", "--frames", "4"],
+                 id="synth"),
+    pytest.param(["synth", "--out-gt", "{tmp}/g.json", "--config", "{scenario}", "--frames", "4"],
+                 id="synth-config"),
+])
+def test_manifest_records_files_as_inputs_and_outputs_and_every_other_flag_as_config(
+    synth_pair, tmp_path, argv
+):
+    gt, pred = synth_pair
+    scores = _external_entries(tmp_path, f"[{TestExternalScores.VALID}]")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"seed": 3, "actors": 2}')
+    tracked = tmp_path / "tracked.json"
+    assert run("track", "--pred", pred, "--out", tracked) == 0
+    paths = {"tmp": tmp_path, "gt": gt, "pred": pred, "tracked": tracked, "scores": scores, "scenario": scenario}
+    argv = [a.format(**paths) for a in argv]
+    assert run(*argv) == 0
+    command, given = argv[0], dict(zip(argv[1::2], argv[2::2]))  # each option takes one value
+    inputs = [given[flag] for flag in INPUT_FLAGS if flag in given]
+    outputs = [given[flag] for flag in OUTPUT_FLAGS if flag in given]
+    manifest = strict_json(Path(outputs[0] + ".manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"] == outputs
+    config = manifest["config"]
+    assert not set(inputs + outputs) & {v for v in config.values() if isinstance(v, str)}
+    if command == "synth":
+        assert set(config) == {field.name for field in dataclasses.fields(ScenarioConfig)}
+        assert config["frames"] == 4
+        return
+    results = {"total_assignment_cost", "new_tracks"} if command == "track" else set()
+    assert set(config) == setting_dests(command) | results
+    parsed = vars(cli.build_parser().parse_args(argv))
+    # sweep records the default of each dimension it was not given
+    resolved = {"thresholds": [cli.DET_THRESH], "algos": ["hungarian"], "costs": ["iou"]}
+    for name in setting_dests(command):
+        value = parsed[name] if parsed[name] is not None or command != "sweep" else resolved[name]
+        assert config[name] == value, name
 
 
 def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, capsys):

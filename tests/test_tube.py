@@ -99,6 +99,7 @@ class TestAnchors:
         ({"aspects": (-1.0,)}, "aspects"),
         ({"aspects": (1.0, math.nan)}, "aspects"),
         ({"aspects": ("2",)}, "aspects"),
+        ({"scales": (True,)}, "scales"),
     ])
     def test_bad_grid_value_names_the_field(self, kwargs, field):
         args = {"scales": (32.0,), "aspects": (1.0,), **kwargs}
@@ -310,6 +311,59 @@ class TestTrackingLoss:
             tracking_loss(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 2)), np.array([0, LABEL_BG]),
                           length)
         assert str(exc.value) == f"length must be >= 1, got {length}"
+
+    @pytest.mark.parametrize("labels, message", [
+        *((labels, "cls_labels must be a 1-D integer array") for labels in (
+            np.array([[0], [LABEL_BG]]), [0.7, -1], [0.0, -1.0], [True, False], ["0", "-1"], np.int64(0))),
+        *((labels, f"cls_labels must be LABEL_IGNORE (-2), LABEL_BG (-1) or a tube index >= 0, got {bad}")
+          for labels, bad in (([-3, LABEL_BG], -3), ([0, -100], -100))),
+    ])
+    def test_bad_labels_are_one_line_errors(self, labels, message):
+        with pytest.raises(ValueError) as exc:
+            tracking_loss(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((2, 2)), labels, 1)
+        assert str(exc.value) == message
+
+    def test_no_anchors_give_zero_losses(self):
+        assert tracking_loss(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 2)), [], 1) == (0.0, 0.0)
+
+
+_VOLUME = FeatureVolume(np.zeros((1, 1, 4, 4)))
+_TUBE = Tube((Box(0, 0, 4, 4),))
+_GRID = AnchorGrid(scales=(8.0,), aspects=(1.0,))
+_WEIGHTS = np.ones((1, 1, 3, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, 2.5), "output resolution must be an integer >= 1, got 2.5"),
+    (lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, True), "output resolution must be an integer >= 1, got True"),
+    (lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, 0), "output resolution must be positive"),
+    (lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, 2, 1.5), "samples_per_bin must be an integer >= 1, got 1.5"),
+    (lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, 2, 0), "samples_per_bin must be positive"),
+    (lambda: inflate_2d_filter(_WEIGHTS, 2.5, "mean"), "temporal extent must be an integer >= 1, got 2.5"),
+    (lambda: inflate_2d_filter(_WEIGHTS, 3.0, "center"), "temporal extent must be an integer >= 1, got 3.0"),
+    (lambda: inflate_2d_filter(_WEIGHTS, 0, "mean"), "temporal extent must be >= 1"),
+    (lambda: generate_anchors(_GRID, 16, 16, length=2.5), "anchor length must be an integer >= 1, got 2.5"),
+    (lambda: generate_anchors(_GRID, 16, 16, length=0), "anchor length must be >= 1"),
+    (lambda: generate_anchors(_GRID, -16, 16), "image_w must be an integer >= 0, got -16"),
+    (lambda: generate_anchors(_GRID, 16, 7.5), "image_h must be an integer >= 0, got 7.5"),
+    (lambda: TubeAnchor(Box(0, 0, 1, 1), 2.0), "anchor length must be an integer >= 1, got 2.0"),
+    (lambda: TubeAnchors(np.zeros((0, 4)), False), "anchor length must be an integer >= 1, got False"),
+    (lambda: tracking_loss(np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 2)), [0], 1.0),
+     "length must be an integer >= 1, got 1.0"),
+])
+def test_integer_arguments_reject_other_numbers_in_one_line(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spatiotemporal_roi_align(_VOLUME, _TUBE, np.int64(2), np.int32(1)),
+    lambda: inflate_2d_filter(_WEIGHTS, np.int64(3), "center"),
+    lambda: generate_anchors(_GRID, np.int64(16), np.uint8(0), np.int64(2)),
+])
+def test_numpy_integer_arguments_are_accepted(call):
+    call()
 
 
 ROI_BOX_KINDS = ("straddle", "outside", "degenerate", "centres")
