@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
-from .metrics import csv_header, csv_row, evaluate, sweep_threshold, write_csv
+from .metrics import csv_columns, evaluate, sweep_threshold, write_csv
 from .model import (
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
@@ -121,12 +121,18 @@ def _list_of(parse, names=None, empty=True):
     return list_of
 
 
+class UsageError(Exception):
+    """A command line that no run can honour as given; main exits 2 with its message."""
+
+
 def _linker_configs(args, algos, costs, flag: str) -> list[tuple[str, str, LinkerConfig]]:
     """(algo, cost, linker config) of every algo x cost, with every other
-    setting from the flags; an external-scores file is read once."""
+    setting from the flags; an external-scores file is read once, by an external cost."""
     if len(args.weights) != 3:
         raise ValueError("--weights needs exactly three comma-separated values")
     external = None
+    if args.external_scores and "external" not in costs:
+        raise UsageError(f"--external-scores is read only by {flag} external")
     if "external" in costs:
         if not args.external_scores:
             raise ValueError(f"{flag} external requires --external-scores PATH")
@@ -189,8 +195,7 @@ def cmd_eval(args) -> int:
     t_eval = time.perf_counter()
     report.save_json(args.report, extra={"video_id": gt.video_id, "alpha": args.alpha})
     if args.csv:
-        header = csv_header(gt.joint_names, ("gt", "pred"))
-        write_csv(args.csv, header, [csv_row(report, (args.gt, args.pred))])
+        write_csv(args.csv, [csv_columns(report, (("gt", args.gt), ("pred", args.pred)))])
     _write_manifest(args, {"load": t_load - t0, "evaluate": t_eval - t_load})
     print(report.summary_line())
     return 0
@@ -205,8 +210,7 @@ def cmd_sweep(args) -> int:
     setting fails first, and an external-scores file is read once.
     """
     if args.thresholds is None and args.algos is None and args.costs is None:
-        print("sweep: give at least one of --thresholds/--algos/--costs", file=sys.stderr)
-        return 2
+        raise UsageError("give at least one of --thresholds/--algos/--costs")
     thresholds = args.thresholds or [DET_THRESH]
     algos = args.algos or ["hungarian"]
     costs = args.costs or ["iou"]
@@ -220,11 +224,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for t in thresholds:
         results = sweep_threshold(gt, pred, t, args.kp_thresh, linkers, args.alpha)
-        rows += [csv_row(report, (t, algo, cost), stats.total_assignment_cost)
+        rows += [csv_columns(report, (("det_thresh", t), ("algo", algo), ("cost", cost)),
+                             stats.total_assignment_cost)
                  for (algo, cost, _), (_, report, stats) in zip(configs, results)]
     t_sweep = time.perf_counter()
-    header = csv_header(gt.joint_names, ("det_thresh", "algo", "cost"))
-    write_csv(args.out, header, rows)
+    write_csv(args.out, rows)
     t_save = time.perf_counter()
     _write_manifest(
         args, {"load": t_load - t0, "sweep": t_sweep - t_load, "save": t_save - t_sweep},
@@ -393,9 +397,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"poselink {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -28,9 +28,10 @@ instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
 same frame_index and matched once, by match_sequence. That one SequenceMatch
-serves evaluate_mot(match, pred), which scores it with the track ids of any
-retracking of the matched predictions, evaluate_map(match) and the
-perfect-association oracle; evaluate(gt, pred, alpha) runs all three steps.
+serves evaluate_map(match), which gives each joint's AP and their mean, the
+perfect-association oracle and evaluate_mot(match, pred, ap), which counts it
+with the track ids of any retracking of the matched predictions into one
+complete EvalReport; evaluate(gt, pred, alpha) runs the three steps.
 
 sweep_threshold is the one sweep engine, behind both the `sweep` command and
 scripts/ablations.py: per detection threshold it filters and matches once,
@@ -44,7 +45,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -124,57 +125,53 @@ def match_poses_frame(
     return pairs, correct
 
 
+def _mota(fn: int, fp: int, idsw: int, gt: int) -> Optional[float]:
+    """MOTA in percent of these counts; undefined (None) without labeled instances."""
+    return 100.0 * (1.0 - (fn + fp + idsw) / gt) if gt > 0 else None
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-joint and total scores, in percent, plus the raw MOT counts."""
+    """Per-joint CLEAR-MOT counts, MOTP and keypoint AP of one evaluation. MOTA,
+    precision and recall, in percent like the scores, derive from the counts."""
 
     joint_names: tuple[str, ...]
-    map_per_joint: Optional[tuple[Optional[float], ...]] = None
-    map_total: Optional[float] = None
-    mota_per_joint: Optional[tuple[Optional[float], ...]] = None
-    mota_total: Optional[float] = None
-    motp_total: Optional[float] = None
-    precision_total: Optional[float] = None
-    recall_total: Optional[float] = None
-    tp: Optional[tuple[int, ...]] = None
-    fp: Optional[tuple[int, ...]] = None
-    fn: Optional[tuple[int, ...]] = None
-    idsw: Optional[tuple[int, ...]] = None
-    gt: Optional[tuple[int, ...]] = None
+    tp: tuple[int, ...]
+    fp: tuple[int, ...]
+    fn: tuple[int, ...]
+    idsw: tuple[int, ...]
+    gt: tuple[int, ...]
+    motp_total: float
+    map_per_joint: tuple[Optional[float], ...]  # None for a joint without labeled instances
+    map_total: float
 
-    def merged_with(self, other: "EvalReport") -> "EvalReport":
-        """Fill any unset field from `other`; joint names must agree."""
-        if other.joint_names != self.joint_names:
-            raise ValueError("cannot merge reports over different joint sets")
-        updates = {
-            name: getattr(other, name)
-            for name in (
-                "map_per_joint", "map_total", "mota_per_joint", "mota_total",
-                "motp_total", "precision_total", "recall_total",
-                "tp", "fp", "fn", "idsw", "gt",
-            )
-            if getattr(self, name) is None and getattr(other, name) is not None
-        }
-        return replace(self, **updates)
+    @property
+    def mota_per_joint(self) -> tuple[Optional[float], ...]:
+        return tuple(map(_mota, self.fn, self.fp, self.idsw, self.gt))
+
+    @property
+    def mota_total(self) -> Optional[float]:
+        return _mota(sum(self.fn), sum(self.fp), sum(self.idsw), sum(self.gt))
+
+    @property
+    def precision_total(self) -> float:
+        tp, fp = sum(self.tp), sum(self.fp)
+        return 100.0 * tp / (tp + fp) if tp + fp > 0 else 0.0
+
+    @property
+    def recall_total(self) -> float:
+        tp, fn = sum(self.tp), sum(self.fn)
+        return 100.0 * tp / (tp + fn) if tp + fn > 0 else 0.0
 
     def to_dict(self) -> dict:
-        def listify(v):
-            return None if v is None else list(v)
-
         return {
             "joint_names": list(self.joint_names),
-            "map": {"per_joint": listify(self.map_per_joint), "total": self.map_total},
-            "mota": {"per_joint": listify(self.mota_per_joint), "total": self.mota_total},
+            "map": {"per_joint": list(self.map_per_joint), "total": self.map_total},
+            "mota": {"per_joint": list(self.mota_per_joint), "total": self.mota_total},
             "motp_total": self.motp_total,
             "precision_total": self.precision_total,
             "recall_total": self.recall_total,
-            "counts": {
-                "tp": listify(self.tp),
-                "fp": listify(self.fp),
-                "fn": listify(self.fn),
-                "idsw": listify(self.idsw),
-                "gt": listify(self.gt),
-            },
+            "counts": {name: list(getattr(self, name)) for name in ("tp", "fp", "fn", "idsw", "gt")},
         }
 
     def save_json(self, path: str, extra: Optional[dict] = None) -> None:
@@ -194,39 +191,37 @@ class EvalReport:
         )
 
 
-def csv_header(joint_names: Sequence[str], config_fields: Sequence[str] = ()) -> list[str]:
-    """Column names for sweep tables: config, per-joint mAP/MOTA, then totals."""
-    cols = list(config_fields)
-    cols += [f"map_{n}" for n in joint_names] + ["map_total"]
-    cols += [f"mota_{n}" for n in joint_names] + ["mota_total"]
-    cols += ["motp_total", "precision_total", "recall_total", "total_assignment_cost"]
-    return cols
-
-
-def csv_row(
+def csv_columns(
     report: EvalReport,
-    config_values: Sequence = (),
+    config: Sequence[tuple[str, object]] = (),
     total_assignment_cost: Optional[float] = None,
-) -> list:
+) -> list[tuple[str, object]]:
+    """(column name, cell) of every column of the report's CSV row, in order:
+    the given config columns, per-joint mAP and MOTA, then the totals. A list,
+    not a mapping: joint names come from the file and may repeat, or name a
+    total column."""
     def cell(v):
         return "" if v is None else f"{v:.4f}"
 
-    row = list(config_values)
-    per_map = report.map_per_joint or (None,) * len(report.joint_names)
-    per_mota = report.mota_per_joint or (None,) * len(report.joint_names)
-    row += [cell(v) for v in per_map] + [cell(report.map_total)]
-    row += [cell(v) for v in per_mota] + [cell(report.mota_total)]
-    row += [cell(report.motp_total), cell(report.precision_total), cell(report.recall_total)]
-    row += [cell(total_assignment_cost)]
-    return row
+    names = report.joint_names
+    return [
+        *config,
+        *((f"map_{n}", cell(v)) for n, v in zip(names, report.map_per_joint)),
+        ("map_total", cell(report.map_total)),
+        *((f"mota_{n}", cell(v)) for n, v in zip(names, report.mota_per_joint)),
+        *((name, cell(getattr(report, name)))
+          for name in ("mota_total", "motp_total", "precision_total", "recall_total")),
+        ("total_assignment_cost", cell(total_assignment_cost)),
+    ]
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: str, rows: Sequence[Sequence[tuple[str, object]]]) -> None:
+    """Write rows of csv_columns pairs under the column names of the first row."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
-    writer.writerow(list(header))
+    writer.writerow([name for name, _ in rows[0]])
     for row in rows:
-        writer.writerow(list(row))
+        writer.writerow([value for _, value in row])
     write_text_atomic(path, buffer.getvalue())
 
 
@@ -336,9 +331,12 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     return SequenceMatch(gt, alpha, tuple(frames))
 
 
-def evaluate_mot(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
-    """Per-joint CLEAR-MOT counts and rates of `match`, with the track ids of
-    `pred`: the matched predictions under any ids, in the same frames and order."""
+def evaluate_mot(
+    match: SequenceMatch, pred: VideoSequence, ap: tuple[tuple[Optional[float], ...], float],
+) -> EvalReport:
+    """The report of `match`: its per-joint CLEAR-MOT counts with the track ids
+    of `pred`, the matched predictions under any ids, in the same frames and
+    order, and `ap`, the per-joint AP and mAP of the match from evaluate_map."""
     _check_pair(match.gt, pred, require_track_ids=True)
     j_count = match.gt.joint_count
     ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
@@ -358,35 +356,17 @@ def evaluate_mot(match: SequenceMatch, pred: VideoSequence) -> EvalReport:
     # is an error: FN when labeled, FP when predicted
     fn = gt_count - tp
     fp = pred_count - tp
-
-    mota_per_joint = tuple(
-        100.0 * (1.0 - (fn[j] + fp[j] + idsw[j]) / gt_count[j]) if gt_count[j] > 0 else None
-        for j in range(j_count)
-    )
-    total_gt = int(gt_count.sum())
     total_tp = int(tp.sum())
-    total_fp = int(fp.sum())
-    total_fn = int(fn.sum())
-    total_idsw = int(idsw.sum())
-    mota_total = (
-        100.0 * (1.0 - (total_fn + total_fp + total_idsw) / total_gt) if total_gt > 0 else None
-    )
-    precision = 100.0 * total_tp / (total_tp + total_fp) if total_tp + total_fp > 0 else 0.0
-    recall = 100.0 * total_tp / (total_tp + total_fn) if total_tp + total_fn > 0 else 0.0
-    motp = 100.0 * motp_sum / total_tp if total_tp > 0 else 0.0
-
     return EvalReport(
         joint_names=match.gt.joint_names,
-        mota_per_joint=mota_per_joint,
-        mota_total=mota_total,
-        motp_total=motp,
-        precision_total=precision,
-        recall_total=recall,
         tp=tuple(int(v) for v in tp),
         fp=tuple(int(v) for v in fp),
         fn=tuple(int(v) for v in fn),
         idsw=tuple(int(v) for v in idsw),
         gt=tuple(int(v) for v in gt_count),
+        motp_total=100.0 * motp_sum / total_tp if total_tp > 0 else 0.0,
+        map_per_joint=ap[0],
+        map_total=ap[1],
     )
 
 
@@ -409,8 +389,9 @@ def _average_precision(scores, hits, n_gt: int) -> float:
     return float(np.sum((mtp[change + 1] - mtp[change]) * mpre[change + 1]) / n_gt)
 
 
-def evaluate_map(match: SequenceMatch) -> EvalReport:
-    """Per-joint average precision of the scored keypoint predictions of `match`."""
+def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], float]:
+    """(per-joint AP, mAP) in percent of the scored keypoint predictions of
+    `match`; a joint without labeled instances has AP None and no part in mAP."""
     j_count = match.gt.joint_count
     # one row per prediction, in frame and prediction order
     no_rows = np.zeros((0, j_count), dtype=bool)
@@ -440,13 +421,13 @@ def evaluate_map(match: SequenceMatch) -> EvalReport:
     )
     defined = [v for v in ap if v is not None]
     map_total = float(np.mean(defined)) if defined else 0.0
-    return EvalReport(joint_names=match.gt.joint_names, map_per_joint=ap, map_total=map_total)
+    return ap, map_total
 
 
 def evaluate(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
-    """Full report: MOT fields and mAP fields together, from one match."""
+    """The full report of pred against gt, from one match."""
     match = match_sequence(gt, pred, alpha)
-    return evaluate_mot(match, pred).merged_with(evaluate_map(match))
+    return evaluate_mot(match, pred, evaluate_map(match))
 
 
 def sweep_threshold(
@@ -465,10 +446,10 @@ def sweep_threshold(
     """
     filtered = filter_detections(pred, threshold, kp_threshold)
     match = match_sequence(gt, filtered, alpha)
-    shared_map = evaluate_map(match)
+    ap = evaluate_map(match)
     memo = KernelMemo(filtered)
     results = []
     for cfg in configs:
         tracked, stats = track_video_with_stats(filtered, cfg, memo)
-        results.append((tracked, evaluate_mot(match, tracked).merged_with(shared_map), stats))
+        results.append((tracked, evaluate_mot(match, tracked, ap), stats))
     return results

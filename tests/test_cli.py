@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import types
 import warnings
 from pathlib import Path
 
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 import scipy
 
+import poselink
 from poselink import cli, metrics, similarity
 from poselink.cli import main
 from poselink.linking import LinkerConfig, track_video_with_stats
-from poselink.metrics import csv_row, evaluate
+from poselink.metrics import csv_columns, evaluate
 from poselink.model import filter_detections, load_sequence, save_sequence
 from poselink.similarity import SimilarityCriterion, load_external_scores
 from poselink.synth import ScenarioConfig
@@ -267,6 +269,22 @@ class TestExternalScores:
         assert capsys.readouterr().err == f"poselink {command}: {flag} external requires --external-scores PATH\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("track", ["--cost", "iou"]),
+        ("track", []),
+        ("sweep", ["--costs", "iou,pckh,feat,combined"]),
+        ("sweep", ["--thresholds", "0.5"]),
+    ])
+    def test_file_no_cost_reads_is_usage_error(self, synth_pair, tmp_path, capsys, command, flags):
+        gt, pred = synth_pair
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        inputs = ["--pred", pred, "--out", tmp_path / "out.json"] + (["--gt", gt] if command == "sweep" else [])
+        assert run(command, *inputs, *flags, "--external-scores", tmp_path / "missing.json") == 2
+        flag = "--cost" if command == "track" else "--costs"
+        assert capsys.readouterr().err == f"poselink {command}: --external-scores is read only by {flag} external\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_sweep_reads_the_file_once(self, synth_pair, tmp_path, monkeypatch):
         gt, pred = synth_pair
         scores = _external_entries(tmp_path, f"[{self.VALID}]")
@@ -302,6 +320,25 @@ class TestEval:
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
+
+    def test_csv_keeps_a_column_per_joint_whatever_the_names(self, tmp_path):
+        # joint names come from the file: one may name a total column, and
+        # names may repeat; each still gets its own cell
+        gt, pred = (dataclasses.replace(seq, joint_names=("total", "a", "a")) for seq in three_frame_pair())
+        gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+        save_sequence(gt, str(gt_path))
+        save_sequence(pred, str(pred_path))
+        csv_path = tmp_path / "report.csv"
+        assert run("eval", "--gt", gt_path, "--pred", pred_path,
+                   "--report", tmp_path / "report.json", "--csv", csv_path) == 0
+        with open(csv_path, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == [
+            "gt", "pred", "map_total", "map_a", "map_a", "map_total",
+            "mota_total", "mota_a", "mota_a", "mota_total",
+            "motp_total", "precision_total", "recall_total", "total_assignment_cost",
+        ]
+        assert row == [str(gt_path), str(pred_path)] + ["100.0000"] * 11 + [""]
 
     def test_id_switch_fixture_reports_667(self, tmp_path):
         gt, pred = three_frame_pair(pred_track_ids=(0, 0, 1))
@@ -378,9 +415,12 @@ class TestSweep:
                    "--costs", "combined", "--weights", "nan,1,1") == 1
         assert capsys.readouterr().err == "poselink sweep: weights must be finite, got (nan, 1.0, 1.0)\n"
 
-    def test_no_sweep_dimension_is_usage_error(self, synth_pair, tmp_path):
+    def test_no_sweep_dimension_is_usage_error(self, synth_pair, tmp_path, capsys):
         gt, pred = synth_pair
+        capsys.readouterr()
         assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv") == 2
+        assert capsys.readouterr().err == "poselink sweep: give at least one of --thresholds/--algos/--costs\n"
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("flags, lookback, min_sim, weights", [
         pytest.param([], 1, 0.0, (1.0, 1.0, 1.0), id="defaults"),
@@ -413,9 +453,10 @@ class TestSweep:
                     tracked, stats = track_video_with_stats(
                         filter_detections(pred_seq, t, 1.95), cfg
                     )
-                    row = csv_row(evaluate(gt_seq, tracked), (t, algo, cost),
-                                  stats.total_assignment_cost)
-                    expected.append([str(v) for v in row])
+                    row = csv_columns(evaluate(gt_seq, tracked),
+                                      (("det_thresh", t), ("algo", algo), ("cost", cost)),
+                                      stats.total_assignment_cost)
+                    expected.append([str(v) for _, v in row])
         assert rows == expected
 
     def test_each_kernel_runs_once_per_frame_pair(self, tmp_path, monkeypatch):
@@ -768,3 +809,12 @@ def test_abbreviated_flag_exits_2(synth_pair, tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "usage: poselink" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_package_exports_its_public_names_and_no_module():
+    public = {name for name, value in vars(poselink).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(poselink.__all__) == len(set(poselink.__all__)) == 35
+    assert set(poselink.__all__) == public
+    for name in poselink.__all__:
+        assert not isinstance(getattr(poselink, name), types.ModuleType), name

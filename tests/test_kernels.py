@@ -24,7 +24,6 @@ import hypothesis.strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from poselink.metrics import (
-    EvalReport,
     _average_precision,
     correct_joint_mask,
     evaluate_map,
@@ -425,7 +424,8 @@ class TestMetricKernels:
         names = tuple(f"j{k}" for k in range(J))
         gt = sequence([(t, True, g) for t, (g, _) in enumerate(frames)], joint_names=names)
         pred = sequence([(t, True, p) for t, (_, p) in enumerate(frames)], joint_names=names)
-        assert evaluate_map(match_sequence(gt, pred)).map_per_joint == scalar_map(gt, pred)
+        ap, _ = evaluate_map(match_sequence(gt, pred))
+        assert ap == scalar_map(gt, pred)
 
     @settings(max_examples=40)
     @given(gt_sides.filter(bool), sides.filter(bool))
@@ -482,7 +482,8 @@ def scalar_map(gt, pred, alpha=0.5):
 
 
 def loop_evaluate_mot(gt, pred, alpha=0.5):
-    """evaluate_mot as a loop over the matched pairs of each labeled frame."""
+    """The MOT values of evaluate_mot's report, {name: value}, as a loop over
+    the matched pairs of each labeled frame."""
     j_count = gt.joint_count
     tp = np.zeros(j_count, dtype=int)
     idsw = np.zeros(j_count, dtype=int)
@@ -536,19 +537,19 @@ def loop_evaluate_mot(gt, pred, alpha=0.5):
     recall = 100.0 * total_tp / (total_tp + total_fn) if total_tp + total_fn > 0 else 0.0
     motp = 100.0 * motp_sum / total_tp if total_tp > 0 else 0.0
 
-    return EvalReport(
-        joint_names=gt.joint_names,
-        mota_per_joint=mota_per_joint,
-        mota_total=mota_total,
-        motp_total=motp,
-        precision_total=precision,
-        recall_total=recall,
-        tp=tuple(int(v) for v in tp),
-        fp=tuple(int(v) for v in fp),
-        fn=tuple(int(v) for v in fn),
-        idsw=tuple(int(v) for v in idsw),
-        gt=tuple(int(v) for v in gt_count),
-    )
+    return {
+        "joint_names": gt.joint_names,
+        "mota_per_joint": mota_per_joint,
+        "mota_total": mota_total,
+        "motp_total": motp,
+        "precision_total": precision,
+        "recall_total": recall,
+        "tp": tuple(int(v) for v in tp),
+        "fp": tuple(int(v) for v in fp),
+        "fn": tuple(int(v) for v in fn),
+        "idsw": tuple(int(v) for v in idsw),
+        "gt": tuple(int(v) for v in gt_count),
+    }
 
 
 # few ids make switches common; the large ones do not fit an int64
@@ -626,7 +627,8 @@ class TestSequenceMatch:
     @given(tracked_sequences(), st.sampled_from([0.2, 0.5, 1.0]))
     def test_evaluate_mot_counts_as_clear_mot(self, seqs, alpha):
         gt, pred, retracked = seqs
-        got = evaluate_mot(match_sequence(gt, pred, alpha), retracked)
+        match = match_sequence(gt, pred, alpha)
+        got = evaluate_mot(match, retracked, evaluate_map(match))
         want = clear_mot_counts(clear_mot_frames(gt, retracked, alpha), J)
         assert {name: getattr(got, name) for name in want} == want
 
@@ -634,11 +636,14 @@ class TestSequenceMatch:
     @given(tracked_sequences(), st.sampled_from([0.2, 0.5, 1.0]))
     def test_evaluate_mot_of_a_retracking_equals_the_loop(self, seqs, alpha):
         gt, pred, retracked = seqs
-        got = evaluate_mot(match_sequence(gt, pred, alpha), retracked)
+        match = match_sequence(gt, pred, alpha)
+        ap = evaluate_map(match)
+        got = evaluate_mot(match, retracked, ap)
         want = loop_evaluate_mot(gt, retracked, alpha)
-        for f in dataclasses.fields(EvalReport):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert got.motp_total.hex() == want.motp_total.hex()
+        for name, value in want.items():
+            assert getattr(got, name) == value, name
+        assert got.motp_total.hex() == want["motp_total"].hex()
+        assert (got.map_per_joint, got.map_total) == ap
 
 
 def test_keypoint_array_masks_absent_joints():

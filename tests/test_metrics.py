@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from poselink.linking import LinkerConfig, track_video
 from poselink.metrics import (
@@ -8,8 +12,16 @@ from poselink.metrics import (
     match_poses_frame,
     match_sequence,
 )
-from poselink.model import Box, Detections, filter_detections
-from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario, generate_ground_truth
+from poselink.model import Box, Detections, Frame, filter_detections
+from poselink.similarity import SimilarityCriterion
+from poselink.synth import (
+    MotionModel,
+    NoiseModel,
+    OcclusionModel,
+    ScenarioConfig,
+    generate_ground_truth,
+    generate_scenario,
+)
 
 from helpers import (
     PCKH_LIMIT,
@@ -236,28 +248,28 @@ class TestEvaluateMotOfAMatch:
             if kept is not None or f.frame_index != frame
         ]
         with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate_mot(match, sequence(frames))
+            evaluate_mot(match, sequence(frames), evaluate_map(match))
 
 
 class TestEvaluateMap:
     def test_perfect_predictions(self):
         gt, pred = three_frame_pair()
-        report = evaluate_map(match_sequence(gt, pred))
-        assert report.map_total == 100.0
-        assert all(v == 100.0 for v in report.map_per_joint)
+        ap, map_total = evaluate_map(match_sequence(gt, pred))
+        assert map_total == 100.0
+        assert all(v == 100.0 for v in ap)
 
     def test_no_predictions(self):
         gt, _ = three_frame_pair()
         empty = sequence([(t, True, []) for t in range(3)])
-        assert evaluate_map(match_sequence(gt, empty)).map_total == 0.0
+        assert evaluate_map(match_sequence(gt, empty))[1] == 0.0
 
     def test_duplicate_below_correct_does_not_hurt(self):
         gt_seq = sequence([(0, True, [person([(10, 10), (20, 30), (30, 10)], track_id=0)])])
         correct = person([(10, 10), (20, 30), (30, 10)], score=0.9, head_box=None)
         duplicate = person([(11, 10), (21, 30), (31, 10)], score=0.8, head_box=None)
         pred_seq = sequence([(0, True, [correct, duplicate])])
-        report = evaluate_map(match_sequence(gt_seq, pred_seq))
-        assert all(v == pytest.approx(100.0) for v in report.map_per_joint)
+        ap, _ = evaluate_map(match_sequence(gt_seq, pred_seq))
+        assert all(v == pytest.approx(100.0) for v in ap)
 
     def test_half_recall_gives_half_ap(self):
         coords = [(10, 10), (20, 30), (30, 10)]
@@ -265,17 +277,17 @@ class TestEvaluateMap:
                            (1, True, [person(coords, track_id=0)])])
         pred_seq = sequence([(0, True, [person(coords, score=0.9, head_box=None)]),
                              (1, True, [])])
-        report = evaluate_map(match_sequence(gt_seq, pred_seq))
-        assert all(v == pytest.approx(50.0) for v in report.map_per_joint)
+        ap, _ = evaluate_map(match_sequence(gt_seq, pred_seq))
+        assert all(v == pytest.approx(50.0) for v in ap)
 
     def test_joints_without_labels_are_excluded_from_mean(self):
         coords = [(10, 10), (20, 30), (30, 10)]
         gt_seq = sequence([(0, True, [person(coords, track_id=0, present=[True, True, False])])])
         pred_seq = sequence([(0, True, [person(coords, score=1.0, head_box=None,
                                                present=[True, True, False])])])
-        report = evaluate_map(match_sequence(gt_seq, pred_seq))
-        assert report.map_per_joint[2] is None
-        assert report.map_total == 100.0
+        ap, map_total = evaluate_map(match_sequence(gt_seq, pred_seq))
+        assert ap[2] is None
+        assert map_total == 100.0
 
 
 class TestReportPlumbing:
@@ -302,3 +314,84 @@ class TestReportPlumbing:
         gt, pred = three_frame_pair()
         line = evaluate(gt, pred).summary_line()
         assert "mAP 100.0" in line and "MOTA 100.0" in line
+
+
+@st.composite
+def tracked_scenes(draw, kind: str):
+    """(gt, tracked): a drawn synth scene with features, its predictions
+    filtered at drawn thresholds and tracked with the criterion `kind`."""
+    noise = NoiseModel(
+        keypoint_jitter=draw(st.floats(0, 8)),
+        box_jitter=draw(st.floats(0, 4)),
+        miss_probability=draw(st.floats(0, 0.5)),
+        false_positive_rate=draw(st.floats(0, 2)),
+        feature_dim=draw(st.integers(1, 8)),  # the combined cost reads features
+        feature_noise=draw(st.floats(0, 0.5)),
+    )
+    cfg = ScenarioConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        frames=draw(st.integers(1, 12)),
+        actors=draw(st.integers(1, 5)),
+        motion=MotionModel(kind=draw(st.sampled_from(["linear", "sinusoidal"]))),
+        occlusion=OcclusionModel(probability=draw(st.floats(0, 0.3))),
+        noise=noise,
+        label_every=draw(st.integers(1, 3)),
+    )
+    gt, pred = generate_scenario(cfg)
+    filtered = filter_detections(pred, draw(st.floats(0, 1)), draw(st.floats(0, 3)))
+    return gt, track_video(filtered, LinkerConfig(criterion=SimilarityCriterion(kind)))
+
+
+def reindexed(seq, index):
+    """seq with each frame_index i replaced by index(i)."""
+    return seq.with_frames([replace(f, frame_index=index(f.frame_index)) for f in seq.frames])
+
+
+COSTS = ["bbox_iou", "pose_pckh", "combined"]
+
+
+class TestMetamorphicReport:
+    """evaluate gives an equal report under changes the metric definitions
+    ignore: the names of the predicted ids, where frame numbering starts, and
+    ground-truth frames that are not labeled."""
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_injective_renaming_of_predicted_ids(self, kind, data):
+        gt, tracked = data.draw(tracked_scenes(kind))
+        ids = sorted({t for f in tracked.frames for t in f.detections.track_ids})
+        # ids of any size, some above 2**63
+        new_ids = data.draw(st.lists(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**70)),
+                                     min_size=len(ids), max_size=len(ids), unique=True))
+        name = dict(zip(ids, new_ids))
+        renamed = tracked.with_frames([
+            replace(f, detections=replace(f.detections, track_ids=tuple(name[t] for t in f.detections.track_ids)))
+            for f in tracked.frames
+        ])
+        assert evaluate(gt, renamed) == evaluate(gt, tracked)
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_common_shift_of_every_frame_index(self, kind, data):
+        gt, tracked = data.draw(tracked_scenes(kind))
+        shift = data.draw(st.integers(1, 2**70))
+        shifted = [reindexed(seq, lambda i: i + shift) for seq in (gt, tracked)]
+        assert evaluate(*shifted) == evaluate(gt, tracked)
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_unlabeled_ground_truth_frames_inserted(self, kind, data):
+        gt, tracked = data.draw(tracked_scenes(kind))
+        # every index doubled on both sides frees an odd index after each frame,
+        # where an unlabeled copy of the frame's ground truth may go
+        inserted = data.draw(st.lists(st.booleans(), min_size=len(gt.frames), max_size=len(gt.frames)))
+        frames = []
+        for f, insert in zip(gt.frames, inserted):
+            frames.append(replace(f, frame_index=2 * f.frame_index))
+            if insert:
+                frames.append(Frame(2 * f.frame_index + 1, False, f.detections))
+        spread = reindexed(tracked, lambda i: 2 * i)
+        assert evaluate(gt.with_frames(frames), spread) == evaluate(gt, tracked)

@@ -184,7 +184,7 @@ class TestCorruption:
                 cfg = ScenarioConfig(seed=seed, frames=8, actors=2,
                                      noise=NoiseModel(keypoint_jitter=jitter))
                 gt, pred = generate_scenario(cfg)
-                totals.append(evaluate_map(match_sequence(gt, pred)).map_total)
+                totals.append(evaluate_map(match_sequence(gt, pred))[1])
             return float(np.mean(totals))
 
         assert mean_map(0.0) >= mean_map(6.0) >= mean_map(20.0)
