@@ -2,9 +2,11 @@
 
 Every command writes a run manifest (<output>.manifest.json), built from the
 parsed flags: `inputs` and `outputs` hold the files it read and wrote, and
-`config` every other setting, so a new flag is recorded without further edits.
-It also holds the stage timings, tool version, and the Python, numpy and
-scipy versions and CPU count it ran with.
+`config` every other setting that has a value, so a new flag is recorded
+without further edits. It also holds the stage timings, tool version, and the
+Python, numpy and scipy versions and CPU count it ran with. A linker flag that
+only some (algorithm, cost) rows read has a value only when given, and giving
+it to a run with no such row is a usage error.
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
 """
 
@@ -79,16 +81,17 @@ def _write_manifest(args, timings: dict[str, float], config: dict | None = None,
     """Write the run manifest of the parsed flags `args`.
 
     Each file flag that was given is listed under inputs or outputs, and every
-    other flag is a config setting, unless `config` (synth's scenario) stands
-    in for them. `results`, such as track's total assignment cost, are added to
-    config, each over the flag of the same name.
+    other flag that has a value, given or by default, is a config setting,
+    unless `config` (synth's scenario) stands in for them. `results`, such as
+    track's total assignment cost, are added to config, each over the flag of
+    the same name.
     """
     flags = vars(args)
     inputs = [flags[name] for name in _INPUT_FLAGS if flags.get(name)]
     outputs = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]
     if config is None:
         skip = {"command", "func", *_INPUT_FLAGS, *_OUTPUT_FLAGS}
-        config = {name: value for name, value in flags.items() if name not in skip}
+        config = {name: value for name, value in flags.items() if name not in skip and value is not None}
     config.update(results)
     manifest = {
         "command": args.command,
@@ -125,51 +128,77 @@ class UsageError(Exception):
     """A command line that no run can honour as given; main exits 2 with its message."""
 
 
-def _linker_configs(args, algos, costs, flag: str) -> list[tuple[str, str, LinkerConfig]]:
+_MATCHING = ("hungarian", "greedy")  # the algorithms that match, and so read similarities
+
+# the linker flags that only some rows read: dest -> (the algorithms, the
+# costs); a row reads the flag when its algorithm and its cost are both listed
+_ROW_FLAGS = {
+    "min_sim": (_MATCHING, tuple(COST_KINDS)),
+    "lookback": (_MATCHING, tuple(COST_KINDS)),
+    "seed": (("random",), tuple(COST_KINDS)),
+    "weights": (ALGORITHMS, ("combined",)),
+    "external_scores": (_MATCHING, ("external",)),
+    "pckh_alpha": (ALGORITHMS, ("pckh", "combined")),
+    "pckh_norm_scale": (ALGORITHMS, ("pckh", "combined")),
+    "random_max_id": (("random",), tuple(COST_KINDS)),
+}
+
+
+def _linker_configs(args, algos, costs, plural="") -> list[tuple[str, str, LinkerConfig]]:
     """(algo, cost, linker config) of every algo x cost, with every other
-    setting from the flags; an external-scores file is read once, by an external cost."""
-    if len(args.weights) != 3:
+    setting from the flags; a flag left out keeps its config default.
+
+    A flag that no row reads is a usage error, and `plural` ("" for track,
+    "s" for sweep) spells the flags that choose the rows. An external-scores
+    file is read once, when a row reads it.
+    """
+    for dest, readers in _ROW_FLAGS.items():
+        if getattr(args, dest) is None:
+            continue
+        for name, chosen, reading in zip(("algo", "cost"), (algos, costs), readers):
+            if not set(chosen) & set(reading):
+                flag = "--" + dest.replace("_", "-")
+                raise UsageError(f"{flag} is read only by --{name}{plural} {' and '.join(reading)}")
+    if args.weights is not None and len(args.weights) != 3:
         raise ValueError("--weights needs exactly three comma-separated values")
     external = None
-    if args.external_scores and "external" not in costs:
-        raise UsageError(f"--external-scores is read only by {flag} external")
-    if "external" in costs:
+    if "external" in costs and set(algos) & set(_MATCHING):
         if not args.external_scores:
-            raise ValueError(f"{flag} external requires --external-scores PATH")
+            raise ValueError(f"--cost{plural} external requires --external-scores PATH")
         external = load_external_scores(args.external_scores)
+    weights = None if args.weights is None else tuple(args.weights)
+    settings = _given(weights=weights, pckh_alpha=args.pckh_alpha, pckh_norm_scale=args.pckh_norm_scale)
     criteria = {cost: SimilarityCriterion(
-        kind=COST_KINDS[cost],
-        weights=tuple(args.weights),
-        pckh_alpha=args.pckh_alpha,
-        pckh_norm_scale=args.pckh_norm_scale,
-        external_scores=external if cost == "external" else None,
+        kind=COST_KINDS[cost], external_scores=external if cost == "external" else None, **settings,
     ) for cost in costs}
-    return [(algo, cost, LinkerConfig(
-        algorithm=algo,
-        criterion=criteria[cost],
-        min_similarity=args.min_sim,
-        lookback=args.lookback,
-        random_max_id=args.random_max_id,
-        rng_seed=args.seed,
-    )) for algo in algos for cost in costs]
+    linker = _given(min_similarity=args.min_sim, lookback=args.lookback,
+                    random_max_id=args.random_max_id, rng_seed=args.seed)
+    return [(algo, cost, LinkerConfig(algorithm=algo, criterion=criteria[cost], **linker))
+            for algo in algos for cost in costs]
+
+
+def _given(**settings) -> dict:
+    """The settings that are not None, that is, whose flags were given."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _add_linker_flags(parser: argparse.ArgumentParser) -> None:
-    """The settings `track` and every `sweep` row share."""
+    """The settings `track` and every `sweep` row share. Those that only some
+    rows read (`_ROW_FLAGS`) default to None, so that a flag left out is told
+    apart from one that was given and keeps its config default."""
     parser.add_argument("--kp-thresh", type=float, default=1.95)
-    parser.add_argument("--min-sim", type=float, default=0.0)
-    parser.add_argument("--lookback", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weights", type=_list_of(float), default=[1.0, 1.0, 1.0],
-                        help="combined-cost weights iou,pckh,cosine")
-    parser.add_argument("--external-scores", default=None)
-    parser.add_argument("--pckh-alpha", type=float, default=0.5)
-    parser.add_argument("--pckh-norm-scale", type=float, default=0.1)
-    parser.add_argument("--random-max-id", type=int, default=1000)
+    parser.add_argument("--min-sim", type=float)
+    parser.add_argument("--lookback", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--weights", type=_list_of(float), help="combined-cost weights iou,pckh,cosine")
+    parser.add_argument("--external-scores")
+    parser.add_argument("--pckh-alpha", type=float)
+    parser.add_argument("--pckh-norm-scale", type=float)
+    parser.add_argument("--random-max-id", type=int)
 
 
 def cmd_track(args) -> int:
-    [(_, _, cfg)] = _linker_configs(args, [args.algo], [args.cost], "--cost")
+    [(_, _, cfg)] = _linker_configs(args, [args.algo], [args.cost])
     t0 = time.perf_counter()
     pred = load_sequence(args.pred, ROLE_PREDICTION)
     t_load = time.perf_counter()
@@ -216,7 +245,7 @@ def cmd_sweep(args) -> int:
     costs = args.costs or ["iou"]
 
     t0 = time.perf_counter()
-    configs = _linker_configs(args, algos, costs, "--costs")
+    configs = _linker_configs(args, algos, costs, "s")
     gt = load_sequence(args.gt, ROLE_GROUNDTRUTH)
     pred = load_sequence(args.pred, ROLE_PREDICTION)
     t_load = time.perf_counter()

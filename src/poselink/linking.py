@@ -1,13 +1,12 @@
 """Bipartite matching of detections across frames and track-id propagation.
 
-Tracks are initialized on the first frame and labels are carried forward one
-frame at a time. Frame t is matched against a candidate pool holding one
-representative per live track: the most recent detection of every track seen
-within the last `lookback` frames (lookback 1 is plain adjacent-frame
-matching). Matched detections inherit the track id when their similarity
-strictly exceeds `min_similarity`; everything else starts a new track, with
-fresh ids handed out in detection order. The whole pass is deterministic,
-including the random-id baseline mode under a fixed seed.
+`link_frame_pair` links each detection of a frame to a row of the candidate
+pool, or to none: a link needs similarity strictly above `min_similarity`.
+The pool holds the most recent detection of every track seen within the last
+`lookback` frames. `track_video_with_stats` runs the step once per frame and
+owns the ids: a linked detection inherits its row's track id and the others
+start new tracks, numbered in detection order. The whole pass is
+deterministic, including the random-id baseline under a fixed seed.
 
 Passes over one sequence with other configurations (the rows of a sweep) can
 share a `KernelMemo`, so that each frame pair's IoU, PCKh and cosine matrices
@@ -92,13 +91,9 @@ class KernelMemo:
 
 def hungarian_assign(cost: CostMatrix) -> Assignment:
     """Exact minimum-total-cost assignment of min(rows, cols) pairs."""
-    if cost.rows == 0 or cost.cols == 0:
-        return Assignment((), 0.0)
     costs = cost.cost
     rows, cols = linear_sum_assignment(costs)
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    total = float(costs[rows, cols].sum())
-    return Assignment(pairs, total)
+    return Assignment(tuple(zip(rows.tolist(), cols.tolist())), float(costs[rows, cols].sum()))
 
 
 def greedy_assign(cost: CostMatrix) -> Assignment:
@@ -140,31 +135,29 @@ def link_frame_pair(
     prev: Detections,
     curr: Detections,
     cfg: LinkerConfig,
-    next_id: int,
     frame_index: Optional[int] = None,
     kernels: Optional[dict] = None,
-) -> tuple[Detections, int, float]:
-    """Propagate track ids from prev onto curr and mint ids for the rest.
+) -> tuple[np.ndarray, float]:
+    """Link each detection of curr to a row of prev, or to none.
 
     kernels is this frame pair's `KernelMemo` entry, passed on to
-    `build_cost_matrix`. Returns (curr with every detection carrying a track
-    id, next unused id, summed cost of the frame's assignment).
-    """
-    if None in prev.track_ids:
-        raise ValueError(f"previous detection {prev.track_ids.index(None)} carries no track_id")
+    `build_cost_matrix`. Returns (parent, summed cost of the frame's
+    assignment): parent[j] is the row of prev that detection j links to, or
+    -1. A detection links to the row it is assigned when their similarity is
+    strictly above cfg.min_similarity. Track ids are neither read nor written.
 
+    Ties are settled by order: among assignments of equal total, scipy's
+    solver decides for hungarian and the lowest (row, col) wins for greedy.
+    Where similarities tie, as PCKh ratios often do, reordering detections
+    may change the links and the tracked partition, not the hungarian total.
+    """
     cost = build_cost_matrix(prev, curr, cfg.criterion, frame_index=frame_index, kernels=kernels)
     assignment = _assign(cost, cfg.algorithm)
-
-    ids: list[Optional[int]] = [None] * len(curr)
+    parent = [-1] * len(curr)
     for i, j in assignment.pairs:
         if cost.similarity[i, j] > cfg.min_similarity:
-            ids[j] = prev.track_ids[i]
-    for j, track_id in enumerate(ids):
-        if track_id is None:
-            ids[j] = next_id
-            next_id += 1
-    return replace(curr, track_ids=tuple(ids)), next_id, assignment.total_cost
+            parent[j] = i
+    return np.array(parent, dtype=int), assignment.total_cost
 
 
 def track_video(seq: VideoSequence, cfg: LinkerConfig) -> VideoSequence:
@@ -189,38 +182,36 @@ def track_video_with_stats(
     total_cost = 0.0
     links = 0
     # the candidate pool: the latest detection of every live track, oldest
-    # frame first, then by detection index; pool_pos and pool_det hold each
-    # row's frame position and detection index in that frame
-    pool, pool_pos, pool_det = NO_DETECTIONS, np.empty(0, dtype=int), np.empty(0, dtype=int)
+    # frame first, then by detection index; pool_pos, pool_det and pool_ids
+    # hold each row's frame position, detection index in that frame and track id
+    pool, (pool_pos, pool_det, pool_ids) = NO_DETECTIONS, np.empty((3, 0), dtype=int)
     out_frames = []
     for pos, frame in enumerate(seq.frames):
-        minted_from = next_id
+        dets = frame.detections
         kernels = None if memo is None else memo.entry(pos, pool_pos, pool_det)
-        linked, next_id, cost = link_frame_pair(
-            pool, frame.detections, cfg, next_id, frame_index=frame.frame_index, kernels=kernels
-        )
+        parent, cost = link_frame_pair(pool, dets, cfg, frame_index=frame.frame_index, kernels=kernels)
         total_cost += cost
-        links += len(linked) - (next_id - minted_from)
-        out_frames.append(Frame(frame.frame_index, frame.labeled, linked))
-        # a row stays while its track is not relinked and it is within the next frame's lookback
-        relinked = set(linked.track_ids)
-        stays = (pos + 1 - pool_pos <= cfg.lookback) & np.array(
-            [track_id not in relinked for track_id in pool.track_ids], dtype=bool
-        )
+        linked = parent >= 0
+        rows = parent[linked]  # the pool rows linked to, each once
+        ids = np.empty(len(dets), dtype=int)
+        ids[linked] = pool_ids[rows]
+        ids[~linked] = np.arange(next_id, next_id + len(dets) - len(rows))  # new tracks, in order
+        links += len(rows)
+        next_id += len(dets) - len(rows)
+        tracked = replace(dets, track_ids=tuple(ids.tolist()))
+        out_frames.append(Frame(frame.frame_index, frame.labeled, tracked))
+        # a row stays while no detection linked to it and it is within the next frame's lookback
+        stays = pos + 1 - pool_pos <= cfg.lookback
+        stays[rows] = False
         if stays.any():
-            pool = Detections.concat([pool.take(stays), linked])
-            pool_pos = np.concatenate([pool_pos[stays], np.full(len(linked), pos)])
-            pool_det = np.concatenate([pool_det[stays], np.arange(len(linked))])
+            pool = Detections.concat([pool.take(stays), dets])
+            pool_pos = np.concatenate([pool_pos[stays], np.full(len(dets), pos)])
+            pool_det = np.concatenate([pool_det[stays], np.arange(len(dets))])
+            pool_ids = np.concatenate([pool_ids[stays], ids])
         else:
-            pool, pool_pos, pool_det = linked, np.full(len(linked), pos), np.arange(len(linked))
+            pool, pool_pos, pool_det, pool_ids = dets, np.full(len(dets), pos), np.arange(len(dets)), ids
 
-    stats = TrackStats(
-        frames=len(seq.frames),
-        total_assignment_cost=total_cost,
-        links=links,
-        new_tracks=next_id,
-    )
-    return seq.with_frames(out_frames), stats
+    return seq.with_frames(out_frames), TrackStats(len(seq.frames), total_cost, links, next_id)
 
 
 def _track_random(seq: VideoSequence, cfg: LinkerConfig) -> tuple[VideoSequence, TrackStats]:

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .linking import LinkerConfig, link_frame_pair
 from .model import Frame, VideoSequence
 from .metrics import _check_alpha, _check_pair, match_sequence
-from .similarity import pairwise_iou
 
 
 def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> VideoSequence:
@@ -61,8 +60,9 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
 def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
     """Replace matched predictions' poses with the labeled poses.
 
-    Matching is Hungarian over box IoU per labeled frame; a link requires
-    IoU > 0. Replaced joints keep the label's presence flags and get score 1.
+    Boxes are linked per labeled frame by `link_frame_pair` at the default
+    `LinkerConfig`: Hungarian over box IoU, a link requiring IoU > 0.
+    Replaced joints keep the label's presence flags and get score 1.
     Idempotent, since boxes are left untouched. A non-finite IoU, from boxes
     whose areas overflow, is an error that names the frame index.
     """
@@ -72,18 +72,17 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
     for frame in pred.frames:
         gt_frame = gt_by_index.get(frame.frame_index)
         dets = frame.detections
-        if gt_frame is None or not gt_frame.labeled or not len(gt_frame.detections) or not len(dets):
+        if gt_frame is None or not gt_frame.labeled:
             out_frames.append(frame)
             continue
         labels = gt_frame.detections
-        overlaps = pairwise_iou(labels.boxes, dets.boxes)
-        if not np.isfinite(overlaps).all():  # boxes so large that their areas overflow
-            raise ValueError(f"frame {frame.frame_index}: cost matrix entries must be finite")
-        rows, cols = linear_sum_assignment(-overlaps)
-        linked = overlaps[rows, cols] > 0
-        gi, pi = rows[linked], cols[linked]
+        try:
+            parent, _ = link_frame_pair(labels, dets, LinkerConfig())
+        except ValueError as exc:  # boxes so large that their areas overflow
+            raise ValueError(f"frame {frame.frame_index}: {exc}") from exc
+        pi = np.flatnonzero(parent >= 0)
         xy, kp_score, present = dets.xy.copy(), dets.kp_score.copy(), dets.present.copy()
-        xy[pi], kp_score[pi], present[pi] = labels.xy[gi], 1.0, labels.present[gi]
+        xy[pi], kp_score[pi], present[pi] = labels.xy[parent[pi]], 1.0, labels.present[parent[pi]]
         dets = replace(dets, xy=xy, kp_score=kp_score, present=present)
         out_frames.append(Frame(frame.frame_index, frame.labeled, dets))
     return pred.with_frames(out_frames)

@@ -16,7 +16,7 @@ import scipy
 import poselink
 from poselink import cli, metrics, similarity
 from poselink.cli import main
-from poselink.linking import LinkerConfig, track_video_with_stats
+from poselink.linking import ALGORITHMS, LinkerConfig, track_video_with_stats
 from poselink.metrics import csv_columns, evaluate
 from poselink.model import filter_detections, load_sequence, save_sequence
 from poselink.similarity import SimilarityCriterion, load_external_scores
@@ -508,19 +508,22 @@ class TestSweep:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert "workers" not in manifest["config"]
 
-    def test_manifest_records_every_linker_setting_of_track(self, synth_pair, tmp_path):
+    @pytest.mark.parametrize("algo, flags", [
+        pytest.param("hungarian", ["--min-sim", "0.05", "--lookback", "2"], id="hungarian"),
+        pytest.param("random", ["--seed", "4", "--random-max-id", "50"], id="random"),
+    ])
+    def test_manifest_records_every_linker_setting_of_track(self, synth_pair, tmp_path, algo, flags):
         gt, pred = synth_pair
-        flags = ["--kp-thresh", "1.5", "--min-sim", "0.05", "--lookback", "2", "--seed", "4",
-                 "--weights", "2,1,0", "--pckh-alpha", "0.4", "--pckh-norm-scale", "0.2",
-                 "--random-max-id", "50"]
-        assert run("track", "--pred", pred, "--out", tmp_path / "t.json", "--cost", "combined",
+        flags = ["--kp-thresh", "1.5", "--weights", "2,1,0", "--pckh-alpha", "0.4", "--pckh-norm-scale", "0.2",
+                 *flags]
+        assert run("track", "--pred", pred, "--out", tmp_path / "t.json", "--algo", algo, "--cost", "combined",
                    *flags) == 0
-        assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv",
+        assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "s.csv", "--algos", algo,
                    "--costs", "combined", *flags) == 0
         track = json.loads((tmp_path / "t.json.manifest.json").read_text())["config"]
         sweep = json.loads((tmp_path / "s.csv.manifest.json").read_text())["config"]
         linker = set(track) - {"cost", "algo", "det_thresh", "total_assignment_cost", "new_tracks"}
-        assert linker <= set(sweep)
+        assert linker == {flag[2:].replace("-", "_") for flag in flags[::2]}
         assert {k: sweep[k] for k in linker} == {k: track[k] for k in linker}
         assert sweep["weights"] == [2.0, 1.0, 0.0]
 
@@ -579,7 +582,7 @@ class TestOracle:
     ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
     ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
     ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
-    ("track", ["--weights", ""], "--weights needs exactly three comma-separated values"),
+    ("track", ["--cost", "combined", "--weights", ""], "--weights needs exactly three comma-separated values"),
     ("sweep", ["--costs", "combined", "--weights", "1,2"], "--weights needs exactly three comma-separated values"),
 ])
 def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, capsys, command, flags,
@@ -674,7 +677,8 @@ def setting_dests(command: str) -> set[str]:
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["track", "--pred", "{pred}", "--out", "{tmp}/t.json", "--weights", "2,1,0"], id="track"),
+    pytest.param(["track", "--pred", "{pred}", "--out", "{tmp}/t.json", "--cost", "combined", "--weights", "2,1,0"],
+                 id="track"),
     pytest.param(["track", "--pred", "{pred}", "--out", "{tmp}/t.json", "--cost", "external",
                   "--external-scores", "{scores}"], id="track-external-scores"),
     pytest.param(["eval", "--gt", "{gt}", "--pred", "{tracked}", "--report", "{tmp}/r.json"], id="eval"),
@@ -716,14 +720,67 @@ def test_manifest_records_files_as_inputs_and_outputs_and_every_other_flag_as_co
         assert set(config) == {field.name for field in dataclasses.fields(ScenarioConfig)}
         assert config["frames"] == 4
         return
-    results = {"total_assignment_cost", "new_tracks"} if command == "track" else set()
-    assert set(config) == setting_dests(command) | results
     parsed = vars(cli.build_parser().parse_args(argv))
-    # sweep records the default of each dimension it was not given
-    resolved = {"thresholds": [cli.DET_THRESH], "algos": ["hungarian"], "costs": ["iou"]}
-    for name in setting_dests(command):
-        value = parsed[name] if parsed[name] is not None or command != "sweep" else resolved[name]
-        assert config[name] == value, name
+    # a setting without a value is left out, but sweep records the default of each dimension it was not given
+    if command == "sweep":
+        resolved = {"thresholds": [cli.DET_THRESH], "algos": ["hungarian"], "costs": ["iou"]}
+        parsed.update({name: value for name, value in resolved.items() if parsed[name] is None})
+    expected = {name: parsed[name] for name in setting_dests(command) if parsed[name] is not None}
+    results = {"total_assignment_cost", "new_tracks"} if command == "track" else set()
+    assert set(config) == set(expected) | results
+    assert {name: config[name] for name in expected} == expected
+
+
+def row_flags() -> list[str]:
+    """The options of `track` that default to None: the linker flags that only some rows read."""
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[0] for a in sub.choices["track"]._actions
+            if a.option_strings and a.default is None and not a.required]
+
+
+MATCHING = ("hungarian", "greedy")
+EVERY_COST = tuple(cli.COST_KINDS)
+# each row flag -> (the algorithms, the costs) whose rows read it, and a valid value
+ROW_FLAG_READERS = {
+    "--min-sim": (MATCHING, EVERY_COST, "0.2"),
+    "--lookback": (MATCHING, EVERY_COST, "2"),
+    "--seed": (("random",), EVERY_COST, "3"),
+    "--random-max-id": (("random",), EVERY_COST, "5"),
+    "--weights": (ALGORITHMS, ("combined",), "2,1,1"),
+    "--pckh-alpha": (ALGORITHMS, ("pckh", "combined"), "0.3"),
+    "--pckh-norm-scale": (ALGORITHMS, ("pckh", "combined"), "0.2"),
+    "--external-scores": (MATCHING, ("external",), "missing-scores.json"),
+}
+
+
+def test_every_row_flag_has_its_readers():
+    assert sorted(row_flags()) == sorted(ROW_FLAG_READERS)
+
+
+@pytest.mark.parametrize("flag", row_flags())
+def test_row_flag_no_row_reads_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    # the inputs are missing, so a run that gets past its usage checks exits 1 on
+    # the first file it reads; one that no row reads exits 2 and reads no file
+    monkeypatch.chdir(tmp_path)
+    algos, costs, value = ROW_FLAG_READERS[flag]
+    runs = [("track", ["--algo", algo, "--cost", cost], algo in algos and cost in costs)
+            for algo in ALGORITHMS for cost in EVERY_COST]
+    # a sweep of every row, of the algorithms that ignore the flag, and of the costs that do
+    for chosen_algos, chosen_costs in [(ALGORITHMS, EVERY_COST),
+                                       ([a for a in ALGORITHMS if a not in algos], EVERY_COST),
+                                       (ALGORITHMS, [c for c in EVERY_COST if c not in costs])]:
+        if chosen_algos and chosen_costs:
+            read = bool(set(chosen_algos) & set(algos) and set(chosen_costs) & set(costs))
+            runs.append(("sweep", ["--gt", "gt.json", "--algos", ",".join(chosen_algos),
+                                   "--costs", ",".join(chosen_costs)], read))
+    for command, argv, read in runs:
+        capsys.readouterr()
+        code = run(command, "--pred", "pred.json", "--out", "out.json", *argv, flag, value)
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1 if read else 2, 1), (command, argv)
+        if not read:
+            assert err.startswith(f"poselink {command}: {flag} is read only by --"), err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_far_away_present_joints_track_and_score_without_warnings(tmp_path, capsys):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -16,7 +16,7 @@ from poselink.linking import (
     track_video_with_stats,
 )
 from poselink.model import Detections
-from poselink.similarity import CostMatrix, SimilarityCriterion, load_external_scores
+from poselink.similarity import CostMatrix, SimilarityCriterion, build_cost_matrix, load_external_scores
 from poselink.synth import NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
 
 from helpers import brute_force_min_cost, person, reference_greedy_assign, sequence
@@ -104,39 +104,60 @@ def _drifting_box_frames(offsets, start=0):
     return frames
 
 
+# joints on a coarse grid, so that IoU and PCKh similarities tie often
+grid_joints = st.lists(st.tuples(*[st.integers(0, 40).map(float)] * 2), min_size=3, max_size=3)
+# small integer features, never of zero norm
+small_features = st.tuples(st.integers(1, 2), st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda f: tuple(map(float, f)))
+frame_sides = st.lists(st.tuples(grid_joints, small_features), max_size=5).map(
+    lambda rows: Detections.concat([person(coords, feature=feature) for coords, feature in rows]))
+
+
 class TestLinkFramePair:
-    def test_single_obvious_match_inherits_id(self):
+    def test_single_obvious_match_links(self):
         prev = person([(0, 0), (5, 5), (10, 10)], track_id=7)
         curr = person([(1, 0), (6, 5), (11, 10)])
-        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=8)
-        assert out.track_ids == (7,)
-        assert next_id == 8
+        parent, _ = link_frame_pair(prev, curr, LinkerConfig())
+        assert parent.tolist() == [0]
 
     def test_zero_similarity_never_links(self):
         prev = person([(0, 0), (5, 5), (10, 10)], track_id=0)
         curr = person([(500, 500), (505, 505), (510, 510)])
-        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=1)
-        assert out.track_ids == (1,)
-        assert next_id == 2
+        parent, _ = link_frame_pair(prev, curr, LinkerConfig())
+        assert parent.tolist() == [-1]
 
-    def test_unmatched_detection_gets_next_id(self):
+    def test_unmatched_detection_links_to_no_row(self):
         prev = Detections.concat([
-            person([(0, 0), (5, 5), (10, 10)], track_id=0),
-            person([(100, 0), (105, 5), (110, 10)], track_id=1),
+            person([(0, 0), (5, 5), (10, 10)]),
+            person([(100, 0), (105, 5), (110, 10)]),
         ])
         curr = Detections.concat([
-            person([(1, 0), (6, 5), (11, 10)]),
             person([(101, 0), (106, 5), (111, 10)]),
             person([(300, 300), (305, 305), (310, 310)]),
+            person([(1, 0), (6, 5), (11, 10)]),
         ])
-        out, next_id, _ = link_frame_pair(prev, curr, LinkerConfig(), next_id=2)
-        assert out.track_ids == (0, 1, 2)
-        assert next_id == 3
+        parent, _ = link_frame_pair(prev, curr, LinkerConfig())
+        assert parent.tolist() == [1, -1, 0]
 
-    def test_requires_prev_track_ids(self):
-        prev = person([(0, 0), (5, 5), (10, 10)])
-        with pytest.raises(ValueError, match="track_id"):
-            link_frame_pair(prev, prev, LinkerConfig(), next_id=0)
+    @pytest.mark.parametrize("algorithm", ["hungarian", "greedy"])
+    @pytest.mark.parametrize("kind", ["bbox_iou", "pose_pckh", "feature_cosine", "combined"])
+    # no shrink phase: shrinking a failure here takes about 40 s per case, and
+    # a drawn pair of at most five detections a side reads well unshrunk
+    @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(prev=frame_sides, curr=frame_sides, min_similarity=st.sampled_from([-1.0, 0.0, 0.25, 0.5]))
+    def test_links_are_the_assignment_pairs_above_min_similarity(self, algorithm, kind, prev, curr,
+                                                                 min_similarity):
+        cfg = LinkerConfig(algorithm, SimilarityCriterion(kind), min_similarity)
+        parent, total = link_frame_pair(prev, curr, cfg)
+        cost = build_cost_matrix(prev, curr, cfg.criterion)
+        assignment = {"hungarian": hungarian_assign, "greedy": greedy_assign}[algorithm](cost)
+        assert parent.shape == (len(curr),)
+        linked = np.flatnonzero(parent >= 0)
+        assert set(parent.tolist()) <= {-1, *range(len(prev))}
+        assert len(set(parent[linked].tolist())) == len(linked)  # distinct rows
+        assert {(parent[j], j) for j in linked} == {
+            (i, j) for i, j in assignment.pairs if cost.similarity[i, j] > min_similarity}
+        assert total == assignment.total_cost
 
 
 class TestTrackVideo:
@@ -279,18 +300,22 @@ class TestTrackVideo:
             LinkerConfig(lookback=0)
 
     @pytest.mark.parametrize("algorithm", ["hungarian", "greedy"])
+    @pytest.mark.parametrize("kind", ["bbox_iou", "pose_pckh", "combined"])
     @pytest.mark.parametrize("lookback", [1, 3])
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**16), actors=st.integers(0, 5))
-    def test_links_count_detections_with_earlier_ids(self, algorithm, lookback, seed, actors):
+    @given(seed=st.integers(0, 2**16), actors=st.integers(0, 5),
+           min_similarity=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_links_count_detections_with_earlier_ids(self, algorithm, kind, lookback, seed, actors,
+                                                     min_similarity):
         cfg = ScenarioConfig(
             seed=seed, frames=12, actors=actors,
             occlusion=OcclusionModel(probability=0.1, duration_range=(1, 4)),
             noise=NoiseModel(keypoint_jitter=3.0, box_jitter=3.0, miss_probability=0.1,
-                             false_positive_rate=0.5),
+                             false_positive_rate=0.5, feature_dim=4),
         )
         _, pred = generate_scenario(cfg)
-        tracked, stats = track_video_with_stats(pred, LinkerConfig(algorithm=algorithm, lookback=lookback))
+        linker = LinkerConfig(algorithm, SimilarityCriterion(kind), min_similarity, lookback)
+        tracked, stats = track_video_with_stats(pred, linker)
         detections = sum(len(f.detections) for f in tracked.frames)
         assert stats.links + stats.new_tracks == detections
         seen, reused = set(), 0

@@ -1,10 +1,11 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from poselink.linking import LinkerConfig, track_video
+from poselink.linking import LinkerConfig, track_video, track_video_with_stats
 from poselink.metrics import (
     evaluate,
     evaluate_map,
@@ -317,9 +318,9 @@ class TestReportPlumbing:
 
 
 @st.composite
-def tracked_scenes(draw, kind: str):
-    """(gt, tracked): a drawn synth scene with features, its predictions
-    filtered at drawn thresholds and tracked with the criterion `kind`."""
+def filtered_scenes(draw):
+    """(gt, pred): a drawn synth scene with features, its predictions
+    filtered at drawn thresholds."""
     noise = NoiseModel(
         keypoint_jitter=draw(st.floats(0, 8)),
         box_jitter=draw(st.floats(0, 4)),
@@ -338,8 +339,14 @@ def tracked_scenes(draw, kind: str):
         label_every=draw(st.integers(1, 3)),
     )
     gt, pred = generate_scenario(cfg)
-    filtered = filter_detections(pred, draw(st.floats(0, 1)), draw(st.floats(0, 3)))
-    return gt, track_video(filtered, LinkerConfig(criterion=SimilarityCriterion(kind)))
+    return gt, filter_detections(pred, draw(st.floats(0, 1)), draw(st.floats(0, 3)))
+
+
+@st.composite
+def tracked_scenes(draw, kind: str):
+    """(gt, tracked): a drawn filtered scene tracked with the criterion `kind`."""
+    gt, pred = draw(filtered_scenes())
+    return gt, track_video(pred, LinkerConfig(criterion=SimilarityCriterion(kind)))
 
 
 def reindexed(seq, index):
@@ -395,3 +402,56 @@ class TestMetamorphicReport:
                 frames.append(Frame(2 * f.frame_index + 1, False, f.detections))
         spread = reindexed(tracked, lambda i: 2 * i)
         assert evaluate(gt.with_frames(frames), spread) == evaluate(gt, tracked)
+
+
+def track_ids(seq):
+    return [f.detections.track_ids for f in seq.frames]
+
+
+class TestMetamorphicTracking:
+    """Tracking, and the report of what it tracks, under changes that the
+    criteria and the metric definitions ignore: the scale of every coordinate,
+    and, for hungarian's total cost, the order of each frame's detections."""
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0])
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(scene=filtered_scenes())
+    def test_power_of_two_scale_is_bit_identical(self, kind, scale, scene):
+        gt, pred = scene
+        linker = LinkerConfig(criterion=SimilarityCriterion(kind))
+        tracked = track_video(pred, linker)
+        scaled = track_video(scale_sequence(pred, scale), linker)
+        assert track_ids(scaled) == track_ids(tracked)
+        assert evaluate(scale_sequence(gt, scale), scaled) == evaluate(gt, tracked)
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(scene=filtered_scenes())
+    def test_scale_three_keeps_ids_and_counts(self, kind, scene):
+        gt, pred = scene
+        linker = LinkerConfig(criterion=SimilarityCriterion(kind))
+        tracked = track_video(pred, linker)
+        scaled = track_video(scale_sequence(pred, 3.0), linker)
+        assert track_ids(scaled) == track_ids(tracked)
+        base, report = evaluate(gt, tracked), evaluate(scale_sequence(gt, 3.0), scaled)
+        assert (report.tp, report.fp, report.fn, report.idsw, report.gt) == (
+            base.tp, base.fp, base.fn, base.idsw, base.gt)
+        assert report.motp_total == pytest.approx(base.motp_total, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_hungarian_total_cost_ignores_detection_order(self, kind, data):
+        # at lookback 1 each frame's pool is the previous frame, whatever was linked;
+        # ties may pick other links (see link_frame_pair), but never another total
+        _, pred = data.draw(filtered_scenes())
+        shuffled = pred.with_frames([
+            replace(f, detections=f.detections.take(
+                np.array(data.draw(st.permutations(range(len(f.detections)))), dtype=int)))
+            for f in pred.frames
+        ])
+        linker = LinkerConfig(criterion=SimilarityCriterion(kind))
+        _, stats = track_video_with_stats(pred, linker)
+        _, shuffled_stats = track_video_with_stats(shuffled, linker)
+        assert shuffled_stats.total_assignment_cost == pytest.approx(stats.total_assignment_cost, rel=1e-9)
