@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from poselink.linking import Assignment, LinkerConfig, track_video_with_stats
+from poselink.linking import Assignment, LinkerConfig, TrackStats, link_frame_pair, track_video_with_stats
 from poselink.metrics import HEAD_SIZE_BIAS, evaluate
 from poselink.model import (
     ROLE_GROUNDTRUTH,
@@ -181,6 +181,38 @@ def reference_greedy_assign(cost: CostMatrix) -> Assignment:
         work[i, :] = np.inf
         work[:, j] = np.inf
     return Assignment(tuple(pairs), total)
+
+
+def reference_track(seq: VideoSequence, cfg: LinkerConfig) -> tuple[VideoSequence, TrackStats]:
+    """Hungarian or greedy tracking written from the documented pool rule,
+    kept as the oracle of `track_video_with_stats`.
+
+    Every track's latest detection, as (frame position, detection index), is
+    a candidate at frame position pos while pos minus its frame position is at
+    most cfg.lookback. Each frame rebuilds the pool from these candidates,
+    oldest frame first and then by detection index, and links the frame to
+    it: a linked detection takes its row's track id and the others new ids,
+    counted up from 0 in detection order.
+    """
+    latest: dict[int, tuple[int, int]] = {}
+    next_id, links, total_cost = 0, 0, 0.0
+    out_frames = []
+    for pos, frame in enumerate(seq.frames):
+        live = sorted((where, tid) for tid, where in latest.items() if pos - where[0] <= cfg.lookback)
+        pool = Detections.concat([seq.frames[p].detections.take([d]) for (p, d), _ in live])
+        parent, cost = link_frame_pair(pool, frame.detections, cfg, frame_index=frame.frame_index)
+        total_cost += cost
+        ids = []
+        for j, row in enumerate(parent.tolist()):
+            if row >= 0:
+                tid = live[row][1]
+                links += 1
+            else:
+                tid, next_id = next_id, next_id + 1
+            latest[tid] = (pos, j)
+            ids.append(tid)
+        out_frames.append(replace(frame, detections=replace(frame.detections, track_ids=tuple(ids))))
+    return seq.with_frames(out_frames), TrackStats(len(seq.frames), total_cost, links, next_id)
 
 
 def translate(box: Box, dx: float, dy: float) -> Box:

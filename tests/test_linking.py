@@ -15,11 +15,11 @@ from poselink.linking import (
     track_video,
     track_video_with_stats,
 )
-from poselink.model import Detections
+from poselink.model import Detections, filter_detections
 from poselink.similarity import CostMatrix, SimilarityCriterion, build_cost_matrix, load_external_scores
-from poselink.synth import NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
+from poselink.synth import MotionModel, NoiseModel, OcclusionModel, ScenarioConfig, generate_scenario
 
-from helpers import brute_force_min_cost, person, reference_greedy_assign, sequence
+from helpers import brute_force_min_cost, person, reference_greedy_assign, reference_track, sequence
 
 
 cost_matrices = npst.arrays(
@@ -111,6 +111,33 @@ small_features = st.tuples(st.integers(1, 2), st.integers(-2, 2), st.integers(-2
     lambda f: tuple(map(float, f)))
 frame_sides = st.lists(st.tuples(grid_joints, small_features), max_size=5).map(
     lambda rows: Detections.concat([person(coords, feature=feature) for coords, feature in rows]))
+
+
+@st.composite
+def noisy_scenes(draw):
+    """Predictions of a drawn synth scene with occlusion, misses, false
+    positives and features, filtered at a drawn score threshold."""
+    cfg = ScenarioConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        frames=draw(st.integers(1, 12)),
+        actors=draw(st.integers(0, 5)),
+        motion=MotionModel(kind=draw(st.sampled_from(["linear", "sinusoidal"]))),
+        occlusion=OcclusionModel(probability=draw(st.floats(0, 0.3)), duration_range=(1, 4)),
+        noise=NoiseModel(keypoint_jitter=draw(st.floats(0, 8)), box_jitter=draw(st.floats(0, 4)),
+                         miss_probability=draw(st.floats(0, 0.5)),
+                         false_positive_rate=draw(st.floats(0, 2)), feature_dim=draw(st.integers(1, 8))),
+    )
+    _, pred = generate_scenario(cfg)
+    return filter_detections(pred, draw(st.floats(0, 1)), 0.0)
+
+
+linker_configs = st.builds(
+    LinkerConfig,
+    algorithm=st.sampled_from(["hungarian", "greedy"]),
+    criterion=st.sampled_from(["bbox_iou", "pose_pckh", "feature_cosine", "combined"]).map(SimilarityCriterion),
+    min_similarity=st.sampled_from([0.0, 0.3, 0.9]),
+    lookback=st.integers(1, 4),
+)
 
 
 class TestLinkFramePair:
@@ -292,6 +319,20 @@ class TestTrackVideo:
         assert entry(2, [0, 1], [1, 0]) is shared
         for other in [(3, [0, 1], [1, 0]), (2, [0, 1], [0, 0]), (2, [1, 1], [1, 0]), (2, [1], [0])]:
             assert entry(*other) is not shared
+
+    # no shrink phase, as in TestLinkFramePair: a scene of at most 12 frames reads well unshrunk
+    @settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(pred=noisy_scenes(), cfgs=st.lists(linker_configs, min_size=1, max_size=2), share=st.booleans())
+    def test_equals_the_reference_pool_rule(self, pred, cfgs, share):
+        # with share, the passes of every config share one kernel memo
+        memo = KernelMemo(pred) if share else None
+        for cfg in cfgs:
+            tracked, stats = track_video_with_stats(pred, cfg, memo)
+            want, want_stats = reference_track(pred, cfg)
+            assert [f.detections.track_ids for f in tracked.frames] == [
+                f.detections.track_ids for f in want.frames]
+            assert stats == want_stats
+            assert stats.total_assignment_cost.hex() == want_stats.total_assignment_cost.hex()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
