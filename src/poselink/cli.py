@@ -159,8 +159,6 @@ def _linker_configs(args, algos, costs, plural="") -> list[tuple[str, str, Linke
             if not set(chosen) & set(reading):
                 flag = "--" + dest.replace("_", "-")
                 raise UsageError(f"{flag} is read only by --{name}{plural} {' and '.join(reading)}")
-    if args.weights is not None and len(args.weights) != 3:
-        raise ValueError("--weights needs exactly three comma-separated values")
     external = None
     if "external" in costs and set(algos) & set(_MATCHING):
         if not args.external_scores:

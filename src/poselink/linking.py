@@ -3,10 +3,12 @@
 `link_frame_pair` links each detection of a frame to a row of the candidate
 pool, or to none: a link needs similarity strictly above `min_similarity`.
 The pool holds the most recent detection of every track seen within the last
-`lookback` frames. `track_video_with_stats` runs the step once per frame and
-owns the ids: a linked detection inherits its row's track id and the others
-start new tracks, numbered in detection order. The whole pass is
-deterministic, including the random-id baseline under a fixed seed.
+`lookback` frames, oldest frame first, then by detection index.
+`track_video_with_stats` runs the step once per frame and owns the ids: a
+linked detection inherits its row's track id and the others start new tracks,
+numbered in detection order. It keeps one (frame position, detection index,
+track id) row per pool detection in a list. The whole pass is deterministic,
+including the random-id baseline under a fixed seed.
 
 Passes over one sequence with other configurations (the rows of a sweep) can
 share a `KernelMemo`, so that each frame pair's IoU, PCKh and cosine matrices
@@ -20,13 +22,14 @@ passing it with another sequence is an error.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import NO_DETECTIONS, Detections, Frame, VideoSequence
+from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _check_int
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -52,14 +55,14 @@ class LinkerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.lookback < 1:
-            raise ValueError("lookback must be >= 1")
+        _check_int("lookback", self.lookback, below="lookback must be >= 1")
+        if isinstance(self.min_similarity, bool) or not isinstance(self.min_similarity, numbers.Real):
+            raise ValueError(f"min_similarity must be a real number, got {self.min_similarity!r}")
         if np.isnan(self.min_similarity):
             raise ValueError(f"min_similarity must not be NaN, got {self.min_similarity!r}")
         for name in ("random_max_id", "rng_seed"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            _check_int(name, value, 0, below=f"{name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,16 +80,16 @@ class KernelMemo:
 
     `entry` gives the mapping that `build_cost_matrix` reads and fills (see
     its `kernels` argument) for the frame at position pos and the candidate
-    pool whose rows come from frame positions pool_pos and detection indices
-    pool_det. Drop the memo when the passes are done.
+    pool whose rows are the detections at the (frame position, detection
+    index) pairs of pool, in order. Drop the memo when the passes are done.
     """
 
     def __init__(self, seq: VideoSequence):
         self.seq = seq
         self._entries: dict = {}
 
-    def entry(self, pos: int, pool_pos: np.ndarray, pool_det: np.ndarray) -> dict:
-        return self._entries.setdefault((pos, pool_pos.tobytes(), pool_det.tobytes()), {})
+    def entry(self, pos: int, pool: list[tuple[int, int]]) -> dict:
+        return self._entries.setdefault((pos, tuple(pool)), {})
 
 
 def hungarian_assign(cost: CostMatrix) -> Assignment:
@@ -182,34 +185,29 @@ def track_video_with_stats(
     total_cost = 0.0
     links = 0
     # the candidate pool: the latest detection of every live track, oldest
-    # frame first, then by detection index; pool_pos, pool_det and pool_ids
-    # hold each row's frame position, detection index in that frame and track id
-    pool, (pool_pos, pool_det, pool_ids) = NO_DETECTIONS, np.empty((3, 0), dtype=int)
+    # frame first, then by detection index; rows holds each row's (frame
+    # position, detection index in that frame, track id)
+    pool, rows = NO_DETECTIONS, []
     out_frames = []
     for pos, frame in enumerate(seq.frames):
         dets = frame.detections
-        kernels = None if memo is None else memo.entry(pos, pool_pos, pool_det)
+        kernels = None if memo is None else memo.entry(pos, [row[:2] for row in rows])
         parent, cost = link_frame_pair(pool, dets, cfg, frame_index=frame.frame_index, kernels=kernels)
         total_cost += cost
-        linked = parent >= 0
-        rows = parent[linked]  # the pool rows linked to, each once
-        ids = np.empty(len(dets), dtype=int)
-        ids[linked] = pool_ids[rows]
-        ids[~linked] = np.arange(next_id, next_id + len(dets) - len(rows))  # new tracks, in order
-        links += len(rows)
-        next_id += len(dets) - len(rows)
-        tracked = replace(dets, track_ids=tuple(ids.tolist()))
-        out_frames.append(Frame(frame.frame_index, frame.labeled, tracked))
+        ids, linked = [], set()
+        for row in parent.tolist():
+            if row < 0:  # a new track, numbered in detection order
+                ids.append(next_id)
+                next_id += 1
+            else:
+                ids.append(rows[row][2])
+                linked.add(row)
+        links += len(linked)
+        out_frames.append(Frame(frame.frame_index, frame.labeled, replace(dets, track_ids=tuple(ids))))
         # a row stays while no detection linked to it and it is within the next frame's lookback
-        stays = pos + 1 - pool_pos <= cfg.lookback
-        stays[rows] = False
-        if stays.any():
-            pool = Detections.concat([pool.take(stays), dets])
-            pool_pos = np.concatenate([pool_pos[stays], np.full(len(dets), pos)])
-            pool_det = np.concatenate([pool_det[stays], np.arange(len(dets))])
-            pool_ids = np.concatenate([pool_ids[stays], ids])
-        else:
-            pool, pool_pos, pool_det, pool_ids = dets, np.full(len(dets), pos), np.arange(len(dets)), ids
+        stays = [i for i, row in enumerate(rows) if i not in linked and row[0] > pos - cfg.lookback]
+        pool = Detections.concat([pool.take(stays), dets]) if stays else dets
+        rows = [rows[i] for i in stays] + [(pos, j, tid) for j, tid in enumerate(ids)]
 
     return seq.with_frames(out_frames), TrackStats(len(seq.frames), total_cost, links, next_id)
 

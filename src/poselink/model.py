@@ -76,6 +76,16 @@ def _frozen(value, dtype) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, minimum: int = 1, below: str | None = None) -> None:
+    """A ValueError unless value is an integer (numpy's too, but no bool) of
+    at least minimum; `below` words the error of an integer under minimum."""
+    message = f"{name} must be an integer >= {minimum}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(message)
+    if value < minimum:
+        raise ValueError(below or message)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box in continuous pixel coordinates, corners inclusive of order."""

@@ -56,6 +56,8 @@ class SimilarityCriterion:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if len(self.weights) != 3:
+            raise ValueError(f"weights must hold three values (iou, pckh, cosine), got {self.weights!r}")
         if not all(map(math.isfinite, self.weights)):
             raise ValueError(f"weights must be finite, got {self.weights!r}")
         if self.kind == "combined":

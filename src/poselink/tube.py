@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Box
+from .model import Box, _check_int
 from .similarity import pairwise_iou
 
 LABEL_BG = -1
@@ -117,16 +117,6 @@ class TubeDeltas:
     @property
     def length(self) -> int:
         return len(self.values) // 4
-
-
-def _check_int(name: str, value, minimum: int = 1, below: str | None = None) -> None:
-    """A ValueError unless value is an integer (numpy's too, but no bool) of
-    at least minimum; `below` words the error of an integer under minimum."""
-    message = f"{name} must be an integer >= {minimum}, got {value!r}"
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(message)
-    if value < minimum:
-        raise ValueError(below or message)
 
 
 @dataclass(frozen=True, eq=False)

@@ -582,8 +582,9 @@ class TestOracle:
     ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
     ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
     ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
-    ("track", ["--cost", "combined", "--weights", ""], "--weights needs exactly three comma-separated values"),
-    ("sweep", ["--costs", "combined", "--weights", "1,2"], "--weights needs exactly three comma-separated values"),
+    ("track", ["--cost", "combined", "--weights", ""], "weights must hold three values (iou, pckh, cosine), got ()"),
+    ("sweep", ["--costs", "combined", "--weights", "1,2"],
+     "weights must hold three values (iou, pckh, cosine), got (1.0, 2.0)"),
 ])
 def test_bad_setting_is_one_line_error_naming_the_field(synth_pair, tmp_path, capsys, command, flags,
                                                         message):

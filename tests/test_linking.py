@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -311,14 +312,11 @@ class TestTrackVideo:
 
     def test_memo_entries_are_keyed_on_the_frame_and_every_pool_row(self):
         memo = KernelMemo(sequence([]))
-
-        def entry(pos, pool_pos, pool_det):
-            return memo.entry(pos, np.array(pool_pos, dtype=int), np.array(pool_det, dtype=int))
-
-        shared = entry(2, [0, 1], [1, 0])
-        assert entry(2, [0, 1], [1, 0]) is shared
-        for other in [(3, [0, 1], [1, 0]), (2, [0, 1], [0, 0]), (2, [1, 1], [1, 0]), (2, [1], [0])]:
-            assert entry(*other) is not shared
+        shared = memo.entry(2, [(0, 1), (1, 0)])
+        assert memo.entry(2, [(0, 1), (1, 0)]) is shared
+        # another frame, another detection index, another frame position, a shorter pool
+        for other in [(3, [(0, 1), (1, 0)]), (2, [(0, 0), (1, 0)]), (2, [(1, 1), (1, 0)]), (2, [(1, 0)])]:
+            assert memo.entry(*other) is not shared
 
     # no shrink phase, as in TestLinkFramePair: a scene of at most 12 frames reads well unshrunk
     @settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -339,6 +337,32 @@ class TestTrackVideo:
             LinkerConfig(algorithm="simulated-annealing")
         with pytest.raises(ValueError):
             LinkerConfig(lookback=0)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("lookback", 2.5, "lookback must be an integer >= 1, got 2.5"),
+        ("lookback", True, "lookback must be an integer >= 1, got True"),
+        ("lookback", 0, "lookback must be >= 1"),
+        ("random_max_id", 10.5, "random_max_id must be an integer >= 0, got 10.5"),
+        ("random_max_id", True, "random_max_id must be an integer >= 0, got True"),
+        ("random_max_id", -1, "random_max_id must be non-negative, got -1"),
+        ("rng_seed", 1.5, "rng_seed must be an integer >= 0, got 1.5"),
+        ("rng_seed", -1, "rng_seed must be non-negative, got -1"),
+        ("min_similarity", "0.1", "min_similarity must be a real number, got '0.1'"),
+        ("min_similarity", True, "min_similarity must be a real number, got True"),
+        ("min_similarity", None, "min_similarity must be a real number, got None"),
+        ("min_similarity", float("nan"), "min_similarity must not be NaN, got nan"),
+    ])
+    def test_bad_setting_is_one_value_error_naming_it(self, setting, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinkerConfig(**{setting: value})
+
+    def test_numpy_numbers_are_settings(self):
+        seq = sequence(_drifting_box_frames([0, 2]) + [(2, True, [])] + _drifting_box_frames([6, 8], start=3))
+        cfg = LinkerConfig(min_similarity=np.float32(0.1), lookback=np.int64(2))
+        assert track_video_with_stats(seq, cfg) == track_video_with_stats(seq, LinkerConfig(
+            min_similarity=float(np.float32(0.1)), lookback=2))
+        random = LinkerConfig("random", random_max_id=np.int32(9), rng_seed=np.uint8(3))
+        assert track_video(seq, random) == track_video(seq, LinkerConfig("random", random_max_id=9, rng_seed=3))
 
     @pytest.mark.parametrize("algorithm", ["hungarian", "greedy"])
     @pytest.mark.parametrize("kind", ["bbox_iou", "pose_pckh", "combined"])

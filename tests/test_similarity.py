@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 
 from poselink.model import Box, Detections
 from poselink.similarity import (
+    CRITERION_KINDS,
     CostMatrix,
     SimilarityCriterion,
     build_cost_matrix,
@@ -228,3 +230,10 @@ class TestCostMatrix:
             SimilarityCriterion("combined", weights=(-1, 1, 1))
         with pytest.raises(ValueError):
             SimilarityCriterion("combined", weights=(0, 0, 0))
+
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @pytest.mark.parametrize("weights", [(), (1, 1), (1.0, 1.0, 1.0, 1.0)])
+    def test_criterion_needs_three_weights(self, kind, weights):
+        message = f"weights must hold three values (iou, pckh, cosine), got {weights!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimilarityCriterion(kind, weights=weights)
