@@ -24,7 +24,6 @@ import typing
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .linking import ALGORITHMS, LinkerConfig, track_video_with_stats
@@ -86,6 +85,8 @@ def _write_manifest(args, timings: dict[str, float], config: dict | None = None,
     track's total assignment cost, are added to config, each over the flag of
     the same name.
     """
+    import scipy  # here, not at module level: only a written manifest reads its version
+
     flags = vars(args)
     inputs = [flags[name] for name in _INPUT_FLAGS if flags.get(name)]
     outputs = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]

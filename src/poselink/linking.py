@@ -18,18 +18,22 @@ passes share an entry exactly when their pools hold the same detections,
 whatever their algorithm, criterion or lookback. A memo is bound to the one
 `VideoSequence` it was made for, since the key names no detection values;
 passing it with another sequence is an error.
+
+`linear_sum_assignment` is the package's one call into scipy's solver, for
+`hungarian_assign` and `metrics.match_poses_frame`. It imports scipy.optimize
+at its first call, so importing poselink loads numpy only: scipy.optimize
+adds about 0.45 s and 47 MB, which the tube kernels, the loader and synth
+never need.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _check_int
+from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _check_int, _is_real
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -56,7 +60,7 @@ class LinkerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         _check_int("lookback", self.lookback, below="lookback must be >= 1")
-        if isinstance(self.min_similarity, bool) or not isinstance(self.min_similarity, numbers.Real):
+        if not _is_real(self.min_similarity):
             raise ValueError(f"min_similarity must be a real number, got {self.min_similarity!r}")
         if np.isnan(self.min_similarity):
             raise ValueError(f"min_similarity must not be NaN, got {self.min_similarity!r}")
@@ -90,6 +94,13 @@ class KernelMemo:
 
     def entry(self, pos: int, pool: list[tuple[int, int]]) -> dict:
         return self._entries.setdefault((pos, tuple(pool)), {})
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment of cost, its result unchanged."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def hungarian_assign(cost: CostMatrix) -> Assignment:

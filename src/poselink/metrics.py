@@ -50,9 +50,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .linking import KernelMemo, LinkerConfig, TrackStats, track_video_with_stats
+from .linking import KernelMemo, LinkerConfig, TrackStats, linear_sum_assignment, track_video_with_stats
 from .model import (
     NO_DETECTIONS,
     Detections,

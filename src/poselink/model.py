@@ -76,6 +76,11 @@ def _frozen(value, dtype) -> np.ndarray:
     return arr
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number (numpy's too), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, minimum: int = 1, below: str | None = None) -> None:
     """A ValueError unless value is an integer (numpy's too, but no bool) of
     at least minimum; `below` words the error of an integer under minimum."""

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import Detections, box_diagonals, read_json
+from .model import Detections, _is_real, box_diagonals, read_json
 
 CRITERION_KINDS = ("bbox_iou", "pose_pckh", "feature_cosine", "combined", "external")
 
@@ -54,10 +55,14 @@ class SimilarityCriterion:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         for name in ("pckh_alpha", "pckh_norm_scale"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if len(self.weights) != 3:
+        if not isinstance(self.weights, Sequence) or len(self.weights) != 3:
             raise ValueError(f"weights must hold three values (iou, pckh, cosine), got {self.weights!r}")
+        if not all(map(_is_real, self.weights)):
+            raise ValueError(f"weights must be real numbers, got {self.weights!r}")
         if not all(map(math.isfinite, self.weights)):
             raise ValueError(f"weights must be finite, got {self.weights!r}")
         if self.kind == "combined":

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Box, _check_int
+from .model import Box, _check_int, _is_real
 from .similarity import pairwise_iou
 
 LABEL_BG = -1
@@ -146,8 +145,7 @@ class AnchorGrid:
         _check_int("stride", self.stride)
         for name in ("scales", "aspects"):
             values = getattr(self, name)
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
-                       for v in values):
+            if not all(_is_real(v) and 0 < v < math.inf for v in values):
                 raise ValueError(f"{name} must be finite and positive, got {values!r}")
 
     @property

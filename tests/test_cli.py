@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -876,3 +878,50 @@ def test_package_exports_its_public_names_and_no_module():
     assert set(poselink.__all__) == public
     for name in poselink.__all__:
         assert not isinstance(getattr(poselink, name), types.ModuleType), name
+
+
+_SCIPY_AFTER = """
+import json, sys
+status = None
+{code}
+print(json.dumps([status, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(code: str, cwd) -> tuple[object, list[str]]:
+    """(status, the scipy modules loaded) once code, which may set status, has run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_AFTER.format(code=code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    status, modules = json.loads(done.stdout.splitlines()[-1])
+    return status, modules
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    _, modules = scipy_modules_after("import poselink, poselink.cli, poselink.tube", tmp_path)
+    assert modules == []
+
+
+@pytest.mark.parametrize("argv, status, optimize", [
+    pytest.param(["synth", "--out-gt", "g.json", "--out-pred", "p.json", "--frames", "4"], 0, False, id="synth"),
+    pytest.param(["--version"], 0, False, id="version"),
+    pytest.param(["track", "--pred", "{pred}"], 2, False, id="usage-error"),
+    pytest.param(["track", "--pred", "missing.json", "--out", "t.json"], 1, False, id="rejected-input"),
+    pytest.param(["track", "--pred", "{pred}", "--out", "t.json"], 0, True, id="track"),
+    pytest.param(["track", "--pred", "{pred}", "--out", "t.json", "--algo", "greedy"], 0, False, id="track-greedy"),
+    pytest.param(["eval", "--gt", "{gt}", "--pred", "{tracked}", "--report", "r.json"], 0, True, id="eval"),
+])
+def test_scipy_optimize_loads_at_the_first_assignment(synth_pair, tmp_path, argv, status, optimize):
+    gt, pred = synth_pair
+    tracked = tmp_path / "tracked.json"
+    assert run("track", "--pred", pred, "--out", tracked, "--algo", "greedy") == 0
+    argv = [a.format(gt=gt, pred=pred, tracked=tracked) for a in argv]
+    code = f"""from poselink.cli import main
+try:
+    status = main({argv!r})
+except SystemExit as exc:
+    status = exc.code"""
+    got, modules = scipy_modules_after(code, tmp_path)
+    assert got == status
+    assert ("scipy.optimize" in modules) == optimize

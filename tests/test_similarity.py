@@ -237,3 +237,30 @@ class TestCostMatrix:
         message = f"weights must hold three values (iou, pckh, cosine), got {weights!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SimilarityCriterion(kind, weights=weights)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("pckh_alpha", True, "pckh_alpha must be a real number, got True"),
+        ("pckh_alpha", "0.5", "pckh_alpha must be a real number, got '0.5'"),
+        ("pckh_alpha", None, "pckh_alpha must be a real number, got None"),
+        ("pckh_norm_scale", np.bool_(True), "pckh_norm_scale must be a real number, got np.True_"),
+        ("pckh_norm_scale", 1j, "pckh_norm_scale must be a real number, got 1j"),
+        ("weights", 5, "weights must hold three values (iou, pckh, cosine), got 5"),
+        ("weights", None, "weights must hold three values (iou, pckh, cosine), got None"),
+        ("weights", {1: 1, 2: 2, 3: 3}, "weights must hold three values (iou, pckh, cosine), got {1: 1, 2: 2, 3: 3}"),
+        ("weights", ("1", 1, 1), "weights must be real numbers, got ('1', 1, 1)"),
+        ("weights", (1, True, 1), "weights must be real numbers, got (1, True, 1)"),
+        ("weights", "111", "weights must be real numbers, got '111'"),
+    ])
+    @pytest.mark.parametrize("kind", ["pose_pckh", "combined"])
+    def test_bad_setting_is_one_value_error_naming_it(self, kind, setting, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimilarityCriterion(kind, **{setting: value})
+
+    def test_numpy_numbers_are_settings(self):
+        prev = Detections.concat([person([(0, 0), (5, 5), (10, 10)]), person([(1, 0), (6, 5), (11, 9)])])
+        curr = Detections.concat([person([(0, 1), (5, 6), (10, 11)]), person([(2, 0), (6, 4), (12, 10)])])
+        given = SimilarityCriterion("combined", weights=(np.float32(2), np.int64(1), np.float64(0)),
+                                    pckh_alpha=np.float64(0.3), pckh_norm_scale=np.float32(0.25))
+        plain = SimilarityCriterion("combined", weights=(2.0, 1.0, 0.0), pckh_alpha=0.3, pckh_norm_scale=0.25)
+        assert np.array_equal(build_cost_matrix(prev, curr, given).similarity,
+                              build_cost_matrix(prev, curr, plain).similarity)
