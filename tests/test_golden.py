@@ -5,7 +5,8 @@ x every cost, lookback 1 and 3), `eval --report --csv`, `oracle` in each mode
 followed by `eval`, and three-threshold sweeps; every file a case writes is
 hashed, with the case's stdout, except the run manifests, which hold timings
 and versions. The stdout of `scripts/ablations.py --seeds 2 --frames 12` and
-the tube labels, overlaps and RoIAlign outputs at seeds 0-2 are pinned too.
+the tube labels, overlaps and RoIAlign outputs at seeds 0-2 are pinned too,
+with the float.hex of the tracking loss on those labels.
 
 A change that moves an output on purpose updates its hashes in the same commit.
 The `feat` and `combined` cases have their own ids because `pairwise_cosine`
@@ -99,7 +100,9 @@ def ablations_stdout() -> str:
 
 def tube_outputs(seed: int) -> dict[str, str]:
     """{output: SHA-256} of the tube kernels on three random 3-frame tubes over
-    a 96 x 64 image: anchor labels, tube overlaps and the RoIAlign of each tube."""
+    a 96 x 64 image: anchor labels, tube overlaps and the RoIAlign of each tube;
+    and the float.hex of the classification and regression losses of random
+    deltas and logits (large enough that some exp underflows) on the labels."""
     rng = np.random.default_rng(seed)
     tubes = []
     for _ in range(3):
@@ -112,10 +115,16 @@ def tube_outputs(seed: int) -> dict[str, str]:
     anchors = tube.generate_anchors(tube.DEFAULT_GRID, 96, 64, 3)
     volume = tube.FeatureVolume(rng.normal(size=(3, 4, 8, 12)))
     rois = np.stack([tube.spatiotemporal_roi_align(volume, t, 4) for t in tubes])
+    labels = tube.assign_anchors(anchors, tubes)
+    pred, target = rng.normal(size=(2, len(anchors), 12))
+    logits = rng.normal(scale=300.0, size=(len(anchors), 2))
+    cls_loss, reg_loss = tube.tracking_loss(pred, target, logits, labels, 3)
     return {
-        "labels": _sha(tube.assign_anchors(anchors, tubes).astype(np.int64).tobytes()),
+        "labels": _sha(labels.astype(np.int64).tobytes()),
         "overlaps": _sha(np.ascontiguousarray(tube.pairwise_tube_overlap(anchors, tubes)).tobytes()),
         "rois": _sha(rois.tobytes()),
+        "cls_loss": cls_loss.hex(),
+        "reg_loss": reg_loss.hex(),
     }
 
 
@@ -332,16 +341,22 @@ GOLDEN_TUBE = {
         "labels": "c0d77ec9b68175d3758d313eb5df397dc81291e1e27d46a510e433213fa1a992",
         "overlaps": "155724ba7726983b0fb60448ed08447f4289a0b3280f81477024e808e5d69868",
         "rois": "bab4a89be013e1c2f3c391aa7f7b08e5817d4492cb36cd09d8552357139a471f",
+        "cls_loss": "0x1.57a62050d31c5p+7",
+        "reg_loss": "0x1.2bd7081b015f0p+1",
     },
     1: {
         "labels": "4b18011c5782ad85e38138f798fd4e4c84f5f5d9c808081604c46e495f070480",
         "overlaps": "8178f544feadee0a45f7f1d1ab99da636661ed148fdd4af473e48df196fa838f",
         "rois": "4ae05ae45ba0649503ef36cbf9bd3208005387a45919041f89fc9ed996f7c487",
+        "cls_loss": "0x1.443f65f3ace6dp+7",
+        "reg_loss": "0x1.461de6dd60a9bp+1",
     },
     2: {
         "labels": "81e3599cfc8614b8f2cab0c40ce257f533e7611bc5e55244e384ae9d69baa8cc",
         "overlaps": "6160c2388ec8ef7cb98937939a244e6bc1af2f73d30a9dcab96e709f3caa515c",
         "rois": "0ae90595404fe9cdf56605b9eb242bd93ad3152533993a8a2bcb7ffe3d52577a",
+        "cls_loss": "0x1.5353748aa7518p+7",
+        "reg_loss": "0x1.23f72cfdf353ep+1",
     },
 }
 
