@@ -14,7 +14,7 @@ Sequence files are UTF-8 JSON with this layout:
             {
               "bbox": [x_min, y_min, x_max, y_max],
               "score": float,                   # finite; clamped to [0, 1] on load
-              "keypoints": [[x, y, score, present01], ...],   # length J
+              "keypoints": [[x, y, score, present01], ...],   # length J; present01 a number, not a bool
               "feature": [float, ...],          # optional
               "track_id": int,                  # optional, required for GT
               "head_box": [x1, y1, x2, y2]      # optional, required for GT, not zero-size
@@ -449,10 +449,10 @@ def _columns(dets: list, j: int, role: str) -> dict:
     if not (_types(rows) <= {list} and set(map(len, rows)) <= {4}):
         raise ValueError(" keypoint must be [x, y, score, present]")
     values = list(chain.from_iterable(rows))
-    coords = values.copy()
-    del coords[3::4]
-    if not _types(coords) <= _NUMBER:
-        raise ValueError(" keypoint has a non-numeric entry")
+    if not _types(values) <= _NUMBER:  # a bool, string or null; a coordinate is named first
+        del values[3::4]
+        raise ValueError(" keypoint has a non-numeric entry" if not _types(values) <= _NUMBER
+                         else " keypoint presence flag must be 0 or 1")
     flags = values[3::4]  # each must be `in (0, 1)`, checked before a flag can overflow
     if flags.count(0) + flags.count(1) < len(flags):
         raise ValueError(" keypoint presence flag must be 0 or 1")

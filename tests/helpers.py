@@ -503,7 +503,7 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     raise ValueError(f"{where} keypoint must be [x, y, score, present]")
                 if not {type(v) for kp in kps for v in kp[:3]} <= {int, float}:  # not bool
                     raise ValueError(f"{where} keypoint has a non-numeric entry")
-                if not all(kp[3] in (0, 1) for kp in kps):
+                if not all(type(kp[3]) in (int, float) and kp[3] in (0, 1) for kp in kps):  # not bool
                     raise ValueError(f"{where} keypoint presence flag must be 0 or 1")
                 block = np.array(kps, dtype=float).reshape(j, 4)
                 if not np.isfinite(block).all():  # absent joints too

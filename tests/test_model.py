@@ -331,6 +331,9 @@ class TestLoadValidation:
         ([[1, 1, None, 1], [2, 2, 2.0, 1]], "keypoint has a non-numeric entry"),
         ([[1, 1, 2.0, 1], [2, 2, 2.0, 2]], "keypoint presence flag must be 0 or 1"),
         ([[1, 1, 2.0, "1"], [2, 2, 2.0, 1]], "keypoint presence flag must be 0 or 1"),
+        ([[1, 1, 2.0, 1], [2, 2, 2.0, True]], "keypoint presence flag must be 0 or 1"),
+        ([[1, 1, 2.0, False], [2, 2, 2.0, 1]], "keypoint presence flag must be 0 or 1"),
+        ([[1, 1, 2.0, None], [2, 2, 2.0, 1]], "keypoint presence flag must be 0 or 1"),
         ([[1, 1, 2.0, 1], [math.nan, 2, 2.0, 1]], "keypoint has a non-finite entry"),
         ([[1, 1, 2.0, 1], [2, 2, math.inf, 0]], "keypoint has a non-finite entry"),
         ([[1, 1, 2.0, 1], [10**400, 2, 2.0, 1]], "number out of the float range"),
@@ -343,7 +346,7 @@ class TestLoadValidation:
 
     def test_keypoint_block_loads_as_arrays(self, tmp_path):
         doc = self._doc()
-        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 2, 2.5, 1], [3.5, 4, 0, False]]
+        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 2, 2.5, 1], [3.5, 4, 0, 0]]
         dets = load_sequence(self._write(tmp_path, doc)).frames[0].detections
         assert dets.xy.tolist() == [[[1.0, 2.0], [3.5, 4.0]]]
         assert dets.kp_score.tolist() == [[2.5, 0.0]]
@@ -579,14 +582,25 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="^frame 0 detection 0: score must be a number"):
             load_sequence(self._write(tmp_path, doc))
 
-    def test_boolean_and_float_presence_flags_accepted(self, tmp_path):
+    def test_integer_and_float_presence_flags_accepted(self, tmp_path):
         doc = self._doc()
-        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 1, 2.0, True], [2, 2, 2.0, False]]
+        doc["frames"][0]["detections"][0]["keypoints"] = [[1, 1, 2.0, 1], [2, 2, 2.0, 0]]
         doc["frames"][0]["detections"].append(
             {"bbox": [0, 0, 1, 1], "score": 1, "keypoints": [[1, 1, 2.0, 0.0], [2, 2, 2.0, 1.0]]}
         )
-        dets = load_sequence(self._write(tmp_path, doc)).frames[0].detections
-        assert dets.present.tolist() == [[True, False], [False, True]]
+        for load in (load_sequence, reference_load_sequence):
+            dets = load(self._write(tmp_path, doc)).frames[0].detections
+            assert dets.present.tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_presence_flag_rejected(self, tmp_path, flag):
+        # True == 1 and False == 0, so a check by value alone would count them
+        self._assert_both_loaders_raise(tmp_path, [(self.FLAG + (3,), flag)], "prediction", self.FLAG_MESSAGE)
+
+    def test_boolean_flag_after_a_non_numeric_coordinate_names_the_coordinate(self, tmp_path):
+        changes = [(self.FLAG + (3,), True), (self.FLAG + (0,), "1")]
+        self._assert_both_loaders_raise(tmp_path, changes, "prediction",
+                                        "frame 1 detection 0 keypoint has a non-numeric entry")
 
     @pytest.mark.parametrize("field, value, message", [
         ("keypoints", [[1, 1, 2.0, 1], [2, None, 2.0, 1]], "keypoint has a non-numeric entry"),
