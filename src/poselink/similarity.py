@@ -161,21 +161,32 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The intersection is made +0.0 where np.maximum(0.0, -0.0) kept a -0.0
     (Python's max keeps the 0.0), so no entry is -0.0. Sides beyond about
     1e154 overflow without a warning, as Python floats do; an infinite area
-    may then make the union and the entry NaN, as in `iou`. Works on three
-    (N, M) buffers in place.
+    may then make the union and the entry NaN, as in `iou`. The body is
+    _iou_into, on three fresh (N, M) buffers.
     """
+    return _iou_into(a, b, _areas(b), *(np.empty((len(a), len(b))) for _ in range(3)))
+
+
+def _areas(corners: np.ndarray) -> np.ndarray:
+    """Box areas over the last axis of [x_min, y_min, x_max, y_max] corners."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (corners[..., 2] - corners[..., 0]) * (corners[..., 3] - corners[..., 1])
+
+
+def _iou_into(a, b, area_b, out, ih, low) -> np.ndarray:
+    """pairwise_iou(a, b) into out, given the areas of b's boxes and two
+    scratch buffers of out's shape; returns out."""
     ax0, ay0, ax1, ay1 = a.T[:, :, None]
     bx0, by0, bx1, by1 = b.T[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inter = np.minimum(ax1, bx1)
-        low = np.maximum(ax0, bx0)
-        inter -= low  # iw
+        inter = np.minimum(ax1, bx1, out=out)
+        inter -= np.maximum(ax0, bx0, out=low)  # iw
         np.maximum(0.0, inter, out=inter)
-        ih = np.minimum(ay1, by1)
+        np.minimum(ay1, by1, out=ih)
         ih -= np.maximum(ay0, by0, out=low)
         inter *= np.maximum(0.0, ih, out=ih)
         inter += 0.0  # -0.0 + 0.0 is +0.0; every other value stays
-        union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=ih)
+        union = np.add((ax1 - ax0) * (ay1 - ay0), area_b, out=ih)
         union -= inter
         inter /= union
         np.copyto(inter, 0.0, where=union <= 0.0)

@@ -12,19 +12,18 @@ The anchors of one image are one (A, 4) corner array with their clip length
 (TubeAnchors), and assignment computes all anchor x ground-truth overlaps at
 once (pairwise_tube_overlap), each overlap the mean per-frame IoU and equal
 to the scalar reference tube_overlap in tests/helpers.py bit for bit. The
-overlaps are built ground-truth-major: one (G, A) IoU matrix per frame,
-summed in place, so that every pass over the A anchors reads contiguous
-rows; assign_anchors labels from those rows.
+overlaps are one (G, A) array filled in blocks of anchors through reused
+scratch; assign_anchors takes each anchor's best tube by a running
+comparison over its G rows. The loss works on the two logit columns.
 
 Region features are pulled from a T x C x H x W volume by RoIAlign on every
-temporal slice with that frame's box, all T slices sampled in one pass.
+temporal slice with that frame's box, all T slices and corners in one gather.
 Sampling uses the half-pixel convention (the feature cell (r, c) center sits
 at continuous (c + 0.5, r + 0.5)) with zero padding outside the grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -33,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Box, _check_int, _is_real
-from .similarity import pairwise_iou
+from .similarity import _areas, _iou_into
 
 LABEL_BG = -1
 LABEL_IGNORE = -2
+_OVERLAP_BLOCK = 4096  # anchors per block of pairwise_tube_overlap
 
 
 @dataclass(frozen=True)
@@ -235,11 +235,10 @@ def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.
     The float operations of the scalar reference tube_overlap in
     tests/helpers.py in the same order (per-frame IoU, summed in frame order,
     divided by T), so every entry equals tube_overlap of the anchor's box
-    replicated over T frames and gt, bit for bit. The sum is kept as one
-    (G, A) array: pairwise_iou(gt boxes of frame t, anchors) added in place
-    frame by frame. Its first frame stands in for tube_overlap's 0 + IoU,
-    which is the same value because pairwise_iou gives no -0.0. The result is
-    the (A, G) transpose of that array, a view; .T gives back its rows.
+    replicated over T frames and gt, bit for bit. The sum is one (G, A)
+    array of zeros, to which each frame's IoU is added in place, one block
+    of _OVERLAP_BLOCK anchors at a time, with the block's areas taken once
+    and scratch reused. The result is its (A, G) transpose, a view.
     """
     length = anchors.length
     for gt in gt_tubes:
@@ -247,12 +246,18 @@ def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.
             raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
     if not gt_tubes or len(anchors) == 0:
         return np.zeros((len(anchors), len(gt_tubes)))
-    corners = np.asfortranarray(anchors.corners)  # contiguous columns, read once per frame
-    gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes])  # (G, T, 4)
-    total = pairwise_iou(gt_corners[:, 0], corners)  # (G, A)
-    for t in range(1, length):
-        total += pairwise_iou(gt_corners[:, t], corners)
-    total /= length
+    gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes], axis=1)  # (T, G, 4)
+    total = np.zeros((len(gt_tubes), len(anchors)))
+    width = min(len(anchors), _OVERLAP_BLOCK)
+    (iou, ih, low), columns = np.empty((3, len(gt_tubes), width)), np.empty((4, width))
+    for start in range(0, len(anchors), width):
+        n = min(width, len(anchors) - start)
+        box = columns[:, :n].T  # the block's corners, each column contiguous
+        np.copyto(box, anchors.corners[start:start + n])
+        block, area, scratch = total[:, start:start + n], _areas(box), (ih[:, :n], low[:, :n])
+        for t in range(length):
+            block += _iou_into(gt_corners[t], box, area, iou[:, :n], *scratch)
+        block /= length
     return total.T
 
 
@@ -280,8 +285,7 @@ def assign_anchors(
     if not gt_tubes or n == 0:
         return labels
     overlaps = pairwise_tube_overlap(anchors, gt_tubes).T  # (G, A) rows
-    best = overlaps.max(axis=0)
-    best_gt = overlaps.argmax(axis=0)
+    best, best_gt = _best_rows(overlaps)
     labels[(best > bg_thresh) & (best < fg_thresh)] = LABEL_IGNORE
     fg = best >= fg_thresh
     labels[fg] = best_gt[fg]
@@ -290,6 +294,15 @@ def assign_anchors(
         if overlaps[k, i] > 0:
             labels[i] = k
     return labels
+
+
+def _best_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max and argmax over axis 0, one row at a time; as in argmax, ties go low and NaN wins."""
+    best, best_row = rows[0].copy(), np.zeros(rows.shape[1], dtype=np.intp)
+    for k, row in enumerate(rows[1:], 1):
+        wins = ~(row <= best) & (best == best)  # greater, or NaN over a number
+        best_row[wins], best[wins] = k, row[wins]
+    return best, best_row
 
 
 def smooth_l1(x: np.ndarray) -> np.ndarray:
@@ -330,42 +343,39 @@ def tracking_loss(
             raise ValueError(f"{name} has a non-finite entry")
 
     keep = labels != LABEL_IGNORE
-    if np.any(keep):
-        kept = logits[keep]
-        classes = (labels[keep] >= 0).astype(int)
-        shifted = kept - kept.max(axis=1, keepdims=True)
-        logprob = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        cls_loss = float(-logprob[np.arange(len(classes)), classes].mean())
+    fg = labels >= 0
+    if np.any(keep):  # log-softmax on the two logit columns, shifted by their maximum
+        top = np.maximum(logits[:, 0], logits[:, 1])
+        bg_shift, fg_shift = logits[:, 0] - top, np.subtract(logits[:, 1], top, out=top)
+        logprob = np.where(fg, fg_shift, bg_shift)
+        logprob -= np.log(np.exp(bg_shift, out=bg_shift) + np.exp(fg_shift, out=fg_shift))
+        cls_loss = float(-logprob[keep].mean())
     else:
         cls_loss = 0.0
 
-    fg = labels >= 0
-    n_fg = int(fg.sum())
-    if n_fg > 0:
-        reg_loss = float(smooth_l1(pred[fg] - target[fg]).sum() / n_fg / length)
+    rows = np.flatnonzero(fg)
+    if len(rows):
+        reg_loss = float(smooth_l1(pred[rows] - target[rows]).sum() / len(rows) / length)
     else:
         reg_loss = 0.0
     return cls_loss, reg_loss
 
 
-def _bilinear_taps(lo: np.ndarray, hi: np.ndarray, n: int, size: int) -> list:
-    """The two bilinear taps along one feature axis of n samples spread evenly
-    over each row's [lo, hi] (lo and hi are (T, 1), in cell units).
+def _bilinear_taps(lo: np.ndarray, hi: np.ndarray, n: int, size: np.ndarray) -> tuple:
+    """The two bilinear taps of n samples spread evenly over each row's
+    [lo, hi] (K, T, 1), in cell units, along K feature axes of size (K, 1, 1).
 
-    Returns [(index, weight), (index + 1, weight)] for the lower and upper
-    neighbour, each (T, n): indices clamped into [0, size), weights zeroed
-    where the neighbour lies outside the grid. Sample points are clamped to
-    [-2, size + 1] first, where both neighbours are already outside, so that
-    far-away boxes floor to small integers.
+    Returns (index, weight), each (2, K, T, n), the lower neighbour first:
+    indices clamped into [0, size), weights zeroed where the neighbour lies
+    outside the grid. Sample points are clamped to [-2, size + 1] first,
+    where both neighbours are already outside, so far-away boxes floor small.
     """
     p = np.minimum(np.maximum(lo + (np.arange(n) + 0.5) * (hi - lo) / n - 0.5, -2.0), size + 1.0)
     p0 = np.floor(p)
     frac = p - p0
-    i0 = p0.astype(int)
-    return [
-        (np.minimum(np.maximum(i, 0), size - 1), np.where((i >= 0) & (i < size), weight, 0.0))
-        for i, weight in ((i0, 1 - frac), (i0 + 1, frac))
-    ]
+    i = p0.astype(int) + np.arange(2)[:, None, None, None]
+    weight = np.stack((1 - frac, frac))
+    return np.minimum(np.maximum(i, 0), size - 1), np.where((i >= 0) & (i < size), weight, 0.0)
 
 
 def spatiotemporal_roi_align(
@@ -379,7 +389,7 @@ def spatiotemporal_roi_align(
     Boxes are given in image coordinates and divided by the volume stride.
     Each of the resolution x resolution bins averages samples_per_bin**2
     bilinear samples; points outside the feature extent read as zero. All T
-    frames are sampled together, one gather per bilinear corner, and every
+    frames and all four bilinear corners are sampled in one gather, and every
     output equals 2D RoIAlign of its frame alone bit for bit. Returns an
     array of shape (T, C, resolution, resolution).
     """
@@ -390,16 +400,15 @@ def spatiotemporal_roi_align(
         raise ValueError(f"tube length {tube.length} != volume length {t_len}")
 
     r, s = resolution, samples_per_bin
-    x1, y1, x2, y2 = (_corners(tube.boxes) / vol.stride).T[:, :, None]
-    rows, cols = _bilinear_taps(y1, y2, r * s, h), _bilinear_taps(x1, x2, r * s, w)
-    frames = np.arange(t_len)[:, None, None]
-    out = None
-    for (yi, wy), (xi, wx) in itertools.product(rows, cols):  # corners 00, 01, 10, 11
-        # (T, r*s, r*s, C): channels last, the memory order of a one-frame
-        # gather, so that the mean below sums each bin in that frame's order
-        weight = wy[:, :, None] * wx[:, None, :]
-        vals = vol.data[frames, :, yi[:, :, None], xi[:, None, :]] * weight[..., None]
-        out = vals if out is None else out + vals
+    lo, hi = (_corners(tube.boxes) / vol.stride).T.reshape(2, 2, t_len, 1)[:, ::-1]  # rows y, x
+    index, weight = _bilinear_taps(lo, hi, r * s, np.array([h, w])[:, None, None])
+    # (row tap, column tap, T, r*s, r*s, C): corners 00, 01, 10, 11 summed in turn; channels
+    # last, as in a one-frame gather, so that the mean sums each bin in that frame's order
+    yi, wy = index[:, None, 0, :, :, None], weight[:, None, 0, :, :, None]
+    xi, wx = index[None, :, 1, :, None, :], weight[None, :, 1, :, None, :]
+    vals = vol.data[np.arange(t_len)[:, None, None], :, yi, xi]
+    vals *= (wy * wx)[..., None]
+    out = np.add.reduce(vals.reshape((4,) + vals.shape[2:]), axis=0)
     return np.moveaxis(out, 3, 1).reshape(t_len, channels, r, s, r, s).mean(axis=(3, 5))
 
 

@@ -25,12 +25,13 @@ from poselink.model import (
     Detections,
     Frame,
     VideoSequence,
+    _check_int,
     filter_detections,
 )
 from poselink.oracles import apply_oracle
 from poselink.similarity import CostMatrix
 from poselink.synth import ScenarioConfig, generate_scenario
-from poselink.tube import Tube, TubeAnchor
+from poselink.tube import LABEL_IGNORE, Tube, TubeAnchor, smooth_l1
 
 JOINTS3 = ("head", "left", "right")
 
@@ -308,6 +309,48 @@ def tube_overlap(a: Tube, b: Tube) -> float:
     if a.length != b.length:
         raise ValueError(f"tube lengths differ: {a.length} vs {b.length}")
     return sum(iou(x, y) for x, y in zip(a.boxes, b.boxes)) / a.length
+
+
+def reference_tracking_loss(pred_deltas, target_deltas, cls_logits, cls_labels, length) -> tuple[float, float]:
+    """tracking_loss as a row-wise log-softmax over the kept anchors' (K, 2)
+    logits, with max and sum over their axis of length 2: the loss that
+    poselink.tube.tracking_loss must equal bit for bit, checks and messages
+    included."""
+    pred = np.asarray(pred_deltas, dtype=float)
+    target = np.asarray(target_deltas, dtype=float)
+    logits = np.asarray(cls_logits, dtype=float)
+    labels = np.asarray(cls_labels)
+    _check_int("length", length, below=f"length must be >= 1, got {length!r}")
+    if labels.ndim != 1 or not (labels.dtype.kind in "iu" or labels.size == 0):  # [] reads as floats
+        raise ValueError("cls_labels must be a 1-D integer array")
+    if labels.size and labels.min() < LABEL_IGNORE:
+        raise ValueError(f"cls_labels must be LABEL_IGNORE (-2), LABEL_BG (-1) or a tube index >= 0, "
+                         f"got {labels.min()}")
+    if pred.ndim != 2 or pred.shape != target.shape or pred.shape[1] != 4 * length:
+        raise ValueError("delta arrays must both have shape (N, 4T)")
+    if logits.shape != (labels.shape[0], 2) or pred.shape[0] != labels.shape[0]:
+        raise ValueError("logit/label shapes inconsistent with anchor count")
+    for name, arr in (("pred_deltas", pred), ("target_deltas", target), ("cls_logits", logits)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
+
+    keep = labels != LABEL_IGNORE
+    if np.any(keep):
+        kept = logits[keep]
+        classes = (labels[keep] >= 0).astype(int)
+        shifted = kept - kept.max(axis=1, keepdims=True)
+        logprob = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        cls_loss = float(-logprob[np.arange(len(classes)), classes].mean())
+    else:
+        cls_loss = 0.0
+
+    fg = labels >= 0
+    n_fg = int(fg.sum())
+    if n_fg > 0:
+        reg_loss = float(smooth_l1(pred[fg] - target[fg]).sum() / n_fg / length)
+    else:
+        reg_loss = 0.0
+    return cls_loss, reg_loss
 
 
 def roi_align_oracle(vol, tube, resolution, samples_per_bin):

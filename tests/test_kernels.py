@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from poselink.similarity import (
     pairwise_cosine,
     pairwise_iou,
 )
+import poselink.tube as tube_module
 from poselink.tube import (
     LABEL_BG,
     LABEL_IGNORE,
@@ -49,9 +51,11 @@ from poselink.tube import (
     Tube,
     TubeAnchor,
     TubeAnchors,
+    _best_rows,
     assign_anchors,
     generate_anchors,
     pairwise_tube_overlap,
+    tracking_loss,
 )
 
 from helpers import (
@@ -68,6 +72,7 @@ from helpers import (
     pckh_correct,
     pose_of,
     pose_pckh_similarity,
+    reference_tracking_loss,
     sequence,
     tube_overlap,
     unmatched,
@@ -868,6 +873,104 @@ class TestTubeKernels:
             tube = as_tube(anchors[i])
             expected = [tube_overlap(tube, g) for g in gts]
             assert bits(overlaps[i]).tolist() == bits(np.array(expected)).tolist()
+
+
+LABEL_POOLS = [
+    (LABEL_IGNORE,),  # every anchor ignored: no classification term
+    (LABEL_IGNORE, LABEL_BG),  # no foreground: no regression term
+    (LABEL_BG,),
+    (0,),
+    (LABEL_IGNORE, LABEL_BG, 0, 1, 2, 3),
+    (LABEL_BG, 0, 1),
+]
+LOGIT_SCALES = [1e-3, 1.0, 30.0, 400.0, 1e3]  # from 400 up, one class's exp underflows on many rows
+
+
+@st.composite
+def loss_cases(draw):
+    """(pred, target, logits, labels, length): N in [0, 300], T in [1, 4],
+    labels from one of LABEL_POOLS, logits scaled up to 1e3 or made of small
+    integers and signed zeros, so that ties and exact zeros are common."""
+    n, length = draw(st.integers(0, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.choice(draw(st.sampled_from(LABEL_POOLS)), size=n)
+    if draw(st.booleans()):
+        logits = rng.normal(size=(n, 2)) * draw(st.sampled_from(LOGIT_SCALES))
+    else:
+        logits = rng.choice([-0.0, 0.0, 1.0, -3.0, 800.0], size=(n, 2))
+    pred, target = rng.normal(size=(2, n, 4 * length)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    return pred, target, logits, labels, length
+
+
+def loss_defects():
+    """Functions that spoil one argument of a loss case."""
+    def spoil(position, fn):
+        return lambda args: [fn(a) if i == position else a for i, a in enumerate(args)]
+
+    def set_entry(value):
+        def fn(arr):
+            arr = np.array(arr, dtype=float)
+            if arr.size:
+                arr.flat[arr.size // 2] = value
+            return arr
+        return fn
+
+    return st.sampled_from([
+        *(spoil(p, set_entry(v)) for p in (0, 1, 2) for v in (math.nan, math.inf, -math.inf)),
+        spoil(0, lambda a: a[:, :-1]),  # not 4T wide
+        spoil(1, lambda a: a[:-1]),  # fewer targets than predictions
+        spoil(0, lambda a: a.ravel()),  # not 2-D
+        spoil(2, lambda a: a[:, :1]),  # one logit column
+        spoil(2, lambda a: a[1:]),  # fewer logits than labels
+        spoil(3, lambda a: a[1:]),  # fewer labels than anchors
+        spoil(3, lambda a: a.astype(float)),
+        spoil(3, lambda a: a[:, None]),
+        spoil(3, lambda a: np.where(np.arange(len(a)) == len(a) // 2, -3, a)),
+        spoil(4, lambda t: 0),
+        spoil(4, lambda t: t + 0.5),
+        spoil(4, lambda t: True),
+        spoil(4, lambda t: t + 1),  # deltas no longer 4T wide
+    ])
+
+
+class TestTubeLossAndBestTube:
+    @settings(max_examples=300)
+    @given(loss_cases())
+    def test_losses_equal_the_reference_bit_for_bit(self, case):
+        got = tracking_loss(*case)
+        want = reference_tracking_loss(*case)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert all(type(v) is float for v in got)
+
+    @settings(max_examples=200)
+    @given(loss_cases(), loss_defects())
+    def test_bad_inputs_raise_the_reference_message(self, case, defect):
+        args = defect(list(case))
+        want = outcome(reference_tracking_loss, *args)
+        got = outcome(tracking_loss, *args)
+        if isinstance(want, str):
+            assert got == want
+        else:  # a spoiled empty case may still be valid
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_running_best_tube_equals_max_and_argmax(self, g, a, seed):
+        rows = np.random.default_rng(seed).choice([0.0, -0.0, 0.25, 0.5, 1.0, math.inf, math.nan], size=(g, a))
+        best, best_row = _best_rows(rows)
+        assert np.array_equal(best, rows.max(axis=0), equal_nan=True)
+        assert best_row.tolist() == rows.argmax(axis=0).tolist()
+
+    @settings(max_examples=100)
+    @given(assignment_cases(), st.sampled_from([1, 2, 3, 5]))
+    def test_overlaps_do_not_depend_on_the_block_width(self, case, width):
+        anchors, gts, _ = case
+        gts = [g for g in gts if g.length == anchors.length]
+        scalar = [[tube_overlap(as_tube(a), g) for g in gts] for a in anchors]
+        scalar = np.array(scalar).reshape(len(anchors), len(gts))
+        with mock.patch.object(tube_module, "_OVERLAP_BLOCK", width):
+            overlaps = pairwise_tube_overlap(anchors, gts)
+        assert np.array_equal(bits(overlaps), bits(scalar))
 
 
 class TestTubeAnchors:
