@@ -9,7 +9,9 @@ exactly; cosine terms agree to 1e-12. Loops that no longer exist in the
 package (the anchor grid, anchor assignment and the AP envelope) are kept
 here as the reference, and so is the per-pair evaluate_mot loop that the
 shared sequence match replaced. evaluate_mot's counts are also checked
-against clear_mot_counts, the CLEAR-MOT accumulator in helpers.
+against clear_mot_counts, the CLEAR-MOT accumulator in helpers. The row-wise
+tracking loss that the column-wise one replaced is reference_tracking_loss
+in helpers; both losses and their error messages must agree exactly.
 """
 
 import dataclasses
