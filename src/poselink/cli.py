@@ -8,12 +8,20 @@ Python, numpy and scipy versions and CPU count it ran with. A linker flag that
 only some (algorithm, cost) rows read has a value only when given, and giving
 it to a run with no such row is a usage error.
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
+
+`main` runs each command with the cyclic garbage collector paused. poselink's
+data (decoded JSON trees, arrays, tuples, frozen dataclasses) holds no
+reference cycles, so the collections that its allocations would trigger
+traverse every live object and free nothing. `main` restores the collector's
+state as it found it, however the command ends. Library calls leave the
+collector as their caller set it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -421,13 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command with the cyclic garbage collector paused, and restore
+    the collector's state as found, however the command ends."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"poselink {args.command}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (UsageError, ValueError, OSError) as exc:
+            print(f"poselink {args.command}: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, UsageError) else 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

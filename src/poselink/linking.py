@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _check_int, _is_real
+from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _INT64_MAX, _check_int, _is_real
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -67,6 +67,8 @@ class LinkerConfig:
         for name in ("random_max_id", "rng_seed"):
             value = getattr(self, name)
             _check_int(name, value, 0, below=f"{name} must be non-negative, got {value!r}")
+        if int(self.random_max_id) > _INT64_MAX:
+            raise ValueError(f"random_max_id must be <= {_INT64_MAX}, got {self.random_max_id!r}")
 
 
 @dataclass(frozen=True)

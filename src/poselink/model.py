@@ -76,6 +76,9 @@ def _frozen(value, dtype) -> np.ndarray:
     return arr
 
 
+_INT64_MAX = 2**63 - 1  # the largest value numpy's int64 sampler can draw
+
+
 def _is_real(value) -> bool:
     """Whether value is a real number (numpy's too), not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -32,10 +32,11 @@ version.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .model import Detections, Frame, VideoSequence
+from .model import Detections, Frame, VideoSequence, _INT64_MAX
 
 JOINT_NAMES = (
     "head_top",
@@ -80,12 +81,20 @@ BOX_DILATION = 0.20
 MIN_HEIGHT, MAX_HEIGHT = 0.18, 0.35  # figure height as a fraction of the image height
 
 
-def _check_range(config, name: str, low: float = -math.inf) -> None:
-    """Reject a (low, high) field unless low <= field[0] <= field[1]; NaN fails."""
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_range(config, name: str, low: float = -_FLOAT_MAX, high: float = _FLOAT_MAX) -> None:
+    """Reject a (low, high) field unless low <= field[0] <= field[1] <= high,
+    with both ends and field[1] - field[0] finite, as numpy's samplers need;
+    NaN fails."""
     lo, hi = getattr(config, name)
-    if not low <= lo <= hi:
-        bound = "" if low == -math.inf else f"{low} <= "
-        raise ValueError(f"{name} must be [low, high] with {bound}low <= high, got {[lo, hi]}")
+    if not low <= lo <= hi <= high:
+        lower = "" if low == -_FLOAT_MAX else f"{low} <= "
+        upper = "" if high == _FLOAT_MAX else f" <= {high}"
+        raise ValueError(f"{name} must be finite [low, high] with {lower}low <= high{upper}, got {[lo, hi]}")
+    if not hi - lo <= _FLOAT_MAX:
+        raise ValueError(f"{name} must have a finite high - low, got {[lo, hi]}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class OcclusionModel:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("occlusion probability must be in [0, 1]")
-        _check_range(self, "duration_range", low=0)
+        _check_range(self, "duration_range", low=0, high=_INT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -125,9 +134,7 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ValueError("miss probability must be in [0, 1]")
-        if not self.false_positive_rate >= 0:
-            raise ValueError("false-positive rate must be non-negative")
-        for name in ("keypoint_jitter", "box_jitter", "feature_noise", "feature_dim"):
+        for name in ("false_positive_rate", "keypoint_jitter", "box_jitter", "feature_noise", "feature_dim"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         for name in ("tp_score_range", "fp_score_range", "keypoint_score_range"):

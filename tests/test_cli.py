@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -109,6 +110,11 @@ class TestSynth:
         ("config", "image_width", ["--width", "10"]),
         ("config.noise", "keypoint_jitter", ["--kp-jitter", "inf"]),
         ("config", "seed", ["--seed", "-1"]),
+        ("config.motion", "speed_range", ["--speed", "0,inf"]),
+        ("config.motion", "speed_range", ["--speed=-1e308,1e308"]),
+        ("config.noise", "keypoint_score_range", ["--kp-score", "0,1e400"]),
+        ("config.noise", "false_positive_rate", ["--fp-rate", "inf"]),
+        ("config.occlusion", "duration_range", ["--occlusion-dur", f"1,{2**63}"]),
     ])
     def test_bad_flag_value_names_the_field(self, tmp_path, capsys, where, field, flags):
         assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
@@ -140,10 +146,17 @@ class TestSynth:
         (["--height", "-3"], {"image_height": -3}),
         (["--width", "10"], {"image_width": 10}),
         (["--label-every", "0"], {"label_every": 0}),
+        (["--speed", "0,inf"], {"motion": {"speed_range": [0.0, math.inf]}}),
+        (["--speed=-1e308,1e308"], {"motion": {"speed_range": [-1e308, 1e308]}}),
+        (["--tp-score", "0,inf"], {"noise": {"tp_score_range": [0.0, math.inf]}}),
+        (["--fp-score=-inf,1"], {"noise": {"fp_score_range": [-math.inf, 1.0]}}),
+        (["--kp-score", "0,1e400"], '{"noise": {"keypoint_score_range": [0.0, 1e400]}}'),
+        (["--fp-rate", "inf"], {"noise": {"false_positive_rate": math.inf}}),
+        (["--occlusion-dur", f"1,{2**63}"], {"occlusion": {"duration_range": [1, 2**63]}}),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_flag_and_config_give_one_message(self, tmp_path, capsys, flags, doc):
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         errors = []
         for argv in (flags, ["--config", cfg]):
             assert run("synth", "--out-gt", tmp_path / "gt.json", *argv) == 1
@@ -584,6 +597,10 @@ class TestOracle:
     ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
     ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
     ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
+    ("track", ["--algo", "random", "--random-max-id", str(2**63)],
+     f"random_max_id must be <= {2**63 - 1}, got {2**63}"),
+    ("sweep", ["--algos", "random", "--costs", "iou", "--random-max-id", str(2**63)],
+     f"random_max_id must be <= {2**63 - 1}, got {2**63}"),
     ("track", ["--cost", "combined", "--weights", ""], "weights must hold three values (iou, pckh, cosine), got ()"),
     ("sweep", ["--costs", "combined", "--weights", "1,2"],
      "weights must hold three values (iou, pckh, cosine), got (1.0, 2.0)"),
@@ -925,3 +942,67 @@ except SystemExit as exc:
     got, modules = scipy_modules_after(code, tmp_path)
     assert got == status
     assert ("scipy.optimize" in modules) == optimize
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test, and back after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("a command failed outside its error handling")
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    pytest.param(["synth", "--out-gt", "{out}", "--frames", "2"], 0, id="success"),
+    pytest.param(["track", "--pred", "{missing}", "--out", "{out}"], 1, id="data-error"),
+    pytest.param(["track", "--pred", "{pred}", "--out", "{out}", "--seed", "3"], 2, id="usage-error"),
+    pytest.param(["track", "--pred", "{pred}"], SystemExit, id="argparse-error"),
+    pytest.param(["--version"], SystemExit, id="version"),
+    pytest.param(["synth", "--out-gt", "{out}"], RuntimeError, id="escaping-exception"),
+])
+def test_main_leaves_the_collector_as_it_found_it(synth_pair, tmp_path, monkeypatch, capsys, collector, argv,
+                                                  outcome):
+    _, pred = synth_pair
+    argv = [a.format(pred=pred, out=tmp_path / "out.json", missing=tmp_path / "missing.json") for a in argv]
+    if outcome is RuntimeError:
+        monkeypatch.setattr(cli, "cmd_synth", _raise_runtime_error)
+    if isinstance(outcome, int):
+        assert run(*argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            run(*argv)
+    assert gc.isenabled() == collector
+
+
+def test_a_command_runs_with_the_collector_paused(tmp_path, monkeypatch, collector):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(gc.isenabled()) or 0)
+    assert run("synth", "--out-gt", tmp_path / "gt.json") == 0
+    assert seen == [False]
+    assert gc.isenabled() == collector
+
+
+def test_the_cyclic_garbage_a_command_leaves_does_not_grow_with_its_work(synth_pair, tmp_path):
+    """What the paused collector leaves behind is argparse's parser, whatever the input."""
+    gt, pred = synth_pair
+
+    def cyclic_garbage(thresholds):
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            assert run("sweep", "--gt", gt, "--pred", pred, "--out", tmp_path / "sweep.csv",
+                       "--thresholds", thresholds, "--costs", "iou,pckh", "--algos", "hungarian,greedy") == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    cyclic_garbage("0.5")  # warm-up: the first call fills caches and imports
+    many = ",".join(f"{0.5 + 0.05 * i:g}" for i in range(11))
+    assert cyclic_garbage("0.5") == cyclic_garbage(many)

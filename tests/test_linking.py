@@ -250,6 +250,13 @@ class TestTrackVideo:
         assert all(0 <= tid <= 50 for tid in ids)
         assert len(set(ids)) > 1
 
+    def test_random_mode_draws_up_to_the_int64_limit(self):
+        _, pred = generate_scenario(ScenarioConfig(seed=2, frames=10, actors=3))
+        tracked = track_video(pred, LinkerConfig(algorithm="random", random_max_id=2**63 - 1, rng_seed=1))
+        ids = [tid for f in tracked.frames for tid in f.detections.track_ids]
+        assert all(0 <= tid <= 2**63 - 1 for tid in ids)
+        assert len(set(ids)) == len(ids)
+
     def test_lookback_monotone_on_occlusion_suite(self):
         for seed in range(4):
             cfg = ScenarioConfig(
@@ -345,6 +352,8 @@ class TestTrackVideo:
         ("random_max_id", 10.5, "random_max_id must be an integer >= 0, got 10.5"),
         ("random_max_id", True, "random_max_id must be an integer >= 0, got True"),
         ("random_max_id", -1, "random_max_id must be non-negative, got -1"),
+        ("random_max_id", 2**63, f"random_max_id must be <= {2**63 - 1}, got {2**63}"),
+        ("random_max_id", np.uint64(2**63), f"random_max_id must be <= {2**63 - 1}, got {np.uint64(2**63)!r}"),
         ("rng_seed", 1.5, "rng_seed must be an integer >= 0, got 1.5"),
         ("rng_seed", -1, "rng_seed must be non-negative, got -1"),
         ("min_similarity", "0.1", "min_similarity must be a real number, got '0.1'"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ class TestCorruption:
         (NoiseModel, {"keypoint_jitter": float("inf")}, "keypoint_jitter"),
         (NoiseModel, {"box_jitter": float("inf")}, "box_jitter"),
         (NoiseModel, {"feature_noise": float("inf")}, "feature_noise"),
+        (NoiseModel, {"false_positive_rate": math.inf}, "false_positive_rate"),
+        (NoiseModel, {"false_positive_rate": math.nan}, "false_positive_rate"),
+        (NoiseModel, {"false_positive_rate": -1.0}, "false_positive_rate"),
+        (NoiseModel, {"tp_score_range": (0.0, math.inf)}, "tp_score_range"),
+        (NoiseModel, {"fp_score_range": (-math.inf, 1.0)}, "fp_score_range"),
+        (NoiseModel, {"keypoint_score_range": (0, 1e400)}, "keypoint_score_range"),
+        (NoiseModel, {"keypoint_score_range": (0, 10**400)}, "keypoint_score_range"),
+        (NoiseModel, {"keypoint_score_range": (-1e308, 1e308)}, "keypoint_score_range"),
+        (MotionModel, {"speed_range": (0.0, math.inf)}, "speed_range"),
+        (MotionModel, {"speed_range": (-math.inf, math.inf)}, "speed_range"),
+        (MotionModel, {"speed_range": (-1e308, 1e308)}, "speed_range"),
+        (OcclusionModel, {"duration_range": (1, 2**63)}, "duration_range"),
+        (OcclusionModel, {"duration_range": (1, 1e300)}, "duration_range"),
     ])
     def test_config_rejects_bad_value_naming_the_field(self, cls, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} ") as exc:
@@ -234,6 +248,16 @@ class TestCorruption:
                              noise=NoiseModel(false_positive_rate=10.0))
         gt, pred = generate_scenario(cfg)
         assert len(gt.frames[0].detections) == 20 and len(pred.frames[0].detections) > 20
+
+    def test_widest_accepted_ranges_generate(self):
+        widest = sys.float_info.max
+        cfg = ScenarioConfig(frames=3, actors=2,
+                             motion=MotionModel(speed_range=(-widest / 2, widest / 2)),
+                             occlusion=OcclusionModel(probability=0.5, duration_range=(2**63 - 1, 2**63 - 1)),
+                             noise=NoiseModel(false_positive_rate=1.0, tp_score_range=(0.0, widest),
+                                              fp_score_range=(-widest, 0.0), keypoint_score_range=(0.0, widest)))
+        gt, pred = generate_scenario(cfg)
+        assert len(gt.frames) == len(pred.frames) == 3
 
     def test_default_and_no_noise_configs_are_valid(self):
         ScenarioConfig()
