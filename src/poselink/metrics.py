@@ -27,11 +27,14 @@ envelope, and mAP averages AP over joints that have at least one labeled
 instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
-same frame_index and matched once, by match_sequence. That one SequenceMatch
+same frame_index and matched once, by match_sequence: one joints_within call
+per block of consecutive frames, NaN-padded, decides the PCKh masks, then each
+frame is matched alone on its view of its block. That one SequenceMatch
 serves evaluate_map(match), which gives each joint's AP and their mean, the
 perfect-association oracle and evaluate_mot(match, pred, ap), which counts it
 with the track ids of any retracking of the matched predictions into one
-complete EvalReport; evaluate(gt, pred, alpha) runs the three steps.
+complete EvalReport; evaluate(gt, pred, alpha) runs the three steps. The
+reports read the whole sequence's rows at once.
 
 sweep_threshold is the one sweep engine, behind both the `sweep` command and
 scripts/ablations.py: per detection threshold it filters and matches once,
@@ -47,6 +50,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,30 +64,26 @@ from .model import (
     filter_detections,
     write_text_atomic,
 )
-from .similarity import joints_within, keypoint_array
+from .similarity import joints_within
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
 
+# mask cells (frames x gt rows x pred rows x joints) per PCKh kernel call; each
+# float64 scratch array of a block then takes at most 128 KiB (budgets from
+# 2**14 to 2**16 matched 4-actor and 30-actor frames equally fast)
+_MATCH_BLOCK = 2**14
 
-def _head_sizes(dets: Detections) -> list[float]:
-    """0.6 times the head-box diagonal of each detection; every detection needs one."""
-    if np.isnan(dets.head_boxes).any():
+
+def _head_sizes(head_boxes: np.ndarray) -> np.ndarray:
+    """0.6 times the diagonal of each head box (N, 4); every detection needs one."""
+    if np.isnan(head_boxes).any():
         raise ValueError("a ground-truth detection has no head box")
-    diagonals = box_diagonals(dets.head_boxes)
+    diagonals = np.array(box_diagonals(head_boxes))
     if min(diagonals, default=1.0) <= 0.0:
         raise ValueError("degenerate head box")
-    return [HEAD_SIZE_BIAS * diag for diag in diagonals]
-
-
-def _present_counts(frames: Sequence[Detections], j_count: int) -> np.ndarray:
-    """(J,) number of detections, over all frames, in which each joint is present."""
-    counts = np.zeros(j_count, dtype=int)
-    for dets in frames:
-        if len(dets):
-            counts += dets.present.sum(axis=0)
-    return counts
+    return HEAD_SIZE_BIAS * diagonals
 
 
 def correct_joint_mask(
@@ -96,32 +96,92 @@ def correct_joint_mask(
     Entry [i, k, j] is True when joint j is present in both poses and lies
     within alpha * head size of the label, and equals the scalar
     `pckh_correct` of tests/helpers.py; summed over the last axis it is the
-    matrix of correct joint counts. Both sides must be non-empty.
+    matrix of correct joint counts. It is the mask of a block of one frame.
     """
-    limits = [alpha * size for size in _head_sizes(gt_persons)]
-    return joints_within(keypoint_array(gt_persons), keypoint_array(pred_persons), limits)
+    j_count = (gt_persons if len(gt_persons) else pred_persons).xy.shape[1]
+    return _Blocks.of([gt_persons], [pred_persons], alpha, j_count).frame(0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """The PCKh masks of a run of frames, one joints_within call per block of
+    `step` frames, the most whose block fits in _MATCH_BLOCK cells padded to
+    the largest frame, or 1. masks[b] is the (F, N, M, J) mask of frames
+    b * step onwards. Each side's rows lie end to end: frame k's are
+    offsets[k]:offsets[k + 1] of points, with an all-NaN pad row last, and
+    limits holds each gt row's PCKh limit, and 1.0 for the pad."""
+
+    step: int
+    gt_points: np.ndarray
+    gt_offsets: np.ndarray
+    limits: np.ndarray
+    pred_points: np.ndarray
+    pred_offsets: np.ndarray
+    masks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, gts: Sequence[Detections], preds: Sequence[Detections], alpha: float,
+           j_count: int) -> "_Blocks":
+        gt_points, gt_offsets = _points(gts, j_count)
+        pred_points, pred_offsets = _points(preds, j_count)
+        head_boxes = np.concatenate([np.zeros((0, 4)), *(d.head_boxes for d in gts)])
+        limits = np.append(alpha * _head_sizes(head_boxes), 1.0)
+        cells = int(np.diff(gt_offsets).max(initial=0) * np.diff(pred_offsets).max(initial=0)) * j_count
+        step = max(1, _MATCH_BLOCK // max(cells, 1))
+        masks = []
+        for lo in range(0, len(gts), step):
+            hi = min(lo + step, len(gts))
+            gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
+            masks.append(joints_within(gt_points[gi], pred_points[pi], limits[gi]))
+        return cls(step, gt_points, gt_offsets, limits, pred_points, pred_offsets, tuple(masks))
+
+    def frame(self, k: int) -> np.ndarray:
+        """The (n_gt, n_pred, J) mask of frame k, a view into its block."""
+        n, m = self.gt_offsets[k + 1] - self.gt_offsets[k], self.pred_offsets[k + 1] - self.pred_offsets[k]
+        return self.masks[k // self.step][k % self.step, :n, :m]
+
+    def gather(self, frame: np.ndarray, gi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        """(K, J) masks of the (frame, gt index, pred index) pairs, which run in frame order."""
+        cuts = np.searchsorted(frame, np.arange(len(self.masks) + 1) * self.step).tolist()
+        parts = [mask[frame[lo:hi] % self.step, gi[lo:hi], pi[lo:hi]]
+                 for mask, lo, hi in zip(self.masks, cuts, cuts[1:])]
+        return np.concatenate([np.zeros((0, self.gt_points.shape[1]), dtype=bool), *parts])
+
+
+def _points(parts: Sequence[Detections], j_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, offsets): the keypoint_array rows of the parts end to end, then
+    an all-NaN row, and the offsets of each part's rows, with the end last."""
+    filled = [d for d in parts if len(d)]
+    points = np.concatenate([*(d.xy for d in filled), np.full((1, j_count, 2), math.nan)])
+    points[:-1][~np.concatenate([np.ones((0, j_count), dtype=bool), *(d.present for d in filled)])] = math.nan
+    return points, np.cumsum([0] + [len(d) for d in parts])
+
+
+def _padded(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, most rows) row numbers of frames lo to hi - 1, padded with -1."""
+    first, end = offsets[lo:hi, None], offsets[lo + 1:hi + 1, None]
+    rows = first + np.arange((end - first).max(initial=0))
+    return np.where(rows < end, rows, -1)
 
 
 def match_poses_frame(
     gt_persons: Detections,
     pred_persons: Detections,
     alpha: float = 0.5,
+    correct: Optional[np.ndarray] = None,
 ) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """(pairs, correct): the (gt index, pred index) pairs that maximize the
-    total count of PCKh-correct joints, and the correct_joint_mask of every pair.
+    total count of PCKh-correct joints, and the correct_joint_mask of every
+    pair, which match_sequence passes in from the frame's block.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
-    gt, pred = gt_persons, pred_persons
-    n_gt, n_pred = len(gt), len(pred)
-    if n_gt == 0 or n_pred == 0:
-        empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
-        return (), empty
-    correct = correct_joint_mask(gt, pred, alpha)
+    if correct is None:
+        correct = correct_joint_mask(gt_persons, pred_persons, alpha)
     counts = correct.sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
-    pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
-    return pairs, correct
+    kept = counts[rows, cols] > 0
+    return tuple(zip(rows[kept].tolist(), cols[kept].tolist())), correct
 
 
 def _mota(fn: int, fp: int, idsw: int, gt: int) -> Optional[float]:
@@ -252,7 +312,7 @@ class FrameMatch:
     gt: Detections
     pred: Detections
     pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
-    # (n_gt, n_pred, J) PCKh-correct joints of every pair, from correct_joint_mask
+    # (n_gt, n_pred, J) PCKh-correct joints of every pair, a view into the frame's block
     correct: np.ndarray = field(compare=False, repr=False)
 
 
@@ -260,52 +320,47 @@ class FrameMatch:
 class SequenceMatch:
     """The pose matching of every labeled frame, from match_sequence. It ignores
     track ids, so it serves every retracking of the matched predictions; the
-    terms only the reports need are computed on first use."""
+    terms only the reports need are computed on first use, from the frames'
+    rows end to end in `blocks`."""
 
     gt: VideoSequence
     alpha: float
     frames: tuple[FrameMatch, ...]
+    blocks: _Blocks = field(repr=False)
 
     @cached_property
     def gt_count(self) -> np.ndarray:
         """(J,) number of labeled instances of each joint."""
-        return _present_counts([f.gt for f in self.frames], self.gt.joint_count)
+        return np.count_nonzero(~np.isnan(self.blocks.gt_points[:-1, :, 0]), axis=0)
 
     @cached_property
     def _mot_terms(self) -> tuple:
-        """(tp, pred_count, motp_sum, entry_pair, follows, next_joint), the MOT terms
+        """(tp, pred_count, motp_sum, entry_row, follows, next_joint), the MOT terms
         that ignore predicted ids. An entry is a TP joint; entries run by track
-        and joint, then by frame and pair. entry_pair numbers the pair of each
-        entry over the sequence; follows[k] says entry k + 1, of joint
+        and joint, then by frame and pair. entry_row is the prediction row of
+        each entry over the sequence; follows[k] says entry k + 1, of joint
         next_joint[k], has the track and joint of entry k."""
-        j_count = self.gt.joint_count
-        no_entries = np.zeros(0, dtype=np.intp)
-        tracks, entry_pair, entry_joint = [], [no_entries], [no_entries]
-        # the gt - pred offset and PCKh limit of every TP joint, by frame, pair and joint
-        deltas, limits = [np.zeros((0, 2))], [np.zeros(0)]
-        for f in self.frames:
-            if not f.pairs:
-                continue
-            gi, pi = (np.array(side) for side in zip(*f.pairs))
-            pair, joint = np.nonzero(f.correct[gi, pi])  # the TP joints
-            entry_pair.append(len(tracks) + pair)
-            entry_joint.append(joint)
-            tracks += [f.gt.track_ids[g] for g in gi.tolist()]
-            deltas.append(f.gt.xy[gi[pair], joint] - f.pred.xy[pi[pair], joint])
-            limits.append(self.alpha * np.array(_head_sizes(f.gt))[gi[pair]])
-        deltas, limits = np.concatenate(deltas), np.concatenate(limits)
+        j_count, blocks = self.gt.joint_count, self.blocks
+        frame = np.repeat(np.arange(len(self.frames)), [len(f.pairs) for f in self.frames])
+        gi, pi = np.fromiter(chain.from_iterable(chain.from_iterable(f.pairs for f in self.frames)),
+                             dtype=np.intp).reshape(-1, 2).T
+        pair, joint = np.nonzero(blocks.gather(frame, gi, pi))  # the TP joints, by frame, pair and joint
+        gt_row = (blocks.gt_offsets[frame] + gi)[pair]
+        pred_row = (blocks.pred_offsets[frame] + pi)[pair]
+        deltas = blocks.gt_points[gt_row, joint] - blocks.pred_points[pred_row, joint]
+        limits = blocks.limits[gt_row]
         # math.hypot may round differently from np.hypot; the running sum keeps the
         # order of a loop over the TP joints
         distance = _hypot(deltas[:, 0], deltas[:, 1]).astype(float)
         scaled = np.divide(distance, limits, out=np.zeros_like(distance), where=limits > 0)
         motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
-        pred_count = _present_counts([f.pred for f in self.frames], j_count)
-        pair, joint = np.concatenate(entry_pair), np.concatenate(entry_joint)
+        pred_count = np.count_nonzero(~np.isnan(blocks.pred_points[:-1, :, 0]), axis=0)
         tp = np.bincount(joint, minlength=j_count)
-        key = _id_codes(tracks)[pair] * j_count + joint
+        tracks = _id_codes([t for f in self.frames for t in f.gt.track_ids])
+        key = tracks[gt_row] * j_count + joint
         order = np.argsort(key, kind="stable")
         key = key[order]
-        return tp, pred_count, motp_sum, pair[order], key[1:] == key[:-1], joint[order][1:]
+        return tp, pred_count, motp_sum, pred_row[order], key[1:] == key[:-1], joint[order][1:]
 
 
 def _id_codes(ids: Sequence[int]) -> np.ndarray:
@@ -317,17 +372,20 @@ def _id_codes(ids: Sequence[int]) -> np.ndarray:
 def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> SequenceMatch:
     """Match the poses of every labeled frame with the prediction frame of the
     same frame_index, which holds no predictions when it is missing. alpha,
-    the PCKh threshold in head sizes, must be finite and positive."""
+    the PCKh threshold in head sizes, must be finite and positive. The masks
+    are computed in blocks of frames, and each frame is matched alone."""
     _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
-    frames = []
-    for frame in gt.frames:
-        if frame.labeled:
-            dets = pred_by_index.get(frame.frame_index, NO_DETECTIONS)
-            pairs, correct = match_poses_frame(frame.detections, dets, alpha)
-            frames.append(FrameMatch(frame.frame_index, frame.detections, dets, pairs, correct))
-    return SequenceMatch(gt, alpha, tuple(frames))
+    labeled = [f for f in gt.frames if f.labeled]
+    gts = [f.detections for f in labeled]
+    preds = [pred_by_index.get(f.frame_index, NO_DETECTIONS) for f in labeled]
+    blocks = _Blocks.of(gts, preds, alpha, gt.joint_count)
+    frames = tuple(
+        FrameMatch(f.frame_index, g, p, *match_poses_frame(g, p, alpha, blocks.frame(k)))
+        for k, (f, g, p) in enumerate(zip(labeled, gts, preds))
+    )
+    return SequenceMatch(gt, alpha, frames, blocks)
 
 
 def evaluate_mot(
@@ -339,16 +397,16 @@ def evaluate_mot(
     _check_pair(match.gt, pred, require_track_ids=True)
     j_count = match.gt.joint_count
     ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
-    ids = []
+    ids = []  # the track id of every prediction row of the match
     for f in match.frames:
         frame_ids = ids_by_index.get(f.frame_index, ())
         if len(frame_ids) != len(f.pred):
             raise ValueError(f"prediction frame {f.frame_index} has {len(frame_ids)} detections, "
                              f"the match has {len(f.pred)}")
-        ids += [frame_ids[pi] for _, pi in f.pairs]
-    tp, pred_count, motp_sum, entry_pair, follows, next_joint = match._mot_terms
+        ids += frame_ids
+    tp, pred_count, motp_sum, entry_row, follows, next_joint = match._mot_terms
     # a switch is a TP whose id differs from the previous TP of its track and joint
-    entry_ids = _id_codes(ids)[entry_pair]
+    entry_ids = _id_codes(ids)[entry_row]
     idsw = np.bincount(next_joint[follows & (entry_ids[1:] != entry_ids[:-1])], minlength=j_count)
     gt_count = match.gt_count
     # a correct joint is present on both sides; every other present joint
@@ -391,26 +449,36 @@ def _average_precision(scores, hits, n_gt: int) -> float:
 def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], float]:
     """(per-joint AP, mAP) in percent of the scored keypoint predictions of
     `match`; a joint without labeled instances has AP None and no part in mAP."""
-    j_count = match.gt.joint_count
-    # one row per prediction, in frame and prediction order
-    no_rows = np.zeros((0, j_count), dtype=bool)
-    scores, hits, present = [np.zeros(0)], [no_rows], [no_rows]
-    for f in match.frames:
-        if not len(f.pred):
-            continue
-        # frame_hits[k, j]: joint j of prediction k is correct for the pose it claimed
-        frame_hits = np.zeros((len(f.pred), j_count), dtype=bool)
-        if len(f.gt):
-            overlap = f.correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
-            for pi in np.argsort(-f.pred.scores, kind="stable").tolist():
-                gi = int(overlap[:, pi].argmax())  # the first largest overlap
-                if overlap[gi, pi] > 0:
-                    frame_hits[pi] = f.correct[gi, pi]
-                    overlap[gi] = 0
-        scores.append(f.pred.scores)
-        hits.append(frame_hits)
-        present.append(f.pred.present)
-    scores, hits, present = np.concatenate(scores), np.concatenate(hits), np.concatenate(present)
+    j_count, blocks = match.gt.joint_count, match.blocks
+    offsets, sizes = blocks.pred_offsets, np.diff(blocks.pred_offsets)
+    scores = np.concatenate([np.zeros(0), *(f.pred.scores for f in match.frames if len(f.pred))])
+    # ranked[k, r]: frame k's prediction of rank r in score order, or m_max, a pad column
+    frames, m_max = np.arange(len(match.frames)), int(sizes.max(initial=0))
+    row_frame = np.repeat(frames, sizes)
+    order = np.lexsort((-scores, row_frame))
+    ranked = np.full((len(frames), m_max), m_max)
+    ranked[row_frame, np.arange(len(order)) - offsets[row_frame]] = order - offsets[row_frame]
+    # overlaps[k, g, p]: correct joints of pose g and prediction p of frame k, zeroed
+    # as poses are claimed, with a pad row and column of zeros
+    n_max = int(np.diff(blocks.gt_offsets).max(initial=0))
+    overlaps = np.zeros((len(frames), n_max + 1, m_max + 1), dtype=np.intp)
+    for b, mask in enumerate(blocks.masks):
+        overlaps[b * blocks.step:][:len(mask), :mask.shape[1], :mask.shape[2]] = mask.sum(axis=3)
+    # the frames claim together, one rank at a time: each prediction claims the
+    # first unclaimed pose with the most correct joints
+    claimed = np.full((len(frames), m_max + 1), -1)
+    for pi in ranked.T:
+        column = overlaps[frames, :, pi]
+        gi = column.argmax(axis=1)
+        hit = np.flatnonzero(column[frames, gi] > 0)
+        claimed[hit, pi[hit]] = gi[hit]
+        overlaps[hit, gi[hit]] = 0
+    frame, pi = np.nonzero(claimed >= 0)
+    gi = claimed[frame, pi]
+    # hits[r, j]: joint j of prediction row r is correct for the pose it claimed
+    hits = np.zeros((len(scores), j_count), dtype=bool)
+    hits[offsets[frame] + pi] = blocks.gather(frame, gi, pi)
+    present = ~np.isnan(blocks.pred_points[:-1, :, 0])
 
     n_gt = match.gt_count
     ap = tuple(

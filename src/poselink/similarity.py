@@ -197,11 +197,13 @@ _SQUARE_BAND = 1e-9  # relative half-width, around limit**2, of the math.hypot b
 _SQUARED_LIMITS = (1e-150, 1e150)  # limits whose squares, band included, are normal floats
 
 
-def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.ndarray:
-    """(N, M, J) mask: joint j is present in a[i] and b[k] and their distance
-    is at most limits[i].
+def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float] | np.ndarray) -> np.ndarray:
+    """(..., N, M, J) mask: joint j is present in a[..., i, :] and b[..., k, :]
+    and their distance is at most limits[..., i].
 
-    a (N, J, 2) and b (M, J, 2) come from keypoint_array. The decisions equal
+    a (..., N, J, 2) and b (..., M, J, 2) come from keypoint_array, and
+    limits has shape (..., N); an optional leading axis batches frames, each
+    compared with itself only, with one body for both. The decisions equal
     the scalar test math.hypot(dx, dy) <= limit of the references
     `pckh_correct` and `pose_pckh_similarity` in tests/helpers.py, and are
     made on squares: dx*dx + dy*dy <= limit*limit. Both squares are within
@@ -213,20 +215,20 @@ def joints_within(a: np.ndarray, b: np.ndarray, limits: Sequence[float]) -> np.n
     math.hypot. Squares of far-apart joints may overflow to inf, which
     decides them correctly, so that overflow raises no warning.
     """
-    dx = a[:, None, :, 0] - b[None, :, :, 0]
-    dy = a[:, None, :, 1] - b[None, :, :, 1]
+    dx = a[..., :, None, :, 0] - b[..., None, :, :, 0]
+    dy = a[..., :, None, :, 1] - b[..., None, :, :, 1]
     lim = np.asarray(limits, dtype=float)
     safe = (lim >= _SQUARED_LIMITS[0]) & (lim <= _SQUARED_LIMITS[1])
     with np.errstate(over="ignore"):
-        lim2 = (lim * lim)[:, None, None]
+        lim2 = (lim * lim)[..., None, None]
         d2 = dx * dx + dy * dy
     within = d2 < lim2 * (1.0 - _SQUARE_BAND)
     band = (d2 <= lim2 * (1.0 + _SQUARE_BAND)) ^ within
     if not safe.all():
         band[~safe] = ~np.isnan(d2[~safe])  # absent joints are NaN
     if band.any():
-        for i, k, j in np.argwhere(band):
-            within[i, k, j] = math.hypot(dx[i, k, j], dy[i, k, j]) <= limits[i]
+        for entry in map(tuple, np.argwhere(band).tolist()):
+            within[entry] = math.hypot(dx[entry], dy[entry]) <= lim[entry[:-2]]
     return within
 
 

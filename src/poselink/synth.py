@@ -82,6 +82,8 @@ MIN_HEIGHT, MAX_HEIGHT = 0.18, 0.35  # figure height as a fraction of the image 
 
 
 _FLOAT_MAX = sys.float_info.max
+# the largest mean numpy's Poisson sampler takes, computed as numpy does
+_POISSON_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 def _check_range(config, name: str, low: float = -_FLOAT_MAX, high: float = _FLOAT_MAX) -> None:
@@ -137,6 +139,9 @@ class NoiseModel:
         for name in ("false_positive_rate", "keypoint_jitter", "box_jitter", "feature_noise", "feature_dim"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        if self.false_positive_rate > _POISSON_MAX:
+            raise ValueError(f"false_positive_rate must be at most {_POISSON_MAX!r}, "
+                             f"got {self.false_positive_rate}")
         for name in ("tp_score_range", "fp_score_range", "keypoint_score_range"):
             _check_range(self, name)
 

@@ -2,7 +2,9 @@
 
 The oracles include the scalar references of the package's array kernels:
 iou, pose_pckh_similarity, feature_cosine, head_size, pckh_correct,
-_correct_joint_count and tube_overlap, each deciding one pair at a time.
+_correct_joint_count and tube_overlap, each deciding one pair at a time;
+reference_evaluate, the per-frame evaluator that block matching replaced;
+and reference_average_precision, AP from its definition.
 """
 
 from __future__ import annotations
@@ -16,9 +18,25 @@ from typing import Sequence
 
 import numpy as np
 
-from poselink.linking import Assignment, LinkerConfig, TrackStats, link_frame_pair, track_video_with_stats
-from poselink.metrics import HEAD_SIZE_BIAS, evaluate
+from poselink.linking import (
+    Assignment,
+    LinkerConfig,
+    TrackStats,
+    link_frame_pair,
+    linear_sum_assignment,
+    track_video_with_stats,
+)
+from poselink.metrics import (
+    HEAD_SIZE_BIAS,
+    EvalReport,
+    _average_precision,
+    _check_alpha,
+    _check_pair,
+    _id_codes,
+    evaluate,
+)
 from poselink.model import (
+    NO_DETECTIONS,
     ROLE_GROUNDTRUTH,
     ROLE_PREDICTION,
     Box,
@@ -26,10 +44,11 @@ from poselink.model import (
     Frame,
     VideoSequence,
     _check_int,
+    box_diagonals,
     filter_detections,
 )
 from poselink.oracles import apply_oracle
-from poselink.similarity import CostMatrix
+from poselink.similarity import CostMatrix, joints_within, keypoint_array
 from poselink.synth import ScenarioConfig, generate_scenario
 from poselink.tube import LABEL_IGNORE, Tube, TubeAnchor, smooth_l1
 
@@ -616,3 +635,163 @@ def table_means_row_by_row(table, seeds, frames: int, actors: int, columns) -> l
             report = evaluate(gt, tracked)
             row_values.append([columns[c][0](report, stats) for c in table.columns])
     return [np.mean(v, axis=0) for v in values]
+
+
+_hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
+
+
+def _reference_head_sizes(dets: Detections) -> list[float]:
+    """0.6 times the head-box diagonal of each detection; every detection needs one."""
+    if np.isnan(dets.head_boxes).any():
+        raise ValueError("a ground-truth detection has no head box")
+    diagonals = box_diagonals(dets.head_boxes)
+    if min(diagonals, default=1.0) <= 0.0:
+        raise ValueError("degenerate head box")
+    return [HEAD_SIZE_BIAS * diag for diag in diagonals]
+
+
+def _reference_present_counts(frames: Sequence[Detections], j_count: int) -> np.ndarray:
+    """(J,) number of detections, over all frames, in which each joint is present."""
+    counts = np.zeros(j_count, dtype=int)
+    for dets in frames:
+        if len(dets):
+            counts += dets.present.sum(axis=0)
+    return counts
+
+
+def _reference_match_frame(gt, pred, alpha):
+    """(pairs, correct) of one frame: its own PCKh mask, from one unbatched
+    joints_within call, and one assignment."""
+    n_gt, n_pred = len(gt), len(pred)
+    if n_gt == 0 or n_pred == 0:
+        empty = np.zeros((n_gt, n_pred, (gt if n_gt else pred).xy.shape[1]), dtype=bool)
+        return (), empty
+    limits = [alpha * size for size in _reference_head_sizes(gt)]
+    correct = joints_within(keypoint_array(gt), keypoint_array(pred), limits)
+    counts = correct.sum(axis=2)
+    rows, cols = linear_sum_assignment(-counts)
+    pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols) if counts[i, j] > 0)
+    return pairs, correct
+
+
+def _reference_match(gt: VideoSequence, pred: VideoSequence, alpha: float) -> list:
+    """(frame_index, gt, pred, pairs, correct) of every labeled frame, matched frame by frame."""
+    _check_alpha(alpha)
+    _check_pair(gt, pred, require_track_ids=False)
+    pred_by_index = {f.frame_index: f.detections for f in pred.frames}
+    frames = []
+    for frame in gt.frames:
+        if frame.labeled:
+            dets = pred_by_index.get(frame.frame_index, NO_DETECTIONS)
+            pairs, correct = _reference_match_frame(frame.detections, dets, alpha)
+            frames.append((frame.frame_index, frame.detections, dets, pairs, correct))
+    return frames
+
+
+def _reference_mot_terms(frames, j_count: int, alpha: float) -> tuple:
+    """(tp, pred_count, motp_sum, entry_pair, follows, next_joint) of the
+    per-frame evaluator: the MOT terms that ignore predicted ids."""
+    no_entries = np.zeros(0, dtype=np.intp)
+    tracks, entry_pair, entry_joint = [], [no_entries], [no_entries]
+    deltas, limits = [np.zeros((0, 2))], [np.zeros(0)]
+    for _, gt, pred, pairs, correct in frames:
+        if not pairs:
+            continue
+        gi, pi = (np.array(side) for side in zip(*pairs))
+        pair, joint = np.nonzero(correct[gi, pi])  # the TP joints
+        entry_pair.append(len(tracks) + pair)
+        entry_joint.append(joint)
+        tracks += [gt.track_ids[g] for g in gi.tolist()]
+        deltas.append(gt.xy[gi[pair], joint] - pred.xy[pi[pair], joint])
+        limits.append(alpha * np.array(_reference_head_sizes(gt))[gi[pair]])
+    deltas, limits = np.concatenate(deltas), np.concatenate(limits)
+    distance = _hypot(deltas[:, 0], deltas[:, 1]).astype(float)
+    scaled = np.divide(distance, limits, out=np.zeros_like(distance), where=limits > 0)
+    motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
+    pred_count = _reference_present_counts([f[2] for f in frames], j_count)
+    pair, joint = np.concatenate(entry_pair), np.concatenate(entry_joint)
+    tp = np.bincount(joint, minlength=j_count)
+    key = _id_codes(tracks)[pair] * j_count + joint
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return tp, pred_count, motp_sum, pair[order], key[1:] == key[:-1], joint[order][1:]
+
+
+def _reference_map(frames, j_count: int, n_gt: np.ndarray) -> tuple:
+    """(per-joint AP, mAP) of the per-frame evaluator, with its score-order claims per frame."""
+    no_rows = np.zeros((0, j_count), dtype=bool)
+    scores, hits, present = [np.zeros(0)], [no_rows], [no_rows]
+    for _, gt, pred, _, correct in frames:
+        if not len(pred):
+            continue
+        frame_hits = np.zeros((len(pred), j_count), dtype=bool)
+        if len(gt):
+            overlap = correct.sum(axis=2)  # zeroed row by row as gt poses are claimed
+            for pi in np.argsort(-pred.scores, kind="stable").tolist():
+                gi = int(overlap[:, pi].argmax())  # the first largest overlap
+                if overlap[gi, pi] > 0:
+                    frame_hits[pi] = correct[gi, pi]
+                    overlap[gi] = 0
+        scores.append(pred.scores)
+        hits.append(frame_hits)
+        present.append(pred.present)
+    scores, hits, present = np.concatenate(scores), np.concatenate(hits), np.concatenate(present)
+    ap = tuple(
+        100.0 * _average_precision(scores[present[:, j]], hits[present[:, j], j], int(n_gt[j]))
+        if n_gt[j] > 0 else None
+        for j in range(j_count)
+    )
+    defined = [v for v in ap if v is not None]
+    return ap, float(np.mean(defined)) if defined else 0.0
+
+
+def reference_evaluate(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> EvalReport:
+    """The per-frame evaluator that block matching replaced, kept as the
+    oracle of `evaluate`: one PCKh mask, one assignment and one claim pass per
+    labeled frame, then the MOT terms, the id pass and AP from per-frame
+    lists."""
+    frames = _reference_match(gt, pred, alpha)
+    _check_pair(gt, pred, require_track_ids=True)
+    j_count = gt.joint_count
+    gt_count = _reference_present_counts([f[1] for f in frames], j_count)
+    ap = _reference_map(frames, j_count, gt_count)
+    ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
+    ids = []
+    for frame_index, _, dets, pairs, _ in frames:
+        frame_ids = ids_by_index.get(frame_index, ())
+        ids += [frame_ids[pi] for _, pi in pairs]
+    tp, pred_count, motp_sum, entry_pair, follows, next_joint = _reference_mot_terms(frames, j_count, alpha)
+    entry_ids = _id_codes(ids)[entry_pair]
+    idsw = np.bincount(next_joint[follows & (entry_ids[1:] != entry_ids[:-1])], minlength=j_count)
+    fn = gt_count - tp
+    fp = pred_count - tp
+    total_tp = int(tp.sum())
+    return EvalReport(
+        joint_names=gt.joint_names,
+        tp=tuple(int(v) for v in tp),
+        fp=tuple(int(v) for v in fp),
+        fn=tuple(int(v) for v in fn),
+        idsw=tuple(int(v) for v in idsw),
+        gt=tuple(int(v) for v in gt_count),
+        motp_total=100.0 * motp_sum / total_tp if total_tp > 0 else 0.0,
+        map_per_joint=ap[0],
+        map_total=ap[1],
+    )
+
+
+def reference_average_precision(scores: Sequence[float], hits: Sequence[bool], n_gt: int) -> float:
+    """Average precision from its definition, one point per distinct score:
+    the predictions scored at or above it give TP and FP counts, hence a
+    recall TP / n_gt and a precision TP / (TP + FP). Precision at recall r is
+    interpolated as the most precision at any recall of at least r, and AP
+    sums it over the recall steps. Tied scores enter together, as one point."""
+    points = []
+    for threshold in sorted(set(scores), reverse=True):
+        kept = [hit for score, hit in zip(scores, hits) if score >= threshold]
+        points.append((sum(kept) / n_gt, sum(kept) / len(kept)))
+    total, reached = 0.0, 0.0
+    for recall, _ in points:
+        if recall > reached:
+            total += (recall - reached) * max(p for r, p in points if r >= recall)
+            reached = recall
+    return total

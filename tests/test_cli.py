@@ -508,13 +508,13 @@ class TestSweep:
         assert run("synth", "--out-gt", gt, "--out-pred", pred, "--seed", 2, "--frames", 9,
                    "--actors", 3, "--kp-jitter", 2.0, "--fp-rate", 1.0, "--label-every", 2) == 0
         assert run("track", "--pred", pred, "--out", tracked) == 0
-        calls = []
-        match = metrics.match_poses_frame
-        monkeypatch.setattr(metrics, "match_poses_frame", lambda *a: calls.append(a) or match(*a))
+        frames = []  # the frame count of every call to the block matcher
+        blocks_of = metrics._Blocks.of
+        monkeypatch.setattr(metrics._Blocks, "of", lambda gts, *a: frames.append(len(gts)) or blocks_of(gts, *a))
         assert run(command[0], "--gt", gt, "--pred", tracked, *command[1:], tmp_path / "out") == 0
         labeled = sum(f.labeled for f in load_sequence(str(gt), "groundtruth").frames)
         assert 0 < labeled < 9
-        assert len(calls) == matches_per_frame * labeled
+        assert frames == [labeled] * matches_per_frame
 
     def test_manifest_has_no_worker_count(self, synth_pair, tmp_path):
         gt, pred = synth_pair

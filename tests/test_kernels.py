@@ -12,6 +12,10 @@ shared sequence match replaced. evaluate_mot's counts are also checked
 against clear_mot_counts, the CLEAR-MOT accumulator in helpers. The row-wise
 tracking loss that the column-wise one replaced is reference_tracking_loss
 in helpers; both losses and their error messages must agree exactly.
+evaluate, which matches frames in blocks, must give the report of
+reference_evaluate, the per-frame evaluator it replaced, with a block edge
+after every first, second or third frame, and AP on untied scores must
+agree with reference_average_precision, written from the definition.
 """
 
 import dataclasses
@@ -26,15 +30,17 @@ from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import poselink.metrics as metrics_module
 from poselink.metrics import (
     _average_precision,
     correct_joint_mask,
+    evaluate,
     evaluate_map,
     evaluate_mot,
     match_poses_frame,
     match_sequence,
 )
-from poselink.model import NO_DETECTIONS, Box, Detections
+from poselink.model import NO_DETECTIONS, Box, Detections, Frame, VideoSequence
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
@@ -74,6 +80,8 @@ from helpers import (
     pckh_correct,
     pose_of,
     pose_pckh_similarity,
+    reference_average_precision,
+    reference_evaluate,
     reference_tracking_loss,
     sequence,
     tube_overlap,
@@ -651,6 +659,94 @@ class TestSequenceMatch:
             assert getattr(got, name) == value, name
         assert got.motp_total.hex() == want["motp_total"].hex()
         assert (got.map_per_joint, got.map_total) == ap
+
+
+@st.composite
+def block_scenes(draw, untied=False):
+    """(gt, pred) of 1 to 8 frames, each labeled or not, with 0 to 40
+    ground-truth poses and 0 to 40 predictions, or no prediction frame. Poses
+    sit on an integer grid and predictions are near copies shifted by 0, 3,
+    4 or 5 pixels per axis, or far off, so distances land on the PCKh limits
+    of the few head sizes. Scores repeat unless `untied`, which makes every
+    score of the sequence distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 40))
+    heads = np.array([[0.0, 0.0, 30.0, 40.0], [0.0, 0.0, 6.0, 8.0], [5.0, 5.0, 5.0, 45.0]])
+    names = tuple(f"j{k}" for k in range(J))
+    gt_frames, pred_frames = [], []
+    for t in range(draw(st.integers(1, 8))):
+        n = draw(sizes)
+        xy = rng.integers(0, 60, size=(n, 1, 2)) + rng.integers(-8, 9, size=(n, J, 2))
+        gt = Detections.from_columns(
+            np.tile([0.0, 0.0, 100.0, 100.0], (n, 1)), np.ones(n), xy, np.full((n, J), 2.0),
+            rng.random((n, J)) < 0.85, track_ids=rng.integers(0, 5, size=n).tolist(),
+            head_boxes=heads[rng.integers(0, len(heads), size=n)],
+        )
+        gt_frames.append(Frame(t, draw(st.integers(0, 3)) > 0, gt))
+        if draw(st.integers(0, 5)) == 0:
+            continue  # no prediction frame
+        m = draw(sizes)
+        source = rng.integers(0, max(n, 1), size=m)
+        shift = rng.choice([0.0, 0.0, 3.0, 4.0, 5.0, 60.0], size=(m, J, 2))
+        shift *= rng.choice([-1.0, 1.0], size=(m, J, 2))
+        pred_xy = (xy[source] if n else rng.integers(0, 60, size=(m, J, 2))) + shift
+        pred = Detections.from_columns(
+            np.tile([0.0, 0.0, 100.0, 100.0], (m, 1)), rng.choice([0.25, 0.5, 1.0], size=m), pred_xy,
+            np.full((m, J), 2.0), rng.random((m, J)) < 0.85, track_ids=rng.integers(0, 6, size=m).tolist(),
+        )
+        pred_frames.append(Frame(t, True, pred))
+    if untied:
+        scores = iter(rng.permutation(sum(len(f.detections) for f in pred_frames)) / 64.0)
+        pred_frames = [dataclasses.replace(f, detections=dataclasses.replace(
+            f.detections, scores=np.array([next(scores) for _ in range(len(f.detections))])))
+            for f in pred_frames]
+    return (VideoSequence("blocks", 640, 480, names, tuple(gt_frames)),
+            VideoSequence("blocks", 640, 480, names, tuple(pred_frames)))
+
+
+class TestBlockMatch:
+    @settings(max_examples=150, phases=UNSHRUNK)
+    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
+    def test_evaluate_equals_the_frame_by_frame_reference(self, scene, alpha, frames_per_block):
+        gt, pred = scene
+        labeled = [f for f in gt.frames if f.labeled]
+        preds = {f.frame_index: len(f.detections) for f in pred.frames}
+        cells = (max((len(f.detections) for f in labeled), default=0)
+                 * max((preds.get(f.frame_index, 0) for f in labeled), default=0) * J)
+        with mock.patch.object(metrics_module, "_MATCH_BLOCK", frames_per_block * cells):
+            got = evaluate(gt, pred, alpha)
+            blocks = match_sequence(gt, pred, alpha).blocks
+        want = reference_evaluate(gt, pred, alpha)
+        assert got == want
+        assert got.motp_total.hex() == want.motp_total.hex()
+        # a block edge after every frames_per_block frames
+        step = frames_per_block if cells else 1
+        assert blocks.step == step
+        assert [len(mask) for mask in blocks.masks] == [min(step, len(labeled) - lo)
+                                                         for lo in range(0, len(labeled), step)]
+
+    @settings(max_examples=100, phases=UNSHRUNK)
+    @given(block_scenes(untied=True))
+    def test_evaluate_map_gives_the_defined_ap(self, scene):
+        calls = []  # the (scores, hits, n_gt) of every AP evaluate_map takes
+        ap_of = metrics_module._average_precision
+        with mock.patch.object(metrics_module, "_average_precision", lambda *args: calls.append(args) or ap_of(*args)):
+            per_joint, _ = evaluate_map(match_sequence(*scene))
+        defined = [v for v in per_joint if v is not None]
+        assert len(calls) == len(defined)
+        for (scores, hits, n_gt), value in zip(calls, defined):
+            assert len(set(scores.tolist())) == len(scores)
+            want = 100.0 * reference_average_precision(scores.tolist(), hits.tolist(), n_gt)
+            assert math.isclose(value, want, rel_tol=1e-12)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=40, unique_by=lambda s: s[0]),
+       st.integers(1, 40))
+def test_average_precision_equals_the_definition_on_untied_scores(scored, n_gt):
+    scores, hits = [s / 10**6 for s, _ in scored], [h for _, h in scored]
+    assert math.isclose(_average_precision(scores, hits, n_gt),
+                        reference_average_precision(scores, hits, n_gt), rel_tol=1e-12)
 
 
 def test_keypoint_array_masks_absent_joints():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from poselink import cli
 from poselink.linking import LinkerConfig, track_video
 from poselink.metrics import evaluate, evaluate_map, match_sequence
 from poselink.model import filter_detections, save_sequence
@@ -18,6 +20,7 @@ from poselink.synth import (
     NoiseModel,
     OcclusionModel,
     ScenarioConfig,
+    _POISSON_MAX,
     corrupt_to_predictions,
     dilated_boxes,
     generate_ground_truth,
@@ -223,6 +226,8 @@ class TestCorruption:
         (NoiseModel, {"false_positive_rate": math.inf}, "false_positive_rate"),
         (NoiseModel, {"false_positive_rate": math.nan}, "false_positive_rate"),
         (NoiseModel, {"false_positive_rate": -1.0}, "false_positive_rate"),
+        (NoiseModel, {"false_positive_rate": 1e19}, "false_positive_rate"),
+        (NoiseModel, {"false_positive_rate": math.nextafter(_POISSON_MAX, math.inf)}, "false_positive_rate"),
         (NoiseModel, {"tp_score_range": (0.0, math.inf)}, "tp_score_range"),
         (NoiseModel, {"fp_score_range": (-math.inf, 1.0)}, "fp_score_range"),
         (NoiseModel, {"keypoint_score_range": (0, 1e400)}, "keypoint_score_range"),
@@ -258,6 +263,22 @@ class TestCorruption:
                                               fp_score_range=(-widest, 0.0), keypoint_score_range=(0.0, widest)))
         gt, pred = generate_scenario(cfg)
         assert len(gt.frames) == len(pred.frames) == 3
+
+    def test_false_positive_rate_bound_is_numpys_poisson_limit(self):
+        assert NoiseModel(false_positive_rate=_POISSON_MAX).false_positive_rate == _POISSON_MAX
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(_POISSON_MAX, math.inf))
+
+    def test_false_positive_rate_beyond_the_limit_in_a_config_names_the_field(self, tmp_path, capsys):
+        cfg, out = tmp_path / "scenario.json", tmp_path / "gt.json"
+        cfg.write_text(json.dumps({"frames": 1, "noise": {"false_positive_rate": 1e19}}))
+        assert cli.main(["synth", "--out-gt", str(out), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("poselink synth: config.noise: false_positive_rate must be at most ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_default_and_no_noise_configs_are_valid(self):
         ScenarioConfig()
