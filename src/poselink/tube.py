@@ -12,12 +12,14 @@ The anchors of one image are one (A, 4) corner array with their clip length
 (TubeAnchors), and assignment computes all anchor x ground-truth overlaps at
 once (pairwise_tube_overlap), each overlap the mean per-frame IoU and equal
 to the scalar reference tube_overlap in tests/helpers.py bit for bit. The
-overlaps are one (G, A) array filled in blocks of anchors through reused
-scratch; assign_anchors takes each anchor's best tube by a running
-comparison over its G rows. The loss works on the two logit columns.
+overlaps are one (G, A) array of zeros, in which each tube computes only the
+anchors that can meet the box spanning its frames; assign_anchors takes each
+anchor's best tube by a running comparison over its G rows. The loss works
+on the two logit columns.
 
 Region features are pulled from a T x C x H x W volume by RoIAlign on every
-temporal slice with that frame's box, all T slices and corners in one gather.
+temporal slice with that frame's box. The volume keeps its cells channels
+last, so all T slices and bilinear corners are one gather of C-channel rows.
 Sampling uses the half-pixel convention (the feature cell (r, c) center sits
 at continuous (c + 0.5, r + 0.5)) with zero padding outside the grid.
 """
@@ -36,7 +38,6 @@ from .similarity import _areas, _iou_into
 
 LABEL_BG = -1
 LABEL_IGNORE = -2
-_OVERLAP_BLOCK = 4096  # anchors per block of pairwise_tube_overlap
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,17 @@ class TubeAnchor:
 class TubeAnchors(Sequence):
     """Anchors of one clip length as a read-only (A, 4) corner array.
 
-    Rows are [x_min, y_min, x_max, y_max]. Indexing (numpy integers too) and
-    iteration build TubeAnchor views on demand; the checks are TubeAnchor's,
-    run once over the whole array.
+    Rows are [x_min, y_min, x_max, y_max], held in Fortran order, so that
+    each corner of all anchors is one contiguous column. Indexing (numpy
+    integers too) and iteration build TubeAnchor views on demand; the checks
+    are TubeAnchor's, run once over the whole array.
     """
 
     corners: np.ndarray
     length: int
 
     def __post_init__(self):
-        arr = np.array(self.corners, dtype=float)
+        arr = np.array(self.corners, dtype=float, order="F")
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError("anchor corners must have shape (A, 4)")
         if not np.isfinite(arr).all():
@@ -120,6 +122,13 @@ class TubeDeltas:
 
 @dataclass(frozen=True, eq=False)
 class FeatureVolume:
+    """A (T, C, H, W) feature volume and the stride of its cells in pixels.
+
+    The cells are copied once, channels last, into a read-only (T, H, W, C)
+    buffer, so that RoIAlign reads a sample's C channels as one row; data is
+    the (T, C, H, W) view of that buffer.
+    """
+
     data: np.ndarray  # (T, C, H, W)
     stride: int = 8
 
@@ -128,9 +137,11 @@ class FeatureVolume:
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 4:
             raise ValueError("feature volume must have shape (T, C, H, W)")
-        if not np.all(np.isfinite(arr)):
+        cells = arr.transpose(0, 2, 3, 1).copy()
+        if not np.all(np.isfinite(cells)):
             raise ValueError("feature volume entries must be finite")
-        object.__setattr__(self, "data", arr)
+        cells.flags.writeable = False
+        object.__setattr__(self, "data", cells.transpose(0, 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -177,12 +188,12 @@ def generate_anchors(grid: AnchorGrid, image_w: int, image_h: int, length: int =
         half_h = scales / root / 2
     cx = cx[None, :, None, None]  # (row, column, scale, aspect)
     cy = cy[:, None, None, None]
-    corners = np.empty((cy.shape[0], cx.shape[1]) + half_w.shape + (4,))
-    corners[..., 0] = cx - half_w
-    corners[..., 1] = cy - half_h
-    corners[..., 2] = cx + half_w
-    corners[..., 3] = cy + half_h
-    return TubeAnchors(corners.reshape(-1, 4), length)
+    corners = np.empty((4, cy.shape[0], cx.shape[1]) + half_w.shape)
+    corners[0] = cx - half_w
+    corners[1] = cy - half_h
+    corners[2] = cx + half_w
+    corners[3] = cy + half_h
+    return TubeAnchors(corners.reshape(4, -1).T, length)
 
 
 def encode_tube_deltas(target: Tube, anchor: TubeAnchor) -> TubeDeltas:
@@ -233,31 +244,38 @@ def pairwise_tube_overlap(anchors: TubeAnchors, gt_tubes: Sequence[Tube]) -> np.
     """(A, G) tube overlap of every anchor with every ground-truth tube.
 
     The float operations of the scalar reference tube_overlap in
-    tests/helpers.py in the same order (per-frame IoU, summed in frame order,
-    divided by T), so every entry equals tube_overlap of the anchor's box
-    replicated over T frames and gt, bit for bit. The sum is one (G, A)
-    array of zeros, to which each frame's IoU is added in place, one block
-    of _OVERLAP_BLOCK anchors at a time, with the block's areas taken once
-    and scratch reused. The result is its (A, G) transpose, a view.
+    tests/helpers.py in the same order (per-frame IoU, summed in frame order
+    from 0.0, divided by T), so every entry equals tube_overlap of the
+    anchor's box replicated over T frames and gt, bit for bit. Only the pairs
+    that can meet are computed: for each tube, the anchors whose box overlaps,
+    with positive width and height, the box spanning the tube's frames. Every
+    other anchor lies clear of the tube, or touches it, along x or y in every
+    frame, so each IoU is 0.0 and so is the overlap, the value the array
+    starts at. That needs every side and area of the tube's frames to be
+    finite, since an intersection can be no larger than the frame: a frame of
+    width 0 and infinite height has a NaN area, and an intersection of width
+    0 and infinite height is 0 * inf, NaN. Such a tube meets every anchor.
+    The result is the (A, G) transpose of a (G, A) array, a view.
     """
     length = anchors.length
     for gt in gt_tubes:
         if gt.length != length:
             raise ValueError(f"tube lengths differ: {length} vs {gt.length}")
-    if not gt_tubes or len(anchors) == 0:
-        return np.zeros((len(anchors), len(gt_tubes)))
-    gt_corners = np.stack([_corners(gt.boxes) for gt in gt_tubes], axis=1)  # (T, G, 4)
     total = np.zeros((len(gt_tubes), len(anchors)))
-    width = min(len(anchors), _OVERLAP_BLOCK)
-    (iou, ih, low), columns = np.empty((3, len(gt_tubes), width)), np.empty((4, width))
-    for start in range(0, len(anchors), width):
-        n = min(width, len(anchors) - start)
-        box = columns[:, :n].T  # the block's corners, each column contiguous
-        np.copyto(box, anchors.corners[start:start + n])
-        block, area, scratch = total[:, start:start + n], _areas(box), (ih[:, :n], low[:, :n])
-        for t in range(length):
-            block += _iou_into(gt_corners[t], box, area, iou[:, :n], *scratch)
-        block /= length
+    x0, y0, x1, y1 = columns = anchors.corners.T  # contiguous rows
+    for row, gt in zip(total, gt_tubes):
+        frames = _corners(gt.boxes)
+        (lo_x, lo_y), (hi_x, hi_y) = frames[:, :2].min(axis=0), frames[:, 2:].max(axis=0)
+        if np.isfinite(_areas(frames)).all():
+            meet = np.flatnonzero((x0 < hi_x) & (x1 > lo_x) & (y0 < hi_y) & (y1 > lo_y))
+        else:
+            meet = np.arange(len(anchors))
+        box, sums, scratch = columns.take(meet, axis=1).T, np.zeros(len(meet)), np.empty((3, 1, len(meet)))
+        area = _areas(box)
+        for frame in frames:
+            sums += _iou_into(frame[None], box, area, *scratch)[0]
+        sums /= length
+        row[meet] = sums
     return total.T
 
 
@@ -338,9 +356,12 @@ def tracking_loss(
         raise ValueError("delta arrays must both have shape (N, 4T)")
     if logits.shape != (labels.shape[0], 2) or pred.shape[0] != labels.shape[0]:
         raise ValueError("logit/label shapes inconsistent with anchor count")
-    for name, arr in (("pred_deltas", pred), ("target_deltas", target), ("cls_logits", logits)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in (("pred_deltas", pred), ("target_deltas", target), ("cls_logits", logits)):
+            # a NaN or infinite entry makes the sum non-finite; the mask is built only to tell
+            # such an entry from a sum of finite entries that overflows
+            if not (np.isfinite(arr.sum()) or np.isfinite(arr).all()):
+                raise ValueError(f"{name} has a non-finite entry")
 
     keep = labels != LABEL_IGNORE
     fg = labels >= 0
@@ -388,10 +409,13 @@ def spatiotemporal_roi_align(
 
     Boxes are given in image coordinates and divided by the volume stride.
     Each of the resolution x resolution bins averages samples_per_bin**2
-    bilinear samples; points outside the feature extent read as zero. All T
-    frames and all four bilinear corners are sampled in one gather, and every
-    output equals 2D RoIAlign of its frame alone bit for bit. Returns an
-    array of shape (T, C, resolution, resolution).
+    bilinear samples; points outside the feature extent read as zero. The
+    four bilinear corners of every sample of all T frames are gathered from
+    the channels-last cells as rows of C channels, weighted and summed in
+    the corner order 00, 01, 10, 11. Each bin then adds its samples in
+    row-major order from 0.0 and divides once, so every output equals 2D
+    RoIAlign of its frame alone bit for bit. Returns an array of shape
+    (T, C, resolution, resolution).
     """
     _check_int("output resolution", resolution, below="output resolution must be positive")
     _check_int("samples_per_bin", samples_per_bin, below="samples_per_bin must be positive")
@@ -402,14 +426,18 @@ def spatiotemporal_roi_align(
     r, s = resolution, samples_per_bin
     lo, hi = (_corners(tube.boxes) / vol.stride).T.reshape(2, 2, t_len, 1)[:, ::-1]  # rows y, x
     index, weight = _bilinear_taps(lo, hi, r * s, np.array([h, w])[:, None, None])
-    # (row tap, column tap, T, r*s, r*s, C): corners 00, 01, 10, 11 summed in turn; channels
-    # last, as in a one-frame gather, so that the mean sums each bin in that frame's order
-    yi, wy = index[:, None, 0, :, :, None], weight[:, None, 0, :, :, None]
-    xi, wx = index[None, :, 1, :, None, :], weight[None, :, 1, :, None, :]
-    vals = vol.data[np.arange(t_len)[:, None, None], :, yi, xi]
-    vals *= (wy * wx)[..., None]
-    out = np.add.reduce(vals.reshape((4,) + vals.shape[2:]), axis=0)
-    return np.moveaxis(out, 3, 1).reshape(t_len, channels, r, s, r, s).mean(axis=(3, 5))
+    # the flat (t, y, x) cell of each corner, (row tap, column tap, T, r*s, r*s)
+    rows = (np.arange(t_len)[:, None] * h + index[:, 0]) * w
+    cells = rows[:, None, :, :, None] + index[None, :, 1, :, None, :]
+    vals = vol.data.transpose(0, 2, 3, 1).reshape(-1, channels).take(cells, axis=0)
+    vals *= (weight[:, None, 0, :, :, None] * weight[None, :, 1, :, None, :])[..., None]
+    samples = np.add.reduce(vals.reshape((4,) + vals.shape[2:]), axis=0).reshape(t_len, r, s, r, s, channels)
+    bins = np.zeros((t_len, r, r, channels))
+    for i in range(s):
+        for j in range(s):
+            bins += samples[:, :, i, :, j]
+    bins /= s * s
+    return np.ascontiguousarray(bins.transpose(0, 3, 1, 2))
 
 
 def decode_keypoint_heatmap(heatmap: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:

@@ -429,8 +429,10 @@ def roi_align_per_frame(vol, tube, resolution, samples_per_bin):
     """2D RoIAlign of each frame alone with that frame's box, stacked in time:
     the per-frame loop that spatiotemporal_roi_align must equal bit for bit.
 
-    Its sample points are floored to int, so boxes must lie within about 2**63
-    cells of the grid.
+    Each bin adds its s*s samples in row-major order from 0.0 and divides
+    once, so the float order does not depend on the channel count. Its sample
+    points are floored to int, so boxes must lie within about 2**63 cells of
+    the grid.
     """
     t_len, channels = vol.data.shape[0], vol.data.shape[1]
     r, s = resolution, samples_per_bin
@@ -441,8 +443,12 @@ def roi_align_per_frame(vol, tube, resolution, samples_per_bin):
         xs = x1 + (np.arange(r * s) + 0.5) * (x2 - x1) / (r * s)
         ys = y1 + (np.arange(r * s) + 0.5) * (y2 - y1) / (r * s)
         grid_x, grid_y = np.meshgrid(xs, ys)
-        samples = _bilinear_sample(vol.data[t], grid_x, grid_y)  # (C, r*s, r*s)
-        out[t] = samples.reshape(channels, r, s, r, s).mean(axis=(2, 4))
+        samples = _bilinear_sample(vol.data[t], grid_x, grid_y).reshape(channels, r, s, r, s)
+        total = np.zeros((channels, r, r))
+        for i in range(s):
+            for j in range(s):
+                total += samples[:, :, i, :, j]
+        out[t] = total / (s * s)
     return out
 
 

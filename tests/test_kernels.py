@@ -50,7 +50,6 @@ from poselink.similarity import (
     pairwise_cosine,
     pairwise_iou,
 )
-import poselink.tube as tube_module
 from poselink.tube import (
     LABEL_BG,
     LABEL_IGNORE,
@@ -946,6 +945,24 @@ class TestTubeKernels:
         assert assign_anchors(anchors, [far]).tolist() == [LABEL_BG] * 4
         assert pairwise_tube_overlap(anchors, [far]).tolist() == [[0.0]] * 4
 
+    @pytest.mark.parametrize("anchor, frames, reads", [
+        ((0.0, 0.0, 4.0, 4.0), [(4.0, 0.0, 8.0, 4.0)], "0"),  # touching at an edge: ax1 == bx0
+        ((0.0, 4.0, 4.0, 8.0), [(1.0, 0.0, 3.0, 4.0)], "0"),  # touching at an edge: ay0 == by1
+        ((0.0, 0.0, 4.0, 4.0), [(10.0, 10.0, 14.0, 14.0), (2.0, 2.0, 6.0, 6.0)], "> 0"),  # clear, then overlapping
+        ((0.0, 0.0, 4.0, 4.0), [(2.0, 2.0, 6.0, 6.0), (4.0, 4.0, 9.0, 9.0)], "> 0"),  # overlapping, then touching
+        ((0.0, 0.0, 4.0, 4.0), [(2.0, 0.0, 2.0, 4.0)], "0"),  # a zero-width frame inside the anchor
+        ((2.0, 0.0, 6.0, 4.0), [(2.0, 0.0, 2.0, 4.0)], "0"),  # a zero-width frame on the anchor's edge
+        ((-5.0, -1e308, -0.0, 1e308), [(0.0, -1e308, 1.0, 1e308)], "nan"),  # clear along x, 0 * inf
+        ((-5.0, -1e308, -0.0, 1e308), [(0.0, 0.0, 1.0, 1.0)], "0"),  # an unbounded anchor, a bounded tube
+        ((-5.0, 0.0, -1.0, 1.0), [(0.0, -1e308, 0.0, 1e308)], "nan"),  # a frame of area 0 * inf
+    ])
+    def test_pairs_that_cannot_meet_equal_tube_overlap(self, anchor, frames, reads):
+        gt = Tube(tuple(Box(*f) for f in frames))
+        anchors = TubeAnchors([anchor], len(frames))
+        expected = tube_overlap(as_tube(anchors[0]), gt)
+        assert {"0": expected == 0.0, "> 0": expected > 0.0, "nan": math.isnan(expected)}[reads]
+        assert bits(pairwise_tube_overlap(anchors, [gt])).tolist() == bits(np.array([[expected]])).tolist()
+
     def test_empty_ground_truth_and_length_mismatch(self):
         anchors = generate_anchors(AnchorGrid(scales=(8.0,), aspects=(1.0,)), 16, 16, 3)
         assert assign_anchors(anchors, []).tolist() == [LABEL_BG] * 4
@@ -1062,13 +1079,19 @@ class TestTubeLossAndBestTube:
     @settings(max_examples=100)
     @given(assignment_cases(), st.sampled_from([1, 2, 3, 5]))
     def test_overlaps_do_not_depend_on_the_block_width(self, case, width):
+        """Anchors passed in blocks of width rows, and each tube alone, give
+        the overlaps of one call: which pairs a call computes depends on its
+        anchors and tubes, its results do not."""
         anchors, gts, _ = case
         gts = [g for g in gts if g.length == anchors.length]
         scalar = [[tube_overlap(as_tube(a), g) for g in gts] for a in anchors]
         scalar = np.array(scalar).reshape(len(anchors), len(gts))
-        with mock.patch.object(tube_module, "_OVERLAP_BLOCK", width):
-            overlaps = pairwise_tube_overlap(anchors, gts)
-        assert np.array_equal(bits(overlaps), bits(scalar))
+        blocks = [pairwise_tube_overlap(TubeAnchors(anchors.corners[i:i + width], anchors.length), gts)
+                  for i in range(0, len(anchors), width)]
+        by_tube = [pairwise_tube_overlap(anchors, [g]) for g in gts]
+        assert np.array_equal(bits(np.concatenate(blocks or [scalar])), bits(scalar))
+        assert np.array_equal(bits(np.hstack(by_tube or [scalar])), bits(scalar))
+        assert np.array_equal(bits(pairwise_tube_overlap(anchors, gts)), bits(scalar))
 
 
 class TestTubeAnchors:

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from helpers import (
     correlate2d_multi,
     correlate3d_multi,
     iou,
+    reference_tracking_loss,
     roi_align_oracle,
     roi_align_per_frame,
     tube_overlap,
@@ -283,15 +285,26 @@ class TestTrackingLoss:
         _, reg = tracking_loss(np.ones((2, 4)), np.zeros((2, 4)), np.zeros((2, 2)), labels, 1)
         assert reg == 0.0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("position, name", [
-        (0, "pred_deltas"), (1, "target_deltas"), (2, "cls_logits"),
+    @pytest.mark.parametrize("n, entries, name", [
+        *(pytest.param(2, [(position, (1, 1), bad)], name, id=f"{position}-{name}-{bad}")
+          for position, name in enumerate(("pred_deltas", "target_deltas", "cls_logits"))
+          for bad in (math.nan, math.inf, -math.inf)),
+        pytest.param(2, [(2, (0, 1), math.nan), (1, (1, 3), -math.inf)], "target_deltas", id="first-of-two"),
+        pytest.param(2, [(0, (0, 2), math.nan), (0, (1, 0), math.inf)], "pred_deltas", id="nan-and-inf"),
+        pytest.param(0, [], None, id="no-anchors"),
+        # finite entries whose sum overflows, to inf and then to NaN
+        pytest.param(2, [(1, (1, k), v) for k, v in enumerate((1e308, 1e308, -1e308, -1e308))], None,
+                     id="sum-overflows"),
     ])
-    def test_non_finite_entry_names_the_argument(self, position, name, bad):
-        args = [np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((2, 2))]
-        args[position][1, 1] = bad
+    def test_non_finite_entry_names_the_argument(self, n, entries, name):
+        args = [np.zeros((n, 4)), np.zeros((n, 4)), np.zeros((n, 2)), np.array([0, LABEL_BG][:n]), 1]
+        for position, index, value in entries:
+            args[position][index] = value
+        if name is None:
+            assert tracking_loss(*args) == reference_tracking_loss(*args)
+            return
         with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
-            tracking_loss(*args, np.array([0, LABEL_BG]), 1)
+            tracking_loss(*args)
 
     @pytest.mark.parametrize("pred, target", [
         (np.zeros(4), np.zeros(4)),
@@ -464,6 +477,34 @@ class TestRoiAlign:
             out = spatiotemporal_roi_align(vol, Tube((far, near)), 2)
         assert np.array_equal(out[0], np.zeros((3, 2, 2)))
         assert np.array_equal(out[1], roi_align_per_frame(vol, Tube((near, near)), 2, 2)[1])
+
+    @pytest.mark.parametrize("layout", ["transposed", "stepped", "fortran", "float32", "int"])
+    def test_any_input_layout_equals_per_frame_roialign(self, layout):
+        rng = np.random.default_rng(4)
+        source = rng.normal(size=(3, 5, 9, 11)) * 10
+        data = {
+            "transposed": np.ascontiguousarray(source.transpose(3, 1, 0, 2)).transpose(2, 1, 3, 0),
+            "stepped": np.repeat(np.repeat(source, 2, axis=1), 3, axis=3)[:, ::2, :, ::3],
+            "fortran": np.asfortranarray(source),
+            "float32": source.astype(np.float32),
+            "int": source.astype(np.int64),
+        }[layout]
+        vol = FeatureVolume(data, stride=2)
+        plain = types.SimpleNamespace(data=np.array(data, dtype=float), stride=2)  # C order, float64
+        assert vol.data.shape == data.shape and np.array_equal(vol.data, plain.data)
+        for kind in ROI_BOX_KINDS:
+            tube = Tube(tuple(roi_box(rng, kind, 2, 9, 11, 6) for _ in range(3)))
+            out = spatiotemporal_roi_align(vol, tube, 3, 2)
+            assert out.tobytes() == roi_align_per_frame(plain, tube, 3, 2).tobytes(), (kind, tube)
+
+    def test_data_keeps_its_values_and_is_read_only(self):
+        source = np.random.default_rng(5).normal(size=(2, 3, 4, 5))
+        vol = FeatureVolume(source)
+        assert vol.data.shape == (2, 3, 4, 5) and np.array_equal(vol.data, source)
+        with pytest.raises(ValueError, match="read-only"):
+            vol.data[0, 1, 2, 3] = 1.0
+        source[0, 1, 2, 3] = 99.0  # the volume holds its own copy
+        assert vol.data[0, 1, 2, 3] != 99.0
 
     def test_time_constant_input_gives_identical_slices(self):
         rng = np.random.default_rng(1)
