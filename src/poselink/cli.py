@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             return args.func(args)
-        except (UsageError, ValueError, OSError) as exc:
+        except (UsageError, ValueError, OSError, MemoryError) as exc:
             print(f"poselink {args.command}: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, UsageError) else 1
     finally:

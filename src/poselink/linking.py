@@ -22,9 +22,9 @@ passing it with another sequence is an error.
 `linear_sum_assignment` is the package's one call into scipy's solver, for
 `hungarian_assign` and `metrics.match_poses_frame`, which
 `metrics.match_sequence` runs on each labeled frame's view of its block's
-PCKh mask. It imports scipy.optimize at its first call, so importing
-poselink loads numpy only: scipy.optimize adds about 0.45 s and 47 MB,
-which the tube kernels, the loader and synth never need.
+correct-joint counts. It imports scipy.optimize at its first call, so
+importing poselink loads numpy only: scipy.optimize adds about 0.45 s and
+47 MB, which the tube kernels, the loader and synth never need.
 """
 
 from __future__ import annotations

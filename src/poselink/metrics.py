@@ -28,13 +28,14 @@ instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
 same frame_index and matched once, by match_sequence: one joints_within call
-per block of consecutive frames, NaN-padded, decides the PCKh masks, then each
-frame is matched alone on its view of its block. That one SequenceMatch
-serves evaluate_map(match), which gives each joint's AP and their mean, the
+per block of consecutive frames, NaN-padded, decides the PCKh masks, summed
+once over joints into counts, then each frame is matched alone on its view of
+its block's counts. The SequenceMatch keeps the pairs as one (K, 3) array of
+(labeled-frame position, gt index, pred index) rows in frame order. It serves
+evaluate_map(match), which gives each joint's AP and their mean, the
 perfect-association oracle and evaluate_mot(match, pred, ap), which counts it
 with the track ids of any retracking of the matched predictions into one
-complete EvalReport; evaluate(gt, pred, alpha) runs the three steps. The
-reports read the whole sequence's rows at once.
+complete EvalReport; evaluate(gt, pred, alpha) runs the three steps.
 
 sweep_threshold is the one sweep engine, behind both the `sweep` command and
 scripts/ablations.py: per detection threshold it filters and matches once,
@@ -107,9 +108,9 @@ class _Blocks:
     """The PCKh masks of a run of frames, one joints_within call per block of
     `step` frames, the most whose block fits in _MATCH_BLOCK cells padded to
     the largest frame, or 1. masks[b] is the (F, N, M, J) mask of frames
-    b * step onwards. Each side's rows lie end to end: frame k's are
-    offsets[k]:offsets[k + 1] of points, with an all-NaN pad row last, and
-    limits holds each gt row's PCKh limit, and 1.0 for the pad."""
+    b * step onwards, counts[b] its sum over joints. Each side's rows lie end
+    to end: frame k's are offsets[k]:offsets[k + 1] of points, with an all-NaN
+    pad row last; limits holds each gt row's PCKh limit, and 1.0 for the pad."""
 
     step: int
     gt_points: np.ndarray
@@ -118,6 +119,7 @@ class _Blocks:
     pred_points: np.ndarray
     pred_offsets: np.ndarray
     masks: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
 
     @classmethod
     def of(cls, gts: Sequence[Detections], preds: Sequence[Detections], alpha: float,
@@ -133,12 +135,13 @@ class _Blocks:
             hi = min(lo + step, len(gts))
             gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
             masks.append(joints_within(gt_points[gi], pred_points[pi], limits[gi]))
-        return cls(step, gt_points, gt_offsets, limits, pred_points, pred_offsets, tuple(masks))
+        return cls(step, gt_points, gt_offsets, limits, pred_points, pred_offsets, tuple(masks),
+                   tuple(mask.sum(axis=3) for mask in masks))
 
-    def frame(self, k: int) -> np.ndarray:
-        """The (n_gt, n_pred, J) mask of frame k, a view into its block."""
+    def frame(self, k: int, of: Optional[tuple[np.ndarray, ...]] = None) -> np.ndarray:
+        """Frame k's (n_gt, n_pred, J) mask, or its part of `of` such as counts: a view into its block."""
         n, m = self.gt_offsets[k + 1] - self.gt_offsets[k], self.pred_offsets[k + 1] - self.pred_offsets[k]
-        return self.masks[k // self.step][k % self.step, :n, :m]
+        return (self.masks if of is None else of)[k // self.step][k % self.step, :n, :m]
 
     def gather(self, frame: np.ndarray, gi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         """(K, J) masks of the (frame, gt index, pred index) pairs, which run in frame order."""
@@ -168,20 +171,19 @@ def match_poses_frame(
     gt_persons: Detections,
     pred_persons: Detections,
     alpha: float = 0.5,
-    correct: Optional[np.ndarray] = None,
-) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
-    """(pairs, correct): the (gt index, pred index) pairs that maximize the
-    total count of PCKh-correct joints, and the correct_joint_mask of every
-    pair, which match_sequence passes in from the frame's block.
+    counts: Optional[np.ndarray] = None,
+) -> tuple[tuple[int, int], ...]:
+    """The (gt index, pred index) pairs that maximize the total count of
+    PCKh-correct joints, from counts, the (n_gt, n_pred) correct joints of every
+    pair: match_sequence's view of its block's, or else correct_joint_mask's sum.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
-    if correct is None:
-        correct = correct_joint_mask(gt_persons, pred_persons, alpha)
-    counts = correct.sum(axis=2)
+    if counts is None:
+        counts = correct_joint_mask(gt_persons, pred_persons, alpha).sum(axis=2)
     rows, cols = linear_sum_assignment(-counts)
     kept = counts[rows, cols] > 0
-    return tuple(zip(rows[kept].tolist(), cols[kept].tolist())), correct
+    return tuple(zip(rows[kept].tolist(), cols[kept].tolist()))
 
 
 def _mota(fn: int, fp: int, idsw: int, gt: int) -> Optional[float]:
@@ -304,18 +306,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class FrameMatch:
-    """One labeled frame: the detections of both sides and their pose matching."""
-
-    frame_index: int
-    gt: Detections
-    pred: Detections
-    pairs: tuple[tuple[int, int], ...]  # (gt index, pred index)
-    # (n_gt, n_pred, J) PCKh-correct joints of every pair, a view into the frame's block
-    correct: np.ndarray = field(compare=False, repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class SequenceMatch:
     """The pose matching of every labeled frame, from match_sequence. It ignores
@@ -325,13 +315,22 @@ class SequenceMatch:
 
     gt: VideoSequence
     alpha: float
-    frames: tuple[FrameMatch, ...]
+    frame_indices: tuple[int, ...]  # of the labeled frames, in order
+    pairs: np.ndarray  # (K, 3) labeled-frame position, gt index, pred index, in frame order
+    scores: np.ndarray  # (R,) score of each prediction row of the labeled frames
     blocks: _Blocks = field(repr=False)
 
     @cached_property
     def gt_count(self) -> np.ndarray:
         """(J,) number of labeled instances of each joint."""
         return np.count_nonzero(~np.isnan(self.blocks.gt_points[:-1, :, 0]), axis=0)
+
+    @cached_property
+    def track_ids(self) -> tuple[int, ...]:
+        """The ground-truth track id of each pair."""
+        ids = [t for f in self.gt.frames if f.labeled for t in f.detections.track_ids]
+        rows = self.blocks.gt_offsets[self.pairs[:, 0]] + self.pairs[:, 1]
+        return tuple(ids[row] for row in rows.tolist())
 
     @cached_property
     def _mot_terms(self) -> tuple:
@@ -341,9 +340,7 @@ class SequenceMatch:
         each entry over the sequence; follows[k] says entry k + 1, of joint
         next_joint[k], has the track and joint of entry k."""
         j_count, blocks = self.gt.joint_count, self.blocks
-        frame = np.repeat(np.arange(len(self.frames)), [len(f.pairs) for f in self.frames])
-        gi, pi = np.fromiter(chain.from_iterable(chain.from_iterable(f.pairs for f in self.frames)),
-                             dtype=np.intp).reshape(-1, 2).T
+        frame, gi, pi = self.pairs.T
         pair, joint = np.nonzero(blocks.gather(frame, gi, pi))  # the TP joints, by frame, pair and joint
         gt_row = (blocks.gt_offsets[frame] + gi)[pair]
         pred_row = (blocks.pred_offsets[frame] + pi)[pair]
@@ -356,8 +353,7 @@ class SequenceMatch:
         motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
         pred_count = np.count_nonzero(~np.isnan(blocks.pred_points[:-1, :, 0]), axis=0)
         tp = np.bincount(joint, minlength=j_count)
-        tracks = _id_codes([t for f in self.frames for t in f.gt.track_ids])
-        key = tracks[gt_row] * j_count + joint
+        key = _id_codes(self.track_ids)[pair] * j_count + joint
         order = np.argsort(key, kind="stable")
         key = key[order]
         return tp, pred_count, motp_sum, pred_row[order], key[1:] == key[:-1], joint[order][1:]
@@ -373,7 +369,7 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     """Match the poses of every labeled frame with the prediction frame of the
     same frame_index, which holds no predictions when it is missing. alpha,
     the PCKh threshold in head sizes, must be finite and positive. The masks
-    are computed in blocks of frames, and each frame is matched alone."""
+    and their counts are computed in blocks of frames; each frame is matched alone."""
     _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
@@ -381,11 +377,12 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     gts = [f.detections for f in labeled]
     preds = [pred_by_index.get(f.frame_index, NO_DETECTIONS) for f in labeled]
     blocks = _Blocks.of(gts, preds, alpha, gt.joint_count)
-    frames = tuple(
-        FrameMatch(f.frame_index, g, p, *match_poses_frame(g, p, alpha, blocks.frame(k)))
-        for k, (f, g, p) in enumerate(zip(labeled, gts, preds))
-    )
-    return SequenceMatch(gt, alpha, frames, blocks)
+    per_frame = [match_poses_frame(g, p, alpha, blocks.frame(k, blocks.counts))
+                 for k, (g, p) in enumerate(zip(gts, preds))]
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(per_frame)), dtype=np.intp).reshape(-1, 2)
+    pairs = np.column_stack([np.repeat(np.arange(len(per_frame)), list(map(len, per_frame))), pairs])
+    scores = np.concatenate([np.zeros(0), *(p.scores for p in preds if len(p))])
+    return SequenceMatch(gt, alpha, tuple(f.frame_index for f in labeled), pairs, scores, blocks)
 
 
 def evaluate_mot(
@@ -398,11 +395,11 @@ def evaluate_mot(
     j_count = match.gt.joint_count
     ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
     ids = []  # the track id of every prediction row of the match
-    for f in match.frames:
-        frame_ids = ids_by_index.get(f.frame_index, ())
-        if len(frame_ids) != len(f.pred):
-            raise ValueError(f"prediction frame {f.frame_index} has {len(frame_ids)} detections, "
-                             f"the match has {len(f.pred)}")
+    for frame_index, size in zip(match.frame_indices, np.diff(match.blocks.pred_offsets).tolist()):
+        frame_ids = ids_by_index.get(frame_index, ())
+        if len(frame_ids) != size:
+            raise ValueError(f"prediction frame {frame_index} has {len(frame_ids)} detections, "
+                             f"the match has {size}")
         ids += frame_ids
     tp, pred_count, motp_sum, entry_row, follows, next_joint = match._mot_terms
     # a switch is a TP whose id differs from the previous TP of its track and joint
@@ -451,9 +448,9 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     `match`; a joint without labeled instances has AP None and no part in mAP."""
     j_count, blocks = match.gt.joint_count, match.blocks
     offsets, sizes = blocks.pred_offsets, np.diff(blocks.pred_offsets)
-    scores = np.concatenate([np.zeros(0), *(f.pred.scores for f in match.frames if len(f.pred))])
+    scores = match.scores
     # ranked[k, r]: frame k's prediction of rank r in score order, or m_max, a pad column
-    frames, m_max = np.arange(len(match.frames)), int(sizes.max(initial=0))
+    frames, m_max = np.arange(len(match.frame_indices)), int(sizes.max(initial=0))
     row_frame = np.repeat(frames, sizes)
     order = np.lexsort((-scores, row_frame))
     ranked = np.full((len(frames), m_max), m_max)
@@ -462,8 +459,8 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     # as poses are claimed, with a pad row and column of zeros
     n_max = int(np.diff(blocks.gt_offsets).max(initial=0))
     overlaps = np.zeros((len(frames), n_max + 1, m_max + 1), dtype=np.intp)
-    for b, mask in enumerate(blocks.masks):
-        overlaps[b * blocks.step:][:len(mask), :mask.shape[1], :mask.shape[2]] = mask.sum(axis=3)
+    for b, counts in enumerate(blocks.counts):
+        overlaps[b * blocks.step:][:len(counts), :counts.shape[1], :counts.shape[2]] = counts
     # the frames claim together, one rank at a time: each prediction claims the
     # first unclaimed pose with the most correct joints
     claimed = np.full((len(frames), m_max + 1), -1)

@@ -334,7 +334,7 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """Load and validate a sequence file.
 
     role="groundtruth" additionally requires track_id and a head_box of
-    non-zero size on every person.
+    non-zero size on every person, and no track_id twice in one frame.
     """
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
@@ -502,6 +502,9 @@ def _frames(raw_frames: list, j: int, role: str) -> tuple[Frame, ...]:
     columns = _columns(list(chain.from_iterable(per_frame)), j, role)
     names, cols = tuple(columns), tuple(columns.values())
     bounds = np.cumsum([0] + list(map(len, per_frame))).tolist()
+    ids = columns["track_ids"]
+    if role == ROLE_GROUNDTRUTH and any(len(set(ids[lo:hi])) < hi - lo for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError("ground truth repeats a track_id")
     frames = []
     for index, is_labeled, lo, hi in zip(indices, labeled, bounds, bounds[1:]):
         # a frame's rows are views of the read-only columns, so Detections'
@@ -516,7 +519,8 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
     """Raise the ValueError of the first check, in file order, that raw_frames
     fails: the checks of _frame_fields and _columns, run on one frame at a
     time, and on one detection at a time only within a frame whose detections
-    fail them, then those across frames."""
+    fail them, then that frame's frame_index and ground-truth track ids, then
+    the checks across frames."""
     for fi, f in enumerate(raw_frames):
         try:
             _frame_fields([f])
@@ -534,6 +538,11 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
                     raise ValueError(f"frame {fi} detection {di}{exc}") from None
         if f["frame_index"] < 0:
             raise ValueError(f"frame {fi}: frame_index must be non-negative")
+        seen = set()
+        for t in (d["track_id"] for d in f["detections"]) if role == ROLE_GROUNDTRUTH else ():
+            if t in seen:
+                raise ValueError(f"frame {fi}: ground truth repeats track_id {t}")
+            seen.add(t)
     last_index, feature_dims = -1, set()
     for f in raw_frames:
         if f["frame_index"] <= last_index:

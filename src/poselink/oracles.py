@@ -35,10 +35,9 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
     offset = (max(gt_ids) + 1) if gt_ids else 0
 
     # matched[(frame_index, pred det index)] -> gt track id
-    matched = {
-        (f.frame_index, pi): f.gt.track_ids[gi]
-        for f in match_sequence(gt, pred, alpha).frames for gi, pi in f.pairs
-    }
+    match = match_sequence(gt, pred, alpha)
+    matched = {(match.frame_indices[k], pi): tid
+               for (k, _, pi), tid in zip(match.pairs.tolist(), match.track_ids)}
     unmatched_ids = {
         tid for frame in pred.frames for i, tid in enumerate(frame.detections.track_ids)
         if (frame.frame_index, i) not in matched

@@ -603,6 +603,10 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
             detections.append(detection(box, score, block, feature, track_id, head_box))
         if f["frame_index"] < 0:
             raise ValueError(f"frame {fi}: frame_index must be non-negative")
+        ids = [det.track_ids[0] for det in detections] if role == ROLE_GROUNDTRUTH else []
+        repeated = [t for k, t in enumerate(ids) if t in ids[:k]]
+        if repeated:
+            raise ValueError(f"frame {fi}: ground truth repeats track_id {repeated[0]}")
         frames.append((f["frame_index"], f["labeled"], detections))
 
     last_index, feature_dim = -1, None

@@ -25,7 +25,7 @@ from poselink.model import filter_detections, load_sequence, save_sequence
 from poselink.similarity import SimilarityCriterion, load_external_scores
 from poselink.synth import ScenarioConfig
 
-from helpers import three_frame_pair
+from helpers import person, sequence, three_frame_pair
 
 
 def run(*argv):
@@ -120,6 +120,15 @@ class TestSynth:
         assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"poselink synth: {where}: {field} ") and err.count("\n") == 1
+        assert not (tmp_path / "gt.json").exists()
+
+    def test_a_scene_beyond_any_memory_is_one_line_error(self, tmp_path, capsys):
+        # 10**16 frames need 71 PiB for their first array, more than any address
+        # space, so the request fails before anything is allocated
+        assert run("synth", "--out-gt", tmp_path / "gt.json", "--frames", 10**16) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("poselink synth: Unable to allocate ") and err.count("\n") == 1
         assert not (tmp_path / "gt.json").exists()
 
     @pytest.mark.parametrize("flags, doc", [
@@ -335,6 +344,20 @@ class TestEval:
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
+
+    def test_repeated_ground_truth_track_id_is_one_line_error(self, tmp_path, capsys):
+        # two people with track id 7 in each of 3 frames; evaluated, perfect
+        # predictions would read identity switches where there are none
+        poses = ([(10.0, 10.0), (20.0, 30.0), (30.0, 10.0)], [(200.0, 10.0), (210.0, 30.0), (220.0, 10.0)])
+        gt = sequence([(t, True, [person(p, track_id=7) for p in poses]) for t in range(3)])
+        pred = sequence([(t, True, [person(p, track_id=i + 1, head_box=None) for i, p in enumerate(poses)])
+                         for t in range(3)])
+        gt_path, pred_path, report = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "report.json"
+        save_sequence(gt, str(gt_path))
+        save_sequence(pred, str(pred_path))
+        assert run("eval", "--gt", gt_path, "--pred", pred_path, "--report", report) == 1
+        assert capsys.readouterr().err == "poselink eval: frame 0: ground truth repeats track_id 7\n"
+        assert not report.exists()
 
     def test_csv_keeps_a_column_per_joint_whatever_the_names(self, tmp_path):
         # joint names come from the file: one may name a total column, and

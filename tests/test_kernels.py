@@ -16,6 +16,8 @@ evaluate, which matches frames in blocks, must give the report of
 reference_evaluate, the per-frame evaluator it replaced, with a block edge
 after every first, second or third frame, and AP on untied scores must
 agree with reference_average_precision, written from the definition.
+match_sequence's pair array must hold, frame by frame, the pairs of
+_reference_match, also where prediction frames have no labeled counterpart.
 """
 
 import dataclasses
@@ -67,6 +69,7 @@ from poselink.tube import (
 
 from helpers import (
     _correct_joint_count,
+    _reference_match,
     as_tube,
     box_of,
     clear_mot_counts,
@@ -421,7 +424,7 @@ class TestMetricKernels:
     @settings(max_examples=75)
     @given(gt_sides, sides)
     def test_match_poses_frame_equals_scalar_counts(self, gt, pred):
-        pairs, _ = match_poses_frame(Detections.concat(gt), Detections.concat(pred))
+        pairs = match_poses_frame(Detections.concat(gt), Detections.concat(pred))
         if not gt or not pred:
             assert pairs == ()
             everyone = (tuple(range(len(gt))), tuple(range(len(pred))))
@@ -514,7 +517,8 @@ def loop_evaluate_mot(gt, pred, alpha=0.5):
             continue
         pf = pred_by_index.get(frame.frame_index)
         pred_dets = pf.detections if pf is not None else NO_DETECTIONS
-        pairs, correct = match_poses_frame(frame.detections, pred_dets, alpha)
+        pairs = match_poses_frame(frame.detections, pred_dets, alpha)
+        correct = correct_joint_mask(frame.detections, pred_dets, alpha)
         for dets, count in ((frame.detections, gt_count), (pred_dets, pred_count)):
             count += np.array([d.present[0] for d in rows(dets)], dtype=bool).reshape(
                 len(dets), j_count).sum(axis=0)
@@ -723,6 +727,25 @@ class TestBlockMatch:
         assert blocks.step == step
         assert [len(mask) for mask in blocks.masks] == [min(step, len(labeled) - lo)
                                                          for lo in range(0, len(labeled), step)]
+
+    @settings(max_examples=100, phases=UNSHRUNK)
+    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.data())
+    def test_pairs_equal_the_frame_by_frame_reference(self, scene, alpha, data):
+        gt, pred = scene
+        # every frame_index doubled, and after some prediction frames a copy at the
+        # odd index between, which no ground-truth frame has
+        pred_frames = []
+        for f in pred.frames:
+            pred_frames.append(Frame(2 * f.frame_index, True, f.detections))
+            if data.draw(st.booleans()):
+                pred_frames.append(Frame(2 * f.frame_index + 1, True, f.detections))
+        gt = gt.with_frames([Frame(2 * f.frame_index, f.labeled, f.detections) for f in gt.frames])
+        pred = pred.with_frames(pred_frames)
+        match = match_sequence(gt, pred, alpha)
+        want = _reference_match(gt, pred, alpha)
+        assert match.frame_indices == tuple(frame_index for frame_index, *_ in want)
+        assert match.pairs.dtype == np.intp and match.pairs.shape[1:] == (3,)
+        assert match.pairs.tolist() == [[k, gi, pi] for k, (*_, pairs, _) in enumerate(want) for gi, pi in pairs]
 
     @settings(max_examples=100, phases=UNSHRUNK)
     @given(block_scenes(untied=True))

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from poselink.linking import LinkerConfig, track_video, track_video_with_stats
 from poselink.metrics import (
+    correct_joint_mask,
     evaluate,
     evaluate_map,
     evaluate_mot,
@@ -69,7 +70,7 @@ class TestMatchPoses:
     def test_perfect_prediction_matches(self):
         gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
         pred = person([(0, 0), (5, 5), (10, 10)])
-        pairs, _ = match_poses_frame(gt, pred)
+        pairs = match_poses_frame(gt, pred)
         assert pairs == ((0, 0),)
         assert unmatched(pairs, 1, 1) == ((), ())
 
@@ -82,7 +83,7 @@ class TestMatchPoses:
             person([(101, 101), (106, 106), (111, 111)]),
             person([(1, 1), (6, 6), (11, 11)]),
         ])
-        pairs, _ = match_poses_frame(gt, pred)
+        pairs = match_poses_frame(gt, pred)
         assert set(pairs) == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize("head_box, message", [
@@ -99,13 +100,15 @@ class TestMatchPoses:
     def test_zero_width_head_box_has_a_size(self):
         coords = [(0, 0), (5, 5), (10, 10)]
         gt = person(coords, track_id=0, head_box=Box(5, 5, 5, 45))
-        pairs, correct = match_poses_frame(gt, person(coords))
+        pred = person(coords)
+        pairs = match_poses_frame(gt, pred)
+        correct = correct_joint_mask(gt, pred)
         assert pairs == ((0, 0),) and correct.all()
 
     def test_zero_correct_joints_discarded(self):
         gt = person([(0, 0), (5, 5), (10, 10)], track_id=0)
         pred = person([(500, 500), (505, 505), (510, 510)])
-        pairs, _ = match_poses_frame(gt, pred)
+        pairs = match_poses_frame(gt, pred)
         assert pairs == ()
         assert unmatched(pairs, 1, 1) == ((0,), (0,))
 

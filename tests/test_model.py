@@ -370,6 +370,16 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="head_box"):
             load_sequence(path, role="groundtruth")
 
+    def test_groundtruth_repeated_track_id_names_the_frame_and_the_id(self, tmp_path):
+        doc = self._multi_doc()
+        doc["frames"][2]["detections"][0]["track_id"] = 2
+        path = self._write(tmp_path, doc)
+        with pytest.raises(ValueError) as exc:
+            load_sequence(path, role="groundtruth")
+        assert str(exc.value) == "frame 2: ground truth repeats track_id 2"
+        # predictions may repeat an id
+        assert load_sequence(path).frames[2].detections.track_ids == (2, 1, 2)
+
     def test_groundtruth_zero_size_head_box_names_detection(self, tmp_path):
         doc = self._doc()
         doc["frames"][0]["detections"][0].update(track_id=3, head_box=[5, 5, 5, 5])
@@ -491,6 +501,7 @@ class TestLoadValidation:
         (("frames", 2, "detections", 0, "bbox"), [5, 0, 1, 1]),
         (("frames", 1, "detections", 1, "head_box"), None),
         (("frames", 0, "detections", 0, "keypoints", 0, 3), False),
+        (("frames", 1, "detections", 2, "track_id"), 0),
     ]
 
     def test_every_pair_of_changes_agrees_with_the_reference(self, tmp_path):
@@ -554,6 +565,15 @@ class TestLoadValidation:
          "feature vectors must share one dimensionality"),
         ([(("frames", 1, "frame_index"), 0), (("frames", 2, "detections", 0, "feature"), [1.0])], "prediction",
          "non-monotone frames: index 0 after 0"),
+        # a repeated ground-truth id comes after its frame's detection checks and before later frames'
+        ([(("frames", 1, "detections", 2, "track_id"), 0), (("frames", 1, "detections", 2, "score"), "0.5")],
+         "groundtruth", "frame 1 detection 2: score must be a number"),
+        ([(("frames", 0, "detections", 2, "track_id"), 1), (("frames", 1, "detections", 0, "score"), "0.5")],
+         "groundtruth", "frame 0: ground truth repeats track_id 1"),
+        ([(("frames", 0, "detections", 1, "feature"), [1.0]), (("frames", 0, "detections", 2, "track_id"), 0)],
+         "groundtruth", "frame 0: ground truth repeats track_id 0"),
+        ([(("frames", 2, "detections", 1, "track_id"), 0), (("frames", 1, "frame_index"), 0)], "groundtruth",
+         "frame 2: ground truth repeats track_id 0"),
     ])
     def test_combined_defects_fail_on_the_first_check(self, tmp_path, changes, role, message):
         self._assert_both_loaders_raise(tmp_path, changes, role, message)
