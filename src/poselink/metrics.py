@@ -29,9 +29,12 @@ instance. Unlabeled frames contribute nothing to any metric.
 Each labeled ground-truth frame is paired with the prediction frame of the
 same frame_index and matched once, by match_sequence: one joints_within call
 per block of consecutive frames, NaN-padded, decides the PCKh masks, summed
-once over joints into counts, then each frame is matched alone on its view of
-its block's counts. The SequenceMatch keeps the pairs as one (K, 3) array of
-(labeled-frame position, gt index, pred index) rows in frame order. It serves
+over joints into one (F, N, M) counts array zero-padded to the largest
+frame, then each frame is matched alone on its view of the counts. The
+SequenceMatch keeps the pairs as one (K, 3) array of (labeled-frame
+position, gt index, pred index) rows in frame order; the reports decide the
+correct joints of their matched or claimed pairs by one joints_within call
+on those pairs' rows, the blocks' elementwise rule. It serves
 evaluate_map(match), which gives each joint's AP and their mean, the
 perfect-association oracle and evaluate_mot(match, pred, ap), which counts it
 with the track ids of any retracking of the matched predictions into one
@@ -71,7 +74,7 @@ HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
 
-# mask cells (frames x gt rows x pred rows x joints) per PCKh kernel call; each
+# mask cells (frames x gt rows x pred rows x joints) per block's PCKh kernel call; each
 # float64 scratch array of a block then takes at most 128 KiB (budgets from
 # 2**14 to 2**16 matched 4-actor and 30-actor frames equally fast)
 _MATCH_BLOCK = 2**14
@@ -97,29 +100,29 @@ def correct_joint_mask(
     Entry [i, k, j] is True when joint j is present in both poses and lies
     within alpha * head size of the label, and equals the scalar
     `pckh_correct` of tests/helpers.py; summed over the last axis it is the
-    matrix of correct joint counts. It is the mask of a block of one frame.
+    matrix of correct joint counts, as match_sequence's counts hold it.
     """
     j_count = (gt_persons if len(gt_persons) else pred_persons).xy.shape[1]
-    return _Blocks.of([gt_persons], [pred_persons], alpha, j_count).frame(0)
+    gt_points, pred_points = _points([gt_persons], j_count)[0], _points([pred_persons], j_count)[0]
+    return joints_within(gt_points[:-1], pred_points[:-1], alpha * _head_sizes(gt_persons.head_boxes))
 
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The PCKh masks of a run of frames, one joints_within call per block of
-    `step` frames, the most whose block fits in _MATCH_BLOCK cells padded to
-    the largest frame, or 1. masks[b] is the (F, N, M, J) mask of frames
-    b * step onwards, counts[b] its sum over joints. Each side's rows lie end
-    to end: frame k's are offsets[k]:offsets[k + 1] of points, with an all-NaN
-    pad row last; limits holds each gt row's PCKh limit, and 1.0 for the pad."""
+    """The correct-joint counts of a run of frames. Each side's rows lie end to
+    end: frame k's are offsets[k]:offsets[k + 1] of points, with an all-NaN pad
+    row last; limits holds each gt row's PCKh limit, and 1.0 for the pad.
+    counts[k] is frame k's (n_gt, n_pred) count of PCKh-correct joints, padded
+    with zeros to the largest frame; one joints_within call per block of frames,
+    the most that fit in _MATCH_BLOCK mask cells, or 1, decides the masks, and
+    only their sums over joints are kept."""
 
-    step: int
     gt_points: np.ndarray
     gt_offsets: np.ndarray
     limits: np.ndarray
     pred_points: np.ndarray
     pred_offsets: np.ndarray
-    masks: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
+    counts: np.ndarray
 
     @classmethod
     def of(cls, gts: Sequence[Detections], preds: Sequence[Detections], alpha: float,
@@ -128,27 +131,25 @@ class _Blocks:
         pred_points, pred_offsets = _points(preds, j_count)
         head_boxes = np.concatenate([np.zeros((0, 4)), *(d.head_boxes for d in gts)])
         limits = np.append(alpha * _head_sizes(head_boxes), 1.0)
-        cells = int(np.diff(gt_offsets).max(initial=0) * np.diff(pred_offsets).max(initial=0)) * j_count
-        step = max(1, _MATCH_BLOCK // max(cells, 1))
-        masks = []
+        n_max, m_max = int(np.diff(gt_offsets).max(initial=0)), int(np.diff(pred_offsets).max(initial=0))
+        step = max(1, _MATCH_BLOCK // max(n_max * m_max * j_count, 1))
+        counts = np.zeros((len(gts), n_max, m_max), dtype=np.intp)
         for lo in range(0, len(gts), step):
             hi = min(lo + step, len(gts))
             gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
-            masks.append(joints_within(gt_points[gi], pred_points[pi], limits[gi]))
-        return cls(step, gt_points, gt_offsets, limits, pred_points, pred_offsets, tuple(masks),
-                   tuple(mask.sum(axis=3) for mask in masks))
+            counts[lo:hi, :gi.shape[1], :pi.shape[1]] = joints_within(
+                gt_points[gi], pred_points[pi], limits[gi]).sum(axis=3)
+        return cls(gt_points, gt_offsets, limits, pred_points, pred_offsets, counts)
 
-    def frame(self, k: int, of: Optional[tuple[np.ndarray, ...]] = None) -> np.ndarray:
-        """Frame k's (n_gt, n_pred, J) mask, or its part of `of` such as counts: a view into its block."""
+    def frame(self, k: int) -> np.ndarray:
+        """Frame k's (n_gt, n_pred) counts, a view into counts."""
         n, m = self.gt_offsets[k + 1] - self.gt_offsets[k], self.pred_offsets[k + 1] - self.pred_offsets[k]
-        return (self.masks if of is None else of)[k // self.step][k % self.step, :n, :m]
+        return self.counts[k, :n, :m]
 
-    def gather(self, frame: np.ndarray, gi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        """(K, J) masks of the (frame, gt index, pred index) pairs, which run in frame order."""
-        cuts = np.searchsorted(frame, np.arange(len(self.masks) + 1) * self.step).tolist()
-        parts = [mask[frame[lo:hi] % self.step, gi[lo:hi], pi[lo:hi]]
-                 for mask, lo, hi in zip(self.masks, cuts, cuts[1:])]
-        return np.concatenate([np.zeros((0, self.gt_points.shape[1]), dtype=bool), *parts])
+    def correct(self, gt_rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
+        """(K, J) mask of the PCKh-correct joints of the K pairs of these rows."""
+        return joints_within(self.gt_points[gt_rows, None], self.pred_points[pred_rows, None],
+                             self.limits[gt_rows, None])[:, 0, 0]
 
 
 def _points(parts: Sequence[Detections], j_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +176,7 @@ def match_poses_frame(
 ) -> tuple[tuple[int, int], ...]:
     """The (gt index, pred index) pairs that maximize the total count of
     PCKh-correct joints, from counts, the (n_gt, n_pred) correct joints of every
-    pair: match_sequence's view of its block's, or else correct_joint_mask's sum.
+    pair: match_sequence's view of its counts, or else correct_joint_mask's sum.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
@@ -341,9 +342,9 @@ class SequenceMatch:
         next_joint[k], has the track and joint of entry k."""
         j_count, blocks = self.gt.joint_count, self.blocks
         frame, gi, pi = self.pairs.T
-        pair, joint = np.nonzero(blocks.gather(frame, gi, pi))  # the TP joints, by frame, pair and joint
-        gt_row = (blocks.gt_offsets[frame] + gi)[pair]
-        pred_row = (blocks.pred_offsets[frame] + pi)[pair]
+        gt_rows, pred_rows = blocks.gt_offsets[frame] + gi, blocks.pred_offsets[frame] + pi
+        pair, joint = np.nonzero(blocks.correct(gt_rows, pred_rows))  # the TP joints, by frame, pair and joint
+        gt_row, pred_row = gt_rows[pair], pred_rows[pair]
         deltas = blocks.gt_points[gt_row, joint] - blocks.pred_points[pred_row, joint]
         limits = blocks.limits[gt_row]
         # math.hypot may round differently from np.hypot; the running sum keeps the
@@ -368,8 +369,8 @@ def _id_codes(ids: Sequence[int]) -> np.ndarray:
 def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> SequenceMatch:
     """Match the poses of every labeled frame with the prediction frame of the
     same frame_index, which holds no predictions when it is missing. alpha,
-    the PCKh threshold in head sizes, must be finite and positive. The masks
-    and their counts are computed in blocks of frames; each frame is matched alone."""
+    the PCKh threshold in head sizes, must be finite and positive. The counts
+    are computed in blocks of frames; each frame is matched alone."""
     _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
@@ -377,7 +378,7 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     gts = [f.detections for f in labeled]
     preds = [pred_by_index.get(f.frame_index, NO_DETECTIONS) for f in labeled]
     blocks = _Blocks.of(gts, preds, alpha, gt.joint_count)
-    per_frame = [match_poses_frame(g, p, alpha, blocks.frame(k, blocks.counts))
+    per_frame = [match_poses_frame(g, p, alpha, blocks.frame(k))
                  for k, (g, p) in enumerate(zip(gts, preds))]
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(per_frame)), dtype=np.intp).reshape(-1, 2)
     pairs = np.column_stack([np.repeat(np.arange(len(per_frame)), list(map(len, per_frame))), pairs])
@@ -457,10 +458,7 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     ranked[row_frame, np.arange(len(order)) - offsets[row_frame]] = order - offsets[row_frame]
     # overlaps[k, g, p]: correct joints of pose g and prediction p of frame k, zeroed
     # as poses are claimed, with a pad row and column of zeros
-    n_max = int(np.diff(blocks.gt_offsets).max(initial=0))
-    overlaps = np.zeros((len(frames), n_max + 1, m_max + 1), dtype=np.intp)
-    for b, counts in enumerate(blocks.counts):
-        overlaps[b * blocks.step:][:len(counts), :counts.shape[1], :counts.shape[2]] = counts
+    overlaps = np.pad(blocks.counts, ((0, 0), (0, 1), (0, 1)))
     # the frames claim together, one rank at a time: each prediction claims the
     # first unclaimed pose with the most correct joints
     claimed = np.full((len(frames), m_max + 1), -1)
@@ -474,7 +472,7 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     gi = claimed[frame, pi]
     # hits[r, j]: joint j of prediction row r is correct for the pose it claimed
     hits = np.zeros((len(scores), j_count), dtype=bool)
-    hits[offsets[frame] + pi] = blocks.gather(frame, gi, pi)
+    hits[offsets[frame] + pi] = blocks.correct(blocks.gt_offsets[frame] + gi, offsets[frame] + pi)
     present = ~np.isnan(blocks.pred_points[:-1, :, 0])
 
     n_gt = match.gt_count

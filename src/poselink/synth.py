@@ -173,6 +173,8 @@ class ScenarioConfig:
         for name in ("image_width", "image_height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) > _FLOAT_MAX:  # exact for ints of any size
+                raise ValueError(f"{name} must be at most {_FLOAT_MAX!r}, got {getattr(self, name)}")
         # actors and false positives are placed at x in [h/4, width - h/4] for a
         # figure height h below MAX_HEIGHT * image_height
         if self.image_width < 0.5 * MAX_HEIGHT * self.image_height:
@@ -214,9 +216,12 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
     w, h = float(cfg.image_width), float(cfg.image_height)
     t = np.arange(cfg.frames, dtype=float)
 
-    # per actor, then per frame: centers (A, T, 2), heights (A,), occlusion flags (A, T)
-    centers, heights, occluded = [], [], []
-    for _ in range(cfg.actors):
+    # per actor, then per frame: centers (A, T, 2), heights (A,), occlusion flags (A, T);
+    # allocated first, so that a scene too large for memory fails before any draw
+    centers = np.empty((cfg.actors, cfg.frames, 2))
+    heights = np.empty(cfg.actors)
+    occluded = np.zeros((cfg.actors, cfg.frames), dtype=bool)
+    for a in range(cfg.actors):
         height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * h
         margin_x = 0.25 * height
         margin_y = 0.55 * height
@@ -224,8 +229,9 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
         cy = float(rng.uniform(margin_y, h - margin_y))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         speed = float(rng.uniform(*cfg.motion.speed_range))
-        dx = math.cos(angle) * speed * t
-        dy = math.sin(angle) * speed * t
+        with np.errstate(over="ignore"):
+            dx = math.cos(angle) * speed * t
+            dy = math.sin(angle) * speed * t
         if cfg.motion.kind == "sinusoidal":
             amp = float(rng.uniform(10.0, 40.0))
             period = float(rng.uniform(20.0, 60.0))
@@ -233,7 +239,11 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
             lateral = amp * np.array([math.sin(v) for v in (2.0 * math.pi * t / period + phase).tolist()])
             dx += -math.sin(angle) * lateral
             dy += math.cos(angle) * lateral
-        hidden = np.zeros(cfg.frames, dtype=bool)
+        with np.errstate(over="ignore"):
+            x, y = cx + dx, cy + dy
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"motion.speed_range {list(cfg.motion.speed_range)} moves actor {a} "
+                             f"beyond the float range within {cfg.frames} frames")
         remaining = 0
         for k in range(cfg.frames):
             if remaining == 0 and cfg.occlusion.probability > 0:
@@ -241,18 +251,16 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
                     lo, hi = cfg.occlusion.duration_range
                     remaining = int(rng.integers(lo, hi + 1))
             if remaining > 0:
-                hidden[k] = True
+                occluded[a, k] = True
                 remaining -= 1
-        centers.append(np.stack([_bounce(cx + dx, margin_x, w - margin_x),
-                                 _bounce(cy + dy, margin_y, h - margin_y)], axis=-1))
-        heights.append(height)
-        occluded.append(hidden)
+        centers[a, :, 0] = _bounce(x, margin_x, w - margin_x)
+        centers[a, :, 1] = _bounce(y, margin_y, h - margin_y)
+        heights[a] = height
 
     # every actor in every frame, frame-major: (T, A, J, 2) joints and (T, A, 4) boxes
-    xy = _poses_at(np.array(centers).reshape(cfg.actors, cfg.frames, 2),
-                   np.array(heights).reshape(cfg.actors, 1)).swapaxes(0, 1)
+    xy = _poses_at(centers, heights[:, None]).swapaxes(0, 1)
     boxes, head_boxes = dilated_boxes(xy), dilated_boxes(xy[..., :HEAD_JOINT_COUNT, :])
-    visible = ~np.array(occluded, dtype=bool).reshape(cfg.actors, cfg.frames).T
+    visible = ~occluded.T
     frames = []
     for k, rows in enumerate(visible):
         n = int(rows.sum())

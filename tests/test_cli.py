@@ -131,6 +131,22 @@ class TestSynth:
         assert err.startswith("poselink synth: Unable to allocate ") and err.count("\n") == 1
         assert not (tmp_path / "gt.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--frames", "3", "--height", "10", "--width", str(10**400)],
+                     "config: image_width must be at most ", id="width"),
+        pytest.param(["--frames", "3", "--speed", "1e308,1e308"],
+                     "motion.speed_range [1e+308, 1e+308] moves actor 0 ", id="speed"),
+        # 30 frames of 10**12 actors take 437 TiB, more than any address space
+        pytest.param(["--actors", str(10**12)], "Unable to allocate ", id="actors"),
+    ])
+    def test_a_scene_beyond_the_float_range_or_memory_is_one_line_error(self, tmp_path, capsys, flags, message):
+        # pyproject.toml turns warnings into errors, so a numpy warning fails this too
+        assert run("synth", "--out-gt", tmp_path / "gt.json", *flags) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"poselink synth: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "gt.json").exists()
+
     @pytest.mark.parametrize("flags, doc", [
         (["--kp-jitter", "-1"], {"noise": {"keypoint_jitter": -1.0}}),
         (["--kp-jitter", "nan"], {"noise": {"keypoint_jitter": math.nan}}),

@@ -17,7 +17,9 @@ reference_evaluate, the per-frame evaluator it replaced, with a block edge
 after every first, second or third frame, and AP on untied scores must
 agree with reference_average_precision, written from the definition.
 match_sequence's pair array must hold, frame by frame, the pairs of
-_reference_match, also where prediction frames have no labeled counterpart.
+_reference_match, also where prediction frames have no labeled counterpart,
+and its counts must hold each labeled frame's summed correct_joint_mask,
+padded with zeros.
 """
 
 import dataclasses
@@ -716,17 +718,37 @@ class TestBlockMatch:
         preds = {f.frame_index: len(f.detections) for f in pred.frames}
         cells = (max((len(f.detections) for f in labeled), default=0)
                  * max((preds.get(f.frame_index, 0) for f in labeled), default=0) * J)
+        sizes = []  # the leading (frame) length of every PCKh kernel call of the match
+        within = metrics_module.joints_within
+        recording = mock.patch.object(metrics_module, "joints_within",
+                                      lambda a, *rest: sizes.append(len(a)) or within(a, *rest))
         with mock.patch.object(metrics_module, "_MATCH_BLOCK", frames_per_block * cells):
             got = evaluate(gt, pred, alpha)
-            blocks = match_sequence(gt, pred, alpha).blocks
+            with recording:
+                match_sequence(gt, pred, alpha)
         want = reference_evaluate(gt, pred, alpha)
         assert got == want
         assert got.motp_total.hex() == want.motp_total.hex()
         # a block edge after every frames_per_block frames
         step = frames_per_block if cells else 1
-        assert blocks.step == step
-        assert [len(mask) for mask in blocks.masks] == [min(step, len(labeled) - lo)
-                                                         for lo in range(0, len(labeled), step)]
+        assert sizes == [min(step, len(labeled) - lo) for lo in range(0, len(labeled), step)]
+
+    @settings(max_examples=100, phases=UNSHRUNK)
+    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
+    def test_counts_are_each_frames_correct_joints_padded_with_zeros(self, scene, alpha, frames_per_block):
+        gt, pred = scene
+        preds = {f.frame_index: f.detections for f in pred.frames}
+        frames = [(f.detections, preds.get(f.frame_index, NO_DETECTIONS)) for f in gt.frames if f.labeled]
+        cells = max((len(g) for g, _ in frames), default=0) * max((len(p) for _, p in frames), default=0) * J
+        with mock.patch.object(metrics_module, "_MATCH_BLOCK", frames_per_block * cells):
+            counts = match_sequence(gt, pred, alpha).blocks.counts
+        assert len(counts) == len(frames)
+        for k, (g, p) in enumerate(frames):
+            want = correct_joint_mask(g, p, alpha).sum(axis=2)
+            n, m = want.shape
+            assert np.array_equal(counts[k, :n, :m], want)
+            # a nonzero pad cell would be a false claim in evaluate_map
+            assert not counts[k, n:].any() and not counts[k, :, m:].any()
 
     @settings(max_examples=100, phases=UNSHRUNK)
     @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.data())

@@ -220,6 +220,8 @@ class TestCorruption:
         (ScenarioConfig, {"image_width": 0}, "image_width"),
         (ScenarioConfig, {"image_height": 0}, "image_height"),
         (ScenarioConfig, {"image_width": 125, "image_height": 720}, "image_width"),
+        (ScenarioConfig, {"image_width": 10**400}, "image_width"),
+        (ScenarioConfig, {"image_height": 10**400}, "image_height"),
         (NoiseModel, {"keypoint_jitter": float("inf")}, "keypoint_jitter"),
         (NoiseModel, {"box_jitter": float("inf")}, "box_jitter"),
         (NoiseModel, {"feature_noise": float("inf")}, "feature_noise"),
@@ -283,6 +285,27 @@ class TestCorruption:
     def test_default_and_no_noise_configs_are_valid(self):
         ScenarioConfig()
         ScenarioConfig(noise=NO_NOISE, occlusion=OcclusionModel(duration_range=(0, 0)))
+
+    def test_widest_accepted_image_generates(self):
+        widest = int(sys.float_info.max)
+        cfg = ScenarioConfig(frames=3, actors=2, image_width=widest, image_height=widest,
+                             noise=NoiseModel(false_positive_rate=1.0))
+        gt, pred = generate_scenario(cfg)
+        assert len(gt.frames) == len(pred.frames) == 3
+
+    @pytest.mark.parametrize("kind, speed", [("linear", 1e308), ("sinusoidal", -1e308), ("linear", 1e307)])
+    def test_path_beyond_the_float_range_names_the_speed_range(self, kind, speed):
+        # at 1e307 px a frame, one axis leaves the float range after 18 to 26 frames
+        cfg = ScenarioConfig(frames=40, motion=MotionModel(kind, (speed, speed)))
+        with pytest.raises(ValueError, match=r"^motion\.speed_range .* moves actor 0 ") as exc:
+            generate_ground_truth(cfg)
+        assert "\n" not in str(exc.value)
+
+    def test_actors_beyond_any_memory_fail_before_the_first_draw(self):
+        # the centers of 10**12 actors over 30 frames take 437 TiB, more than any
+        # address space, so the request fails at once rather than drawing actors
+        with pytest.raises(MemoryError, match="^Unable to allocate "):
+            generate_ground_truth(ScenarioConfig(actors=10**12))
 
 
 # SHA-256 of the saved (ground truth, predictions) files, recorded before synth
