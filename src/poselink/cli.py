@@ -116,7 +116,7 @@ def _write_manifest(args, timings: dict[str, float], config: dict | None = None,
             "cpu_count": os.cpu_count(),
         },
     }
-    write_text_atomic(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    write_text_atomic(outputs[0] + ".manifest.json", (json.dumps(manifest, indent=2, allow_nan=False) + "\n",))
 
 
 def _list_of(parse, names=None, empty=True):

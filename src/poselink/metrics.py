@@ -147,9 +147,16 @@ class _Blocks:
         return self.counts[k, :n, :m]
 
     def correct(self, gt_rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
-        """(K, J) mask of the PCKh-correct joints of the K pairs of these rows."""
-        return joints_within(self.gt_points[gt_rows, None], self.pred_points[pred_rows, None],
-                             self.limits[gt_rows, None])[:, 0, 0]
+        """(K, J) mask of the PCKh-correct joints of the K pairs of these rows,
+        from one joints_within call per run of the most pairs that fit in
+        _MATCH_BLOCK mask cells."""
+        step = max(1, _MATCH_BLOCK // max(self.gt_points.shape[1], 1))
+        parts = []
+        for lo in range(0, max(len(gt_rows), 1), step):  # one call on no pairs too
+            gi, pi = gt_rows[lo:lo + step], pred_rows[lo:lo + step]
+            parts.append(joints_within(self.gt_points[gi, None], self.pred_points[pi, None],
+                                       self.limits[gi, None])[:, 0, 0])
+        return np.concatenate(parts)
 
 
 def _points(parts: Sequence[Detections], j_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +247,7 @@ class EvalReport:
         doc = self.to_dict()
         if extra:
             doc.update(extra)
-        write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        write_text_atomic(path, (json.dumps(doc, indent=2, allow_nan=False) + "\n",))
 
     def summary_line(self) -> str:
         def fmt(v):
@@ -284,7 +291,7 @@ def write_csv(path: str, rows: Sequence[Sequence[tuple[str, object]]]) -> None:
     writer.writerow([name for name, _ in rows[0]])
     for row in rows:
         writer.writerow([value for _, value in row])
-    write_text_atomic(path, buffer.getvalue())
+    write_text_atomic(path, (buffer.getvalue(),))
 
 
 def _check_pair(gt: VideoSequence, pred: VideoSequence, require_track_ids: bool) -> None:

@@ -45,9 +45,10 @@ one row per detection, in file order.
 
 Loading, synthesis, filtering, linking, scoring and saving work on these
 columns; `Detections.from_columns` builds a checked one. One set of array
-checks in `load_sequence` both accepts a whole file and names its first
-error, run on one frame at a time, and on one detection at a time only
-within a frame that fails. Every type is frozen,
+checks in `load_sequence` accepts a file a block of frames at a time and
+names the first error of a bad file, which it reads again whole: run on one
+frame at a time, and on one detection at a time only within a frame that
+fails. `save_sequence` writes a file a frame at a time. Every type is frozen,
 and every array read-only, so values are immutable and safe to share; a
 `Box` holds one box for the tube kernels, and its checks word the box errors.
 """
@@ -62,7 +63,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -335,10 +336,115 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
 
     role="groundtruth" additionally requires track_id and a head_box of
     non-zero size on every person, and no track_id twice in one frame.
+
+    The file is read as text once, and its frames are decoded and converted
+    a block of about _LOAD_BLOCK detections at a time, so no decoded tree of
+    the whole document exists. A file that fails any step of that is read
+    again whole, by the checks that name its first error, so a bad file
+    gives the one message it always gave.
     """
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
-    raw = read_json(path)
+    try:
+        header, blocks = _read_blocks(path, role)
+        return VideoSequence(*header, frames=_frames(blocks))
+    except (ValueError, RecursionError):
+        pass  # left here, so that the error below is not chained to this one
+    return _load_whole(path, role)
+
+
+# detections per block of frames that load_sequence decodes and converts at a
+# time; a frame counts as one at least and is never split. Like
+# metrics._MATCH_BLOCK it bounds scratch memory and changes no result. Budgets
+# from 2**6 to 2**9 loaded 400-frame, 4-actor files equally fast; up to 2**7
+# a block's decoded frames stay below the file's text
+_LOAD_BLOCK = 2**7
+
+_skip = json.decoder.WHITESPACE.match  # _skip(text, at).end(): the end of the whitespace at `at`
+_decode = json.JSONDecoder().raw_decode  # json.loads' decoder, on one value at an index
+
+
+def _read_blocks(path: str, role: str) -> tuple[tuple, list]:
+    """The (video_id, width, height, joint_names) of a sequence file and the
+    _block results of its frames, in file order. The top-level object is
+    walked key by key as json.loads walks it, a repeated key keeping its last
+    value, and the frames array one frame at a time; a frames array that comes
+    before joint_names is converted once the joint count is known. Any fault
+    is a ValueError or RecursionError whose message load_sequence discards."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    fields, frames_at, blocks, blocks_j, failed_j = {}, None, [], None, None
+    end = _skip(text, 0).end()
+    if not text.startswith("{", end):
+        raise ValueError("not an object")
+    end, more = _skip(text, end + 1).end(), True
+    while more:
+        if not text.startswith('"', end):  # an empty object too, which misses every field
+            raise ValueError("expecting a key")
+        key, end = json.decoder.scanstring(text, end + 1)
+        end = _skip(text, end).end()
+        if not text.startswith(":", end):
+            raise ValueError("expecting ':'")
+        end = _skip(text, end + 1).end()
+        if key == "frames" and text.startswith("[", end):
+            names = fields.get("joint_names")
+            frames_at, blocks_j, failed_j = end, len(names) if isinstance(names, list) else None, None
+            try:
+                blocks, end = _frame_blocks(text, end, blocks_j, role)
+            except ValueError:  # final unless a later joint_names changes the joint count
+                (blocks, end), blocks_j, failed_j = _frame_blocks(text, frames_at, None, role), None, blocks_j
+            fields[key] = []  # there; its frames are in blocks
+        else:
+            if key == "frames":
+                frames_at = None
+            fields[key], end = _decode(text, end)
+        end = _skip(text, end).end()
+        more = text.startswith(",", end)
+        if not (more or text.startswith("}", end)):
+            raise ValueError("expecting ',' or '}'")
+        end = _skip(text, end + 1).end()
+    if end != len(text):
+        raise ValueError("extra data")
+    header = _header(fields, path)
+    if frames_at is None:
+        raise ValueError("frames must be a list")
+    if failed_j == len(header[3]):
+        raise ValueError("the frames fail a check")
+    if blocks_j != len(header[3]):  # not converted yet, or under a joint_names replaced later
+        blocks = _frame_blocks(text, frames_at, len(header[3]), role)[0]
+    return header, blocks
+
+
+def _frame_blocks(text: str, end: int, j: Optional[int], role: str) -> tuple[list, int]:
+    """(blocks, end): the _block results of the frames array at text[end],
+    which is '[', decoded one frame at a time and converted a block of about
+    _LOAD_BLOCK detections at a time, and the index after the array. With
+    j None the frames are only decoded, to find the end."""
+    blocks, block, size = [], [], 0
+    end = _skip(text, end + 1).end()
+    more = not text.startswith("]", end)
+    while more:
+        frame, end = _decode(text, end)
+        end = _skip(text, end).end()
+        more = text.startswith(",", end)
+        if not (more or text.startswith("]", end)):
+            raise ValueError("expecting ',' or ']'")
+        end = _skip(text, end + 1).end() if more else end
+        if j is not None:
+            block.append(frame)
+            dets = frame.get("detections") if type(frame) is dict else None
+            size += max(len(dets), 1) if type(dets) is list else 1
+            if size >= _LOAD_BLOCK or not more:
+                blocks.append(_block(block, j, role))
+                block, size = [], 0
+    if j is not None and not blocks:
+        blocks.append(_block([], j, role))
+    return blocks, end + 1
+
+
+def _header(raw, path: str) -> tuple[str, int, int, tuple[str, ...]]:
+    """The (video_id, width, height, joint_names) of a decoded document, after
+    the checks of its top-level fields; frames is checked only to be there."""
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a sequence file holds a JSON object")
     for key in ("video_id", "image_size", "joint_names", "frames"):
@@ -354,22 +460,24 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     joint_names = raw["joint_names"]
     if not isinstance(joint_names, list) or not all(isinstance(n, str) for n in joint_names):
         raise ValueError("joint_names must be a list of strings")
-    j = len(joint_names)
+    return raw["video_id"], int(size[0]), int(size[1]), tuple(joint_names)
 
+
+def _load_whole(path: str, role: str) -> VideoSequence:
+    """load_sequence on the decoded tree of the whole document, each check run
+    over all of its frames at once and then, on a failure, one frame at a time
+    to name the first error; load_sequence reads a file this way only when
+    reading it a block at a time failed."""
+    raw = read_json(path)
+    header = _header(raw, path)
     if not isinstance(raw["frames"], list):
         raise ValueError("frames must be a list")
+    j = len(header[3])
     try:
-        frames = _frames(raw["frames"], j, role)
+        frames = _frames([_block(raw["frames"], j, role)])
     except ValueError:  # the checks of all frames at once; rerun them to name the first failure
         _raise_first_error(raw["frames"], j, role)
-
-    return VideoSequence(
-        video_id=raw["video_id"],
-        image_width=int(size[0]),
-        image_height=int(size[1]),
-        joint_names=tuple(joint_names),
-        frames=frames,
-    )
+    return VideoSequence(*header, frames=frames)
 
 
 _NUMBER = {int, float}  # exact types, so booleans are not numbers
@@ -495,18 +603,43 @@ def _columns(dets: list, j: int, role: str) -> dict:
     return {**columns, "track_ids": tuple(ids)}
 
 
-def _frames(raw_frames: list, j: int, role: str) -> tuple[Frame, ...]:
-    """The frames of a sequence file, checked and built with a few array operations
-    over all of its detections at once; a failed check names no frame or detection."""
+def _block(raw_frames: list, j: int, role: str) -> tuple[list, list, list, dict]:
+    """The frame_index and labeled values, detection counts and `_columns`
+    of a run of raw frames, checked with a few array operations over all of
+    their detections at once; a failed check names no frame or detection."""
     indices, labeled, per_frame = _frame_fields(raw_frames)
     columns = _columns(list(chain.from_iterable(per_frame)), j, role)
-    names, cols = tuple(columns), tuple(columns.values())
-    bounds = np.cumsum([0] + list(map(len, per_frame))).tolist()
-    ids = columns["track_ids"]
-    if role == ROLE_GROUNDTRUTH and any(len(set(ids[lo:hi])) < hi - lo for lo, hi in zip(bounds, bounds[1:])):
-        raise ValueError("ground truth repeats a track_id")
+    counts = list(map(len, per_frame))
+    if role == ROLE_GROUNDTRUTH:
+        ids, lo = columns["track_ids"], 0
+        for n in counts:
+            if len(set(ids[lo:lo + n])) < n:
+                raise ValueError("ground truth repeats a track_id")
+            lo += n
+    return indices, labeled, counts, columns
+
+
+def _frames(blocks: list) -> tuple[Frame, ...]:
+    """The frames of the _block results of a file's runs of frames, in order,
+    their columns joined once; each frame's rows are views of those columns."""
+    indices, labeled, counts, columns = zip(*blocks)
+    widths = {c["features"].shape[1] for c in columns if c["has_feature"].any()}
+    if len(widths) > 1:
+        raise ValueError("feature vectors must share one dimensionality")
+    width = max(widths, default=0)
+    for c in columns:
+        if c["features"].shape[1] != width:  # a run without features
+            c["features"] = np.full((len(c["features"]), width), math.nan)
+    names = tuple(columns[0])
+    cols = [tuple(chain.from_iterable(c[name] for c in columns)) if name == "track_ids"
+            else np.concatenate([c[name] for c in columns]) for name in names]
+    for col in cols:
+        if isinstance(col, np.ndarray):
+            col.setflags(write=False)
+    bounds = np.cumsum([0, *chain.from_iterable(counts)]).tolist()
     frames = []
-    for index, is_labeled, lo, hi in zip(indices, labeled, bounds, bounds[1:]):
+    for index, is_labeled, lo, hi in zip(chain.from_iterable(indices), chain.from_iterable(labeled),
+                                         bounds, bounds[1:]):
         # a frame's rows are views of the read-only columns, so Detections'
         # __post_init__ has nothing to freeze; skipping it halves this loop
         dets = object.__new__(Detections)
@@ -554,14 +687,19 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
     raise AssertionError("the sequence checks disagree: a file failed none of the named checks")
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write UTF-8 text through a temp file in the target directory and a rename,
-    so readers see the old file or the new one, never a partial write."""
+def write_text_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write UTF-8 text, the pieces of an iterable in order, through a temp
+    file in the target directory and a rename, so readers see the old file or
+    the new one, never a partial write. A piece is written as it comes, so a
+    long file need never be one string; one string goes in as a one-element
+    tuple. If the iterable raises, the target is left as it was."""
+    if isinstance(pieces, str):
+        raise TypeError("write_text_atomic takes an iterable of text pieces, not a str")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -569,23 +707,37 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps(value, allow_nan=False)
+
+
 def save_sequence(seq: VideoSequence, path: str) -> None:
     """Write a sequence file as strict JSON, atomically (temp file + rename);
-    a non-finite value is a ValueError and writes nothing."""
-    doc = {
+    a non-finite value is a ValueError and writes nothing.
+
+    The file is written a frame at a time: the top-level fields, then each
+    frame's JSON text, joined by ", ", then the close of the frames array and
+    of the document. Those are the bytes of json.dumps(document,
+    allow_nan=False), without the whole document ever held at once.
+    """
+    head = _encode({
         "video_id": seq.video_id,
         "image_size": [int(seq.image_width), int(seq.image_height)],
         "joint_names": list(seq.joint_names),
-        "frames": [
-            {
-                "frame_index": int(frame.frame_index),
-                "labeled": bool(frame.labeled),
-                "detections": _detection_docs(frame.detections),
-            }
-            for frame in seq.frames
-        ],
-    }
-    write_text_atomic(path, json.dumps(doc, allow_nan=False))
+        "frames": [],
+    })
+    write_text_atomic(path, chain((head[:-2],), _frame_texts(seq.frames), ("]}",)))  # head ends in "[]}"
+
+
+def _frame_texts(frames: Sequence[Frame]):
+    """The JSON text of each frame, with ", " between two frames."""
+    for k, frame in enumerate(frames):
+        if k:
+            yield ", "
+        yield _encode({
+            "frame_index": int(frame.frame_index),
+            "labeled": bool(frame.labeled),
+            "detections": _detection_docs(frame.detections),
+        })
 
 
 def _detection_docs(dets: Detections) -> list[dict]:

@@ -2,10 +2,11 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from poselink import model
@@ -210,6 +211,11 @@ class TestDetections:
         assert empty == loaded and hash(empty) == hash(loaded)
 
 
+# one detection as save_sequence writes it: float coordinates and scores, integer flags
+_DETECTION = {"bbox": [0.0, 1.0, 10.0, 11.5], "score": 0.75,
+              "keypoints": [[1.0, 2.0, 2.5, 1], [3.0, 4.0, 0.5, 0], [5.0, 6.0, 1.0, 1]]}
+
+
 class TestRoundTrip:
     def test_minimal_file_round_trip(self, tmp_path):
         seq = sequence([(0, True, [person([(1, 2), (3, 4), (5, 6)], track_id=0)])])
@@ -271,11 +277,22 @@ class TestRoundTrip:
 
     def test_non_finite_absent_joint_is_not_saved(self, tmp_path):
         # the loader rejects a non-finite entry of any joint, so no file may hold one
-        seq = sequence([(0, True, [person([(1, 2), (math.nan, math.nan), (5, 6)], present=[True, False, True])])])
+        bad = person([(1, 2), (math.nan, math.nan), (5, 6)], present=[True, False, True])
+        seq = sequence([(0, True, [bad])])
         with pytest.raises(ValueError) as exc:
             save_sequence(seq, str(tmp_path / "seq.json"))
         assert "\n" not in str(exc.value)
         assert list(tmp_path.iterdir()) == []
+        # frames are written one at a time, so the temp file already holds the
+        # earlier ones when the last fails; the target keeps its old bytes
+        good = person([(1, 2), (3, 4), (5, 6)], track_id=0)
+        long = sequence([(t, True, [good]) for t in range(300)] + [(300, True, [good, bad])])
+        target = tmp_path / "seq.json"
+        target.write_bytes(b"the old file")
+        with pytest.raises(ValueError):
+            save_sequence(long, str(target))
+        assert target.read_bytes() == b"the old file"
+        assert [p.name for p in tmp_path.iterdir()] == ["seq.json"]
 
     def test_save_onto_directory_fails_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"
@@ -283,6 +300,56 @@ class TestRoundTrip:
         with pytest.raises(OSError):
             save_sequence(sequence([]), str(target))
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("frames", [
+        [],
+        [{"frame_index": 0, "labeled": True, "detections": []},
+         {"frame_index": 3, "labeled": False, "detections": []}],
+        [{"frame_index": t, "labeled": True,
+          "detections": [{**_DETECTION, "feature": [0.1 * t, -2.0]}, {**_DETECTION, "feature": [1e-17, 3.0]}]}
+         for t in range(3)],
+        [{"frame_index": t, "labeled": t != 1,
+          "detections": [{**_DETECTION, "track_id": 2**64 + t}, {**_DETECTION, "track_id": t}]}
+         for t in range(3)],
+        [{"frame_index": 0, "labeled": True, "detections": []},
+         {"frame_index": 1, "labeled": True,
+          "detections": [{**_DETECTION, "head_box": [0.0, 0.0, 3.0, 4.0]}, _DETECTION]}],
+    ], ids=["no frames", "no detections", "features", "large ids", "head boxes"])
+    def test_streamed_file_equals_the_whole_document_dump(self, tmp_path, frames):
+        doc = {"video_id": "v\u00e9", "image_size": [640, 480], "joint_names": ["a", "b", "c"], "frames": frames}
+        source, out = tmp_path / "doc.json", tmp_path / "out.json"
+        source.write_text(json.dumps(doc))
+        save_sequence(reference_load_sequence(str(source)), str(out))
+        assert out.read_bytes() == json.dumps(doc, allow_nan=False).encode()
+
+    def test_write_text_atomic_takes_pieces_not_one_string(self, tmp_path):
+        path = tmp_path / "out.txt"
+        model.write_text_atomic(str(path), iter(["a", "", "bc\n"]))
+        assert path.read_text() == "abc\n"
+        with pytest.raises(TypeError):
+            model.write_text_atomic(str(path), "whole")
+        assert path.read_text() == "abc\n" and list(tmp_path.glob("*.tmp")) == []
+
+    def test_loading_and_saving_hold_a_bounded_share_of_the_file(self, tmp_path):
+        # traced Python allocations, not RSS, so the bound is exact from run to run;
+        # a whole decoded document alone would take about 4x the file
+        path, out = tmp_path / "pred.json", tmp_path / "out.json"
+        assert cli_main(["synth", "--out-gt", str(tmp_path / "gt.json"), "--out-pred", str(path),
+                         "--frames", "400", "--actors", "4", "--seed", "3"]) == 0
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            seq = load_sequence(str(path))
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            save_sequence(seq, str(out))
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == path.read_bytes()
+        assert load_peak < 3 * size
+        assert save_peak < 0.5 * size
 
 
 class TestLoadValidation:
@@ -463,17 +530,19 @@ class TestLoadValidation:
         ]
         return doc
 
-    def _agrees_with_reference(self, path, doc, role):
-        """load_sequence gives the reference's sequence or its ValueError message."""
-        path.write_text(json.dumps(doc))
+    def _agrees_with_reference(self, path, doc, role, text=None):
+        """load_sequence gives the reference's sequence or its ValueError message,
+        for a file that holds text, or else json.dumps(doc)."""
+        path.write_text(json.dumps(doc) if text is None else text)
         try:
             want = reference_load_sequence(str(path), role)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 load_sequence(str(path), role)
             assert str(got.value) == str(exc)
-        else:
-            assert load_sequence(str(path), role) == want
+            return None
+        assert load_sequence(str(path), role) == want
+        return want
 
     @settings(max_examples=400)
     @given(st.data())
@@ -514,6 +583,102 @@ class TestLoadValidation:
                 parent[path[-1]] = value
             for role in ("prediction", "groundtruth"):
                 self._agrees_with_reference(tmp_path / "doc.json", doc, role)
+
+    @pytest.mark.parametrize("layout", [
+        ["frames", "video_id", "image_size", "joint_names"],
+        [("joint_names", ["q"]), "frames", "video_id", "image_size", "joint_names"],
+        [("joint_names", ["q", "r", "s"]), "video_id", "frames", ("joint_names", 5), "image_size", "joint_names"],
+        [("frames", 5), "video_id", "image_size", "joint_names", "frames"],
+        ["video_id", "image_size", "joint_names", "frames", ("frames", [])],
+        ["video_id", ("image_size", "?"), "joint_names", "frames", "image_size", ("video_id", "w")],
+    ])
+    @pytest.mark.parametrize("budget", [1, 6, 2**7])
+    def test_repeated_and_reordered_keys_load_as_json_loads_reads_them(self, tmp_path, monkeypatch, layout, budget):
+        """Each top-level key keeps its last value, and the frames convert under the
+        joint names that finally hold, with no second, whole read of a good file."""
+        doc = self._multi_doc()
+        items = [(item, doc[item]) if isinstance(item, str) else item for item in layout]
+        text = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in items) + "}"
+        monkeypatch.setattr(model, "_LOAD_BLOCK", budget)
+        monkeypatch.setattr(model, "read_json", None)  # a call fails the test
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert load_sequence(str(path)) == reference_load_sequence(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + " x",  # extra data
+        lambda text: " \r\n" + text + "\t\n",
+        lambda text: "\ufeff" + text,
+        lambda text: text[:-1],
+        lambda text: text[:-1] + ", }",
+        lambda text: text[:-2] + ", ]}",
+        lambda text: text.replace('"frames": [', '"frames" ['),
+        lambda text: text.replace("}]}, {", "}]} {", 1),  # no comma between two frames
+        lambda text: text.replace('"video_id"', "video_id"),
+        lambda text: "{}",
+        lambda text: "[]",
+        lambda text: "",
+    ])
+    @pytest.mark.parametrize("budget", [1, 2**7])
+    def test_the_top_level_walk_accepts_and_rejects_what_json_loads_does(self, tmp_path, monkeypatch, edit, budget):
+        monkeypatch.setattr(model, "_LOAD_BLOCK", budget)
+        self._agrees_with_reference(tmp_path / "doc.json", None, "prediction", edit(json.dumps(self._multi_doc())))
+
+    @pytest.mark.parametrize("changes, role", [
+        ([(("frames", 2, "detections", k, "feature"), [1.0]) for k in range(3)], "prediction"),
+        ([(("frames", 2, "frame_index"), 2)], "prediction"),
+        ([(("frames", 2, "detections", 0, "track_id"), 1)], "groundtruth"),  # another frame's id: fine
+        ([(("frames", 2, "detections", 0, "feature"), None), (("frames", 2, "detections", 1, "feature"), None),
+          (("frames", 2, "detections", 2, "feature"), None)], "prediction"),  # a block without features
+    ])
+    @pytest.mark.parametrize("budget", [3, 6, 2**7])  # 3 detections a frame
+    def test_checks_across_frames_hold_across_blocks(self, tmp_path, monkeypatch, changes, role, budget):
+        doc = self._multi_doc()
+        for path, value in changes:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        monkeypatch.setattr(model, "_LOAD_BLOCK", budget)
+        self._agrees_with_reference(tmp_path / "doc.json", doc, role)
+
+    # a session's first text draw builds hypothesis's character tables (about 1.5 s),
+    # which fails the generation-speed health check when this test draws it first
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_any_layout_and_block_size_agrees_with_the_reference(self, tmp_path_factory, data):
+        """Shuffled and repeated top-level keys, whitespace and separators, and
+        blocks of 1, 2 or 3 frames: the loader gives the reference's sequence or
+        message, and re-reads the file whole only to name an error."""
+        doc = self._multi_doc()
+        doc["frames"] += [dict(copy.deepcopy(f), frame_index=6 + 2 * t) for t, f in enumerate(doc["frames"][:2])]
+        for _ in range(data.draw(st.integers(0, 2))):
+            doc = _mutate(doc, data, data.draw(st.sampled_from([json_values, edge_values])))
+        indent = data.draw(st.sampled_from([None, 0, 2, "\t"]))
+        separators = data.draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\r\n", " : ")]))
+        if isinstance(doc, dict):
+            items = data.draw(st.permutations(list(doc.items())))
+            if items and data.draw(st.booleans()):  # an earlier value of a key, which the last replaces
+                key = data.draw(st.sampled_from([k for k, _ in items]))
+                frames = doc.get("frames")
+                decoy = data.draw(st.one_of(json_values, st.lists(st.just("q"), max_size=3),
+                                            st.just(copy.deepcopy(frames[:1] if isinstance(frames, list) else []))))
+                at = data.draw(st.integers(0, [k for k, _ in items].index(key)))
+                items.insert(at, (key, decoy))
+            newline = "" if indent is None else "\n"
+            text = "{" + separators[0].join(
+                f"{newline}{json.dumps(key)}{separators[1]}{json.dumps(value, indent=indent, separators=separators)}"
+                for key, value in items) + newline + "}"
+        else:
+            text = json.dumps(doc, indent=indent, separators=separators)
+        role = data.draw(st.sampled_from(["prediction", "groundtruth"]))
+        whole, read_json = [], model.read_json
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_LOAD_BLOCK", 3 * data.draw(st.sampled_from([1, 2, 3])))  # 3 detections a frame
+            mp.setattr(model, "read_json", lambda path: whole.append(path) or read_json(path))
+            loaded = self._agrees_with_reference(tmp_path_factory.mktemp("layout") / "doc.json", doc, role, text)
+        # a good file is read a block at a time only, and a bad one once more, whole
+        assert len(whole) == (loaded is None)
 
     @pytest.mark.parametrize("path, value, message", [
         (("frames", 2, "detections", 0, "bbox"), [5, 0, 1, 1],
@@ -654,8 +819,12 @@ class TestLoadValidation:
             with pytest.raises(ValueError) as exc:
                 load(path)
             assert str(exc.value) == message
-        # the whole file, each frame, then each detection of the frame that fails
-        assert sizes == [800] + [2] * 400 + [1, 1]
+        # each block of frames up to the one that fails, then, re-read whole, the whole
+        # file, each frame, then each detection of the frame that fails
+        per_block = -(-model._LOAD_BLOCK // 2)  # frames of two detections
+        blocks = [2 * len(range(lo, min(lo + per_block, 400))) for lo in range(0, 400, per_block)]
+        assert len(blocks) > 1
+        assert sizes == blocks + [800] + [2] * 400 + [1, 1]
 
 
 json_values = st.one_of(
