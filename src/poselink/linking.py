@@ -4,10 +4,11 @@
 pool, or to none: a link needs similarity strictly above `min_similarity`.
 The pool holds the most recent detection of every track seen within the last
 `lookback` frames, oldest frame first, then by detection index.
-`track_video_with_stats` runs the step once per frame and owns the ids: a
-linked detection inherits its row's track id and the others start new tracks,
-numbered in detection order. It keeps one (frame position, detection index,
-track id) row per pool detection in a list. The whole pass is deterministic,
+`track_video_with_stats` runs the step once per frame, on the sequence's
+frame views, and owns the ids: a linked detection inherits its row's track id
+and the others start new tracks, numbered in detection order; they are written
+as one id column. It keeps one (frame position, detection index, track id)
+row per pool detection in a list. The whole pass is deterministic,
 including the random-id baseline under a fixed seed.
 
 Passes over one sequence with other configurations (the rows of a sweep) can
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NO_DETECTIONS, Detections, Frame, VideoSequence, _INT64_MAX, _check_int, _is_real
+from .model import NO_DETECTIONS, Detections, VideoSequence, _INT64_MAX, _check_int, _is_real
 from .similarity import CostMatrix, SimilarityCriterion, build_cost_matrix
 
 ALGORITHMS = ("hungarian", "greedy", "random")
@@ -202,7 +203,7 @@ def track_video_with_stats(
     # frame first, then by detection index; rows holds each row's (frame
     # position, detection index in that frame, track id)
     pool, rows = NO_DETECTIONS, []
-    out_frames = []
+    track_ids = []  # of every row of the sequence
     for pos, frame in enumerate(seq.frames):
         dets = frame.detections
         kernels = None if memo is None else memo.entry(pos, [row[:2] for row in rows])
@@ -217,24 +218,20 @@ def track_video_with_stats(
                 ids.append(rows[row][2])
                 linked.add(row)
         links += len(linked)
-        out_frames.append(Frame(frame.frame_index, frame.labeled, replace(dets, track_ids=tuple(ids))))
+        track_ids += ids
         # a row stays while no detection linked to it and it is within the next frame's lookback
         stays = [i for i, row in enumerate(rows) if i not in linked and row[0] > pos - cfg.lookback]
         pool = Detections.concat([pool.take(stays), dets]) if stays else dets
         rows = [rows[i] for i in stays] + [(pos, j, tid) for j, tid in enumerate(ids)]
 
-    return seq.with_frames(out_frames), TrackStats(len(seq.frames), total_cost, links, next_id)
+    tracked = replace(seq, detections=replace(seq.detections, track_ids=tuple(track_ids)))
+    return tracked, TrackStats(len(seq.frame_indices), total_cost, links, next_id)
 
 
 def _track_random(seq: VideoSequence, cfg: LinkerConfig) -> tuple[VideoSequence, TrackStats]:
     # baseline mode: ids drawn uniformly from [0, random_max_id], matching ignored
     rng = np.random.default_rng(cfg.rng_seed)
-    out_frames = []
-    n = 0
-    for frame in seq.frames:
-        dets = frame.detections
-        ids = [int(rng.integers(0, cfg.random_max_id + 1)) for _ in range(len(dets))]
-        n += len(ids)
-        out_frames.append(Frame(frame.frame_index, frame.labeled, replace(dets, track_ids=tuple(ids))))
-    stats = TrackStats(frames=len(seq.frames), total_assignment_cost=0.0, links=0, new_tracks=n)
-    return seq.with_frames(out_frames), stats
+    n = len(seq.detections)
+    ids = [int(rng.integers(0, cfg.random_max_id + 1)) for _ in range(n)]
+    stats = TrackStats(frames=len(seq.frame_indices), total_assignment_cost=0.0, links=0, new_tracks=n)
+    return replace(seq, detections=replace(seq.detections, track_ids=tuple(ids))), stats

@@ -27,7 +27,8 @@ envelope, and mAP averages AP over joints that have at least one labeled
 instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
-same frame_index and matched once, by match_sequence: one joints_within call
+same frame_index and matched once, by match_sequence: each side's rows are
+gathered from its sequence's columns by one index, one joints_within call
 per block of consecutive frames, NaN-padded, decides the PCKh masks, summed
 over joints into one (F, N, M) counts array zero-padded to the largest
 frame, then each frame is matched alone on its view of the counts. The
@@ -48,13 +49,14 @@ the MOT id pass of every linker config.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,7 +70,7 @@ from .model import (
     filter_detections,
     write_text_atomic,
 )
-from .similarity import joints_within
+from .similarity import joints_within, keypoint_array
 
 HEAD_SIZE_BIAS = 0.6  # fraction of the head-box diagonal used as head size
 
@@ -80,14 +82,19 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)  # math.hypot over arrays
 _MATCH_BLOCK = 2**14
 
 
-def _head_sizes(head_boxes: np.ndarray) -> np.ndarray:
-    """0.6 times the diagonal of each head box (N, 4); every detection needs one."""
+def _limits(head_boxes: np.ndarray, alpha: float) -> np.ndarray:
+    """The PCKh limit of each head box (N, 4), alpha times its head size, 0.6
+    times its diagonal; every detection needs one."""
     if np.isnan(head_boxes).any():
         raise ValueError("a ground-truth detection has no head box")
     diagonals = np.array(box_diagonals(head_boxes))
     if min(diagonals, default=1.0) <= 0.0:
         raise ValueError("degenerate head box")
-    return HEAD_SIZE_BIAS * diagonals
+    with np.errstate(over="ignore"):
+        limits = alpha * (HEAD_SIZE_BIAS * diagonals)
+    if not np.isfinite(limits).all():
+        raise ValueError(f"alpha {alpha!r} times a head size is beyond the float range")
+    return limits
 
 
 def correct_joint_mask(
@@ -103,43 +110,50 @@ def correct_joint_mask(
     matrix of correct joint counts, as match_sequence's counts hold it.
     """
     j_count = (gt_persons if len(gt_persons) else pred_persons).xy.shape[1]
-    gt_points, pred_points = _points([gt_persons], j_count)[0], _points([pred_persons], j_count)[0]
-    return joints_within(gt_points[:-1], pred_points[:-1], alpha * _head_sizes(gt_persons.head_boxes))
+    gt_points = _points(gt_persons, np.arange(len(gt_persons)), j_count)
+    pred_points = _points(pred_persons, np.arange(len(pred_persons)), j_count)
+    return joints_within(gt_points[:-1], pred_points[:-1], _limits(gt_persons.head_boxes, alpha))
 
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The correct-joint counts of a run of frames. Each side's rows lie end to
-    end: frame k's are offsets[k]:offsets[k + 1] of points, with an all-NaN pad
-    row last; limits holds each gt row's PCKh limit, and 1.0 for the pad.
-    counts[k] is frame k's (n_gt, n_pred) count of PCKh-correct joints, padded
-    with zeros to the largest frame; one joints_within call per block of frames,
-    the most that fit in _MATCH_BLOCK mask cells, or 1, decides the masks, and
-    only their sums over joints are kept."""
+    """The correct-joint counts of the gt and pred frames of given indices,
+    which pred may lack. Each side's rows lie end to end: frame k's are
+    offsets[k]:offsets[k + 1] of points, with an all-NaN pad row last, and rows
+    holds the sequence row of each; limits holds each gt row's PCKh limit, and
+    1.0 for the pad. counts[k] is frame k's (n_gt, n_pred) count of
+    PCKh-correct joints, padded with zeros to the largest frame; one
+    joints_within call per block of frames, the most that fit in _MATCH_BLOCK
+    mask cells, or 1, decides the masks, and only their sums over joints are
+    kept."""
 
     gt_points: np.ndarray
     gt_offsets: np.ndarray
+    gt_rows: np.ndarray
     limits: np.ndarray
     pred_points: np.ndarray
     pred_offsets: np.ndarray
+    pred_rows: np.ndarray
     counts: np.ndarray
 
     @classmethod
-    def of(cls, gts: Sequence[Detections], preds: Sequence[Detections], alpha: float,
-           j_count: int) -> "_Blocks":
-        gt_points, gt_offsets = _points(gts, j_count)
-        pred_points, pred_offsets = _points(preds, j_count)
-        head_boxes = np.concatenate([np.zeros((0, 4)), *(d.head_boxes for d in gts)])
-        limits = np.append(alpha * _head_sizes(head_boxes), 1.0)
+    def of(cls, frame_indices: Sequence[int], gt: VideoSequence, pred: VideoSequence,
+           alpha: float) -> "_Blocks":
+        j_count = gt.joint_count
+        gt_rows, gt_offsets = _frame_rows(gt, frame_indices)
+        pred_rows, pred_offsets = _frame_rows(pred, frame_indices)
+        gt_points = _points(gt.detections, gt_rows, j_count)
+        pred_points = _points(pred.detections, pred_rows, j_count)
+        limits = np.append(_limits(gt.detections.head_boxes[gt_rows], alpha), 1.0)
         n_max, m_max = int(np.diff(gt_offsets).max(initial=0)), int(np.diff(pred_offsets).max(initial=0))
         step = max(1, _MATCH_BLOCK // max(n_max * m_max * j_count, 1))
-        counts = np.zeros((len(gts), n_max, m_max), dtype=np.intp)
-        for lo in range(0, len(gts), step):
-            hi = min(lo + step, len(gts))
+        counts = np.zeros((len(frame_indices), n_max, m_max), dtype=np.intp)
+        for lo in range(0, len(frame_indices), step):
+            hi = min(lo + step, len(frame_indices))
             gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
             counts[lo:hi, :gi.shape[1], :pi.shape[1]] = joints_within(
                 gt_points[gi], pred_points[pi], limits[gi]).sum(axis=3)
-        return cls(gt_points, gt_offsets, limits, pred_points, pred_offsets, counts)
+        return cls(gt_points, gt_offsets, gt_rows, limits, pred_points, pred_offsets, pred_rows, counts)
 
     def frame(self, k: int) -> np.ndarray:
         """Frame k's (n_gt, n_pred) counts, a view into counts."""
@@ -159,13 +173,23 @@ class _Blocks:
         return np.concatenate(parts)
 
 
-def _points(parts: Sequence[Detections], j_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, offsets): the keypoint_array rows of the parts end to end, then
-    an all-NaN row, and the offsets of each part's rows, with the end last."""
-    filled = [d for d in parts if len(d)]
-    points = np.concatenate([*(d.xy for d in filled), np.full((1, j_count, 2), math.nan)])
-    points[:-1][~np.concatenate([np.ones((0, j_count), dtype=bool), *(d.present for d in filled)])] = math.nan
-    return points, np.cumsum([0] + [len(d) for d in parts])
+def _frame_rows(seq: VideoSequence, frame_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, offsets): the rows of seq's frames with these indices end to
+    end, a frame that seq lacks holding none, and where each frame's rows
+    start in them, with the end last."""
+    position = {index: k for k, index in enumerate(seq.frame_indices)}
+    at = np.array([position.get(index, -1) for index in frame_indices], dtype=np.intp)
+    bounds = np.array(seq.offsets)
+    first = bounds[at]
+    sizes = np.where(at >= 0, bounds[at + 1] - first, 0)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes), offsets
+
+
+def _points(dets: Detections, rows: np.ndarray, j_count: int) -> np.ndarray:
+    """The keypoint_array rows of dets at rows, then an all-NaN row."""
+    pad = np.full((1, j_count, 2), math.nan)
+    return np.concatenate([keypoint_array(dets)[rows], pad]) if len(rows) else pad  # no rows: any joint count
 
 
 def _padded(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -299,13 +323,12 @@ def _check_pair(gt: VideoSequence, pred: VideoSequence, require_track_ids: bool)
         raise ValueError(f"video id mismatch: {gt.video_id!r} vs {pred.video_id!r}")
     if gt.joint_names != pred.joint_names:
         raise ValueError("joint names differ between ground truth and predictions")
-    if require_track_ids:
-        for frame in pred.frames:
-            ids = frame.detections.track_ids
-            if None in ids:
-                raise ValueError(
-                    f"prediction frame {frame.frame_index} detection {ids.index(None)} has no track_id"
-                )
+    if require_track_ids and None in pred.detections.track_ids:
+        row = pred.detections.track_ids.index(None)
+        k = bisect.bisect_right(pred.offsets, row) - 1  # the frame of that row
+        raise ValueError(
+            f"prediction frame {pred.frame_indices[k]} detection {row - pred.offsets[k]} has no track_id"
+        )
 
 
 def _check_alpha(alpha: float) -> None:
@@ -336,8 +359,8 @@ class SequenceMatch:
     @cached_property
     def track_ids(self) -> tuple[int, ...]:
         """The ground-truth track id of each pair."""
-        ids = [t for f in self.gt.frames if f.labeled for t in f.detections.track_ids]
-        rows = self.blocks.gt_offsets[self.pairs[:, 0]] + self.pairs[:, 1]
+        ids, blocks = self.gt.detections.track_ids, self.blocks
+        rows = blocks.gt_rows[blocks.gt_offsets[self.pairs[:, 0]] + self.pairs[:, 1]]
         return tuple(ids[row] for row in rows.tolist())
 
     @cached_property
@@ -380,17 +403,18 @@ def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -
     are computed in blocks of frames; each frame is matched alone."""
     _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
+    frame_indices = tuple(compress(gt.frame_indices, gt.labeled))
+    blocks = _Blocks.of(frame_indices, gt, pred, alpha)
+    # each labeled frame is assigned alone, on its view of the counts
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
-    labeled = [f for f in gt.frames if f.labeled]
-    gts = [f.detections for f in labeled]
-    preds = [pred_by_index.get(f.frame_index, NO_DETECTIONS) for f in labeled]
-    blocks = _Blocks.of(gts, preds, alpha, gt.joint_count)
-    per_frame = [match_poses_frame(g, p, alpha, blocks.frame(k))
-                 for k, (g, p) in enumerate(zip(gts, preds))]
+    per_frame = [
+        match_poses_frame(f.detections, pred_by_index.get(f.frame_index, NO_DETECTIONS), alpha, blocks.frame(k))
+        for k, f in enumerate(f for f in gt.frames if f.labeled)
+    ]
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(per_frame)), dtype=np.intp).reshape(-1, 2)
     pairs = np.column_stack([np.repeat(np.arange(len(per_frame)), list(map(len, per_frame))), pairs])
-    scores = np.concatenate([np.zeros(0), *(p.scores for p in preds if len(p))])
-    return SequenceMatch(gt, alpha, tuple(f.frame_index for f in labeled), pairs, scores, blocks)
+    scores = pred.detections.scores[blocks.pred_rows]
+    return SequenceMatch(gt, alpha, frame_indices, pairs, scores, blocks)
 
 
 def evaluate_mot(
@@ -401,17 +425,15 @@ def evaluate_mot(
     order, and `ap`, the per-joint AP and mAP of the match from evaluate_map."""
     _check_pair(match.gt, pred, require_track_ids=True)
     j_count = match.gt.joint_count
-    ids_by_index = {f.frame_index: f.detections.track_ids for f in pred.frames}
-    ids = []  # the track id of every prediction row of the match
-    for frame_index, size in zip(match.frame_indices, np.diff(match.blocks.pred_offsets).tolist()):
-        frame_ids = ids_by_index.get(frame_index, ())
-        if len(frame_ids) != size:
-            raise ValueError(f"prediction frame {frame_index} has {len(frame_ids)} detections, "
-                             f"the match has {size}")
-        ids += frame_ids
+    rows, offsets = _frame_rows(pred, match.frame_indices)  # pred's row of every prediction row of the match
+    sizes, match_sizes = np.diff(offsets), np.diff(match.blocks.pred_offsets)
+    if (sizes != match_sizes).any():
+        k = int(np.argmax(sizes != match_sizes))
+        raise ValueError(f"prediction frame {match.frame_indices[k]} has {sizes[k]} detections, "
+                         f"the match has {match_sizes[k]}")
     tp, pred_count, motp_sum, entry_row, follows, next_joint = match._mot_terms
     # a switch is a TP whose id differs from the previous TP of its track and joint
-    entry_ids = _id_codes(ids)[entry_row]
+    entry_ids = _id_codes(pred.detections.track_ids)[rows[entry_row]]
     idsw = np.bincount(next_joint[follows & (entry_ids[1:] != entry_ids[:-1])], minlength=j_count)
     gt_count = match.gt_count
     # a correct joint is present on both sides; every other present joint

@@ -30,8 +30,8 @@ coordinates and carry present=0 in the file, so no sentinel values are needed.
 Floats are serialized with Python's shortest round-trip representation, which
 makes save followed by load the identity on every semantic field.
 
-A frame holds its N detections as one `Detections`: read-only columns with
-one row per detection, in file order.
+A `VideoSequence` holds its N detections as one `Detections`, read-only
+columns with one row per detection in file order, and an entry per frame:
 
     boxes        (N, 4)     corners [x_min, y_min, x_max, y_max]
     scores       (N,)       detector scores
@@ -43,18 +43,25 @@ one row per detection, in file order.
     track_ids    N Python ints or None, so that ids of any size survive
     head_boxes   (N, 4)     head-box corners; NaN rows where there is none
 
-Loading, synthesis, filtering, linking, scoring and saving work on these
-columns; `Detections.from_columns` builds a checked one. One set of array
-checks in `load_sequence` accepts a file a block of frames at a time and
-names the first error of a bad file, which it reads again whole: run on one
-frame at a time, and on one detection at a time only within a frame that
-fails. `save_sequence` writes a file a frame at a time. Every type is frozen,
-and every array read-only, so values are immutable and safe to share; a
-`Box` holds one box for the tube kernels, and its checks word the box errors.
+    frame_indices  F Python ints, strictly increasing
+    labeled        F Python bools
+    offsets        F + 1 Python ints: frame k's rows are offsets[k]:offsets[k + 1]
+
+(the values-plus-offsets layout of Arrow's list arrays). A `Frame` is a view:
+`VideoSequence.frames` slices the columns for the per-frame steps. Loading,
+synthesis, filtering, linking, scoring and saving work on these columns;
+`Detections.from_columns` builds a checked one. One set of array checks in
+`load_sequence` accepts a file a block of frames at a time and names the
+first error of a bad file, which it reads again whole: run on one frame at a
+time, and on one detection at a time only within a frame that fails.
+`save_sequence` writes a file a block of frames at a time. Every type is
+frozen, and every array read-only, so values are immutable and safe to share;
+a `Box` holds one box for the tube kernels, and its checks word the box errors.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -62,7 +69,8 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain, compress, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -141,7 +149,7 @@ _ARRAYS = ("boxes", "scores", "xy", "kp_score", "present", "features", "has_feat
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """The detections of one frame as read-only columns (see the module docstring).
+    """Rows of detections, a frame's or a sequence's, as read-only columns (see the module docstring).
 
     The constructor makes the arrays it is given read-only and checks
     nothing: its columns must already hold what `from_columns` checks.
@@ -278,41 +286,75 @@ class Frame:
 
 @dataclass(frozen=True)
 class VideoSequence:
+    """A video's detections as one column set, and its frames as indices,
+    labeled flags and row offsets (see the module docstring)."""
+
     video_id: str
     image_width: int
     image_height: int
     joint_names: tuple[str, ...]
-    frames: tuple[Frame, ...]
+    detections: Detections
+    frame_indices: tuple[int, ...]
+    labeled: tuple[bool, ...]
+    offsets: tuple[int, ...]
 
     def __post_init__(self):
+        indices, offsets, dets = self.frame_indices, self.offsets, self.detections
+        if len(self.labeled) != len(indices) or len(offsets) != len(indices) + 1 or offsets[0] != 0 \
+                or offsets[-1] != len(dets) or any(b < a for a, b in zip(offsets, offsets[1:])):
+            raise ValueError("offsets must rise from 0 to the row count, one per frame and one more")
+        if min(indices, default=0) < 0:
+            raise ValueError("frame_index must be non-negative")
+        # the first frame at or below the one before it
+        back = next((k for k in range(1, len(indices)) if indices[k] <= indices[k - 1]), len(indices))
         j = len(self.joint_names)
-        last_index = -1
-        widths = set()
-        for frame in self.frames:
+        # as a frame-by-frame check finds it: the first frame with rows, unless a step back comes first
+        if len(dets) and dets.xy.shape[1] != j and bisect.bisect_right(offsets, 0) - 1 < back:
+            raise ValueError(f"joint count mismatch: pose has {dets.xy.shape[1]}, sequence has {j}")
+        if back < len(indices):
+            raise ValueError(f"non-monotone frames: index {indices[back]} after {indices[back - 1]}")
+
+    @classmethod
+    def from_frames(cls, video_id: str, image_width: int, image_height: int, joint_names: Sequence[str],
+                    frames: Sequence[Frame]) -> "VideoSequence":
+        """The sequence of these frames, checked frame by frame, each for its
+        index and then its joint count, then for one feature width."""
+        frames, j, last_index = tuple(frames), len(joint_names), -1
+        for frame in frames:
             if frame.frame_index <= last_index:
                 raise ValueError(
                     f"non-monotone frames: index {frame.frame_index} after {last_index}"
                 )
             last_index = frame.frame_index
             dets = frame.detections
-            if len(dets):
-                if dets.xy.shape[1] != j:
-                    raise ValueError(
-                        f"joint count mismatch: pose has {dets.xy.shape[1]}, sequence has {j}"
-                    )
-                widths.add(dets.features.shape[1])
+            if len(dets) and dets.xy.shape[1] != j:
+                raise ValueError(
+                    f"joint count mismatch: pose has {dets.xy.shape[1]}, sequence has {j}"
+                )
         # a frame without features may have another width than those with them
-        if len(widths) > 1 and len(
-            {f.detections.features.shape[1] for f in self.frames if f.detections.has_feature.any()}
-        ) > 1:
-            raise ValueError("feature vectors must share one dimensionality")
+        detections = Detections.concat([f.detections for f in frames])
+        return cls(video_id, image_width, image_height, tuple(joint_names), detections,
+                   tuple(int(f.frame_index) for f in frames), tuple(bool(f.labeled) for f in frames),
+                   tuple(accumulate((len(f.detections) for f in frames), initial=0)))
+
+    @cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """Each frame's `Frame`, its detections a view of its rows; made on first use."""
+        dets, bounds = self.detections, self.offsets
+        columns = [(name, getattr(dets, name)) for name in _ARRAYS]
+        return tuple(
+            Frame(index, labeled, Detections(**{name: col[lo:hi] for name, col in columns},
+                                             track_ids=dets.track_ids[lo:hi]))
+            for index, labeled, lo, hi in zip(self.frame_indices, self.labeled, bounds, bounds[1:])
+        )
 
     @property
     def joint_count(self) -> int:
         return len(self.joint_names)
 
     def with_frames(self, frames: Sequence[Frame]) -> "VideoSequence":
-        return replace(self, frames=tuple(frames))
+        return VideoSequence.from_frames(self.video_id, self.image_width, self.image_height,
+                                         self.joint_names, frames)
 
 
 ROLE_PREDICTION = "prediction"
@@ -347,7 +389,7 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
         raise ValueError(f"unknown role {role!r}")
     try:
         header, blocks = _read_blocks(path, role)
-        return VideoSequence(*header, frames=_frames(blocks))
+        return VideoSequence(*header, *_rows(blocks))
     except (ValueError, RecursionError):
         pass  # left here, so that the error below is not chained to this one
     return _load_whole(path, role)
@@ -474,10 +516,9 @@ def _load_whole(path: str, role: str) -> VideoSequence:
         raise ValueError("frames must be a list")
     j = len(header[3])
     try:
-        frames = _frames([_block(raw["frames"], j, role)])
+        return VideoSequence(*header, *_rows([_block(raw["frames"], j, role)]))
     except ValueError:  # the checks of all frames at once; rerun them to name the first failure
         _raise_first_error(raw["frames"], j, role)
-    return VideoSequence(*header, frames=frames)
 
 
 _NUMBER = {int, float}  # exact types, so booleans are not numbers
@@ -536,9 +577,9 @@ def _frame_fields(raw_frames: list) -> tuple[list, list, list]:
     return indices, labeled, per_frame
 
 
-def _columns(dets: list, j: int, role: str) -> dict:
-    """The `Detections` columns, track_ids included, of the raw detections,
-    each check one C-level pass over all of them, in the order one detection
+def _columns(dets: list, j: int, role: str) -> Detections:
+    """The `Detections` of the raw detections, checked with each check one
+    C-level pass over all of them, in the order one detection
     is checked. A failed check raises the tail of its message; see _raise_first_error."""
     bboxes, scores, kps = _fields(dets, ("bbox", "score", "keypoints"))
     feats, ids, heads = (list(map(dict.get, dets, repeat(key)))
@@ -595,15 +636,13 @@ def _columns(dets: list, j: int, role: str) -> dict:
     features[has_feature] = feat_arr
     head_boxes = np.full((n, 4), math.nan)
     head_boxes[has_head] = head_arr
-    columns = dict(boxes=boxes, scores=np.clip(score_arr, 0.0, 1.0) + 0.0,  # + 0.0 turns -0.0 into 0.0
-                   xy=block[..., :2], kp_score=block[..., 2], present=block[..., 3] == 1.0,
-                   features=features, has_feature=np.array(has_feature, dtype=bool), head_boxes=head_boxes)
-    for arr in columns.values():
-        arr.setflags(write=False)
-    return {**columns, "track_ids": tuple(ids)}
+    return Detections(boxes=boxes, scores=np.clip(score_arr, 0.0, 1.0) + 0.0,  # + 0.0 turns -0.0 into 0.0
+                      xy=block[..., :2], kp_score=block[..., 2], present=block[..., 3] == 1.0,
+                      features=features, has_feature=np.array(has_feature, dtype=bool), track_ids=tuple(ids),
+                      head_boxes=head_boxes)
 
 
-def _block(raw_frames: list, j: int, role: str) -> tuple[list, list, list, dict]:
+def _block(raw_frames: list, j: int, role: str) -> tuple[list, list, list, Detections]:
     """The frame_index and labeled values, detection counts and `_columns`
     of a run of raw frames, checked with a few array operations over all of
     their detections at once; a failed check names no frame or detection."""
@@ -611,7 +650,7 @@ def _block(raw_frames: list, j: int, role: str) -> tuple[list, list, list, dict]
     columns = _columns(list(chain.from_iterable(per_frame)), j, role)
     counts = list(map(len, per_frame))
     if role == ROLE_GROUNDTRUTH:
-        ids, lo = columns["track_ids"], 0
+        ids, lo = columns.track_ids, 0
         for n in counts:
             if len(set(ids[lo:lo + n])) < n:
                 raise ValueError("ground truth repeats a track_id")
@@ -619,33 +658,13 @@ def _block(raw_frames: list, j: int, role: str) -> tuple[list, list, list, dict]
     return indices, labeled, counts, columns
 
 
-def _frames(blocks: list) -> tuple[Frame, ...]:
-    """The frames of the _block results of a file's runs of frames, in order,
-    their columns joined once; each frame's rows are views of those columns."""
+def _rows(blocks: list) -> tuple[Detections, tuple, tuple, tuple]:
+    """The detections, frame indices, labeled flags and offsets of a
+    `VideoSequence`, from the _block results of a file's runs of frames, in
+    order, their columns joined once."""
     indices, labeled, counts, columns = zip(*blocks)
-    widths = {c["features"].shape[1] for c in columns if c["has_feature"].any()}
-    if len(widths) > 1:
-        raise ValueError("feature vectors must share one dimensionality")
-    width = max(widths, default=0)
-    for c in columns:
-        if c["features"].shape[1] != width:  # a run without features
-            c["features"] = np.full((len(c["features"]), width), math.nan)
-    names = tuple(columns[0])
-    cols = [tuple(chain.from_iterable(c[name] for c in columns)) if name == "track_ids"
-            else np.concatenate([c[name] for c in columns]) for name in names]
-    for col in cols:
-        if isinstance(col, np.ndarray):
-            col.setflags(write=False)
-    bounds = np.cumsum([0, *chain.from_iterable(counts)]).tolist()
-    frames = []
-    for index, is_labeled, lo, hi in zip(chain.from_iterable(indices), chain.from_iterable(labeled),
-                                         bounds, bounds[1:]):
-        # a frame's rows are views of the read-only columns, so Detections'
-        # __post_init__ has nothing to freeze; skipping it halves this loop
-        dets = object.__new__(Detections)
-        dets.__dict__.update(zip(names, [col[lo:hi] for col in cols]))
-        frames.append(Frame(index, is_labeled, dets))  # rejects a negative frame_index
-    return tuple(frames)
+    return (Detections.concat(columns), tuple(chain.from_iterable(indices)),
+            tuple(chain.from_iterable(labeled)), tuple(accumulate(chain.from_iterable(counts), initial=0)))
 
 
 def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
@@ -714,9 +733,9 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
     """Write a sequence file as strict JSON, atomically (temp file + rename);
     a non-finite value is a ValueError and writes nothing.
 
-    The file is written a frame at a time: the top-level fields, then each
-    frame's JSON text, joined by ", ", then the close of the frames array and
-    of the document. Those are the bytes of json.dumps(document,
+    The file is written a block of frames at a time: the top-level fields,
+    then each frame's JSON text, joined by ", ", then the close of the frames
+    array and of the document. Those are the bytes of json.dumps(document,
     allow_nan=False), without the whole document ever held at once.
     """
     head = _encode({
@@ -725,33 +744,41 @@ def save_sequence(seq: VideoSequence, path: str) -> None:
         "joint_names": list(seq.joint_names),
         "frames": [],
     })
-    write_text_atomic(path, chain((head[:-2],), _frame_texts(seq.frames), ("]}",)))  # head ends in "[]}"
+    write_text_atomic(path, chain((head[:-2],), _frame_texts(seq), ("]}",)))  # head ends in "[]}"
 
 
-def _frame_texts(frames: Sequence[Frame]):
-    """The JSON text of each frame, with ", " between two frames."""
-    for k, frame in enumerate(frames):
+def _frame_texts(seq: VideoSequence):
+    """The JSON text of each frame, with ", " between two frames; the rows'
+    file objects are made a block of frames at a time, of at most _LOAD_BLOCK
+    rows unless one frame holds more."""
+    bounds = seq.offsets
+    docs, first = [], 0  # the file objects of rows first to first + len(docs) - 1
+    for k, (index, labeled, lo, hi) in enumerate(zip(seq.frame_indices, seq.labeled, bounds, bounds[1:])):
+        if hi > first + len(docs):  # the next block starts at this frame
+            end = bounds[max(bisect.bisect_right(bounds, lo + _LOAD_BLOCK) - 1, k + 1)]
+            docs = None  # freed before the next block's objects are made, so one block is held at a time
+            docs, first = _detection_docs(seq.detections, lo, end), lo
         if k:
             yield ", "
         yield _encode({
-            "frame_index": int(frame.frame_index),
-            "labeled": bool(frame.labeled),
-            "detections": _detection_docs(frame.detections),
+            "frame_index": int(index),
+            "labeled": bool(labeled),
+            "detections": docs[lo - first:hi - first],
         })
 
 
-def _detection_docs(dets: Detections) -> list[dict]:
-    """The file objects of a frame's detections, from a few tolist() calls."""
-    if not len(dets):
-        return []
-    keypoints = np.empty(dets.present.shape + (4,), dtype=object)  # Python floats, int flags
-    keypoints[..., :2] = dets.xy
-    keypoints[..., 2] = dets.kp_score
-    keypoints[..., 3] = dets.present.astype(int)
+def _detection_docs(dets: Detections, lo: int, hi: int) -> list[dict]:
+    """The file objects of rows lo to hi - 1, from a few tolist() calls."""
+    present = dets.present[lo:hi]
+    keypoints = np.empty(present.shape + (4,), dtype=object)  # Python floats, int flags
+    keypoints[..., :2] = dets.xy[lo:hi]
+    keypoints[..., 2] = dets.kp_score[lo:hi]
+    keypoints[..., 3] = present.astype(int)
     docs = []
     for box, score, kps, feature, has_feature, track_id, head_box in zip(
-        dets.boxes.tolist(), dets.scores.tolist(), keypoints.tolist(), dets.features.tolist(),
-        dets.has_feature.tolist(), dets.track_ids, dets.head_boxes.tolist(),
+        dets.boxes[lo:hi].tolist(), dets.scores[lo:hi].tolist(), keypoints.tolist(),
+        dets.features[lo:hi].tolist(), dets.has_feature[lo:hi].tolist(), dets.track_ids[lo:hi],
+        dets.head_boxes[lo:hi].tolist(),
     ):
         doc = {"bbox": box, "score": score, "keypoints": kps}
         if has_feature:
@@ -769,14 +796,12 @@ def filter_detections(seq: VideoSequence, det_threshold: float, kp_threshold: fl
     below kp_threshold as absent. Frame structure is preserved; idempotent."""
     if math.isnan(det_threshold) or math.isnan(kp_threshold):
         raise ValueError("thresholds must not be NaN")
-    frames = []
-    for frame in seq.frames:
-        dets = frame.detections
-        dropped = dets.present & (dets.kp_score < kp_threshold)
-        if dropped.any():
-            dets = replace(dets, present=dets.present & ~dropped)
-        kept = ~(dets.scores < det_threshold)
-        if not kept.all():
-            dets = dets.take(kept)
-        frames.append(Frame(frame.frame_index, frame.labeled, dets))
-    return seq.with_frames(frames)
+    dets = seq.detections
+    dropped = dets.present & (dets.kp_score < kp_threshold)
+    if dropped.any():
+        dets = replace(dets, present=dets.present & ~dropped)
+    kept = ~(dets.scores < det_threshold)
+    if kept.all():
+        return replace(seq, detections=dets)
+    kept_before = np.concatenate([[0], np.cumsum(kept)])  # the kept rows before each row
+    return replace(seq, detections=dets.take(kept), offsets=tuple(kept_before[list(seq.offsets)].tolist()))

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .linking import LinkerConfig, link_frame_pair
-from .model import Frame, VideoSequence
+from .model import VideoSequence
 from .metrics import _check_alpha, _check_pair, match_sequence
 
 
@@ -29,31 +29,22 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
     transform twice yields the same sequence.
     """
     _check_pair(gt, pred, require_track_ids=True)
-    gt_ids = [tid for f in gt.frames for tid in f.detections.track_ids]
+    gt_ids = gt.detections.track_ids
     if None in gt_ids:
         raise ValueError("ground truth must carry track ids")
     offset = (max(gt_ids) + 1) if gt_ids else 0
 
-    # matched[(frame_index, pred det index)] -> gt track id
+    # matched[pred row] -> gt track id
     match = match_sequence(gt, pred, alpha)
-    matched = {(match.frame_indices[k], pi): tid
-               for (k, _, pi), tid in zip(match.pairs.tolist(), match.track_ids)}
-    unmatched_ids = {
-        tid for frame in pred.frames for i, tid in enumerate(frame.detections.track_ids)
-        if (frame.frame_index, i) not in matched
-    }
+    blocks = match.blocks
+    rows = blocks.pred_rows[blocks.pred_offsets[match.pairs[:, 0]] + match.pairs[:, 2]]
+    matched = dict(zip(rows.tolist(), match.track_ids))
+    pred_ids = pred.detections.track_ids
+    unmatched_ids = {tid for row, tid in enumerate(pred_ids) if row not in matched}
 
     remap = {tid: offset + rank for rank, tid in enumerate(sorted(unmatched_ids))}
-
-    out_frames = []
-    for frame in pred.frames:
-        ids = [
-            matched.get((frame.frame_index, i), remap.get(tid))
-            for i, tid in enumerate(frame.detections.track_ids)
-        ]
-        dets = replace(frame.detections, track_ids=tuple(ids))
-        out_frames.append(Frame(frame.frame_index, frame.labeled, dets))
-    return pred.with_frames(out_frames)
+    ids = tuple(matched.get(row, remap.get(tid)) for row, tid in enumerate(pred_ids))
+    return replace(pred, detections=replace(pred.detections, track_ids=ids))
 
 
 def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
@@ -67,24 +58,23 @@ def perfect_keypoints(gt: VideoSequence, pred: VideoSequence) -> VideoSequence:
     """
     _check_pair(gt, pred, require_track_ids=False)
     gt_by_index = {f.frame_index: f for f in gt.frames}
-    out_frames = []
-    for frame in pred.frames:
+    dets = pred.detections
+    xy, kp_score, present = dets.xy.copy(), dets.kp_score.copy(), dets.present.copy()
+    for frame, first in zip(pred.frames, pred.offsets):
         gt_frame = gt_by_index.get(frame.frame_index)
-        dets = frame.detections
         if gt_frame is None or not gt_frame.labeled:
-            out_frames.append(frame)
             continue
         labels = gt_frame.detections
+        if not (len(labels) and len(frame.detections)):  # nothing to link; an empty side may have 0 joints
+            continue
         try:
-            parent, _ = link_frame_pair(labels, dets, LinkerConfig())
+            parent, _ = link_frame_pair(labels, frame.detections, LinkerConfig())
         except ValueError as exc:  # boxes so large that their areas overflow
             raise ValueError(f"frame {frame.frame_index}: {exc}") from exc
         pi = np.flatnonzero(parent >= 0)
-        xy, kp_score, present = dets.xy.copy(), dets.kp_score.copy(), dets.present.copy()
-        xy[pi], kp_score[pi], present[pi] = labels.xy[parent[pi]], 1.0, labels.present[parent[pi]]
-        dets = replace(dets, xy=xy, kp_score=kp_score, present=present)
-        out_frames.append(Frame(frame.frame_index, frame.labeled, dets))
-    return pred.with_frames(out_frames)
+        rows = first + pi
+        xy[rows], kp_score[rows], present[rows] = labels.xy[parent[pi]], 1.0, labels.present[parent[pi]]
+    return replace(pred, detections=replace(dets, xy=xy, kp_score=kp_score, present=present))
 
 
 def apply_oracle(

@@ -14,10 +14,11 @@ stripped. When the noise model's feature_dim is positive, each actor gets a
 stable unit embedding and detections carry a jittered copy, so appearance
 based linking can run on synthetic data.
 
-Both stages build each frame's columns directly: the ground truth places the
-template joints of every actor in every frame with one broadcast and derives
-person and head boxes with dilated_boxes; corruption edits rows of those
-columns and appends the false positives as rows.
+Both stages build the sequence's columns once: the ground truth places the
+template joints of every actor in every frame with one broadcast, keeps the
+visible (frame, actor) cells as rows and derives person and head boxes with
+dilated_boxes; corruption edits rows of those columns and puts each frame's
+false positives after its kept rows.
 
 Randomness comes from numpy's seeded PCG64 generator, one stream per stage:
 ground truth uses seed (cfg.seed, 0) and corruption (cfg.seed, 1). Draws
@@ -34,9 +35,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+
 import numpy as np
 
-from .model import Detections, Frame, VideoSequence, _INT64_MAX
+from .model import Detections, VideoSequence, _INT64_MAX
 
 JOINT_NAMES = (
     "head_top",
@@ -257,26 +260,26 @@ def generate_ground_truth(cfg: ScenarioConfig) -> VideoSequence:
         centers[a, :, 1] = _bounce(y, margin_y, h - margin_y)
         heights[a] = height
 
-    # every actor in every frame, frame-major: (T, A, J, 2) joints and (T, A, 4) boxes
+    # every actor in every frame, frame-major: (T, A, J, 2) joints and (T, A, 4) boxes;
+    # the visible (frame, actor) cells in that order are the rows
     xy = _poses_at(centers, heights[:, None]).swapaxes(0, 1)
     boxes, head_boxes = dilated_boxes(xy), dilated_boxes(xy[..., :HEAD_JOINT_COUNT, :])
     visible = ~occluded.T
-    frames = []
-    for k, rows in enumerate(visible):
-        n = int(rows.sum())
-        detections = Detections.from_columns(
-            boxes[k, rows], np.ones(n), xy[k, rows], np.ones((n, len(_TEMPLATE))),
-            np.ones((n, len(_TEMPLATE)), dtype=bool),
-            track_ids=np.flatnonzero(rows).tolist(), head_boxes=head_boxes[k, rows],
-        )
-        frames.append(Frame(k, k % cfg.label_every == 0, detections))
-
+    n = int(visible.sum())
+    detections = Detections.from_columns(
+        boxes[visible], np.ones(n), xy[visible], np.ones((n, len(_TEMPLATE))),
+        np.ones((n, len(_TEMPLATE)), dtype=bool),
+        track_ids=np.nonzero(visible)[1].tolist(), head_boxes=head_boxes[visible],
+    )
     return VideoSequence(
         video_id=f"synth-{cfg.seed}",
         image_width=cfg.image_width,
         image_height=cfg.image_height,
         joint_names=JOINT_NAMES,
-        frames=tuple(frames),
+        detections=detections,
+        frame_indices=tuple(range(cfg.frames)),
+        labeled=tuple(k % cfg.label_every == 0 for k in range(cfg.frames)),
+        offsets=tuple(accumulate(visible.sum(axis=1).tolist(), initial=0)),
     )
 
 
@@ -285,22 +288,27 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
     noise = cfg.noise
     rng = np.random.default_rng([cfg.seed, 1])
     dim = noise.feature_dim
+    dets = gt.detections
 
     embeddings: dict[int, np.ndarray] = {}
     if dim > 0:
-        for tid in sorted({tid for f in gt.frames for tid in f.detections.track_ids}):
+        for tid in sorted(set(dets.track_ids)):
             vec = rng.normal(size=dim)
             embeddings[tid] = vec / np.linalg.norm(vec)
 
-    frames = []
-    for frame in gt.frames:
-        dets = frame.detections
-        boxes, xy, kp_score = dets.boxes.copy(), dets.xy.copy(), dets.kp_score.copy()
-        scores, features, kept = np.empty(len(dets)), np.empty((len(dets), dim)), []
-        for i, (present, track_id) in enumerate(zip(dets.present, dets.track_ids)):
+    boxes, xy, kp_score = dets.boxes.copy(), dets.xy.copy(), dets.kp_score.copy()
+    scores, features = np.empty(len(dets)), np.empty((len(dets), dim))
+    # false positives: (F, 2) centers, heights, joint scores, features and scores
+    fp_centers, fp_heights, fp_kp_score, fp_features, fp_scores = [], [], [], [], []
+    # the rows of the predictions, frame by frame: the frame's kept ground-truth
+    # rows, then its false positives, the f-th of the sequence after the N rows as N + f
+    rows, offsets = [], [0]
+    for lo, hi in zip(gt.offsets, gt.offsets[1:]):
+        for i in range(lo, hi):
+            present, track_id = dets.present[i], dets.track_ids[i]
             if noise.miss_probability > 0 and float(rng.random()) < noise.miss_probability:
                 continue
-            kept.append(i)
+            rows.append(i)
             if noise.box_jitter > 0:
                 x_min, y_min, x_max, y_max = boxes[i].tolist()
                 n = rng.normal(0.0, noise.box_jitter, size=4)
@@ -316,9 +324,8 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
             if dim > 0:
                 features[i] = embeddings[track_id] + rng.normal(0.0, noise.feature_noise, size=dim)
 
-        # false positives: (F, 2) centers, heights, joint scores, features and scores
-        fp_centers, fp_heights, fp_kp_score, fp_features, fp_scores = [], [], [], [], []
         for _ in range(int(rng.poisson(noise.false_positive_rate)) if noise.false_positive_rate > 0 else 0):
+            rows.append(len(dets) + len(fp_scores))
             height = float(rng.uniform(MIN_HEIGHT, MAX_HEIGHT)) * gt.image_height
             cx = float(rng.uniform(0.25 * height, gt.image_width - 0.25 * height))
             cy = float(rng.uniform(0.55 * height, gt.image_height - 0.55 * height))
@@ -330,19 +337,16 @@ def corrupt_to_predictions(gt: VideoSequence, cfg: ScenarioConfig) -> VideoSeque
                 vec = rng.normal(size=dim)
                 fp_features.append(vec / np.linalg.norm(vec))
             fp_scores.append(float(rng.uniform(*noise.fp_score_range)))
-        # the kept detections, then the false positives
-        parts = [Detections.from_columns(
-            boxes[kept], scores[kept], xy[kept], kp_score[kept], dets.present[kept],
-            features=features[kept] if dim > 0 else None,
-        )]
-        if fp_scores:
-            fp_xy = _poses_at(np.array(fp_centers), np.array(fp_heights))
-            parts.append(Detections.from_columns(
-                dilated_boxes(fp_xy), fp_scores, fp_xy, fp_kp_score, np.ones(fp_xy.shape[:2], dtype=bool),
-                features=fp_features if dim > 0 else None,
-            ))
-        frames.append(replace(frame, detections=Detections.concat(parts)))
-    return gt.with_frames(frames)
+        offsets.append(len(rows))
+
+    fp_xy = _poses_at(np.reshape(fp_centers, (-1, 2)), np.array(fp_heights))
+    fp_present = np.ones(fp_xy.shape[:2], dtype=bool)
+    columns = [np.concatenate(pair)[rows] for pair in (
+        (boxes, dilated_boxes(fp_xy)), (scores, fp_scores), (xy, fp_xy),
+        (kp_score, np.reshape(fp_kp_score, fp_present.shape)), (dets.present, fp_present),
+    )]
+    features = np.concatenate([features, np.reshape(fp_features, (-1, dim))])[rows] if dim > 0 else None
+    return replace(gt, detections=Detections.from_columns(*columns, features=features), offsets=tuple(offsets))
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[VideoSequence, VideoSequence]:

@@ -4,7 +4,8 @@ The oracles include the scalar references of the package's array kernels:
 iou, pose_pckh_similarity, feature_cosine, head_size, pckh_correct,
 _correct_joint_count and tube_overlap, each deciding one pair at a time;
 reference_evaluate, the per-frame evaluator that block matching replaced;
-and reference_average_precision, AP from its definition.
+reference_filter_detections, the per-frame filter that the column one
+replaced; and reference_average_precision, AP from its definition.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def person(coords, score=1.0, track_id=None, head_box=HEAD_BOX, feature=None, pr
 
 def sequence(frames, joint_names=JOINTS3, video_id="fixture", size=(640, 480)) -> VideoSequence:
     """frames: list of (frame_index, labeled, [detection rows, ...])."""
-    return VideoSequence(
+    return VideoSequence.from_frames(
         video_id=video_id,
         image_width=size[0],
         image_height=size[1],
@@ -620,13 +621,32 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     feature_dim = det.features.shape[1]
                 elif det.features.shape[1] != feature_dim:
                     raise ValueError("feature vectors must share one dimensionality")
-    return VideoSequence(
+    return VideoSequence.from_frames(
         video_id=raw["video_id"],
         image_width=int(size[0]),
         image_height=int(size[1]),
         joint_names=tuple(joint_names),
         frames=tuple(Frame(index, labeled, Detections.concat(dets)) for index, labeled, dets in frames),
     )
+
+
+def reference_filter_detections(seq: VideoSequence, det_threshold: float, kp_threshold: float) -> VideoSequence:
+    """The per-frame filter that the column one replaced, kept as its oracle:
+    per frame, a presence mask of the joints scoring below kp_threshold, then
+    a row mask of the detections scoring below det_threshold."""
+    if math.isnan(det_threshold) or math.isnan(kp_threshold):
+        raise ValueError("thresholds must not be NaN")
+    frames = []
+    for frame in seq.frames:
+        dets = frame.detections
+        dropped = dets.present & (dets.kp_score < kp_threshold)
+        if dropped.any():
+            dets = replace(dets, present=dets.present & ~dropped)
+        kept = ~(dets.scores < det_threshold)
+        if not kept.all():
+            dets = dets.take(kept)
+        frames.append(Frame(frame.frame_index, frame.labeled, dets))
+    return seq.with_frames(frames)
 
 
 def table_means_row_by_row(table, seeds, frames: int, actors: int, columns) -> list[np.ndarray]:

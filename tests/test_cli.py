@@ -626,6 +626,11 @@ class TestOracle:
     ("oracle", ["--mode", "kpts", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
     ("oracle", ["--mode", "kpts", "--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
     ("sweep", ["--costs", "iou", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
+    ("eval", ["--alpha", "1e308"], "alpha 1e+308 times a head size is beyond the float range"),
+    ("oracle", ["--mode", "assoc", "--alpha", "1e308"],
+     "alpha 1e+308 times a head size is beyond the float range"),
+    ("sweep", ["--costs", "iou", "--alpha", "1e308"],
+     "alpha 1e+308 times a head size is beyond the float range"),
     ("track", ["--min-sim", "nan"], "min_similarity must not be NaN, got nan"),
     ("track", ["--cost", "pckh", "--pckh-alpha", "-1"], "pckh_alpha must be finite and positive, got -1.0"),
     ("track", ["--cost", "pckh", "--pckh-norm-scale", "0"],

@@ -705,8 +705,8 @@ def block_scenes(draw, untied=False):
         pred_frames = [dataclasses.replace(f, detections=dataclasses.replace(
             f.detections, scores=np.array([next(scores) for _ in range(len(f.detections))])))
             for f in pred_frames]
-    return (VideoSequence("blocks", 640, 480, names, tuple(gt_frames)),
-            VideoSequence("blocks", 640, 480, names, tuple(pred_frames)))
+    return (VideoSequence.from_frames("blocks", 640, 480, names, gt_frames),
+            VideoSequence.from_frames("blocks", 640, 480, names, pred_frames))
 
 
 class TestBlockMatch:

@@ -97,6 +97,14 @@ class TestMatchPoses:
             match_poses_frame(gt, person(coords))
         assert str(exc.value) == message
 
+    def test_alpha_whose_limits_overflow_is_one_line_error(self):
+        coords = [(0, 0), (5, 5), (10, 10)]
+        gt, pred = person(coords, track_id=0), person(coords)
+        for match in (correct_joint_mask, match_poses_frame):
+            with pytest.raises(ValueError) as exc:
+                match(gt, pred, 1e308)
+            assert str(exc.value) == "alpha 1e+308 times a head size is beyond the float range"
+
     def test_zero_width_head_box_has_a_size(self):
         coords = [(0, 0), (5, 5), (10, 10)]
         gt = person(coords, track_id=0, head_box=Box(5, 5, 5, 45))

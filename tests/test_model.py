@@ -1,4 +1,6 @@
+import collections
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -22,19 +24,31 @@ from poselink.model import (
 )
 
 from poselink.cli import main as cli_main
+from poselink.linking import LinkerConfig, track_video
+from poselink.oracles import perfect_association
 
-from helpers import detection, person, head_box_of, reference_load_sequence, sequence
+from helpers import (
+    detection,
+    person,
+    head_box_of,
+    reference_filter_detections,
+    reference_load_sequence,
+    sequence,
+)
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def random_sequences(draw):
+def random_frames(draw):
+    """(joint names, frames): frames without detections, frame indices from 0
+    or beyond 2**63, track ids beyond 2**64, and, when the sequence has
+    features, frames with and without them."""
     j = draw(st.integers(min_value=1, max_value=4))
     feature_dim = draw(st.sampled_from([None, 3]))
     frames = []
-    index = -1
+    index = draw(st.sampled_from([-1, 2**63 - 1]))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         index += draw(st.integers(min_value=1, max_value=3))
         dets = []
@@ -45,7 +59,7 @@ def random_sequences(draw):
             xs = sorted([draw(coords), draw(coords)])
             ys = sorted([draw(coords), draw(coords)])
             feature = None
-            if feature_dim is not None:
+            if feature_dim is not None and draw(st.booleans()):
                 feature = tuple(draw(coords) for _ in range(feature_dim))
             dets.append(
                 detection(
@@ -53,17 +67,15 @@ def random_sequences(draw):
                     score=draw(st.floats(min_value=0, max_value=1, allow_nan=False)),
                     keypoints=keypoints,
                     feature=feature,
-                    track_id=draw(st.one_of(st.none(), st.integers(0, 50))),
+                    track_id=draw(st.one_of(st.none(), st.integers(0, 50), st.integers(2**64, 2**70))),
                 )
             )
         frames.append(Frame(index, draw(st.booleans()), Detections.concat(dets)))
-    return VideoSequence(
-        video_id="prop",
-        image_width=640,
-        image_height=480,
-        joint_names=tuple(f"j{i}" for i in range(j)),
-        frames=tuple(frames),
-    )
+    return tuple(f"j{i}" for i in range(j)), tuple(frames)
+
+
+def random_sequences():
+    return random_frames().map(lambda drawn: VideoSequence.from_frames("prop", 640, 480, *drawn))
 
 
 class TestTypes:
@@ -89,6 +101,34 @@ class TestTypes:
         b = person([(0, 0), (1, 1), (2, 2)], feature=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="feature"):
             sequence([(0, True, [a, b])])
+
+    @pytest.mark.parametrize("indices, joint_names, message", [
+        ((0, 2, 3), ("a", "b"), "joint count mismatch: pose has 3, sequence has 2"),
+        ((0, 2, 2), ("a", "b"), "joint count mismatch: pose has 3, sequence has 2"),
+        ((0, 0, 3), ("a", "b"), "non-monotone frames: index 0 after 0"),  # a frame's index comes first
+        ((0, 2, 1), ("a", "b", "c"), "non-monotone frames: index 1 after 2"),
+        ((-1, 2, 3), ("a", "b"), "frame_index must be non-negative"),
+    ])
+    def test_column_checks_name_what_the_frame_checks_name(self, indices, joint_names, message):
+        """The checks of a sequence built from its columns give the message
+        that building it frame by frame gives, in the same precedence."""
+        seq = self._three_frames()
+        with pytest.raises(ValueError) as columns:
+            dataclasses.replace(seq, frame_indices=indices, joint_names=joint_names)
+        with pytest.raises(ValueError) as frames:  # a Frame rejects a negative index
+            renumbered = [dataclasses.replace(f, frame_index=i) for f, i in zip(seq.frames, indices)]
+            VideoSequence.from_frames(seq.video_id, seq.image_width, seq.image_height, joint_names, renumbered)
+        assert str(columns.value) == str(frames.value) == message
+
+    @pytest.mark.parametrize("offsets", [(0, 0, 1), (0, 1, 2), (1, 1, 2, 2), (0, 2, 1, 2), (0, 0, 2, 2, 2)])
+    def test_offsets_must_cover_the_rows_in_order(self, offsets):
+        with pytest.raises(ValueError, match="^offsets must rise from 0 to the row count"):
+            dataclasses.replace(self._three_frames(), offsets=offsets)
+
+    def _three_frames(self):
+        """Frames 0, without detections, then 2 and 3, of one 3-joint detection each."""
+        return sequence([(0, True, []), (2, True, [person([(0, 0), (1, 1), (2, 2)])]),
+                         (3, False, [person([(5, 5), (6, 6), (7, 7)])])])
 
 
 class TestDetections:
@@ -214,6 +254,68 @@ class TestDetections:
 # one detection as save_sequence writes it: float coordinates and scores, integer flags
 _DETECTION = {"bbox": [0.0, 1.0, 10.0, 11.5], "score": 0.75,
               "keypoints": [[1.0, 2.0, 2.5, 1], [3.0, 4.0, 0.5, 0], [5.0, 6.0, 1.0, 1]]}
+
+
+class TestLayout:
+    @settings(max_examples=50)
+    @given(random_frames())
+    def test_frames_are_views_of_the_sequence_rows(self, tmp_path_factory, drawn):
+        joint_names, frames = drawn
+        seq = VideoSequence.from_frames("prop", 640, 480, joint_names, frames)
+        assert seq.frames == frames
+        assert seq.offsets == tuple(itertools.accumulate((len(f.detections) for f in frames), initial=0))
+        again = seq.with_frames(seq.frames)
+        assert again == seq and hash(again) == hash(seq)
+        path = tmp_path_factory.mktemp("layout") / "seq.json"
+        save_sequence(seq, str(path))
+        assert load_sequence(str(path)) == seq
+
+    def test_large_indices_and_ids_and_empty_frames_round_trip(self, tmp_path):
+        frames = [(2**63, True, [person([(0, 0)], track_id=2**64)]), (2**63 + 1, False, []),
+                  (2**64 + 5, True, [person([(1, 1)], track_id=0), person([(2, 2)], track_id=2**70)])]
+        seq = sequence(frames, joint_names=("a",))
+        path = tmp_path / "seq.json"
+        save_sequence(seq, str(path))
+        loaded = load_sequence(str(path))
+        assert loaded == seq
+        assert loaded.frame_indices == (2**63, 2**63 + 1, 2**64 + 5) and loaded.offsets == (0, 1, 1, 3)
+        assert loaded.detections.track_ids == (2**64, 0, 2**70)
+
+    def test_whole_sequence_passes_build_no_object_per_frame(self, tmp_path, monkeypatch):
+        """Each pass builds its result's columns once, and the loader one
+        Detections per block of frames it converts, never one Detections or
+        Frame per frame; only a sequence's frame views are per frame, made once."""
+        gt_path, pred_path, out = (str(tmp_path / name) for name in ("gt.json", "pred.json", "out.json"))
+        assert cli_main(["synth", "--out-gt", gt_path, "--out-pred", pred_path, "--frames", "400",
+                         "--actors", "4", "--seed", "3"]) == 0
+        built = collections.Counter()
+
+        def counted(cls):
+            init = cls.__init__
+            return lambda self, *args, **kwargs: built.update([cls]) or init(self, *args, **kwargs)
+
+        for cls in (Detections, Frame):
+            monkeypatch.setattr(cls, "__init__", counted(cls))
+        block = model._block
+        monkeypatch.setattr(model, "_block", lambda *args: built.update(["blocks"]) or block(*args))
+
+        def builds(run):
+            built.clear()
+            return run(), (built[Detections] - built["blocks"], built[Frame])
+
+        gt, gt_built = builds(lambda: load_sequence(gt_path, "groundtruth"))
+        pred, pred_built = builds(lambda: load_sequence(pred_path))
+        assert built["blocks"] > 1  # whose Detections are joined once
+        filtered, filter_built = builds(lambda: filter_detections(pred, 0.95, 1.95))
+        assert gt_built == pred_built == filter_built == (1, 0)
+        frames = len(filtered.frame_indices)
+        assert frames == 400 and builds(lambda: filtered.frames)[1] == (frames, frames)
+        assert builds(lambda: filtered.frames)[1] == (0, 0)
+        tracked, track_built = builds(lambda: track_video(filtered, LinkerConfig()))
+        builds(lambda: (gt.frames, tracked.frames))  # the views that perfect_association's matching reads
+        oracle, oracle_built = builds(lambda: perfect_association(gt, tracked))
+        assert track_built == oracle_built == (1, 0)
+        assert builds(lambda: save_sequence(oracle, out))[1] == (0, 0)
 
 
 class TestRoundTrip:
@@ -904,3 +1006,18 @@ class TestFilter:
     def test_idempotent(self, seq, det_thr, kp_thr):
         once = filter_detections(seq, det_thr, kp_thr)
         assert filter_detections(once, det_thr, kp_thr) == once
+
+    @settings(max_examples=100)
+    @given(random_sequences(), st.data())
+    def test_equals_the_per_frame_reference(self, seq, data):
+        """Thresholds at a score of the sequence, beyond every score or below
+        them all: the column filter keeps the frames, rows and flags that
+        filtering frame by frame keeps."""
+        def threshold(values):
+            return data.draw(st.one_of(st.sampled_from([-math.inf, math.inf]), st.floats(-1, 3),
+                                       *([st.sampled_from(values)] if values else [])))
+
+        det_thr = threshold(seq.detections.scores.tolist())
+        kp_thr = threshold(seq.detections.kp_score.ravel().tolist())
+        got, want = filter_detections(seq, det_thr, kp_thr), reference_filter_detections(seq, det_thr, kp_thr)
+        assert got == want and got.frames == want.frames

@@ -100,6 +100,13 @@ class TestPerfectKeypoints:
         )
         assert perfect_keypoints(gt, far) == far
 
+    def test_a_side_without_detections_leaves_predictions_untouched(self):
+        # a sequence built from frames without detections has columns of 0 joints
+        gt, pred = three_frame_pair()
+        empty = sequence([(t, True, []) for t in range(3)])
+        assert perfect_keypoints(empty, pred) == pred
+        assert perfect_keypoints(gt, empty) == empty
+
     def test_absent_gt_joints_stay_absent(self):
         coords = [(10, 10), (20, 30), (30, 10)]
         gt = sequence([(0, True, [person(coords, track_id=0, present=[True, False, True])])])
