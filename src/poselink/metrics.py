@@ -90,6 +90,8 @@ def _limits(head_boxes: np.ndarray, alpha: float) -> np.ndarray:
     diagonals = np.array(box_diagonals(head_boxes))
     if min(diagonals, default=1.0) <= 0.0:
         raise ValueError("degenerate head box")
+    if not np.isfinite(diagonals).all():  # finite corners far apart: the box is at fault, not alpha
+        raise ValueError("head box diagonal is beyond the float range")
     with np.errstate(over="ignore"):
         limits = alpha * (HEAD_SIZE_BIAS * diagonals)
     if not np.isfinite(limits).all():

@@ -17,7 +17,7 @@ Sequence files are UTF-8 JSON with this layout:
               "keypoints": [[x, y, score, present01], ...],   # length J; present01 a number, not a bool
               "feature": [float, ...],          # optional
               "track_id": int,                  # optional, required for GT
-              "head_box": [x1, y1, x2, y2]      # optional, required for GT, not zero-size
+              "head_box": [x1, y1, x2, y2]      # optional, required for GT, of non-zero, finite size
             }, ...
           ]
         }, ...
@@ -52,7 +52,7 @@ columns with one row per detection in file order, and an entry per frame:
 synthesis, filtering, linking, scoring and saving work on these columns;
 `Detections.from_columns` builds a checked one. One set of array checks in
 `load_sequence` accepts a file a block of frames at a time and names the
-first error of a bad file, which it reads again whole: run on one frame at a
+first error of a bad file from the text already read: run on one frame at a
 time, and on one detection at a time only within a frame that fails.
 `save_sequence` writes a file a block of frames at a time. Every type is
 frozen, and every array read-only, so values are immutable and safe to share;
@@ -377,22 +377,37 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
     """Load and validate a sequence file.
 
     role="groundtruth" additionally requires track_id and a head_box of
-    non-zero size on every person, and no track_id twice in one frame.
+    non-zero, finite size on every person, and no track_id twice in one frame.
 
     The file is read as text once, and its frames are decoded and converted
     a block of about _LOAD_BLOCK detections at a time, so no decoded tree of
-    the whole document exists. A file that fails any step of that is read
-    again whole, by the checks that name its first error, so a bad file
-    gives the one message it always gave.
+    the whole document exists. A bad file's first error is named from that
+    text, its frames decoded again one at a time; only a file that is not a
+    JSON object with every top-level field is read again, by read_json.
     """
     if role not in (ROLE_PREDICTION, ROLE_GROUNDTRUTH):
         raise ValueError(f"unknown role {role!r}")
     try:
-        header, blocks = _read_blocks(path, role)
-        return VideoSequence(*header, *_rows(blocks))
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        fields, frames_at, blocks_j, blocks = _walk(text, role)
     except (ValueError, RecursionError):
-        pass  # left here, so that the error below is not chained to this one
-    return _load_whole(path, role)
+        fields = None  # set here, so that the error below is not chained to this one
+    if fields is None:  # not JSON, not an object or short of a field, as the decoded document says
+        _header(read_json(path), path)
+        raise AssertionError("the walk rejects a file that json.load and the header checks accept")
+    header = _header(fields, path)
+    if frames_at is None:
+        raise ValueError("frames must be a list")
+    j = len(header[3])
+    if blocks_j != j:  # not converted yet, or under a joint_names replaced later
+        blocks = _frame_blocks(text, frames_at, j, role)[0]
+    if blocks is not None:
+        try:
+            return VideoSequence(*header, *_rows(blocks))
+        except ValueError:  # a check across blocks of frames
+            pass  # left here, so that the error below is not chained to this one
+    _raise_first_error(chain.from_iterable(run for run, _ in _runs(text, frames_at)), j, role)
 
 
 # detections per block of frames that load_sequence decodes and converts at a
@@ -402,20 +417,19 @@ def load_sequence(path: str, role: str = ROLE_PREDICTION) -> VideoSequence:
 # a block's decoded frames stay below the file's text
 _LOAD_BLOCK = 2**7
 
+_FIELDS = ("video_id", "image_size", "joint_names", "frames")  # the top-level fields, in the order checked
 _skip = json.decoder.WHITESPACE.match  # _skip(text, at).end(): the end of the whitespace at `at`
 _decode = json.JSONDecoder().raw_decode  # json.loads' decoder, on one value at an index
 
 
-def _read_blocks(path: str, role: str) -> tuple[tuple, list]:
-    """The (video_id, width, height, joint_names) of a sequence file and the
-    _block results of its frames, in file order. The top-level object is
-    walked key by key as json.loads walks it, a repeated key keeping its last
-    value, and the frames array one frame at a time; a frames array that comes
-    before joint_names is converted once the joint count is known. Any fault
-    is a ValueError or RecursionError whose message load_sequence discards."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fields, frames_at, blocks, blocks_j, failed_j = {}, None, [], None, None
+def _walk(text: str, role: str) -> tuple[dict, Optional[int], Optional[int], Optional[list]]:
+    """The top-level fields of the document in text, walked as json.loads
+    walks it, a repeated key keeping its last value; the index in text of the
+    frames array (None if frames is not one), which stands in the fields as
+    []; the joint count its frames were converted under (None before
+    joint_names) and their _frame_blocks. Text that is not a JSON object with
+    every one of _FIELDS is a ValueError or RecursionError, its message unused."""
+    fields, frames_at, blocks_j, blocks = {}, None, None, None
     end = _skip(text, 0).end()
     if not text.startswith("{", end):
         raise ValueError("not an object")
@@ -430,11 +444,8 @@ def _read_blocks(path: str, role: str) -> tuple[tuple, list]:
         end = _skip(text, end + 1).end()
         if key == "frames" and text.startswith("[", end):
             names = fields.get("joint_names")
-            frames_at, blocks_j, failed_j = end, len(names) if isinstance(names, list) else None, None
-            try:
-                blocks, end = _frame_blocks(text, end, blocks_j, role)
-            except ValueError:  # final unless a later joint_names changes the joint count
-                (blocks, end), blocks_j, failed_j = _frame_blocks(text, frames_at, None, role), None, blocks_j
+            frames_at, blocks_j = end, len(names) if isinstance(names, list) else None
+            blocks, end = _frame_blocks(text, end, blocks_j, role)
             fields[key] = []  # there; its frames are in blocks
         else:
             if key == "frames":
@@ -447,24 +458,32 @@ def _read_blocks(path: str, role: str) -> tuple[tuple, list]:
         end = _skip(text, end + 1).end()
     if end != len(text):
         raise ValueError("extra data")
-    header = _header(fields, path)
-    if frames_at is None:
-        raise ValueError("frames must be a list")
-    if failed_j == len(header[3]):
-        raise ValueError("the frames fail a check")
-    if blocks_j != len(header[3]):  # not converted yet, or under a joint_names replaced later
-        blocks = _frame_blocks(text, frames_at, len(header[3]), role)[0]
-    return header, blocks
+    if not fields.keys() >= set(_FIELDS):
+        raise ValueError("missing a field")
+    return fields, frames_at, blocks_j, blocks
 
 
-def _frame_blocks(text: str, end: int, j: Optional[int], role: str) -> tuple[list, int]:
-    """(blocks, end): the _block results of the frames array at text[end],
-    which is '[', decoded one frame at a time and converted a block of about
-    _LOAD_BLOCK detections at a time, and the index after the array. With
-    j None the frames are only decoded, to find the end."""
-    blocks, block, size = [], [], 0
-    end = _skip(text, end + 1).end()
-    more = not text.startswith("]", end)
+def _frame_blocks(text: str, at: int, j: Optional[int], role: str) -> tuple[Optional[list], int]:
+    """(blocks, end): the _block results of the _runs of the frames array at text[at], or
+    None with j None or once a run fails a check, and the index after the array."""
+    blocks = None if j is None else []
+    for run, end in _runs(text, at):
+        if blocks is not None:
+            try:
+                blocks.append(_block(run, j, role))
+            except ValueError:  # _raise_first_error names it
+                blocks = None
+    return blocks, end + 1
+
+
+def _runs(text: str, at: int):
+    """(run, end) pairs: the frames of the array at text[at], which is '[', decoded one at a
+    time in runs of about _LOAD_BLOCK detections (a frame counts as one at least and is never
+    split; an empty array is one empty run), each with the index scanned to, ']' for the last."""
+    end = _skip(text, at + 1).end()
+    run, size, more = [], 0, not text.startswith("]", end)
+    if not more:
+        yield run, end
     while more:
         frame, end = _decode(text, end)
         end = _skip(text, end).end()
@@ -472,16 +491,12 @@ def _frame_blocks(text: str, end: int, j: Optional[int], role: str) -> tuple[lis
         if not (more or text.startswith("]", end)):
             raise ValueError("expecting ',' or ']'")
         end = _skip(text, end + 1).end() if more else end
-        if j is not None:
-            block.append(frame)
-            dets = frame.get("detections") if type(frame) is dict else None
-            size += max(len(dets), 1) if type(dets) is list else 1
-            if size >= _LOAD_BLOCK or not more:
-                blocks.append(_block(block, j, role))
-                block, size = [], 0
-    if j is not None and not blocks:
-        blocks.append(_block([], j, role))
-    return blocks, end + 1
+        run.append(frame)
+        dets = frame.get("detections") if type(frame) is dict else None
+        size += max(len(dets), 1) if type(dets) is list else 1
+        if size >= _LOAD_BLOCK or not more:
+            yield run, end
+            run, size = [], 0
 
 
 def _header(raw, path: str) -> tuple[str, int, int, tuple[str, ...]]:
@@ -489,7 +504,7 @@ def _header(raw, path: str) -> tuple[str, int, int, tuple[str, ...]]:
     the checks of its top-level fields; frames is checked only to be there."""
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a sequence file holds a JSON object")
-    for key in ("video_id", "image_size", "joint_names", "frames"):
+    for key in _FIELDS:
         if key not in raw:
             raise ValueError(f"{path}: missing field {key!r}")
     if not isinstance(raw["video_id"], str):
@@ -503,22 +518,6 @@ def _header(raw, path: str) -> tuple[str, int, int, tuple[str, ...]]:
     if not isinstance(joint_names, list) or not all(isinstance(n, str) for n in joint_names):
         raise ValueError("joint_names must be a list of strings")
     return raw["video_id"], int(size[0]), int(size[1]), tuple(joint_names)
-
-
-def _load_whole(path: str, role: str) -> VideoSequence:
-    """load_sequence on the decoded tree of the whole document, each check run
-    over all of its frames at once and then, on a failure, one frame at a time
-    to name the first error; load_sequence reads a file this way only when
-    reading it a block at a time failed."""
-    raw = read_json(path)
-    header = _header(raw, path)
-    if not isinstance(raw["frames"], list):
-        raise ValueError("frames must be a list")
-    j = len(header[3])
-    try:
-        return VideoSequence(*header, *_rows([_block(raw["frames"], j, role)]))
-    except ValueError:  # the checks of all frames at once; rerun them to name the first failure
-        _raise_first_error(raw["frames"], j, role)
 
 
 _NUMBER = {int, float}  # exact types, so booleans are not numbers
@@ -629,6 +628,9 @@ def _columns(dets: list, j: int, role: str) -> Detections:
             raise ValueError(": ground truth requires head_box")
         if (head_arr[:, :2] == head_arr[:, 2:]).all(axis=1).any():  # it normalizes every PCKh distance
             raise ValueError(": ground truth head_box has zero size")
+        far = np.abs(head_arr).max(axis=1, initial=0.0) > 2.0**1021  # nearer corners: diagonal <= 2**1022.5
+        if not np.isfinite(box_diagonals(head_arr[far])).all():
+            raise ValueError(": ground truth head_box diagonal is beyond the float range")
     if min(given_ids, default=0) < 0:
         raise ValueError(": track_id must be non-negative")
 
@@ -667,12 +669,13 @@ def _rows(blocks: list) -> tuple[Detections, tuple, tuple, tuple]:
             tuple(chain.from_iterable(labeled)), tuple(accumulate(chain.from_iterable(counts), initial=0)))
 
 
-def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
+def _raise_first_error(raw_frames: Iterable, j: int, role: str) -> NoReturn:
     """Raise the ValueError of the first check, in file order, that raw_frames
-    fails: the checks of _frame_fields and _columns, run on one frame at a
-    time, and on one detection at a time only within a frame whose detections
-    fail them, then that frame's frame_index and ground-truth track ids, then
-    the checks across frames."""
+    fail, in one pass: the checks of _frame_fields and _columns, run on one
+    frame at a time, and on one detection at a time only within a frame whose
+    detections fail them, then that frame's frame_index and ground-truth track
+    ids; then the first failure of the checks across frames, kept till the end."""
+    across, last_index, feature_dims = None, -1, set()
     for fi, f in enumerate(raw_frames):
         try:
             _frame_fields([f])
@@ -695,14 +698,14 @@ def _raise_first_error(raw_frames: list, j: int, role: str) -> NoReturn:
             if t in seen:
                 raise ValueError(f"frame {fi}: ground truth repeats track_id {t}")
             seen.add(t)
-    last_index, feature_dims = -1, set()
-    for f in raw_frames:
-        if f["frame_index"] <= last_index:
-            raise ValueError(f"non-monotone frames: index {f['frame_index']} after {last_index}")
-        last_index = f["frame_index"]
         feature_dims.update(len(d["feature"]) for d in f["detections"] if d.get("feature") is not None)
+        if f["frame_index"] <= last_index:
+            across = across or f"non-monotone frames: index {f['frame_index']} after {last_index}"
         if len(feature_dims) > 1:
-            raise ValueError("feature vectors must share one dimensionality")
+            across = across or "feature vectors must share one dimensionality"
+        last_index = f["frame_index"]
+    if across is not None:
+        raise ValueError(across)
     raise AssertionError("the sequence checks disagree: a file failed none of the named checks")
 
 

@@ -599,6 +599,8 @@ def reference_load_sequence(path, role=ROLE_PREDICTION):
                     raise ValueError(f"{where}: ground truth requires head_box")
                 if math.hypot(head_box.width, head_box.height) <= 0.0:  # it normalizes every PCKh distance
                     raise ValueError(f"{where}: ground truth head_box has zero size")
+                if not math.isfinite(math.hypot(head_box.width, head_box.height)):
+                    raise ValueError(f"{where}: ground truth head_box diagonal is beyond the float range")
             if track_id is not None and track_id < 0:
                 raise ValueError(f"{where}: track_id must be non-negative")
             detections.append(detection(box, score, block, feature, track_id, head_box))

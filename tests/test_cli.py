@@ -375,6 +375,20 @@ class TestEval:
         assert capsys.readouterr().err == "poselink eval: frame 0: ground truth repeats track_id 7\n"
         assert not report.exists()
 
+    def test_head_box_whose_diagonal_overflows_is_one_line_error_naming_it(self, tmp_path, capsys):
+        # its corners are finite, but its head size is not; alpha is not to blame
+        gt, pred, tracked, report = (tmp_path / f"{name}.json" for name in ("gt", "pred", "tracked", "report"))
+        assert run("synth", "--out-gt", gt, "--out-pred", pred, "--frames", 3, "--actors", 2, "--seed", 1) == 0
+        doc = json.loads(gt.read_text())
+        doc["frames"][0]["detections"][0]["head_box"] = [-1e308, 0, 1e308, 40]
+        gt.write_text(json.dumps(doc))
+        assert run("track", "--pred", pred, "--out", tracked) == 0
+        capsys.readouterr()
+        assert run("eval", "--gt", gt, "--pred", tracked, "--report", report) == 1
+        assert capsys.readouterr().err == (
+            "poselink eval: frame 0 detection 0: ground truth head_box diagonal is beyond the float range\n")
+        assert not report.exists()
+
     def test_csv_keeps_a_column_per_joint_whatever_the_names(self, tmp_path):
         # joint names come from the file: one may name a total column, and
         # names may repeat; each still gets its own cell

@@ -89,13 +89,15 @@ class TestMatchPoses:
     @pytest.mark.parametrize("head_box, message", [
         (Box(5, 5, 5, 5), "degenerate head box"),
         (None, "a ground-truth detection has no head box"),
+        (Box(-1e308, 0, 1e308, 40), "head box diagonal is beyond the float range"),
     ])
     def test_bad_ground_truth_head_box_is_one_line_error(self, head_box, message):
         coords = [(0, 0), (5, 5), (10, 10)]
         gt = Detections.concat([person(coords, track_id=0), person(coords, track_id=1, head_box=head_box)])
-        with pytest.raises(ValueError) as exc:
-            match_poses_frame(gt, person(coords))
-        assert str(exc.value) == message
+        for match in (correct_joint_mask, match_poses_frame):
+            with pytest.raises(ValueError) as exc:
+                match(gt, person(coords))
+            assert str(exc.value) == message
 
     def test_alpha_whose_limits_overflow_is_one_line_error(self):
         coords = [(0, 0), (5, 5), (10, 10)]

@@ -453,6 +453,30 @@ class TestRoundTrip:
         assert load_peak < 3 * size
         assert save_peak < 0.5 * size
 
+    def test_a_bad_file_is_never_decoded_whole(self, tmp_path, monkeypatch):
+        # the file of the test above, its last score a string: the frames are
+        # decoded again, one at a time, from the text already read
+        path = tmp_path / "pred.json"
+        assert cli_main(["synth", "--out-gt", str(tmp_path / "gt.json"), "--out-pred", str(path),
+                         "--frames", "400", "--actors", "4", "--seed", "3"]) == 0
+        doc = json.loads(path.read_text())
+        dets = doc["frames"][-1]["detections"]
+        dets[-1]["score"] = "0.5"
+        path.write_text(json.dumps(doc))
+        message = f"frame 399 detection {len(dets) - 1}: score must be a number"
+        del doc, dets
+        monkeypatch.setattr(model, "read_json", lambda path: pytest.fail("the file was decoded whole"))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                load_sequence(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 3 * size
+
 
 class TestLoadValidation:
     def _write(self, tmp_path, doc):
@@ -702,7 +726,7 @@ class TestLoadValidation:
         items = [(item, doc[item]) if isinstance(item, str) else item for item in layout]
         text = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in items) + "}"
         monkeypatch.setattr(model, "_LOAD_BLOCK", budget)
-        monkeypatch.setattr(model, "read_json", None)  # a call fails the test
+        monkeypatch.setattr(model, "read_json", lambda path: pytest.fail("the file was decoded whole"))
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert load_sequence(str(path)) == reference_load_sequence(str(path))
@@ -751,7 +775,7 @@ class TestLoadValidation:
     def test_any_layout_and_block_size_agrees_with_the_reference(self, tmp_path_factory, data):
         """Shuffled and repeated top-level keys, whitespace and separators, and
         blocks of 1, 2 or 3 frames: the loader gives the reference's sequence or
-        message, and re-reads the file whole only to name an error."""
+        message, and reads the file again only to word a fault of its top level."""
         doc = self._multi_doc()
         doc["frames"] += [dict(copy.deepcopy(f), frame_index=6 + 2 * t) for t, f in enumerate(doc["frames"][:2])]
         for _ in range(data.draw(st.integers(0, 2))):
@@ -775,12 +799,19 @@ class TestLoadValidation:
             text = json.dumps(doc, indent=indent, separators=separators)
         role = data.draw(st.sampled_from(["prediction", "groundtruth"]))
         whole, read_json = [], model.read_json
+        written = tmp_path_factory.mktemp("layout") / "doc.json"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_LOAD_BLOCK", 3 * data.draw(st.sampled_from([1, 2, 3])))  # 3 detections a frame
             mp.setattr(model, "read_json", lambda path: whole.append(path) or read_json(path))
-            loaded = self._agrees_with_reference(tmp_path_factory.mktemp("layout") / "doc.json", doc, role, text)
-        # a good file is read a block at a time only, and a bad one once more, whole
-        assert len(whole) == (loaded is None)
+            self._agrees_with_reference(written, doc, role, text)
+        try:
+            reference_load_sequence(str(written), role)
+            message = ""
+        except ValueError as exc:
+            message = str(exc)
+        # read_json words only the faults that name the file: not JSON, not an
+        # object, a missing field; every other file is read once, a block at a time
+        assert whole == ([str(written)] if message.startswith(f"{written}: ") else [])
 
     @pytest.mark.parametrize("path, value, message", [
         (("frames", 2, "detections", 0, "bbox"), [5, 0, 1, 1],
@@ -897,12 +928,14 @@ class TestLoadValidation:
         ("bbox", [0, 0, 10], "bbox must be a list of 4 numbers"),
         ("score", math.nan, ": score must be finite"),
         ("score", None, ": score must be a number"),
+        ("head_box", [-1e308, 0, 1e308, 40], ": ground truth head_box diagonal is beyond the float range"),
     ])
     def test_bad_value_in_a_later_frame_names_it(self, tmp_path, field, value, message):
         doc = self._multi_doc()
         doc["frames"][2]["detections"][1][field] = value
-        with pytest.raises(ValueError, match=f"^frame 2 detection 1:? ?{message}"):
-            load_sequence(self._write(tmp_path, doc), role="groundtruth")
+        for load in (load_sequence, reference_load_sequence):
+            with pytest.raises(ValueError, match=f"^frame 2 detection 1:? ?{message}"):
+                load(self._write(tmp_path, doc), role="groundtruth")
 
     def test_a_long_file_is_checked_detection_by_detection_only_in_its_failing_frame(
         self, tmp_path, monkeypatch
@@ -921,12 +954,12 @@ class TestLoadValidation:
             with pytest.raises(ValueError) as exc:
                 load(path)
             assert str(exc.value) == message
-        # each block of frames up to the one that fails, then, re-read whole, the whole
-        # file, each frame, then each detection of the frame that fails
+        # each block of frames up to the one that fails, then, decoded again from the
+        # text already read, each frame, then each detection of the frame that fails
         per_block = -(-model._LOAD_BLOCK // 2)  # frames of two detections
         blocks = [2 * len(range(lo, min(lo + per_block, 400))) for lo in range(0, 400, per_block)]
         assert len(blocks) > 1
-        assert sizes == blocks + [800] + [2] * 400 + [1, 1]
+        assert sizes == blocks + [2] * 400 + [1, 1]
 
 
 json_values = st.one_of(
