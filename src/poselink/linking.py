@@ -7,18 +7,18 @@ The pool holds the most recent detection of every track seen within the last
 `track_video_with_stats` runs the step once per frame, on the sequence's
 frame views, and owns the ids: a linked detection inherits its row's track id
 and the others start new tracks, numbered in detection order; they are written
-as one id column. It keeps one (frame position, detection index, track id)
-row per pool detection in a list. The whole pass is deterministic,
+as one id column. It keeps the pool as a list of sequence rows, numbered as
+`VideoSequence.offsets` numbers them. The whole pass is deterministic,
 including the random-id baseline under a fixed seed.
 
 Passes over one sequence with other configurations (the rows of a sweep) can
 share a `KernelMemo`, so that each frame pair's IoU, PCKh and cosine matrices
 are computed once. Its entries are keyed on the current frame's position and
-the (frame position, detection index) of every candidate-pool row, so two
-passes share an entry exactly when their pools hold the same detections,
-whatever their algorithm, criterion or lookback. A memo is bound to the one
-`VideoSequence` it was made for, since the key names no detection values;
-passing it with another sequence is an error.
+the sequence rows of the candidate pool, so two passes share an entry exactly
+when their pools hold the same detections, whatever their algorithm,
+criterion or lookback. A memo is bound to the one `VideoSequence` it was made
+for, since the key names no detection values; passing it with another
+sequence is an error.
 
 `linear_sum_assignment` is the package's one call into scipy's solver, for
 `hungarian_assign` and `metrics.match_poses_frame`, which
@@ -71,6 +71,8 @@ class LinkerConfig:
             _check_int(name, value, 0, below=f"{name} must be non-negative, got {value!r}")
         if int(self.random_max_id) > _INT64_MAX:
             raise ValueError(f"random_max_id must be <= {_INT64_MAX}, got {self.random_max_id!r}")
+        for name in ("lookback", "random_max_id", "rng_seed"):  # numpy's integers wrap or overflow
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -88,15 +90,15 @@ class KernelMemo:
 
     `entry` gives the mapping that `build_cost_matrix` reads and fills (see
     its `kernels` argument) for the frame at position pos and the candidate
-    pool whose rows are the detections at the (frame position, detection
-    index) pairs of pool, in order. Drop the memo when the passes are done.
+    pool whose rows are the detections at the sequence rows of pool, in
+    order. Drop the memo when the passes are done.
     """
 
     def __init__(self, seq: VideoSequence):
         self.seq = seq
         self._entries: dict = {}
 
-    def entry(self, pos: int, pool: list[tuple[int, int]]) -> dict:
+    def entry(self, pos: int, pool: list[int]) -> dict:
         return self._entries.setdefault((pos, tuple(pool)), {})
 
 
@@ -199,30 +201,29 @@ def track_video_with_stats(
     next_id = 0
     total_cost = 0.0
     links = 0
-    # the candidate pool: the latest detection of every live track, oldest
-    # frame first, then by detection index; rows holds each row's (frame
-    # position, detection index in that frame, track id)
-    pool, rows = NO_DETECTIONS, []
+    # the candidate pool: the sequence row of the latest detection of every
+    # live track, in row order, so oldest frame first, then by detection index
+    pool, prev = [], NO_DETECTIONS
     track_ids = []  # of every row of the sequence
     for pos, frame in enumerate(seq.frames):
         dets = frame.detections
-        kernels = None if memo is None else memo.entry(pos, [row[:2] for row in rows])
-        parent, cost = link_frame_pair(pool, dets, cfg, frame_index=frame.frame_index, kernels=kernels)
+        kernels = None if memo is None else memo.entry(pos, pool)
+        parent, cost = link_frame_pair(prev, dets, cfg, frame_index=frame.frame_index, kernels=kernels)
         total_cost += cost
-        ids, linked = [], set()
+        linked = set()
         for row in parent.tolist():
             if row < 0:  # a new track, numbered in detection order
-                ids.append(next_id)
+                track_ids.append(next_id)
                 next_id += 1
             else:
-                ids.append(rows[row][2])
+                track_ids.append(track_ids[pool[row]])
                 linked.add(row)
         links += len(linked)
-        track_ids += ids
         # a row stays while no detection linked to it and it is within the next frame's lookback
-        stays = [i for i, row in enumerate(rows) if i not in linked and row[0] > pos - cfg.lookback]
-        pool = Detections.concat([pool.take(stays), dets]) if stays else dets
-        rows = [rows[i] for i in stays] + [(pos, j, tid) for j, tid in enumerate(ids)]
+        first = seq.offsets[max(pos + 1 - cfg.lookback, 0)]
+        stays = [r for i, r in enumerate(pool) if i not in linked and r >= first]
+        pool = stays + list(range(seq.offsets[pos], seq.offsets[pos + 1]))
+        prev = seq.detections.take(pool) if stays else dets
 
     tracked = replace(seq, detections=replace(seq.detections, track_ids=tuple(track_ids)))
     return tracked, TrackStats(len(seq.frame_indices), total_cost, links, next_id)

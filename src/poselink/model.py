@@ -217,7 +217,7 @@ class Detections:
 
     def take(self, rows) -> "Detections":
         """The rows picked by a slice, a boolean mask or an index sequence, in that order."""
-        ids = tuple(np.array(self.track_ids, dtype=object)[rows])  # Python ints of any size
+        ids = tuple(map(self.track_ids.__getitem__, np.arange(len(self))[rows].tolist()))
         return replace(self, **{name: getattr(self, name)[rows] for name in _ARRAYS}, track_ids=ids)
 
     @staticmethod

@@ -63,12 +63,24 @@ class SimilarityCriterion:
             raise ValueError(f"weights must hold three values (iou, pckh, cosine), got {self.weights!r}")
         if not all(map(_is_real, self.weights)):
             raise ValueError(f"weights must be real numbers, got {self.weights!r}")
-        if not all(map(math.isfinite, self.weights)):
+        try:
+            finite = all(map(math.isfinite, self.weights))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"weights must be finite, got {self.weights!r}")
+        try:  # summed in their own number types, as build_cost_matrix sums them
+            with np.errstate(over="raise"):
+                total = self.weights[0] + self.weights[1] + self.weights[2]
+            finite = math.isfinite(total)
+        except (FloatingPointError, OverflowError):  # a numpy sum beyond its type, an int beyond a float
+            finite = False
+        if not finite:
+            raise ValueError(f"weights must have a finite sum, got {self.weights!r}")
         if self.kind == "combined":
             if any(w < 0 for w in self.weights):
                 raise ValueError("combined weights must be non-negative")
-            if sum(self.weights) <= 0:
+            if total <= 0:
                 raise ValueError("combined weights must sum to a positive value")
 
 
@@ -296,10 +308,10 @@ def build_cost_matrix(
     ("pckh", alpha, norm_scale), the PCKh matrix at those settings, and "cos",
     the cosine matrix. A matrix it holds is read, one it lacks is computed and
     stored, so each is computed once. The caller keeps one such mapping per
-    pair of sides (`linking.KernelMemo` keys them on the frame and the rows of
-    its candidate pool). External scores and empty sides are never stored;
-    the feature check runs on every call, and the zero-norm warning only
-    when the cosine is computed.
+    pair of sides (`linking.KernelMemo` keys them on the frame and the
+    sequence rows of its candidate pool). External scores and empty sides
+    are never stored; the feature check runs on every call, and the
+    zero-norm warning only when the cosine is computed.
     """
     rows, cols = len(prev), len(curr)
     kind = criterion.kind

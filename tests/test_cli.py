@@ -653,6 +653,8 @@ class TestOracle:
      "pckh_norm_scale must be finite and positive, got nan"),
     ("track", ["--cost", "combined", "--weights", "nan,1,1"], "weights must be finite, got (nan, 1.0, 1.0)"),
     ("track", ["--cost", "combined", "--weights", "inf,1,1"], "weights must be finite, got (inf, 1.0, 1.0)"),
+    ("track", ["--cost", "combined", "--weights", "1e308,1e308,0"],
+     "weights must have a finite sum, got (1e+308, 1e+308, 0.0)"),
     ("track", ["--algo", "random", "--random-max-id", "-1"], "random_max_id must be non-negative, got -1"),
     ("track", ["--algo", "random", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
     ("track", ["--algo", "random", "--random-max-id", str(2**63)],

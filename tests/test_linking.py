@@ -137,7 +137,7 @@ linker_configs = st.builds(
     algorithm=st.sampled_from(["hungarian", "greedy"]),
     criterion=st.sampled_from(["bbox_iou", "pose_pckh", "feature_cosine", "combined"]).map(SimilarityCriterion),
     min_similarity=st.sampled_from([0.0, 0.3, 0.9]),
-    lookback=st.integers(1, 4),
+    lookback=st.sampled_from([1, 2, 3, 4, 10**20]),  # the last reaches back past the first frame
 )
 
 
@@ -319,10 +319,10 @@ class TestTrackVideo:
 
     def test_memo_entries_are_keyed_on_the_frame_and_every_pool_row(self):
         memo = KernelMemo(sequence([]))
-        shared = memo.entry(2, [(0, 1), (1, 0)])
-        assert memo.entry(2, [(0, 1), (1, 0)]) is shared
-        # another frame, another detection index, another frame position, a shorter pool
-        for other in [(3, [(0, 1), (1, 0)]), (2, [(0, 0), (1, 0)]), (2, [(1, 1), (1, 0)]), (2, [(1, 0)])]:
+        shared = memo.entry(2, [1, 3])
+        assert memo.entry(2, [1, 3]) is shared
+        # another frame, another first row, another last row, a shorter pool
+        for other in [(3, [1, 3]), (2, [0, 3]), (2, [1, 2]), (2, [3])]:
             assert memo.entry(*other) is not shared
 
     # no shrink phase, as in TestLinkFramePair: a scene of at most 12 frames reads well unshrunk
@@ -372,6 +372,13 @@ class TestTrackVideo:
             min_similarity=float(np.float32(0.1)), lookback=2))
         random = LinkerConfig("random", random_max_id=np.int32(9), rng_seed=np.uint8(3))
         assert track_video(seq, random) == track_video(seq, LinkerConfig("random", random_max_id=9, rng_seed=3))
+        # past frame 128, with gaps: the lookback arithmetic neither wraps (uint64) nor overflows (int8)
+        _, long = generate_scenario(ScenarioConfig(
+            seed=1, frames=200, actors=4, occlusion=OcclusionModel(probability=0.2, duration_range=(1, 3)),
+            noise=NoiseModel(miss_probability=0.2, false_positive_rate=1)))
+        want = track_video_with_stats(long, LinkerConfig(lookback=3))
+        for lookback in (np.uint64(3), np.int8(3)):
+            assert track_video_with_stats(long, LinkerConfig(lookback=lookback)) == want
 
     @pytest.mark.parametrize("algorithm", ["hungarian", "greedy"])
     @pytest.mark.parametrize("kind", ["bbox_iou", "pose_pckh", "combined"])

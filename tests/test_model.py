@@ -284,7 +284,8 @@ class TestLayout:
     def test_whole_sequence_passes_build_no_object_per_frame(self, tmp_path, monkeypatch):
         """Each pass builds its result's columns once, and the loader one
         Detections per block of frames it converts, never one Detections or
-        Frame per frame; only a sequence's frame views are per frame, made once."""
+        Frame per frame; only a sequence's frame views are per frame, made once,
+        and, past lookback 1, the tracker's pool, taken and never joined."""
         gt_path, pred_path, out = (str(tmp_path / name) for name in ("gt.json", "pred.json", "out.json"))
         assert cli_main(["synth", "--out-gt", gt_path, "--out-pred", pred_path, "--frames", "400",
                          "--actors", "4", "--seed", "3"]) == 0
@@ -316,6 +317,11 @@ class TestLayout:
         oracle, oracle_built = builds(lambda: perfect_association(gt, tracked))
         assert track_built == oracle_built == (1, 0)
         assert builds(lambda: save_sequence(oracle, out))[1] == (0, 0)
+        concat = Detections.concat
+        monkeypatch.setattr(Detections, "concat",
+                            staticmethod(lambda parts: built.update(["concat"]) or concat(parts)))
+        _, track_built = builds(lambda: track_video(filtered, LinkerConfig(lookback=3)))
+        assert built["concat"] == 0 and track_built[0] <= frames and track_built[1] == 0
 
 
 class TestRoundTrip:

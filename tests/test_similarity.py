@@ -250,6 +250,12 @@ class TestCostMatrix:
         ("weights", ("1", 1, 1), "weights must be real numbers, got ('1', 1, 1)"),
         ("weights", (1, True, 1), "weights must be real numbers, got (1, True, 1)"),
         ("weights", "111", "weights must be real numbers, got '111'"),
+        pytest.param("weights", (2**1100, 0, 0), f"weights must be finite, got {(2**1100, 0, 0)!r}",
+                     id="weights-int-beyond-float"),
+        ("weights", (1e308, 1e308, 0), "weights must have a finite sum, got (1e+308, 1e+308, 0)"),
+        pytest.param("weights", (2**1023, 2**1023, 0), f"weights must have a finite sum, got {(2**1023, 2**1023, 0)!r}",
+                     id="weights-int-sum-beyond-float"),
+        ("weights", (np.int64(2**62),) * 3, f"weights must have a finite sum, got {(np.int64(2**62),) * 3!r}"),
     ])
     @pytest.mark.parametrize("kind", ["pose_pckh", "combined"])
     def test_bad_setting_is_one_value_error_naming_it(self, kind, setting, value, message):
