@@ -28,14 +28,14 @@ instance. Unlabeled frames contribute nothing to any metric.
 
 Each labeled ground-truth frame is paired with the prediction frame of the
 same frame_index and matched once, by match_sequence: each side's rows are
-gathered from its sequence's columns by one index, one joints_within call
-per block of consecutive frames, NaN-padded, decides the PCKh masks, summed
-over joints into one (F, N, M) counts array zero-padded to the largest
-frame, then each frame is matched alone on its view of the counts. The
-SequenceMatch keeps the pairs as one (K, 3) array of (labeled-frame
-position, gt index, pred index) rows in frame order; the reports decide the
-correct joints of their matched or claimed pairs by one joints_within call
-on those pairs' rows, the blocks' elementwise rule. It serves
+gathered from its sequence's columns by one index and laid end to end, one
+joints_within call per block of consecutive frames, NaN-padded, decides the
+PCKh masks, summed over joints into one (F, N, M) counts array zero-padded
+to the largest frame, then each frame is matched alone on its view of the
+counts. The SequenceMatch holds these arrays and the pairs as one (K, 2)
+array of (gt row, pred row) end to end, in frame order; the reports decide
+the correct joints of their matched or claimed pairs by one joints_within
+call on those pairs' rows, the counts' elementwise rule. It serves
 evaluate_map(match), which gives each joint's AP and their mean, the
 perfect-association oracle and evaluate_mot(match, pred, ap), which counts it
 with the track ids of any retracking of the matched predictions into one
@@ -54,7 +54,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from typing import Optional, Sequence
@@ -109,70 +109,12 @@ def correct_joint_mask(
     Entry [i, k, j] is True when joint j is present in both poses and lies
     within alpha * head size of the label, and equals the scalar
     `pckh_correct` of tests/helpers.py; summed over the last axis it is the
-    matrix of correct joint counts, as match_sequence's counts hold it.
+    matrix of correct joint counts, as SequenceMatch.counts holds it.
     """
     j_count = (gt_persons if len(gt_persons) else pred_persons).xy.shape[1]
     gt_points = _points(gt_persons, np.arange(len(gt_persons)), j_count)
     pred_points = _points(pred_persons, np.arange(len(pred_persons)), j_count)
     return joints_within(gt_points[:-1], pred_points[:-1], _limits(gt_persons.head_boxes, alpha))
-
-
-@dataclass(frozen=True, eq=False)
-class _Blocks:
-    """The correct-joint counts of the gt and pred frames of given indices,
-    which pred may lack. Each side's rows lie end to end: frame k's are
-    offsets[k]:offsets[k + 1] of points, with an all-NaN pad row last, and rows
-    holds the sequence row of each; limits holds each gt row's PCKh limit, and
-    1.0 for the pad. counts[k] is frame k's (n_gt, n_pred) count of
-    PCKh-correct joints, padded with zeros to the largest frame; one
-    joints_within call per block of frames, the most that fit in _MATCH_BLOCK
-    mask cells, or 1, decides the masks, and only their sums over joints are
-    kept."""
-
-    gt_points: np.ndarray
-    gt_offsets: np.ndarray
-    gt_rows: np.ndarray
-    limits: np.ndarray
-    pred_points: np.ndarray
-    pred_offsets: np.ndarray
-    pred_rows: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def of(cls, frame_indices: Sequence[int], gt: VideoSequence, pred: VideoSequence,
-           alpha: float) -> "_Blocks":
-        j_count = gt.joint_count
-        gt_rows, gt_offsets = _frame_rows(gt, frame_indices)
-        pred_rows, pred_offsets = _frame_rows(pred, frame_indices)
-        gt_points = _points(gt.detections, gt_rows, j_count)
-        pred_points = _points(pred.detections, pred_rows, j_count)
-        limits = np.append(_limits(gt.detections.head_boxes[gt_rows], alpha), 1.0)
-        n_max, m_max = int(np.diff(gt_offsets).max(initial=0)), int(np.diff(pred_offsets).max(initial=0))
-        step = max(1, _MATCH_BLOCK // max(n_max * m_max * j_count, 1))
-        counts = np.zeros((len(frame_indices), n_max, m_max), dtype=np.intp)
-        for lo in range(0, len(frame_indices), step):
-            hi = min(lo + step, len(frame_indices))
-            gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
-            counts[lo:hi, :gi.shape[1], :pi.shape[1]] = joints_within(
-                gt_points[gi], pred_points[pi], limits[gi]).sum(axis=3)
-        return cls(gt_points, gt_offsets, gt_rows, limits, pred_points, pred_offsets, pred_rows, counts)
-
-    def frame(self, k: int) -> np.ndarray:
-        """Frame k's (n_gt, n_pred) counts, a view into counts."""
-        n, m = self.gt_offsets[k + 1] - self.gt_offsets[k], self.pred_offsets[k + 1] - self.pred_offsets[k]
-        return self.counts[k, :n, :m]
-
-    def correct(self, gt_rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
-        """(K, J) mask of the PCKh-correct joints of the K pairs of these rows,
-        from one joints_within call per run of the most pairs that fit in
-        _MATCH_BLOCK mask cells."""
-        step = max(1, _MATCH_BLOCK // max(self.gt_points.shape[1], 1))
-        parts = []
-        for lo in range(0, max(len(gt_rows), 1), step):  # one call on no pairs too
-            gi, pi = gt_rows[lo:lo + step], pred_rows[lo:lo + step]
-            parts.append(joints_within(self.gt_points[gi, None], self.pred_points[pi, None],
-                                       self.limits[gi, None])[:, 0, 0])
-        return np.concatenate(parts)
 
 
 def _frame_rows(seq: VideoSequence, frame_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +151,7 @@ def match_poses_frame(
 ) -> tuple[tuple[int, int], ...]:
     """The (gt index, pred index) pairs that maximize the total count of
     PCKh-correct joints, from counts, the (n_gt, n_pred) correct joints of every
-    pair: match_sequence's view of its counts, or else correct_joint_mask's sum.
+    pair: the frame's view of SequenceMatch.counts, or else correct_joint_mask's sum.
 
     Pairs that share no correct joint are discarded rather than matched.
     """
@@ -343,48 +285,68 @@ def _check_alpha(alpha: float) -> None:
 class SequenceMatch:
     """The pose matching of every labeled frame, from match_sequence. It ignores
     track ids, so it serves every retracking of the matched predictions; the
-    terms only the reports need are computed on first use, from the frames'
-    rows end to end in `blocks`."""
+    terms only the reports need are computed on first use. Each side's rows
+    lie end to end: frame k's are offsets[k]:offsets[k + 1] of points, with an
+    all-NaN pad row last, and rows holds the sequence row of each; limits
+    holds each gt row's PCKh limit, and 1.0 for the pad. counts[k] is frame
+    k's (n_gt, n_pred) count of PCKh-correct joints, zero-padded."""
 
     gt: VideoSequence
     alpha: float
     frame_indices: tuple[int, ...]  # of the labeled frames, in order
-    pairs: np.ndarray  # (K, 3) labeled-frame position, gt index, pred index, in frame order
-    scores: np.ndarray  # (R,) score of each prediction row of the labeled frames
-    blocks: _Blocks = field(repr=False)
+    gt_points: np.ndarray  # (N + 1, J, 2)
+    gt_offsets: np.ndarray  # (F + 1,)
+    gt_rows: np.ndarray  # (N,)
+    limits: np.ndarray  # (N + 1,)
+    pred_points: np.ndarray  # (M + 1, J, 2)
+    pred_offsets: np.ndarray  # (F + 1,)
+    pred_rows: np.ndarray  # (M,)
+    counts: np.ndarray  # (F, most gt rows, most pred rows)
+    pairs: np.ndarray  # (K, 2) gt row, pred row of each matched pair end to end, in frame order
+    scores: np.ndarray  # (M,) score of each prediction row
+
+    def correct(self, gi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        """(K, J) mask of the PCKh-correct joints of the K pairs of end-to-end
+        rows gi and pi, from one joints_within call per run of the most pairs
+        that fit in _MATCH_BLOCK mask cells."""
+        step = max(1, _MATCH_BLOCK // max(self.gt_points.shape[1], 1))
+        parts = []
+        for lo in range(0, max(len(gi), 1), step):  # one call on no pairs too
+            g, p = gi[lo:lo + step], pi[lo:lo + step]
+            parts.append(joints_within(self.gt_points[g, None], self.pred_points[p, None],
+                                       self.limits[g, None])[:, 0, 0])
+        return np.concatenate(parts)
 
     @cached_property
     def gt_count(self) -> np.ndarray:
         """(J,) number of labeled instances of each joint."""
-        return np.count_nonzero(~np.isnan(self.blocks.gt_points[:-1, :, 0]), axis=0)
+        return np.count_nonzero(~np.isnan(self.gt_points[:-1, :, 0]), axis=0)
 
     @cached_property
     def track_ids(self) -> tuple[int, ...]:
         """The ground-truth track id of each pair."""
-        ids, blocks = self.gt.detections.track_ids, self.blocks
-        rows = blocks.gt_rows[blocks.gt_offsets[self.pairs[:, 0]] + self.pairs[:, 1]]
-        return tuple(ids[row] for row in rows.tolist())
+        ids = self.gt.detections.track_ids
+        return tuple(ids[row] for row in self.gt_rows[self.pairs[:, 0]].tolist())
 
     @cached_property
     def _mot_terms(self) -> tuple:
         """(tp, pred_count, motp_sum, entry_row, follows, next_joint), the MOT terms
         that ignore predicted ids. An entry is a TP joint; entries run by track
-        and joint, then by frame and pair. entry_row is the prediction row of
-        each entry over the sequence; follows[k] says entry k + 1, of joint
-        next_joint[k], has the track and joint of entry k."""
-        j_count, blocks = self.gt.joint_count, self.blocks
-        frame, gi, pi = self.pairs.T
-        gt_rows, pred_rows = blocks.gt_offsets[frame] + gi, blocks.pred_offsets[frame] + pi
-        pair, joint = np.nonzero(blocks.correct(gt_rows, pred_rows))  # the TP joints, by frame, pair and joint
-        gt_row, pred_row = gt_rows[pair], pred_rows[pair]
-        deltas = blocks.gt_points[gt_row, joint] - blocks.pred_points[pred_row, joint]
-        limits = blocks.limits[gt_row]
+        and joint, then by frame and pair. entry_row is the end-to-end prediction
+        row of each entry; follows[k] says entry k + 1, of joint next_joint[k],
+        has the track and joint of entry k."""
+        j_count = self.gt.joint_count
+        gi, pi = self.pairs.T
+        pair, joint = np.nonzero(self.correct(gi, pi))  # the TP joints, by frame, pair and joint
+        gt_row, pred_row = gi[pair], pi[pair]
+        deltas = self.gt_points[gt_row, joint] - self.pred_points[pred_row, joint]
+        limits = self.limits[gt_row]
         # math.hypot may round differently from np.hypot; the running sum keeps the
         # order of a loop over the TP joints
         distance = _hypot(deltas[:, 0], deltas[:, 1]).astype(float)
         scaled = np.divide(distance, limits, out=np.zeros_like(distance), where=limits > 0)
         motp_sum = float(np.add.accumulate(1.0 - scaled)[-1]) if len(scaled) else 0.0
-        pred_count = np.count_nonzero(~np.isnan(blocks.pred_points[:-1, :, 0]), axis=0)
+        pred_count = np.count_nonzero(~np.isnan(self.pred_points[:-1, :, 0]), axis=0)
         tp = np.bincount(joint, minlength=j_count)
         key = _id_codes(self.track_ids)[pair] * j_count + joint
         order = np.argsort(key, kind="stable")
@@ -401,22 +363,38 @@ def _id_codes(ids: Sequence[int]) -> np.ndarray:
 def match_sequence(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> SequenceMatch:
     """Match the poses of every labeled frame with the prediction frame of the
     same frame_index, which holds no predictions when it is missing. alpha,
-    the PCKh threshold in head sizes, must be finite and positive. The counts
-    are computed in blocks of frames; each frame is matched alone."""
+    the PCKh threshold in head sizes, must be finite and positive. One
+    joints_within call per block of frames, the most that fit in _MATCH_BLOCK
+    mask cells, or 1, decides the counts; each frame is matched alone on its
+    view of them, and its pairs are moved to end-to-end rows."""
     _check_alpha(alpha)
     _check_pair(gt, pred, require_track_ids=False)
     frame_indices = tuple(compress(gt.frame_indices, gt.labeled))
-    blocks = _Blocks.of(frame_indices, gt, pred, alpha)
-    # each labeled frame is assigned alone, on its view of the counts
+    j_count = gt.joint_count
+    gt_rows, gt_offsets = _frame_rows(gt, frame_indices)
+    pred_rows, pred_offsets = _frame_rows(pred, frame_indices)
+    gt_points = _points(gt.detections, gt_rows, j_count)
+    pred_points = _points(pred.detections, pred_rows, j_count)
+    limits = np.append(_limits(gt.detections.head_boxes[gt_rows], alpha), 1.0)
+    n_max, m_max = int(np.diff(gt_offsets).max(initial=0)), int(np.diff(pred_offsets).max(initial=0))
+    step = max(1, _MATCH_BLOCK // max(n_max * m_max * j_count, 1))
+    counts = np.zeros((len(frame_indices), n_max, m_max), dtype=np.intp)
+    for lo in range(0, len(frame_indices), step):
+        hi = min(lo + step, len(frame_indices))
+        gi, pi = _padded(gt_offsets, lo, hi), _padded(pred_offsets, lo, hi)
+        counts[lo:hi, :gi.shape[1], :pi.shape[1]] = joints_within(
+            gt_points[gi], pred_points[pi], limits[gi]).sum(axis=3)
     pred_by_index = {f.frame_index: f.detections for f in pred.frames}
-    per_frame = [
-        match_poses_frame(f.detections, pred_by_index.get(f.frame_index, NO_DETECTIONS), alpha, blocks.frame(k))
-        for k, f in enumerate(f for f in gt.frames if f.labeled)
-    ]
+    per_frame = []
+    for k, frame in enumerate(f for f in gt.frames if f.labeled):
+        dets = pred_by_index.get(frame.frame_index, NO_DETECTIONS)
+        per_frame.append(match_poses_frame(frame.detections, dets, alpha,
+                                           counts[k, :len(frame.detections), :len(dets)]))
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(per_frame)), dtype=np.intp).reshape(-1, 2)
-    pairs = np.column_stack([np.repeat(np.arange(len(per_frame)), list(map(len, per_frame))), pairs])
-    scores = pred.detections.scores[blocks.pred_rows]
-    return SequenceMatch(gt, alpha, frame_indices, pairs, scores, blocks)
+    starts = np.column_stack([gt_offsets[:-1], pred_offsets[:-1]])  # each frame's first row on each side
+    pairs += np.repeat(starts, list(map(len, per_frame)), axis=0)
+    return SequenceMatch(gt, alpha, frame_indices, gt_points, gt_offsets, gt_rows, limits, pred_points,
+                         pred_offsets, pred_rows, counts, pairs, pred.detections.scores[pred_rows])
 
 
 def evaluate_mot(
@@ -428,7 +406,7 @@ def evaluate_mot(
     _check_pair(match.gt, pred, require_track_ids=True)
     j_count = match.gt.joint_count
     rows, offsets = _frame_rows(pred, match.frame_indices)  # pred's row of every prediction row of the match
-    sizes, match_sizes = np.diff(offsets), np.diff(match.blocks.pred_offsets)
+    sizes, match_sizes = np.diff(offsets), np.diff(match.pred_offsets)
     if (sizes != match_sizes).any():
         k = int(np.argmax(sizes != match_sizes))
         raise ValueError(f"prediction frame {match.frame_indices[k]} has {sizes[k]} detections, "
@@ -478,8 +456,8 @@ def _average_precision(scores, hits, n_gt: int) -> float:
 def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], float]:
     """(per-joint AP, mAP) in percent of the scored keypoint predictions of
     `match`; a joint without labeled instances has AP None and no part in mAP."""
-    j_count, blocks = match.gt.joint_count, match.blocks
-    offsets, sizes = blocks.pred_offsets, np.diff(blocks.pred_offsets)
+    j_count = match.gt.joint_count
+    offsets, sizes = match.pred_offsets, np.diff(match.pred_offsets)
     scores = match.scores
     # ranked[k, r]: frame k's prediction of rank r in score order, or m_max, a pad column
     frames, m_max = np.arange(len(match.frame_indices)), int(sizes.max(initial=0))
@@ -489,7 +467,7 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     ranked[row_frame, np.arange(len(order)) - offsets[row_frame]] = order - offsets[row_frame]
     # overlaps[k, g, p]: correct joints of pose g and prediction p of frame k, zeroed
     # as poses are claimed, with a pad row and column of zeros
-    overlaps = np.pad(blocks.counts, ((0, 0), (0, 1), (0, 1)))
+    overlaps = np.pad(match.counts, ((0, 0), (0, 1), (0, 1)))
     # the frames claim together, one rank at a time: each prediction claims the
     # first unclaimed pose with the most correct joints
     claimed = np.full((len(frames), m_max + 1), -1)
@@ -503,8 +481,8 @@ def evaluate_map(match: SequenceMatch) -> tuple[tuple[Optional[float], ...], flo
     gi = claimed[frame, pi]
     # hits[r, j]: joint j of prediction row r is correct for the pose it claimed
     hits = np.zeros((len(scores), j_count), dtype=bool)
-    hits[offsets[frame] + pi] = blocks.correct(blocks.gt_offsets[frame] + gi, offsets[frame] + pi)
-    present = ~np.isnan(blocks.pred_points[:-1, :, 0])
+    hits[offsets[frame] + pi] = match.correct(match.gt_offsets[frame] + gi, offsets[frame] + pi)
+    present = ~np.isnan(match.pred_points[:-1, :, 0])
 
     n_gt = match.gt_count
     ap = tuple(

@@ -36,9 +36,7 @@ def perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0
 
     # matched[pred row] -> gt track id
     match = match_sequence(gt, pred, alpha)
-    blocks = match.blocks
-    rows = blocks.pred_rows[blocks.pred_offsets[match.pairs[:, 0]] + match.pairs[:, 2]]
-    matched = dict(zip(rows.tolist(), match.track_ids))
+    matched = dict(zip(match.pred_rows[match.pairs[:, 1]].tolist(), match.track_ids))
     pred_ids = pred.detections.track_ids
     unmatched_ids = {tid for row, tid in enumerate(pred_ids) if row not in matched}
 

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import replace
 from typing import Sequence
 
+import hypothesis.strategies as st
 import numpy as np
 
 from poselink.linking import (
@@ -35,6 +36,7 @@ from poselink.metrics import (
     _check_pair,
     _id_codes,
     evaluate,
+    match_poses_frame,
 )
 from poselink.model import (
     NO_DETECTIONS,
@@ -827,3 +829,89 @@ def reference_average_precision(scores: Sequence[float], hits: Sequence[bool], n
             total += (recall - reached) * max(p for r, p in points if r >= recall)
             reached = recall
     return total
+
+
+@st.composite
+def block_scenes(draw, j_count, untied=False):
+    """(gt, pred) of 1 to 8 frames of j_count joints, each labeled or not, with
+    0 to 40 ground-truth poses and 0 to 40 predictions, or no prediction frame. Poses
+    sit on an integer grid and predictions are near copies shifted by 0, 3,
+    4 or 5 pixels per axis, or far off, so distances land on the PCKh limits
+    of the few head sizes. Scores repeat unless `untied`, which makes every
+    score of the sequence distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 40))
+    heads = np.array([[0.0, 0.0, 30.0, 40.0], [0.0, 0.0, 6.0, 8.0], [5.0, 5.0, 5.0, 45.0]])
+    names = tuple(f"j{k}" for k in range(j_count))
+    gt_frames, pred_frames = [], []
+    for t in range(draw(st.integers(1, 8))):
+        n = draw(sizes)
+        xy = rng.integers(0, 60, size=(n, 1, 2)) + rng.integers(-8, 9, size=(n, j_count, 2))
+        gt = Detections.from_columns(
+            np.tile([0.0, 0.0, 100.0, 100.0], (n, 1)), np.ones(n), xy, np.full((n, j_count), 2.0),
+            rng.random((n, j_count)) < 0.85, track_ids=rng.integers(0, 5, size=n).tolist(),
+            head_boxes=heads[rng.integers(0, len(heads), size=n)],
+        )
+        gt_frames.append(Frame(t, draw(st.integers(0, 3)) > 0, gt))
+        if draw(st.integers(0, 5)) == 0:
+            continue  # no prediction frame
+        m = draw(sizes)
+        source = rng.integers(0, max(n, 1), size=m)
+        shift = rng.choice([0.0, 0.0, 3.0, 4.0, 5.0, 60.0], size=(m, j_count, 2))
+        shift *= rng.choice([-1.0, 1.0], size=(m, j_count, 2))
+        pred_xy = (xy[source] if n else rng.integers(0, 60, size=(m, j_count, 2))) + shift
+        pred = Detections.from_columns(
+            np.tile([0.0, 0.0, 100.0, 100.0], (m, 1)), rng.choice([0.25, 0.5, 1.0], size=m), pred_xy,
+            np.full((m, j_count), 2.0), rng.random((m, j_count)) < 0.85, track_ids=rng.integers(0, 6, size=m).tolist(),
+        )
+        pred_frames.append(Frame(t, True, pred))
+    if untied:
+        scores = iter(rng.permutation(sum(len(f.detections) for f in pred_frames)) / 64.0)
+        pred_frames = [replace(f, detections=replace(
+            f.detections, scores=np.array([next(scores) for _ in range(len(f.detections))])))
+            for f in pred_frames]
+    return (VideoSequence.from_frames("blocks", 640, 480, names, gt_frames),
+            VideoSequence.from_frames("blocks", 640, 480, names, pred_frames))
+
+
+@st.composite
+def doubled_block_scenes(draw, j_count):
+    """A block_scenes (gt, pred) with every frame_index doubled, and after some
+    prediction frames a copy at the odd index between, which no ground-truth
+    frame has: so a labeled frame's rows end to end differ from its sequence
+    rows on both sides."""
+    gt, pred = draw(block_scenes(j_count))
+    pred_frames = []
+    for f in pred.frames:
+        pred_frames.append(Frame(2 * f.frame_index, True, f.detections))
+        if draw(st.booleans()):
+            pred_frames.append(Frame(2 * f.frame_index + 1, True, f.detections))
+    return (gt.with_frames([Frame(2 * f.frame_index, f.labeled, f.detections) for f in gt.frames]),
+            pred.with_frames(pred_frames))
+
+
+def reference_perfect_association(gt: VideoSequence, pred: VideoSequence, alpha: float = 0.5) -> VideoSequence:
+    """oracles.perfect_association written frame by frame: each prediction frame
+    of a labeled frame_index is matched on its own views by match_poses_frame,
+    and each matched prediction takes its pose's ground-truth id. The ids of the
+    other predictions are renumbered, in sorted order, from the largest
+    ground-truth id + 1."""
+    labels = {f.frame_index: f.detections for f in gt.frames if f.labeled}
+    matched = []  # the ground-truth id of each prediction of each frame, or None
+    for frame in pred.frames:
+        ids = [None] * len(frame.detections)
+        dets = labels.get(frame.frame_index, NO_DETECTIONS)
+        if len(dets) and len(frame.detections):
+            for gi, pi in match_poses_frame(dets, frame.detections, alpha):
+                ids[pi] = dets.track_ids[gi]
+        matched.append(ids)
+    gt_ids = [t for f in gt.frames for t in f.detections.track_ids]
+    offset = max(gt_ids) + 1 if gt_ids else 0
+    unmatched = sorted({t for f, ids in zip(pred.frames, matched)
+                        for t, m in zip(f.detections.track_ids, ids) if m is None})
+    remap = {t: offset + rank for rank, t in enumerate(unmatched)}
+    return pred.with_frames([
+        replace(f, detections=replace(f.detections, track_ids=tuple(
+            remap[t] if m is None else m for t, m in zip(f.detections.track_ids, ids))))
+        for f, ids in zip(pred.frames, matched)
+    ])

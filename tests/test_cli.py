@@ -561,9 +561,9 @@ class TestSweep:
         assert run("synth", "--out-gt", gt, "--out-pred", pred, "--seed", 2, "--frames", 9,
                    "--actors", 3, "--kp-jitter", 2.0, "--fp-rate", 1.0, "--label-every", 2) == 0
         assert run("track", "--pred", pred, "--out", tracked) == 0
-        frames = []  # the frame count of every call to the block matcher
-        blocks_of = metrics._Blocks.of
-        monkeypatch.setattr(metrics._Blocks, "of", lambda gts, *a: frames.append(len(gts)) or blocks_of(gts, *a))
+        frames = []  # the labeled-frame count of every match made
+        match_of = metrics.SequenceMatch
+        monkeypatch.setattr(metrics, "SequenceMatch", lambda *a: frames.append(len(a[2])) or match_of(*a))
         assert run(command[0], "--gt", gt, "--pred", tracked, *command[1:], tmp_path / "out") == 0
         labeled = sum(f.labeled for f in load_sequence(str(gt), "groundtruth").frames)
         assert 0 < labeled < 9

@@ -16,10 +16,10 @@ evaluate, which matches frames in blocks, must give the report of
 reference_evaluate, the per-frame evaluator it replaced, with a block edge
 after every first, second or third frame, and AP on untied scores must
 agree with reference_average_precision, written from the definition.
-match_sequence's pair array must hold, frame by frame, the pairs of
-_reference_match, also where prediction frames have no labeled counterpart,
-and its counts must hold each labeled frame's summed correct_joint_mask,
-padded with zeros.
+match_sequence's pair array must name, in frame order, the sequence rows of
+the pairs of _reference_match, also where prediction frames have no labeled
+counterpart, and its counts must hold each labeled frame's summed
+correct_joint_mask, padded with zeros.
 """
 
 import dataclasses
@@ -44,7 +44,7 @@ from poselink.metrics import (
     match_poses_frame,
     match_sequence,
 )
-from poselink.model import NO_DETECTIONS, Box, Detections, Frame, VideoSequence
+from poselink.model import NO_DETECTIONS, Box, Detections
 from poselink.oracles import perfect_keypoints
 from poselink.similarity import (
     SimilarityCriterion,
@@ -73,10 +73,12 @@ from helpers import (
     _correct_joint_count,
     _reference_match,
     as_tube,
+    block_scenes,
     box_of,
     clear_mot_counts,
     corners,
     detection,
+    doubled_block_scenes,
     feature_cosine,
     head_box_of,
     head_size,
@@ -666,52 +668,9 @@ class TestSequenceMatch:
         assert (got.map_per_joint, got.map_total) == ap
 
 
-@st.composite
-def block_scenes(draw, untied=False):
-    """(gt, pred) of 1 to 8 frames, each labeled or not, with 0 to 40
-    ground-truth poses and 0 to 40 predictions, or no prediction frame. Poses
-    sit on an integer grid and predictions are near copies shifted by 0, 3,
-    4 or 5 pixels per axis, or far off, so distances land on the PCKh limits
-    of the few head sizes. Scores repeat unless `untied`, which makes every
-    score of the sequence distinct."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sizes = st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 40))
-    heads = np.array([[0.0, 0.0, 30.0, 40.0], [0.0, 0.0, 6.0, 8.0], [5.0, 5.0, 5.0, 45.0]])
-    names = tuple(f"j{k}" for k in range(J))
-    gt_frames, pred_frames = [], []
-    for t in range(draw(st.integers(1, 8))):
-        n = draw(sizes)
-        xy = rng.integers(0, 60, size=(n, 1, 2)) + rng.integers(-8, 9, size=(n, J, 2))
-        gt = Detections.from_columns(
-            np.tile([0.0, 0.0, 100.0, 100.0], (n, 1)), np.ones(n), xy, np.full((n, J), 2.0),
-            rng.random((n, J)) < 0.85, track_ids=rng.integers(0, 5, size=n).tolist(),
-            head_boxes=heads[rng.integers(0, len(heads), size=n)],
-        )
-        gt_frames.append(Frame(t, draw(st.integers(0, 3)) > 0, gt))
-        if draw(st.integers(0, 5)) == 0:
-            continue  # no prediction frame
-        m = draw(sizes)
-        source = rng.integers(0, max(n, 1), size=m)
-        shift = rng.choice([0.0, 0.0, 3.0, 4.0, 5.0, 60.0], size=(m, J, 2))
-        shift *= rng.choice([-1.0, 1.0], size=(m, J, 2))
-        pred_xy = (xy[source] if n else rng.integers(0, 60, size=(m, J, 2))) + shift
-        pred = Detections.from_columns(
-            np.tile([0.0, 0.0, 100.0, 100.0], (m, 1)), rng.choice([0.25, 0.5, 1.0], size=m), pred_xy,
-            np.full((m, J), 2.0), rng.random((m, J)) < 0.85, track_ids=rng.integers(0, 6, size=m).tolist(),
-        )
-        pred_frames.append(Frame(t, True, pred))
-    if untied:
-        scores = iter(rng.permutation(sum(len(f.detections) for f in pred_frames)) / 64.0)
-        pred_frames = [dataclasses.replace(f, detections=dataclasses.replace(
-            f.detections, scores=np.array([next(scores) for _ in range(len(f.detections))])))
-            for f in pred_frames]
-    return (VideoSequence.from_frames("blocks", 640, 480, names, gt_frames),
-            VideoSequence.from_frames("blocks", 640, 480, names, pred_frames))
-
-
 class TestBlockMatch:
     @settings(max_examples=150, phases=UNSHRUNK)
-    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
+    @given(block_scenes(J), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
     def test_evaluate_equals_the_frame_by_frame_reference(self, scene, alpha, frames_per_block):
         gt, pred = scene
         labeled = [f for f in gt.frames if f.labeled]
@@ -734,14 +693,14 @@ class TestBlockMatch:
         assert sizes == [min(step, len(labeled) - lo) for lo in range(0, len(labeled), step)]
 
     @settings(max_examples=100, phases=UNSHRUNK)
-    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
+    @given(block_scenes(J), st.sampled_from([0.2, 0.5, 1.0]), st.sampled_from([1, 2, 3]))
     def test_counts_are_each_frames_correct_joints_padded_with_zeros(self, scene, alpha, frames_per_block):
         gt, pred = scene
         preds = {f.frame_index: f.detections for f in pred.frames}
         frames = [(f.detections, preds.get(f.frame_index, NO_DETECTIONS)) for f in gt.frames if f.labeled]
         cells = max((len(g) for g, _ in frames), default=0) * max((len(p) for _, p in frames), default=0) * J
         with mock.patch.object(metrics_module, "_MATCH_BLOCK", frames_per_block * cells):
-            counts = match_sequence(gt, pred, alpha).blocks.counts
+            counts = match_sequence(gt, pred, alpha).counts
         assert len(counts) == len(frames)
         for k, (g, p) in enumerate(frames):
             want = correct_joint_mask(g, p, alpha).sum(axis=2)
@@ -751,26 +710,21 @@ class TestBlockMatch:
             assert not counts[k, n:].any() and not counts[k, :, m:].any()
 
     @settings(max_examples=100, phases=UNSHRUNK)
-    @given(block_scenes(), st.sampled_from([0.2, 0.5, 1.0]), st.data())
-    def test_pairs_equal_the_frame_by_frame_reference(self, scene, alpha, data):
+    @given(doubled_block_scenes(J), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_pairs_equal_the_frame_by_frame_reference(self, scene, alpha):
         gt, pred = scene
-        # every frame_index doubled, and after some prediction frames a copy at the
-        # odd index between, which no ground-truth frame has
-        pred_frames = []
-        for f in pred.frames:
-            pred_frames.append(Frame(2 * f.frame_index, True, f.detections))
-            if data.draw(st.booleans()):
-                pred_frames.append(Frame(2 * f.frame_index + 1, True, f.detections))
-        gt = gt.with_frames([Frame(2 * f.frame_index, f.labeled, f.detections) for f in gt.frames])
-        pred = pred.with_frames(pred_frames)
         match = match_sequence(gt, pred, alpha)
         want = _reference_match(gt, pred, alpha)
         assert match.frame_indices == tuple(frame_index for frame_index, *_ in want)
-        assert match.pairs.dtype == np.intp and match.pairs.shape[1:] == (3,)
-        assert match.pairs.tolist() == [[k, gi, pi] for k, (*_, pairs, _) in enumerate(want) for gi, pi in pairs]
+        # the sequence rows of the reference's pairs, from the scene's own offsets
+        gt_first, pred_first = dict(zip(gt.frame_indices, gt.offsets)), dict(zip(pred.frame_indices, pred.offsets))
+        rows = [[gt_first[index] + gi, pred_first[index] + pi] for index, *_, pairs, _ in want for gi, pi in pairs]
+        assert match.pairs.dtype == np.intp and match.pairs.shape == (len(rows), 2)
+        assert match.gt_rows[match.pairs[:, 0]].tolist() == [g for g, _ in rows]
+        assert match.pred_rows[match.pairs[:, 1]].tolist() == [p for _, p in rows]
 
     @settings(max_examples=100, phases=UNSHRUNK)
-    @given(block_scenes(untied=True))
+    @given(block_scenes(J, untied=True))
     def test_evaluate_map_gives_the_defined_ap(self, scene):
         calls = []  # the (scores, hits, n_gt) of every AP evaluate_map takes
         ap_of = metrics_module._average_precision

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from poselink.linking import LinkerConfig, track_video
 from poselink.metrics import evaluate
@@ -6,7 +8,7 @@ from poselink.model import filter_detections
 from poselink.oracles import apply_oracle, perfect_association, perfect_keypoints
 from poselink.synth import NoiseModel, ScenarioConfig, generate_scenario
 
-from helpers import person, sequence, three_frame_pair
+from helpers import doubled_block_scenes, person, reference_perfect_association, sequence, three_frame_pair
 
 
 NOISY = NoiseModel(
@@ -57,6 +59,16 @@ class TestPerfectAssociation:
             gt, tracked = _tracked_scenario(seed)
             report = evaluate(gt, perfect_association(gt, tracked))
             assert sum(report.idsw) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(doubled_block_scenes(4), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_equals_the_frame_by_frame_reference(self, scene, alpha):
+        """Unlabeled frames, labeled frames without predictions and prediction
+        frames at indices no labeled frame has: the matched rows end to end are
+        not the sequence rows, and each id still lands on its own row."""
+        gt, pred = scene
+        got = perfect_association(gt, pred, alpha)
+        assert got.detections.track_ids == reference_perfect_association(gt, pred, alpha).detections.track_ids
 
     def test_requires_tracked_predictions(self):
         gt, pred = three_frame_pair()
